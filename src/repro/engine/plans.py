@@ -115,10 +115,17 @@ def var_path_columns(
     Column ``c``'s coefficients occupy the slice
     ``[c * kdim, (c+1) * kdim)`` of ``vec B``.
 
+    With ``solver="admm"`` all ``p`` columns share one factorization
+    and advance together: one :meth:`LassoADMM.solve_columns` call per
+    λ, seeds passed as ``(kdim, p)`` matrices.  Each column's numbers
+    are those of its own single-response solve (bitwise when
+    ``n >= kdim``, to ~1e-10 on the Woodbury branch).
+
     Seeding — where each solve's iterate *starts* — never changes what
-    it converges to (every solve runs to the configured tolerances), so
-    all three modes below produce identical supports; only iteration
-    cost differs:
+    it converges to, so all three modes below produce identical
+    supports **provided solves converge**; only iteration cost differs.
+    A solve that exhausts ``max_iter`` stops at a start-dependent point
+    instead (counted as ``admm.nonconverged`` / ``cd.nonconverged``):
 
     * ``seeding="path"`` (default): the classic warm-start chain — the
       solve at λ index ``j`` starts from the ``j - 1`` solution.
@@ -143,26 +150,7 @@ def var_path_columns(
             f"warm_paths shape {warm_paths.shape} != ({q}, {kdim * p})"
         )
     out = np.empty((q, kdim * p))
-    solver = None
-    gram_cache = None
-    if config.solver == "cd":
-        # Covariance-update CD: one X'X per bootstrap serves every
-        # column and penalty (the cd analogue of the shared ADMM
-        # factorization).
-        gram, _, col_sq = precompute_gram(X)
-        gram_cache = (gram, col_sq)
-    if config.solver == "admm":
-        # One factorization serves every output column: the Gram
-        # depends on X alone (see LassoADMM.set_response).
-        solver = LassoADMM(
-            X,
-            Y[:, 0],
-            rho=config.rho,
-            max_iter=config.max_iter,
-            abstol=config.abstol,
-            reltol=config.reltol,
-            adapt_rho=config.adapt_rho,
-        )
+
     def seed(
         j: int, beta: np.ndarray | None, col: slice
     ) -> np.ndarray | None:
@@ -172,25 +160,44 @@ def var_path_columns(
             return beta + (warm_paths[j, col] - warm_paths[j - 1, col])
         return beta if seeding == "path" else None
 
+    if config.solver == "admm":
+        # One factorization serves every output column (the Gram
+        # depends on X alone), and one lock-step call per λ advances
+        # all of them together: the seeds and the solution are the
+        # (kdim, p) matrix B whose column-stacking is the row of `out`.
+        solver = LassoADMM(
+            X,
+            Y[:, 0],
+            rho=config.rho,
+            max_iter=config.max_iter,
+            abstol=config.abstol,
+            reltol=config.reltol,
+            adapt_rho=config.adapt_rho,
+        )
+        vec = None
+        for j, lam in enumerate(lambdas):
+            start = seed(j, vec, slice(None))
+            if start is not None:
+                start = start.reshape((kdim, p), order="F")
+            results = solver.solve_columns(Y, float(lam), beta0=start)
+            vec = np.concatenate([res.beta for res in results], out=out[j])
+        return out
+
+    # Covariance-update CD: one X'X per bootstrap serves every column
+    # and penalty (the cd analogue of the shared ADMM factorization).
+    gram, _, col_sq = precompute_gram(X)
     for c in range(p):
         yc = Y[:, c]
         col = slice(c * kdim, (c + 1) * kdim)
         beta = None
-        if config.solver == "admm":
-            solver.set_response(yc)
-            for j, lam in enumerate(lambdas):
-                res = solver.solve(float(lam), beta0=seed(j, beta, col))
-                beta = res.beta
-                out[j, col] = beta
-        else:
-            triple = (gram_cache[0], X.T @ yc, gram_cache[1])
-            for j, lam in enumerate(lambdas):
-                beta = lasso_cd(
-                    X, yc, float(lam), beta0=seed(j, beta, col),
-                    max_iter=config.max_iter, tol=config.cd_tol,
-                    precomputed=triple,
-                )
-                out[j, col] = beta
+        triple = (gram, X.T @ yc, col_sq)
+        for j, lam in enumerate(lambdas):
+            beta = lasso_cd(
+                X, yc, float(lam), beta0=seed(j, beta, col),
+                max_iter=config.max_iter, tol=config.cd_tol,
+                precomputed=triple,
+            )
+            out[j, col] = beta
     return out
 
 
@@ -387,10 +394,11 @@ class VarPlan(UoIPlan):
             coefficient path from a previous fit (see
             ``selection_paths``), typically the preceding window of a
             rolling stream fit.  Seeding moves solver starting points
-            only — every solve still runs to the configured tolerances,
-            so supports and final coefficients are bitwise what a cold
-            fit of the same ``series`` produces; only iteration cost
-            changes.  Chains without an entry fall back to the default
+            only, so — provided solves converge — supports and final
+            coefficients are bitwise what a cold fit of the same
+            ``series`` produces and only iteration cost changes; a
+            solve that runs out of ``max_iter`` stops where its start
+            left it.  Chains without an entry fall back to the default
             pathwise seeding.
         keep_paths:
             Harvest each selection chain's full coefficient path into

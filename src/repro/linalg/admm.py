@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrs
 
 from repro.linalg.soft_threshold import soft_threshold, soft_threshold_into
 from repro.perf.pool import Workspace
@@ -75,6 +76,21 @@ class ADMMResult:
     objective: float
     history: list[tuple[float, float, float]] = field(default_factory=list)
     dual: np.ndarray | None = None
+
+
+def _count_solve(result: ADMMResult) -> ADMMResult:
+    """Telemetry for one finished solve (one response column).
+
+    One soft-threshold per iteration; no-ops unless a telemetry
+    recorder is installed for this run.
+    """
+    _tcount("admm.solves")
+    _tcount("admm.iterations", result.iterations)
+    _tcount("admm.soft_thresholds", result.iterations)
+    _tcount("admm.converged" if result.converged else "admm.nonconverged")
+    _tgauge("admm.primal_residual", result.primal_residual)
+    _tgauge("admm.dual_residual", result.dual_residual)
+    return result
 
 
 class LassoADMM:
@@ -190,52 +206,60 @@ class LassoADMM:
             small = small + np.eye(self.n)  # repro: ignore[SHAPE102]
             self._chol = scipy.linalg.cho_factor(
                 small, lower=True, check_finite=False
-            )
+            )[0]
         else:
             gram = self._gram_base.copy()
             gram[np.diag_indices_from(gram)] += rho
             self._chol = scipy.linalg.cho_factor(
                 gram, lower=True, check_finite=False
-            )
+            )[0]
         self._chol_rho = rho
         self.factorizations += 1
         _tcount("admm.factorizations")
+
+    def _potrs(self, b: np.ndarray, *, overwrite: bool) -> np.ndarray:
+        """Two triangular solves against the cached Cholesky factor.
+
+        LAPACK ``dpotrs`` called directly: the ``cho_solve`` wrapper
+        costs more than the solve itself on small systems, once per
+        iteration.  ``b`` is one right-hand side or a Fortran-ordered
+        ``(size, nrhs)`` block; with ``overwrite`` the solution lands
+        in ``b``'s memory.
+        """
+        x, info = dpotrs(self._chol, b, lower=1, overwrite_b=overwrite)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of potrs")
+        return x
 
     def _solve_normal(self, q: np.ndarray, rho: float) -> np.ndarray:
         """Solve ``(2 X'X + rho I) x = q`` using the cached factorization."""
         if rho != self._chol_rho:
             self._factorize(rho)
         if not self._woodbury:
-            return scipy.linalg.cho_solve(self._chol, q, check_finite=False)
+            return self._potrs(q, overwrite=False)
         # Woodbury: (rho I + 2X'X)^{-1} q
         #   = q/rho - (2/rho^2) X' (I + (2/rho) X X')^{-1} X q
-        Xq = self.X @ q
-        inner = scipy.linalg.cho_solve(self._chol, Xq, check_finite=False)
+        inner = self._potrs(self.X @ q, overwrite=True)
         return q / rho - (2.0 / rho**2) * (self.X.T @ inner)
 
     def _solve_normal_pooled(self, q: np.ndarray, rho: float) -> np.ndarray:
         """Allocation-free :meth:`_solve_normal`.
 
-        Identical arithmetic: ``cho_solve(..., overwrite_b=True)``
-        runs the same LAPACK ``potrs`` on the same bytes, merely
-        eliding the defensive input copy, and the Woodbury chain uses
-        ``out=`` forms of the very ops the allocating version runs.
-        The returned array may alias ``q`` (the caller is done with
-        ``q`` by then).
+        Identical arithmetic: overwriting ``potrs`` runs on the same
+        bytes, merely eliding the defensive input copy, and the
+        Woodbury chain uses ``out=`` forms of the very ops the
+        allocating version runs.  The returned array may alias ``q``
+        (the caller is done with ``q`` by then).
         """
         if rho != self._chol_rho:
             self._factorize(rho)
         if not self._woodbury:
-            return scipy.linalg.cho_solve(
-                self._chol, q, check_finite=False, overwrite_b=True
-            )
+            return self._potrs(q, overwrite=True)
         ws = self._ws
         assert ws is not None
         Xq = ws.array("w_Xq", self.n)
         np.matmul(self.X, q, out=Xq)
-        inner = scipy.linalg.cho_solve(
-            self._chol, Xq, check_finite=False, overwrite_b=True
-        )
+        inner = self._potrs(Xq, overwrite=True)
         corr = ws.array("w_corr", self.p)
         np.matmul(self.X.T, inner, out=corr)
         np.multiply(corr, 2.0 / rho**2, out=corr)
@@ -244,24 +268,40 @@ class LassoADMM:
         np.subtract(x, corr, out=x)
         return x
 
-    def set_response(self, y: np.ndarray) -> "LassoADMM":
-        """Rebind the response vector, keeping the cached factorization.
+    def _solve_normal_columns(self, q: np.ndarray) -> np.ndarray:
+        """:meth:`_solve_normal_pooled` for ``k`` right-hand sides at once.
 
-        The x-update factorization depends only on ``X`` and ``rho``,
-        so multivariate problems sharing one design (every column of a
-        VAR lag regression) can reuse it across responses — a large
-        saving over refactoring per column.  Returns ``self``.
+        ``q`` is ``(k, p)`` C-ordered, one row per response column, so
+        ``q.T`` is the Fortran-ordered block ``potrs`` solves in place:
+        one call with ``nrhs = k``.  On the Woodbury branch the two
+        GEMVs with ``X`` become two GEMMs around one ``n x n``
+        multi-RHS solve.  ``rho`` is ``self.rho``, which the cached
+        factor always matches when ``adapt_rho`` is off.  The result
+        may alias ``q``.
         """
-        y = np.ascontiguousarray(y, dtype=float)
-        if y.shape != (self.n,):
-            raise ValueError(f"y shape {y.shape} != ({self.n},)")
-        self.y = y
-        self._Xty2 = 2.0 * (self.X.T @ y)
-        return self
+        rho = self.rho
+        if not self._woodbury:
+            return self._potrs(q.T, overwrite=True).T
+        ws = self._ws
+        assert ws is not None
+        k = q.shape[0]
+        Xq = ws.array("c_Xq", (k, self.n))
+        np.matmul(q, self.X.T, out=Xq)
+        self._potrs(Xq.T, overwrite=True)
+        corr = ws.array("c_corr", (k, self.p))
+        np.matmul(Xq, self.X, out=corr)
+        np.multiply(corr, 2.0 / rho**2, out=corr)
+        x = ws.array("c_x", (k, self.p))
+        np.divide(q, rho, out=x)
+        np.subtract(x, corr, out=x)
+        return x
 
     def objective(self, beta: np.ndarray, lam: float) -> float:
         """Paper-eq.-(2) objective ``||y - X b||^2 + lam ||b||_1``."""
-        resid = self.y - self.X @ beta
+        return self._objective(self.y, beta, lam)
+
+    def _objective(self, y: np.ndarray, beta: np.ndarray, lam: float) -> float:
+        resid = y - self.X @ beta
         return float(resid @ resid + lam * np.abs(beta).sum())
 
     def solve(
@@ -295,12 +335,25 @@ class LassoADMM:
         """
         if lam < 0:
             raise ValueError(f"lam must be >= 0, got {lam}")
-        if self.pool:
-            return self._solve_pooled(lam, beta0, u0, record_history)
-        return self._solve_unpooled(lam, beta0, u0, record_history)
+        return self._solve(self.y, self._Xty2, lam, beta0, u0, record_history)
+
+    def _solve(
+        self,
+        y: np.ndarray,
+        Xty2: np.ndarray,
+        lam: float,
+        beta0: np.ndarray | None,
+        u0: np.ndarray | None,
+        record_history: bool = False,
+    ) -> ADMMResult:
+        """One solve for response ``y`` (``Xty2 = 2 X'y``) on the shared factor."""
+        run = self._solve_pooled if self.pool else self._solve_unpooled
+        return run(y, Xty2, lam, beta0, u0, record_history)
 
     def _solve_unpooled(
         self,
+        y: np.ndarray,
+        Xty2: np.ndarray,
         lam: float,
         beta0: np.ndarray | None,
         u0: np.ndarray | None,
@@ -328,7 +381,7 @@ class LassoADMM:
         r_norm = s_norm = np.inf
         it = 0
         for it in range(1, self.max_iter + 1):
-            x = self._solve_normal(self._Xty2 + rho * (z - u), rho)
+            x = self._solve_normal(Xty2 + rho * (z - u), rho)
             x_hat = self.alpha * x + (1.0 - self.alpha) * z
             z_old = z
             z = soft_threshold(x_hat + u, lam / rho)
@@ -339,7 +392,7 @@ class LassoADMM:
             dz = z - z_old
             s_norm = rho * math.sqrt(float(dz @ dz))
             if record_history:
-                history.append((r_norm, s_norm, self.objective(z, lam)))
+                history.append((r_norm, s_norm, self._objective(y, z, lam)))
 
             eps_pri = sqrtp * self.abstol + self.reltol * max(
                 math.sqrt(float(x @ x)), math.sqrt(float(z @ z))
@@ -363,29 +416,21 @@ class LassoADMM:
                     rho /= self.adapt_tau
                     u *= self.adapt_tau
 
-        # One soft-threshold per iteration; no-ops unless a telemetry
-        # recorder is installed for this run.
-        _tcount("admm.solves")
-        _tcount("admm.iterations", it)
-        _tcount("admm.soft_thresholds", it)
-        if converged:
-            _tcount("admm.converged")
-        _tgauge("admm.primal_residual", r_norm)
-        _tgauge("admm.dual_residual", s_norm)
-
-        return ADMMResult(
+        return _count_solve(ADMMResult(
             beta=z,
             iterations=it,
             converged=converged,
             primal_residual=r_norm,
             dual_residual=s_norm,
-            objective=self.objective(z, lam),
+            objective=self._objective(y, z, lam),
             history=history,
             dual=u,
-        )
+        ))
 
     def _solve_pooled(
         self,
+        y: np.ndarray,
+        Xty2: np.ndarray,
         lam: float,
         beta0: np.ndarray | None,
         u0: np.ndarray | None,
@@ -436,7 +481,7 @@ class LassoADMM:
             # x = solve(2X'X + rho I, Xty2 + rho (z - u))
             np.subtract(z, u, out=q)
             np.multiply(q, rho, out=q)
-            np.add(q, self._Xty2, out=q)
+            np.add(q, Xty2, out=q)
             x = self._solve_normal_pooled(q, rho)
             # x_hat = alpha x + (1 - alpha) z
             np.multiply(x, self.alpha, out=x_hat)
@@ -455,7 +500,7 @@ class LassoADMM:
             np.subtract(z, z_old, out=t)
             s_norm = rho * math.sqrt(float(t @ t))
             if record_history:
-                history.append((r_norm, s_norm, self.objective(z, lam)))
+                history.append((r_norm, s_norm, self._objective(y, z, lam)))
 
             eps_pri = sqrtp * self.abstol + self.reltol * max(
                 math.sqrt(float(x @ x)), math.sqrt(float(z @ z))
@@ -476,22 +521,223 @@ class LassoADMM:
                     rho /= self.adapt_tau
                     u *= self.adapt_tau
 
-        _tcount("admm.solves")
-        _tcount("admm.iterations", it)
-        _tcount("admm.soft_thresholds", it)
-        if converged:
-            _tcount("admm.converged")
-        _tgauge("admm.primal_residual", r_norm)
-        _tgauge("admm.dual_residual", s_norm)
-
-        return ADMMResult(
+        return _count_solve(ADMMResult(
             beta=z.copy(),
             iterations=it,
             converged=converged,
             primal_residual=r_norm,
             dual_residual=s_norm,
-            objective=self.objective(z, lam),
+            objective=self._objective(y, z, lam),
             history=history,
+            dual=u.copy(),
+        ))
+
+    def solve_columns(
+        self,
+        Y: np.ndarray,
+        lam: float,
+        *,
+        beta0: np.ndarray | None = None,
+        u0: np.ndarray | None = None,
+    ) -> list[ADMMResult]:
+        """Solve the LASSO at ``lam`` for every column of ``Y`` on this design.
+
+        The multivariate problems of a VAR lag regression share ``X``
+        and therefore the cached factorization; only the response
+        differs.  Result ``c`` is what ``LassoADMM(X, Y[:, c]).solve(lam,
+        beta0=beta0[:, c], u0=u0[:, c])`` returns (``history`` stays
+        empty).
+
+        When every column keeps the same ``rho`` (``adapt_rho=False``,
+        pooled) the columns advance in **lock step** as one matrix
+        iterate: one ``potrs`` with ``nrhs = m`` per iteration (two
+        GEMMs with ``X`` around one ``n x n`` multi-RHS solve on the
+        Woodbury branch) and elementwise z/u updates on the whole
+        matrix, instead of ``m`` interpreter round-trips.  The stopping
+        test stays per column: a column that meets its own tolerances
+        retires at that iteration with its result frozen, and the rest
+        go on, up to ``max_iter``.  On the Cholesky branch every float
+        operation a column sees is the one the single-column solve
+        performs (multi-RHS ``potrs`` and the row-wise dot products are
+        column-wise bitwise equal to their single-vector forms), so
+        results are bitwise identical; on the Woodbury branch GEMM
+        rounds differently from GEMV and coefficients agree to ~1e-10.
+        With residual balancing each column owns its ``rho`` and
+        factorization, so the columns are solved one after the other.
+
+        Parameters
+        ----------
+        Y:
+            ``(n, m)`` responses.
+        lam:
+            Penalty level, >= 0, shared by all columns.
+        beta0, u0:
+            Optional ``(p, m)`` warm starts, column ``c`` seeding
+            response ``c`` (see :meth:`solve`).
+        """
+        if lam < 0:
+            raise ValueError(f"lam must be >= 0, got {lam}")
+        Y = np.asarray(Y, dtype=float)
+        if Y.ndim != 2 or Y.shape[0] != self.n:
+            raise ValueError(f"Y shape {Y.shape} != ({self.n}, m)")
+        m = Y.shape[1]
+        seeds = []
+        for name, seed in (("beta0", beta0), ("u0", u0)):
+            if seed is not None:
+                seed = np.asarray(seed, dtype=float)
+                if seed.shape != (self.p, m):
+                    raise ValueError(
+                        f"{name} shape {seed.shape} != ({self.p}, {m})"
+                    )
+            seeds.append(seed)
+        if self.adapt_rho or not self.pool:
+            results = []
+            for c in range(m):
+                y = np.ascontiguousarray(Y[:, c])
+                b0, d0 = (s if s is None else s[:, c] for s in seeds)
+                results.append(
+                    self._solve(y, 2.0 * (self.X.T @ y), lam, b0, d0)
+                )
+            return results
+        return self._solve_lockstep(Y, lam, *seeds)
+
+    def _solve_lockstep(
+        self,
+        Y: np.ndarray,
+        lam: float,
+        beta0: np.ndarray | None,
+        u0: np.ndarray | None,
+    ) -> list[ADMMResult]:
+        """:meth:`_solve_pooled` for all columns of ``Y`` at once.
+
+        Iterates are ``(m, p)`` workspace slots, one C-contiguous row
+        per response column, so a row is exactly the vector the
+        single-column iteration holds and the transposed block is what
+        ``potrs`` wants.  The first ``k`` rows are the columns still
+        iterating; a retirement moves the survivors' state up and
+        re-slices, nothing else allocates in the loop.
+        """
+        n, p, m = self.n, self.p, Y.shape[1]
+        ws = self._ws
+        assert ws is not None
+        Yt = ws.array("c_Yt", (m, n))
+        np.copyto(Yt, Y.T)
+        rhs = ws.array("c_rhs", (m, p))
+        for c in range(m):
+            # 2 X'y per column as the GEMV the single solve runs (one
+            # GEMM would round differently).
+            np.matmul(self.X.T, Yt[c], out=rhs[c])
+        np.multiply(rhs, 2.0, out=rhs)
+        Z = ws.array("c_z", (m, p))
+        Z_old = ws.array("c_z_old", (m, p))
+        U = ws.array("c_u", (m, p))
+        if beta0 is None:
+            Z[:] = 0.0
+        else:
+            np.copyto(Z, beta0.T)
+        if u0 is None:
+            U[:] = 0.0
+        else:
+            np.copyto(U, u0.T)
+        Q = ws.array("c_q", (m, p))
+        X_hat = ws.array("c_x_hat", (m, p))
+        T = ws.array("c_t", (m, p))
+        Scratch = ws.array("c_scratch", (m, p))
+        # Rows: |x - z|, |z - z_old| (then s_norm), |x|, |z|, |u|.
+        Norms = ws.array("c_norms", (5, m))
+        Norms[:] = np.inf
+        Eps = ws.array("c_eps", (2, m))
+        Met = ws.array("c_met", (2, m), bool)
+        Done = ws.array("c_done", m, bool)
+
+        rho, alpha = self.rho, self.alpha
+        kappa = lam / rho
+        eps_floor = np.sqrt(p) * self.abstol
+        rel_dual = self.reltol * rho
+        frozen: dict[int, ADMMResult] = {}
+        cols = list(range(m))  # response column held by each active row
+        k, it = m, 0
+        while k and it < self.max_iter:
+            z, z_old, u, q, x_hat, t, scratch, b = (
+                a[:k] for a in (Z, Z_old, U, Q, X_hat, T, Scratch, rhs)
+            )
+            norms, eps, met, done = Norms[:, :k], Eps[:, :k], Met[:, :k], Done[:k]
+            dots = [row.reshape(k, 1, 1) for row in norms]
+            for it in range(it + 1, self.max_iter + 1):
+                # x = solve(2X'X + rho I, 2X'Y + rho (z - u))
+                np.subtract(z, u, out=q)
+                np.multiply(q, rho, out=q)
+                np.add(q, b, out=q)
+                x = self._solve_normal_columns(q)
+                # x_hat = alpha x + (1 - alpha) z
+                np.multiply(x, alpha, out=x_hat)
+                np.multiply(z, 1.0 - alpha, out=t)
+                np.add(x_hat, t, out=x_hat)
+                # z = S_{lam/rho}(x_hat + u), rotating z/z_old pointers
+                np.add(x_hat, u, out=t)
+                z, z_old = z_old, z
+                Z, Z_old = Z_old, Z
+                soft_threshold_into(t, kappa, out=z, scratch=scratch)
+                # u = (u + x_hat) - z
+                u += x_hat
+                u -= z
+
+                # Per-column squared norms: a batched (1, p) @ (p, 1)
+                # is the same BLAS dot ``t @ t`` runs on a vector.
+                np.subtract(x, z, out=t)
+                np.matmul(t[:, None, :], t[:, :, None], out=dots[0])
+                np.subtract(z, z_old, out=t)
+                np.matmul(t[:, None, :], t[:, :, None], out=dots[1])
+                np.matmul(x[:, None, :], x[:, :, None], out=dots[2])
+                np.matmul(z[:, None, :], z[:, :, None], out=dots[3])
+                np.matmul(u[:, None, :], u[:, :, None], out=dots[4])
+                np.sqrt(norms, out=norms)
+                np.multiply(norms[1], rho, out=norms[1])
+                # eps_pri, eps_dual and the unchanged per-column test
+                np.maximum(norms[2], norms[3], out=eps[0])
+                np.multiply(eps[0], self.reltol, out=eps[0])
+                np.multiply(norms[4], rel_dual, out=eps[1])
+                np.add(eps, eps_floor, out=eps)
+                np.less(norms[:2], eps, out=met)
+                np.logical_and(met[0], met[1], out=done)
+                if done.any():
+                    break
+            else:
+                break
+            for i in np.flatnonzero(done):
+                frozen[cols[i]] = self._column_result(
+                    Yt[cols[i]], z[i], u[i], lam, it, True, norms[:, i]
+                )
+            keep = np.flatnonzero(~done)
+            k = len(keep)
+            for full in (Z, U, rhs):
+                full[:k] = full[keep]
+            Norms[:, :k] = norms[:, keep]
+            cols = [cols[i] for i in keep]
+        for i in range(k):
+            frozen[cols[i]] = self._column_result(
+                Yt[cols[i]], Z[i], U[i], lam, it, False, Norms[:, i]
+            )
+        return [_count_solve(frozen[c]) for c in range(m)]
+
+    def _column_result(
+        self,
+        y: np.ndarray,
+        z: np.ndarray,
+        u: np.ndarray,
+        lam: float,
+        it: int,
+        converged: bool,
+        norms: np.ndarray,
+    ) -> ADMMResult:
+        """Freeze one lock-step column (copies out of the workspace)."""
+        return ADMMResult(
+            beta=z.copy(),
+            iterations=it,
+            converged=converged,
+            primal_residual=float(norms[0]),
+            dual_residual=float(norms[1]),
+            objective=self._objective(y, z, lam),
             dual=u.copy(),
         )
 

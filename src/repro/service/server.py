@@ -211,6 +211,12 @@ class ServiceServer:
     def stop(self) -> None:
         self._stopped.set()
         try:
+            # close() alone does not wake a thread blocked in accept();
+            # shutdown() makes that accept() fail at once.
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:  # already shut down, or unsupported on a listener
+            pass
+        try:
             self._sock.close()
         except OSError:  # pragma: no cover - already closed
             pass

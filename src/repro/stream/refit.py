@@ -19,9 +19,9 @@ raw series and runs it on any engine backend.  Two things make this a
 
   The identity rests on every solve actually *reaching* its tolerance:
   a solve that exhausts ``lasso.max_iter`` stops at a start-dependent
-  point instead.  The refitter therefore watches the solver's
-  ``cd.nonconverged`` telemetry counter per window and reports budget
-  exhaustion on :attr:`WindowFit.nonconverged` (plus the
+  point instead.  The refitter therefore watches the solvers'
+  ``cd.nonconverged`` and ``admm.nonconverged`` telemetry counters per
+  window and reports budget exhaustion on :attr:`WindowFit.nonconverged` (plus the
   ``stream.nonconverged_solves`` counter) so a too-small sweep budget
   is a visible, diagnosable condition rather than a silent divergence.
 * **Recovery.**  A window whose run dies (worker killed, transport
@@ -182,7 +182,8 @@ class WindowFit:
 
     ``nonconverged`` counts solver calls in this window's fit that
     exhausted their iteration budget instead of reaching tolerance
-    (from the ``cd.nonconverged`` telemetry counter).  Nonzero means
+    (from the ``cd.nonconverged`` and ``admm.nonconverged`` telemetry
+    counters, one count per response column).  Nonzero means
     the warm/cold identity is no longer guaranteed for this window —
     raise ``lasso.max_iter``.  Best-effort: solves running in worker
     *processes* (multiprocess/elastic backends) are uninstrumented, so
@@ -261,6 +262,14 @@ class StreamOutputs:
             [d.n_edges_cur for d in diffs], dtype=float
         )
         return merged
+
+
+def _nonconverged_solves(probe: Recorder) -> float:
+    """Solves that exhausted their budget so far, whichever solver ran."""
+    counters = probe.counter_values()
+    return counters.get("cd.nonconverged", 0.0) + counters.get(
+        "admm.nonconverged", 0.0
+    )
 
 
 class RollingRefitter:
@@ -372,7 +381,7 @@ class RollingRefitter:
                 # accumulate reduced state), and rebuilding is what
                 # makes a retried window bitwise equal to a clean one.
                 plan = self._build_plan(series, warm=warm)
-                # Probe the solver's nonconvergence counter across this
+                # Probe the solvers' nonconvergence counters across this
                 # attempt.  Piggybacks on the caller's recorder when one
                 # is installed; otherwise a private recorder keeps the
                 # check always-on for in-process backends.
@@ -380,7 +389,7 @@ class RollingRefitter:
                 owns_probe = probe is None
                 if owns_probe:
                     probe = Recorder()
-                before = probe.counter_values().get("cd.nonconverged", 0.0)
+                before = _nonconverged_solves(probe)
                 try:
                     if owns_probe:
                         with use_recorder(probe):
@@ -395,9 +404,7 @@ class RollingRefitter:
                         raise
         seconds = time.perf_counter() - start
         _tcount("stream.refits")
-        nonconverged = int(
-            probe.counter_values().get("cd.nonconverged", 0.0) - before
-        )
+        nonconverged = int(_nonconverged_solves(probe) - before)
         if nonconverged:
             _tcount("stream.nonconverged_solves", nonconverged)
 

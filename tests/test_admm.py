@@ -194,3 +194,181 @@ class TestAdaptiveRho:
             LassoADMM(X, y, adapt_tau=1.0)
         with pytest.raises(ValueError, match="adapt"):
             LassoADMM(X, y, adapt_mu=0.5)
+
+
+def _columns_problem(n, p, m, seed, zero_column=None):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    B = rng.standard_normal((p, m)) * (rng.random((p, m)) < 0.3)
+    Y = X @ B + 0.1 * rng.standard_normal((n, m))
+    # Column scales spread the iteration counts apart.
+    Y *= np.logspace(0.0, 1.5, m)
+    if zero_column is not None:
+        Y[:, zero_column] = 0.0
+    return X, Y
+
+
+def _per_column(X, Y, lam, beta0=None, u0=None, **kwargs):
+    """The reference: one independent single-response solve per column."""
+    return [
+        LassoADMM(X, Y[:, c], **kwargs).solve(
+            lam,
+            beta0=None if beta0 is None else beta0[:, c],
+            u0=None if u0 is None else u0[:, c],
+        )
+        for c in range(Y.shape[1])
+    ]
+
+
+def _state(res):
+    return (
+        res.beta.tobytes(), res.dual.tobytes(), res.iterations,
+        res.converged, res.primal_residual, res.dual_residual, res.objective,
+    )
+
+
+class TestSolveColumns:
+    """The lock-step kernel's contract: column ``c`` of one
+    ``solve_columns`` call is the single-response solve of ``Y[:, c]``."""
+
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    @pytest.mark.parametrize("seeded", ["cold", "beta0", "beta0+u0"])
+    def test_cholesky_branch_bitwise(self, m, seeded):
+        X, Y = _columns_problem(60, 9, m, seed=m)
+        kwargs = {"max_iter": 3000}
+        first = LassoADMM(X, Y[:, 0], **kwargs).solve_columns(Y, 6.0)
+        seeds = {}
+        if seeded != "cold":
+            seeds["beta0"] = np.column_stack([r.beta for r in first])
+        if seeded == "beta0+u0":
+            seeds["u0"] = np.column_stack([r.dual for r in first])
+        got = LassoADMM(X, Y[:, 0], **kwargs).solve_columns(Y, 2.0, **seeds)
+        want = _per_column(X, Y, 2.0, **seeds, **kwargs)
+        assert [_state(r) for r in got] == [_state(r) for r in want]
+        assert all(r.converged for r in got)
+
+    def test_woodbury_branch_within_rounding(self):
+        X, Y = _columns_problem(14, 30, 4, seed=2)
+        assert X.shape[0] < X.shape[1]
+        for lam in (8.0, 1.0):
+            got = LassoADMM(X, Y[:, 0], max_iter=4000).solve_columns(Y, lam)
+            want = _per_column(X, Y, lam, max_iter=4000)
+            for g, w in zip(got, want):
+                # GEMM rounds differently from GEMV: same supports and
+                # iteration counts, coefficients to rounding.
+                np.testing.assert_array_equal(g.beta != 0, w.beta != 0)
+                np.testing.assert_allclose(g.beta, w.beta, rtol=0, atol=1e-10)
+                assert (g.iterations, g.converged) == (w.iterations, w.converged)
+
+    def test_columns_retire_at_their_own_iteration(self):
+        X, Y = _columns_problem(50, 7, 5, seed=4, zero_column=2)
+        got = LassoADMM(X, Y[:, 0], max_iter=5000).solve_columns(Y, 3.0)
+        want = _per_column(X, Y, 3.0, max_iter=5000)
+        its = [r.iterations for r in got]
+        assert len(set(its)) >= 3, its  # staggered, not one common exit
+        assert its[2] == min(its)  # the all-zero response leaves first
+        np.testing.assert_array_equal(got[2].beta, np.zeros(7))
+        assert [_state(r) for r in got] == [_state(r) for r in want]
+
+    def test_budget_exhaustion_is_per_column(self):
+        X, Y = _columns_problem(50, 7, 4, seed=6, zero_column=0)
+        got = LassoADMM(X, Y[:, 0], max_iter=12).solve_columns(Y, 3.0)
+        want = _per_column(X, Y, 3.0, max_iter=12)
+        assert [_state(r) for r in got] == [_state(r) for r in want]
+        assert got[0].converged and not got[-1].converged
+        assert got[-1].iterations == 12
+
+    @pytest.mark.parametrize("shape", [(60, 9), (14, 30)])
+    def test_adaptive_rho_falls_back_to_column_solves(self, shape):
+        X, Y = _columns_problem(*shape, 3, seed=8)
+        kwargs = {"adapt_rho": True, "max_iter": 3000}
+        got = LassoADMM(X, Y[:, 0], **kwargs).solve_columns(Y, 2.0)
+        want = _per_column(X, Y, 2.0, **kwargs)
+        assert [_state(r) for r in got] == [_state(r) for r in want]
+
+    def test_telemetry_counts_are_per_column_sums(self):
+        from repro.telemetry.recorder import Recorder, use_recorder
+
+        X, Y = _columns_problem(50, 7, 5, seed=4, zero_column=2)
+        names = (
+            "admm.solves", "admm.iterations", "admm.converged",
+            "admm.nonconverged", "admm.soft_thresholds",
+        )
+        counts = []
+        for run in (
+            lambda: LassoADMM(X, Y[:, 0], max_iter=40).solve_columns(Y, 3.0),
+            lambda: _per_column(X, Y, 3.0, max_iter=40),
+        ):
+            rec = Recorder()
+            with use_recorder(rec):
+                results = run()
+            values = rec.counter_values()
+            counts.append({name: values.get(name, 0.0) for name in names})
+        assert counts[0] == counts[1]
+        assert counts[0]["admm.solves"] == 5
+        assert counts[0]["admm.iterations"] == sum(r.iterations for r in results)
+        assert 0 < counts[0]["admm.nonconverged"] < 5
+
+    def test_validation(self):
+        solver = LassoADMM(np.ones((5, 2)), np.ones(5))
+        with pytest.raises(ValueError, match="Y shape"):
+            solver.solve_columns(np.ones((4, 3)), 1.0)
+        with pytest.raises(ValueError, match="beta0"):
+            solver.solve_columns(np.ones((5, 3)), 1.0, beta0=np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="lam"):
+            solver.solve_columns(np.ones((5, 3)), -1.0)
+        assert solver.solve_columns(np.ones((5, 0)), 1.0) == []
+
+
+class TestVarPathColumns:
+    """``engine.plans.var_path_columns`` (one lock-step call per λ)
+    against the column-by-column chain it replaced."""
+
+    @staticmethod
+    def _reference(config, X, Y, lambdas, warm_paths=None, seeding="path"):
+        kdim, p = X.shape[1], Y.shape[1]
+        out = np.empty((len(lambdas), kdim * p))
+        for c in range(p):
+            col = slice(c * kdim, (c + 1) * kdim)
+            solver = LassoADMM(
+                X, Y[:, c], rho=config.rho, max_iter=config.max_iter,
+                abstol=config.abstol, reltol=config.reltol,
+                adapt_rho=config.adapt_rho,
+            )
+            beta = None
+            for j, lam in enumerate(lambdas):
+                if warm_paths is not None:
+                    start = (
+                        warm_paths[0, col] if j == 0
+                        else beta + (warm_paths[j, col] - warm_paths[j - 1, col])
+                    )
+                else:
+                    start = beta if seeding == "path" else None
+                beta = solver.solve(float(lam), beta0=start).beta
+                out[j, col] = beta
+        return out
+
+    @pytest.mark.parametrize("adapt_rho", [False, True])
+    def test_all_seedings_match_per_column_chains(self, adapt_rho):
+        from repro.core.config import UoILassoConfig
+        from repro.engine.plans import var_path_columns
+        from repro.linalg.lambda_grid import lambda_grid_from_max
+
+        X, Y = _columns_problem(60, 8, 4, seed=12)
+        config = UoILassoConfig(solver="admm", adapt_rho=adapt_rho)
+        lambdas = lambda_grid_from_max(
+            2.0 * float(np.max(np.abs(X.T @ Y))), num=5, eps=1e-2
+        )
+        path = var_path_columns(config, X, Y, lambdas)
+        np.testing.assert_array_equal(
+            path, self._reference(config, X, Y, lambdas)
+        )
+        np.testing.assert_array_equal(
+            var_path_columns(config, X, Y, lambdas, seeding="none"),
+            self._reference(config, X, Y, lambdas, seeding="none"),
+        )
+        warm = path + 0.01 * (path != 0)
+        np.testing.assert_array_equal(
+            var_path_columns(config, X, Y, lambdas, warm_paths=warm),
+            self._reference(config, X, Y, lambdas, warm_paths=warm),
+        )

@@ -502,7 +502,7 @@ class TestShippedTree:
             # Per-task beta buffers escape into task payloads; pooling
             # them needs a copy-on-emit protocol first (backlog).
             ("core/parallel.py", 552),
-            ("linalg/admm.py", 335),
+            ("linalg/admm.py", 388),
         ]
 
     def test_static_sites_include_suppressions(self):

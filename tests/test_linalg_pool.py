@@ -183,3 +183,56 @@ class TestPooledBitwiseIdentity:
         solver.solve(0.1)  # reuses the workspace buffers
         np.testing.assert_array_equal(first.beta, snapshot)
         assert first.beta.base is None
+
+
+class TestLockstepColumns:
+    """``solve_columns`` on the pooled workspace: the lock-step matrix
+    iterate against the allocating reference, and its buffer reuse."""
+
+    @staticmethod
+    def _columns(n, p, m, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, p))
+        Y = X @ (rng.standard_normal((p, m)) * (rng.random((p, m)) < 0.3))
+        Y += 0.1 * rng.standard_normal((n, m))
+        Y[:, m // 2] = 0.0  # retires early: the active block shrinks
+        return X, Y
+
+    def test_lockstep_equals_unpooled_column_solves(self):
+        X, Y = self._columns(60, 10, 6, seed=3)
+        states = []
+        for pool in (False, True):
+            solver = LassoADMM(X, Y[:, 0], pool=pool, max_iter=2000)
+            first = solver.solve_columns(Y, 4.0)
+            second = solver.solve_columns(
+                Y, 1.0,
+                beta0=np.column_stack([r.beta for r in first]),
+                u0=np.column_stack([r.dual for r in first]),
+            )
+            states.append([
+                (r.beta.tobytes(), r.dual.tobytes(), r.iterations,
+                 r.converged, r.primal_residual, r.dual_residual, r.objective)
+                for r in first + second
+            ])
+        assert states[0] == states[1]
+
+    def test_repeat_calls_take_no_new_buffers(self):
+        X, Y = self._columns(60, 10, 6, seed=3)
+        solver = LassoADMM(X, Y[:, 0], max_iter=2000)
+        first = solver.solve_columns(Y, 4.0)
+        assert len({r.iterations for r in first}) > 1  # columns did retire
+        misses, slots = cache_stats()["misses"], len(solver._ws)
+        solver.solve_columns(Y, 1.0)
+        assert cache_stats()["misses"] == misses
+        assert len(solver._ws) == slots
+
+    def test_results_do_not_alias_workspace(self):
+        X, Y = self._columns(40, 8, 3, seed=5)
+        solver = LassoADMM(X, Y[:, 0])
+        first = solver.solve_columns(Y, 2.0)
+        snapshot = [(r.beta.copy(), r.dual.copy()) for r in first]
+        solver.solve_columns(Y, 0.5)
+        for res, (beta, dual) in zip(first, snapshot):
+            assert res.beta.base is None and res.dual.base is None
+            np.testing.assert_array_equal(res.beta, beta)
+            np.testing.assert_array_equal(res.dual, dual)

@@ -1,7 +1,9 @@
 """Tests for the line-JSON socket transport and the demo driver."""
 
+import dataclasses
 import json
 import socket
+import time
 
 import numpy as np
 import pytest
@@ -80,10 +82,21 @@ class TestSocketRoundTrip:
             client.submit("ridge", lasso_problem)
         with pytest.raises(UnknownJobError):
             client.status("j999")
+        # Three ~0.3 s fits on two workers: the third cannot start
+        # before one of them ends, so its tiny deadline expires however
+        # slowly this thread gets to ask.
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(300, 40))
+        heavy = {"X": X, "y": X[:, 0] + rng.normal(size=300)}
+        config = dataclasses.replace(
+            LASSO_CFG, n_lambdas=6, n_selection_bootstraps=6, max_iter=500
+        )
+        ids = [
+            client.submit("lasso", heavy, config=config, tenant=f"t{i}")
+            for i in range(3)
+        ]
         with pytest.raises(TimeoutError):
-            client.submit("lasso", lasso_problem, config=LASSO_CFG)
-            # tiny deadline: the previous submit keeps the worker busy
-            client.results(client.jobs()[-1]["id"], timeout=1e-9)
+            client.results(ids[-1], timeout=1e-9)
 
     def test_unknown_op_rejected(self, served):
         service, client = served
@@ -113,6 +126,21 @@ class TestSocketRoundTrip:
         assert isinstance(cancelled, bool)
         state = client.status(ids[-1])["state"]
         assert state in ("cancelled", "done", "running", "queued")
+
+
+class TestLifecycle:
+    def test_stop_wakes_the_accept_thread_and_frees_the_port(self):
+        with Service(workers=1) as service:
+            server = ServiceServer(service)
+            host, port = server.address
+            assert SocketServiceClient(host, port).ping()
+            start = time.perf_counter()
+            server.stop()
+            assert time.perf_counter() - start < 1.0
+            assert not server._accept_thread.is_alive()
+            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                sock.bind((host, port))  # raises while the listener lives
 
 
 class TestRunDemo:

@@ -8,6 +8,8 @@ synthetic spike-rate stream; and a window whose run dies mid-fit
 still converges via recovery.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,29 @@ class TestWarmColdIdentity:
         # reported nonconverged.
         healthy = run_rolling(iter(series), cfg(20000, verify=True))
         assert sum(w.nonconverged for w in healthy.windows) == 0
+
+    def test_admm_budget_exhaustion_is_reported_too(self):
+        """An admm stream feeds the same field from ``admm.nonconverged``
+        (one count per response column), not a constant zero."""
+        def cfg(max_iter):
+            lasso = dataclasses.replace(
+                VAR_CFG.lasso, solver="admm", max_iter=max_iter
+            )
+            return _cfg(
+                var=dataclasses.replace(VAR_CFG, lasso=lasso), max_windows=2
+            )
+
+        rec = Recorder()
+        with use_recorder(rec):
+            starved = run_rolling(iter(_spikes(46)), cfg(3))
+        stuck = [w.nonconverged for w in starved.windows]
+        assert all(n > 0 for n in stuck)
+        counters = rec.counter_values()
+        assert counters["admm.nonconverged"] == sum(stuck)
+        assert counters["stream.nonconverged_solves"] == sum(stuck)
+
+        healthy = run_rolling(iter(_spikes(46)), cfg(20000))
+        assert [w.nonconverged for w in healthy.windows] == [0, 0]
 
 
 # ---------------------------------------------------------------------------
