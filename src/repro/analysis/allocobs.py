@@ -16,7 +16,7 @@ pairing the DYN206 lock observer gives the LOCK5xx pass:
   ``ascontiguousarray``) so each fresh buffer is attributed to the
   calling ``file:line``;
 * an :class:`AllocationHook` attached to
-  :func:`repro.engine.executors.run_plan` slices the observation into
+  :func:`repro.engine.run_plan` slices the observation into
   per-subproblem intervals using the same between-consecutive-events
   timing model as :class:`repro.telemetry.hook.TelemetryHook`
   (``on_stage_end`` rebases, so reduction allocations land in a

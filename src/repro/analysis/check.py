@@ -209,7 +209,7 @@ def _exercise_alloc_observer(
         AllocationObserver,
         cross_check,
     )
-    from repro.engine.executors import SerialExecutor, run_plan
+    from repro.engine import SerialExecutor, run_plan
 
     plain = [
         pickle.dumps(run_plan(plan, SerialExecutor()))

@@ -72,8 +72,9 @@ __all__ = [
 #: every payload comes out of ``UoIPlan.run_chain`` and is replayed
 #: through hooks in deterministic chain order, so no clock value can
 #: reach plan arithmetic.  ``transports`` (the in-process
-#: serial/multiprocess/simmpi worker shims) deliberately stays
-#: scanned: it calls straight into plan code.  ``stream`` is the
+#: serial/multiprocess/simmpi worker shims) and ``plan`` (the
+#: ``run_plan`` driver loop) deliberately stay scanned: they call
+#: straight into plan code.  ``stream`` is the
 #: live-data layer: ingestion timestamps, buffer timeouts, socket
 #: reads and per-window wall-clock seconds are its *job* — they pace
 #: and annotate the rolling loop, while every number in a window's

@@ -3,8 +3,9 @@
 The engine trusts a plan's own enumeration: checkpoint records are
 keyed by ``Subproblem.key``, warm starts flow down each chain in list
 order, reductions index the result table by the (bootstrap, λ) grid,
-and a bound :class:`~repro.engine.executors.SimMpiExecutor` filters
-chains by grid ownership before any collective is posted.  A plan
+and a :class:`~repro.engine.Coordinator` built with a grid's
+``owns=`` predicate filters chains by grid ownership before any
+lookup or collective is posted.  A plan
 that violates any of those assumptions does not crash — it silently
 corrupts the estimator (clobbered checkpoints, wrong warm starts,
 dropped or double-counted subproblems) or deadlocks at scale.
@@ -502,7 +503,7 @@ def _mentions_rank_or_ownership(test: ast.expr) -> bool:
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("owns_bootstrap", "owns_lambda")
+            and node.func.attr in ("owns", "owns_bootstrap", "owns_lambda")
         ):
             return True
     return False

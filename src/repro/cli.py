@@ -604,18 +604,14 @@ def _engine_backend_check(backend: str, elastic_workers: int) -> int:
         random_state=12,
     )
     reference = UoILasso(cfg).fit(ds.X, ds.y).coef_
-    if name == "elastic":
-        from repro.engine.elastic import ElasticExecutor
-
-        executor = ElasticExecutor(workers=elastic_workers)
-        try:
-            candidate = UoILasso(cfg).fit(ds.X, ds.y, executor=executor).coef_
-        finally:
+    # A private fleet of the requested size, not the process-wide one.
+    kwargs = {"workers": elastic_workers} if name == "elastic" else {}
+    executor = make_executor(name, **kwargs)
+    try:
+        candidate = UoILasso(cfg).fit(ds.X, ds.y, executor=executor).coef_
+    finally:
+        if name == "elastic":
             executor.shutdown()
-    else:
-        candidate = (
-            UoILasso(cfg).fit(ds.X, ds.y, executor=make_executor(name)).coef_
-        )
     identical = bool(np.array_equal(reference, candidate))
     print(f"backend {name}: bitwise identical to serial = {identical}")
     return 0 if identical else 1
@@ -897,7 +893,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         import numpy as np
 
         from repro.core.config import UoILassoConfig, UoIVarConfig
-        from repro.engine import make_executor
+        from repro.engine import named_executor
         from repro.stream import DiffLog, StreamConfig, run_rolling
 
         config = StreamConfig(
@@ -944,21 +940,17 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             )
 
         log = DiffLog(args.events) if args.events else None
-        executor = make_executor(args.backend)
         try:
             outputs = run_rolling(
                 _stream_source(args),
                 config,
-                executor=executor,
+                executor=named_executor(args.backend),
                 diff_log=log,
                 on_window=on_window,
             )
         finally:
             if log is not None:
                 log.close()
-            shutdown = getattr(executor, "shutdown", None)
-            if shutdown is not None:
-                shutdown()
         n_edges = int(np.count_nonzero(outputs.coef))
         print(
             f"fitted {len(outputs)} windows over {outputs.windows[-1].t_end} "

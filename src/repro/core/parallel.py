@@ -32,8 +32,9 @@ Both drivers are thin adapters over the execution engine
 a grid-aware :class:`~repro.engine.UoIPlan` (``_DistLassoPlan`` /
 ``_DistVarPlan``) whose per-``(k, j)`` subproblems carry the legacy
 checkpoint keys (``sel/k{k}/j{j}``, ``var-est/k{k}/j{j}``, ...), and
-hand it to a :class:`~repro.engine.SimMpiExecutor` bound to the
-:class:`ProcessGrid` — each rank runs only the chains its cell owns,
+hand it to :meth:`ProcessGrid.executor` — an inline
+:class:`~repro.engine.Coordinator` whose ownership predicate is the
+grid's, so each rank runs only the tasks its cell owns —
 checkpointing attaches as a :class:`~repro.resilience.CheckpointHook`,
 and the plan's ``reduce`` performs the world-wide collectives above in
 a fixed order so results stay bitwise identical to the pre-engine
@@ -59,11 +60,12 @@ from repro.distribution.kron_dist import DistributedKron
 from repro.distribution.randomized import RandomizedDistributor
 from repro.engine import (
     SELECTION,
-    SimMpiExecutor,
+    Coordinator,
     Subproblem,
     UoIPlan,
     run_plan,
 )
+from repro.engine.transports import SerialTransport
 from repro.linalg.consensus import consensus_lasso_admm
 from repro.linalg.lambda_grid import lambda_grid_from_max
 from repro.pfs.hdf5 import SimH5File
@@ -86,6 +88,12 @@ __all__ = [
     "distributed_uoi_var",
     "distributed_cv_lasso",
 ]
+
+
+class _RankTransport(SerialTransport):
+    """Inline execution on one rank of a simulated-MPI program."""
+
+    name = "simmpi"
 
 
 @dataclass
@@ -145,6 +153,22 @@ class ProcessGrid:
     def owns_lambda(self, j: int) -> bool:
         """Round-robin λ ownership: λ group ``l`` takes ``j ≡ l``."""
         return j % self.plam == self.l
+
+    def owns(self, task: Subproblem) -> bool:
+        """Whether this rank's cell owns ``task`` (by bootstrap, and by
+        λ for tasks that carry one)."""
+        return self.owns_bootstrap(task.bootstrap) and (
+            task.lam_index is None or self.owns_lambda(task.lam_index)
+        )
+
+    def executor(self) -> Coordinator:
+        """This rank's engine: an inline coordinator over its owned tasks.
+
+        Runs *inside* a rank program; every rank of a cell sees the same
+        filtered chains, so ``run_chain`` is free to use the cell
+        communicator's collectives.
+        """
+        return Coordinator(_RankTransport(), owns=self.owns)
 
 
 @dataclass
@@ -238,17 +262,19 @@ def _draw_lasso_bootstraps(
 
 
 class _DistUoIPlan(UoIPlan):
-    """Shared engine-plan skeleton of the two distributed drivers.
+    """Shared engine plan of the two distributed drivers.
 
     One chain per bootstrap, one task per (bootstrap, λ) pair — the
-    legacy checkpoint granularity, with the legacy record keys.  A
-    :class:`~repro.engine.executors.SimMpiExecutor` *bound* to the
-    caller's :class:`ProcessGrid` filters the chains down to this
-    rank's owned work, so ``run_chain``/``reduce`` below run
-    identically on every rank of a cell and may freely use the cell /
-    world collectives — exactly the SPMD structure the legacy loops
-    had, with the orchestration (ownership, lookup, hook dispatch)
-    lifted into the engine.
+    legacy checkpoint granularity, with the legacy record keys.
+    ``chains`` enumerates the full grid; :meth:`ProcessGrid.executor`
+    filters it down to this rank's owned work, so ``run_chain`` /
+    ``reduce`` below run identically on every rank of a cell and may
+    freely use the cell / world collectives — exactly the SPMD
+    structure the legacy loops had, with the orchestration (ownership,
+    lookup, hook dispatch) lifted into the engine.
+
+    Subclasses say where a bootstrap's local rows come from
+    (:meth:`_local_problem`) and how many responses one row carries.
 
     Reductions deliberately keep the legacy float-summation grouping
     (per-rank partial sums combined by ``Allreduce``): regrouping
@@ -257,12 +283,44 @@ class _DistUoIPlan(UoIPlan):
 
     #: (selection key prefix, estimation key prefix)
     prefixes = ("sel", "est")
+    #: Responses per sampled row (the held-out loss is a per-response mean).
+    responses = 1
 
-    def __init__(self, comm: SimComm, grid: ProcessGrid) -> None:
+    def __init__(
+        self,
+        comm: SimComm,
+        grid: ProcessGrid,
+        lcfg: UoILassoConfig,
+        solver_comm: SimComm,
+        ncoef: int,
+        lambdas: np.ndarray,
+        selection_idx,
+        estimation_idx,
+    ) -> None:
         self.comm = comm
         self.grid = grid
+        self.lcfg = lcfg
+        self.solver_comm = solver_comm
+        self.ncoef = ncoef
+        self.lambdas = lambdas
+        self.selection_idx = selection_idx
+        self.estimation_idx = estimation_idx
+        self.q = lcfg.n_lambdas
+        self.B1 = lcfg.n_selection_bootstraps
+        self.B2 = lcfg.n_estimation_bootstraps
         self.family: np.ndarray | None = None
         self.result: DistributedUoIResult | None = None
+
+    def meta(self) -> dict:
+        return {
+            "q": self.q,
+            "B1": self.B1,
+            "B2": self.B2,
+            "random_state": self.lcfg.random_state,
+            "intersection_frac": self.lcfg.intersection_frac,
+            "pb": self.grid.pb,
+            "plam": self.grid.plam,
+        }
 
     def chains(self, stage):
         sel_prefix, est_prefix = self.prefixes
@@ -283,15 +341,73 @@ class _DistUoIPlan(UoIPlan):
             raise RuntimeError("plan has not been reduced yet")
         return self.result
 
-    # ------------------------------------------------------- reductions
-    def _lasso_config(self) -> UoILassoConfig:
+    # ------------------------------------------------------------ solves
+    def _local_problem(self, idx: np.ndarray):
+        """This rank's ``(A_local, b_local)`` row block for sample ``idx``
+        (collective over the solver communicator)."""
         raise NotImplementedError
 
+    def _consensus(self, A_local, b_local, lam: float, beta0=None) -> np.ndarray:
+        cfg = self.lcfg
+        return consensus_lasso_admm(
+            self.solver_comm,
+            A_local,
+            b_local,
+            lam,
+            rho=cfg.rho,
+            max_iter=cfg.max_iter,
+            abstol=cfg.abstol,
+            reltol=cfg.reltol,
+            adapt_rho=cfg.adapt_rho,
+            beta0=beta0,
+        ).beta
+
+    def run_chain(self, stage, tasks, recovered, emit):
+        k = tasks[0].bootstrap
+        if stage == SELECTION:
+            # At least one subproblem to solve: pay the data movement
+            # (Tier-2 shuffle / distributed-Kronecker assembly).
+            A_loc, b_loc = self._local_problem(self.selection_idx[k])
+            beta = None
+            for task in tasks:
+                rec = recovered.get(task.key)
+                if rec is not None:
+                    # Recovered solve still seeds the λ-path warm start.
+                    beta = rec["beta"]
+                    continue
+                beta = self._consensus(
+                    A_loc, b_loc, float(self.lambdas[task.lam_index]), beta
+                )
+                emit(task, {"beta": beta})
+            return
+
+        train_idx, eval_idx = self.estimation_idx[k]
+        A_tr, b_tr = self._local_problem(train_idx)
+        A_ev, b_ev = self._local_problem(eval_idx)
+        n_eval = len(eval_idx) * self.responses
+        for task in tasks:
+            if task.key in recovered:
+                continue
+            cols = np.flatnonzero(self.family[task.lam_index])
+            # Deliberate per-task allocation: the buffer escapes into
+            # the task payload, so pooling needs a copy-on-emit
+            # protocol first (ROADMAP item 3(d); ~8 KB/task for
+            # UoI_LASSO and ~24 MB/task for UoI_VAR at paper scale, the
+            # largest open item on the ALLOC ledger).
+            beta_full = np.zeros(self.ncoef)  # repro: ignore[ALLOC601]
+            if cols.size:
+                beta_full[cols] = self._consensus(A_tr[:, cols], b_tr, 0.0)
+            resid = b_ev - A_ev @ beta_full
+            sse = self.solver_comm.allreduce(float(resid @ resid), SUM)
+            emit(task, {"beta": beta_full, "loss": sse / max(n_eval, 1)})
+
+    # ------------------------------------------------------- reductions
     def reduce(self, stage, results):
-        cfg = self._lasso_config()
+        cfg = self.lcfg
         comm, grid = self.comm, self.grid
-        sel_prefix, est_prefix = self.prefixes
-        ncoef = self.ncoef
+        # This cell's tasks, bootstrap-major: exactly what ``results``
+        # holds, in the fixed order the sums below consume it.
+        owned = [t for chain in self.chains(stage) for t in chain if grid.owns(t)]
         if stage == SELECTION:
             # Per-λ selection *counts* (how many bootstraps kept each
             # feature): SUM-reduced across the grid, then thresholded —
@@ -299,16 +415,10 @@ class _DistUoIPlan(UoIPlan):
             # (frac = 1) and the soft variant.  Only a cell's rank 0
             # contributes, so the C consensus copies inside a cell are
             # not double counted.
-            counts = np.zeros((self.q, ncoef), dtype=np.int64)
+            counts = np.zeros((self.q, self.ncoef), dtype=np.int64)
             if grid.cell.rank == 0:
-                for k in range(self.B1):
-                    if not grid.owns_bootstrap(k):
-                        continue
-                    for j in range(self.q):
-                        if not grid.owns_lambda(j):
-                            continue
-                        rec = results[f"{sel_prefix}/k{k}/j{j}"]
-                        counts[j] += rec["beta"] != 0.0
+                for t in owned:
+                    counts[t.lam_index] += results[t.key]["beta"] != 0.0
             counts = comm.allreduce(counts, SUM)
             self.family = family_from_counts(
                 counts, self.B1, frac=cfg.intersection_frac
@@ -317,20 +427,15 @@ class _DistUoIPlan(UoIPlan):
 
         losses = np.full((self.B2, self.q), np.inf)
         kept: dict[tuple[int, int], np.ndarray] = {}
-        for k in range(self.B2):
-            if not grid.owns_bootstrap(k):
-                continue
-            for j in range(self.q):
-                if not grid.owns_lambda(j):
-                    continue
-                rec = results[f"{est_prefix}/k{k}/j{j}"]
-                losses[k, j] = float(rec["loss"])
-                kept[(k, j)] = rec["beta"]
+        for t in owned:
+            rec = results[t.key]
+            losses[t.bootstrap, t.lam_index] = float(rec["loss"])
+            kept[(t.bootstrap, t.lam_index)] = rec["beta"]
         losses = comm.allreduce(losses, MIN)
         winners = best_support_per_bootstrap(losses, rule=cfg.selection_rule)
 
         # Union average: the owning cell's rank-0 contributes each winner.
-        contrib = np.zeros(ncoef)
+        contrib = np.zeros(self.ncoef)
         for k in range(self.B2):
             j = int(winners[k])
             if (k, j) in kept and grid.cell.rank == 0:
@@ -346,7 +451,6 @@ class _DistLassoPlan(_DistUoIPlan):
     """Distributed UoI_LASSO over a randomized (Tier-1/Tier-2) dataset."""
 
     kind = "uoi_lasso"
-    prefixes = ("sel", "est")
 
     def __init__(
         self,
@@ -359,103 +463,25 @@ class _DistLassoPlan(_DistUoIPlan):
         selection_idx,
         estimation_idx,
     ) -> None:
-        super().__init__(comm, grid)
+        super().__init__(
+            comm, grid, config, grid.cell, dist.n_cols - 1, lambdas,
+            selection_idx, estimation_idx,
+        )
         self.dist = dist
-        self.config = config
         self.dataset = dataset
-        self.lambdas = lambdas
-        self.selection_idx = selection_idx
-        self.estimation_idx = estimation_idx
-        self.n = dist.n_rows
-        self.p = dist.n_cols - 1
-        self.ncoef = self.p
-        self.q = config.n_lambdas
-        self.B1 = config.n_selection_bootstraps
-        self.B2 = config.n_estimation_bootstraps
-
-    def _lasso_config(self) -> UoILassoConfig:
-        return self.config
 
     def meta(self) -> dict:
-        cfg = self.config
         return {
             "kind": "uoi_lasso",
             "dataset": self.dataset,
-            "n": self.n,
-            "p": self.p,
-            "q": self.q,
-            "B1": self.B1,
-            "B2": self.B2,
-            "random_state": cfg.random_state,
-            "intersection_frac": cfg.intersection_frac,
-            "pb": self.grid.pb,
-            "plam": self.grid.plam,
+            "n": self.dist.n_rows,
+            "p": self.ncoef,
+            **super().meta(),
         }
 
-    def run_chain(self, stage, tasks, recovered, emit):
-        cfg = self.config
-        cell = self.grid.cell
-        k = tasks[0].bootstrap
-        if stage == SELECTION:
-            # At least one subproblem to solve: pay the Tier-2 shuffle.
-            rows = self.dist.sample(self.selection_idx[k], subcomm=cell)
-            Xb, yb = rows[:, 1:], rows[:, 0]
-            beta = None
-            for task in tasks:
-                rec = recovered.get(task.key)
-                if rec is not None:
-                    # Recovered solve still seeds the λ-path warm start.
-                    beta = rec["beta"]
-                    continue
-                res = consensus_lasso_admm(
-                    cell,
-                    Xb,
-                    yb,
-                    float(self.lambdas[task.lam_index]),
-                    rho=cfg.rho,
-                    max_iter=cfg.max_iter,
-                    abstol=cfg.abstol,
-                    reltol=cfg.reltol,
-                    adapt_rho=cfg.adapt_rho,
-                    beta0=beta,
-                )
-                beta = res.beta
-                emit(task, {"beta": beta})
-            return
-
-        train_idx, eval_idx = self.estimation_idx[k]
-        train = self.dist.sample(train_idx, subcomm=cell)
-        evaldata = self.dist.sample(eval_idx, subcomm=cell)
-        X_tr, y_tr = train[:, 1:], train[:, 0]
-        X_ev, y_ev = evaldata[:, 1:], evaldata[:, 0]
-        for task in tasks:
-            if task.key in recovered:
-                continue
-            cols = np.flatnonzero(self.family[task.lam_index])
-            # Deliberate per-task allocation: the buffer escapes into
-            # the task payload, so pooling needs a copy-on-emit
-            # protocol first (ROADMAP item 2 backlog, ~8 KB/task at
-            # paper scale).
-            beta_full = np.zeros(self.p)  # repro: ignore[ALLOC601]
-            if cols.size:
-                res = consensus_lasso_admm(
-                    cell,
-                    X_tr[:, cols],
-                    y_tr,
-                    0.0,
-                    rho=cfg.rho,
-                    max_iter=cfg.max_iter,
-                    abstol=cfg.abstol,
-                    reltol=cfg.reltol,
-                    adapt_rho=cfg.adapt_rho,
-                )
-                beta_full[cols] = res.beta
-            resid = y_ev - X_ev @ beta_full
-            sse_total = cell.allreduce(float(resid @ resid), SUM)
-            emit(
-                task,
-                {"beta": beta_full, "loss": sse_total / max(len(eval_idx), 1)},
-            )
+    def _local_problem(self, idx):
+        rows = self.dist.sample(idx, subcomm=self.solver_comm)
+        return rows[:, 1:], rows[:, 0]
 
 
 class _DistVarPlan(_DistUoIPlan):
@@ -476,99 +502,50 @@ class _DistVarPlan(_DistUoIPlan):
         selection_idx,
         estimation_idx,
     ) -> None:
-        super().__init__(comm, grid)
-        self.config = config
-        self.solver_comm = solver_comm
-        self.lifted_local = lifted_local
         self.m, self.p, self.kdim = dims
-        self.ncoef = self.kdim * self.p
-        self.lambdas = lambdas
-        self.selection_idx = selection_idx
-        self.estimation_idx = estimation_idx
-        lcfg = config.lasso
-        self.q = lcfg.n_lambdas
-        self.B1 = lcfg.n_selection_bootstraps
-        self.B2 = lcfg.n_estimation_bootstraps
-
-    def _lasso_config(self) -> UoILassoConfig:
-        return self.config.lasso
+        super().__init__(
+            comm, grid, config.lasso, solver_comm, self.kdim * self.p,
+            lambdas, selection_idx, estimation_idx,
+        )
+        self.config = config
+        self.lifted_local = lifted_local
+        self.responses = self.p
 
     def meta(self) -> dict:
-        cfg, lcfg = self.config, self.config.lasso
         return {
             "kind": "uoi_var",
             "m": self.m,
             "p": self.p,
             "kdim": self.kdim,
-            "order": cfg.order,
-            "block_length": cfg.block_length,
-            "q": self.q,
-            "B1": self.B1,
-            "B2": self.B2,
-            "random_state": lcfg.random_state,
-            "intersection_frac": lcfg.intersection_frac,
-            "pb": self.grid.pb,
-            "plam": self.grid.plam,
+            "order": self.config.order,
+            "block_length": self.config.block_length,
+            **super().meta(),
         }
 
-    def run_chain(self, stage, tasks, recovered, emit):
-        lcfg = self.config.lasso
-        k = tasks[0].bootstrap
-        if stage == SELECTION:
-            A_loc, b_loc = self.lifted_local(self.selection_idx[k])
-            beta = None
-            for task in tasks:
-                rec = recovered.get(task.key)
-                if rec is not None:
-                    beta = rec["beta"]
-                    continue
-                res = consensus_lasso_admm(
-                    self.solver_comm,
-                    A_loc,
-                    b_loc,
-                    float(self.lambdas[task.lam_index]),
-                    rho=lcfg.rho,
-                    max_iter=lcfg.max_iter,
-                    abstol=lcfg.abstol,
-                    reltol=lcfg.reltol,
-                    adapt_rho=lcfg.adapt_rho,
-                    beta0=beta,
-                )
-                beta = res.beta
-                emit(task, {"beta": beta})
-            return
+    def _local_problem(self, idx):
+        return self.lifted_local(idx)
 
-        train_idx, eval_idx = self.estimation_idx[k]
-        A_tr, b_tr = self.lifted_local(train_idx)
-        A_ev, b_ev = self.lifted_local(eval_idx)
-        n_eval_total = len(eval_idx) * self.p
-        for task in tasks:
-            if task.key in recovered:
-                continue
-            cols = np.flatnonzero(self.family[task.lam_index])
-            # Deliberate per-task allocation: escapes into the task
-            # payload (ROADMAP item 2 backlog; ~24 MB/task at paper
-            # scale, the largest open item on the ALLOC ledger).
-            beta_full = np.zeros(self.ncoef)  # repro: ignore[ALLOC601]
-            if cols.size:
-                res = consensus_lasso_admm(
-                    self.solver_comm,
-                    A_tr[:, cols],
-                    b_tr,
-                    0.0,
-                    rho=lcfg.rho,
-                    max_iter=lcfg.max_iter,
-                    abstol=lcfg.abstol,
-                    reltol=lcfg.reltol,
-                    adapt_rho=lcfg.adapt_rho,
-                )
-                beta_full[cols] = res.beta
-            resid = b_ev - A_ev @ beta_full
-            sse = self.solver_comm.allreduce(float(resid @ resid), SUM)
-            emit(
-                task,
-                {"beta": beta_full, "loss": sse / max(n_eval_total, 1)},
-            )
+
+def _run_on_grid(
+    plan: _DistUoIPlan, checkpoint: CheckpointPlan | None, telemetry
+) -> DistributedUoIResult:
+    """Run ``plan`` as this rank's slice of the grid, under the
+    checkpoint / telemetry hooks, and attach the world progress totals."""
+    comm, grid = plan.comm, plan.grid
+    hook = CheckpointHook(
+        checkpoint,
+        clock=comm.clock,
+        machine=comm.machine,
+        writer=grid.cell.rank == 0,
+    )
+    tel = _rank_telemetry(telemetry, comm, f"distributed_{plan.kind}")
+    hooks = [hook] if tel is None else [hook, tel]
+    result = run_plan(plan, grid.executor(), hooks)
+    result.recovered_subproblems, result.completed_subproblems = (
+        _reduce_progress(comm, grid, hook.session)
+    )
+    result.telemetry = tel
+    return result
 
 
 def distributed_uoi_lasso(
@@ -630,22 +607,8 @@ CheckpointPlan`, each cell's rank 0 persists its completed
         comm, grid, dist, config, dataset, lambdas,
         selection_idx, estimation_idx,
     )
-    hook = CheckpointHook(
-        checkpoint,
-        clock=comm.clock,
-        machine=comm.machine,
-        writer=grid.cell.rank == 0,
-    )
-    tel = _rank_telemetry(telemetry, comm, "distributed_uoi_lasso")
-    hooks = [hook] if tel is None else [hook, tel]
-    result = run_plan(plan, SimMpiExecutor.bound(grid), hooks)
-
-    recovered, completed = _reduce_progress(comm, grid, hook.session)
-
+    result = _run_on_grid(plan, checkpoint, telemetry)
     dist.close()
-    result.recovered_subproblems = recovered
-    result.completed_subproblems = completed
-    result.telemetry = tel
     return result
 
 
@@ -750,22 +713,7 @@ def distributed_uoi_var(
         comm, grid, config, solver_comm, lifted_local, (m, p, kdim),
         lambdas, selection_idx, estimation_idx,
     )
-    hook = CheckpointHook(
-        checkpoint,
-        clock=comm.clock,
-        machine=comm.machine,
-        writer=grid.cell.rank == 0,
-    )
-    tel = _rank_telemetry(telemetry, comm, "distributed_uoi_var")
-    hooks = [hook] if tel is None else [hook, tel]
-    result = run_plan(plan, SimMpiExecutor.bound(grid), hooks)
-
-    recovered, completed = _reduce_progress(comm, grid, hook.session)
-
-    result.recovered_subproblems = recovered
-    result.completed_subproblems = completed
-    result.telemetry = tel
-    return result
+    return _run_on_grid(plan, checkpoint, telemetry)
 
 
 def distributed_cv_lasso(

@@ -93,8 +93,8 @@ class UoILasso:
         share one RNG stream.  Counters land on
         ``recovered_subproblems_`` / ``completed_subproblems_``.
 
-        ``executor=`` selects the engine backend (an
-        :class:`~repro.engine.executors.Executor`); ``None`` uses
+        ``executor=`` selects the engine backend (a
+        :class:`~repro.engine.Coordinator`); ``None`` uses
         :func:`repro.engine.default_executor` — serial unless
         ``REPRO_ENGINE_BACKEND`` says otherwise.  Results are
         bitwise-identical across backends.

@@ -5,20 +5,20 @@ The four UoI entry points — :class:`repro.core.UoILasso`,
 :mod:`repro.core.parallel` — are thin adapters over this layer:
 
 * :mod:`repro.engine.plan` — :class:`UoIPlan`: a run as enumerable,
-  typed :class:`Subproblem` tasks with dependency chains.
+  typed :class:`Subproblem` tasks with dependency chains, and the
+  :func:`run_plan` driver loop (the one place a plan is verified).
 * :mod:`repro.engine.plans` — :class:`LassoPlan` / :class:`VarPlan`,
   the concrete local plans (exact legacy serial numerics).
-* :mod:`repro.engine.coordinator` — the transport-agnostic
-  :class:`~repro.engine.coordinator.Coordinator` (work queue, leases,
-  completion tracking, speculation) every backend runs on.
-* :mod:`repro.engine.transports` — the in-process
-  :class:`~repro.engine.coordinator.WorkerTransport` implementations
-  (serial / multiprocess / simmpi).
+* :mod:`repro.engine.coordinator` — :class:`Coordinator`, the one
+  executor type (ownership predicate, work queue, leases, completion
+  tracking, speculation) over a pluggable
+  :class:`~repro.engine.coordinator.WorkerTransport`.
+* :mod:`repro.engine.transports` — the in-process transports
+  (serial / multiprocess / simmpi) and their :data:`BACKENDS`
+  constructors :class:`SerialExecutor`, :class:`MultiprocessExecutor`,
+  :class:`SimMpiExecutor`.
 * :mod:`repro.engine.elastic` — the out-of-process socket-worker
   transport with mid-run join/leave (``elastic`` backend).
-* :mod:`repro.engine.executors` — :class:`SerialExecutor`,
-  :class:`MultiprocessExecutor`, :class:`SimMpiExecutor`, and the
-  :func:`run_plan` driver loop.
 * :mod:`repro.engine.hooks` — :class:`EngineHook` observers
   (checkpointing lives in :mod:`repro.resilience.checkpoint` as
   :class:`~repro.resilience.checkpoint.CheckpointHook`).
@@ -27,9 +27,10 @@ Backend selection: pass ``executor=`` to the estimators, or set the
 ``REPRO_ENGINE_BACKEND`` environment variable (``serial`` |
 ``multiprocess`` | ``simmpi`` | ``elastic``) to change the
 process-wide default — that is how CI runs the whole suite on the
-multiprocess and elastic backends.  ``elastic`` as the process
-default uses one shared worker fleet
-(:func:`repro.engine.elastic.shared_elastic_executor`,
+multiprocess and elastic backends.  A backend chosen *by name* —
+that variable, a service job's ``backend`` field, a CLI flag — goes
+through :func:`named_executor`, where ``elastic`` means one shared
+worker fleet (:func:`repro.engine.elastic.shared_elastic_executor`,
 ``REPRO_ELASTIC_WORKERS`` workers) rather than a fleet per fit.
 """
 
@@ -43,6 +44,9 @@ from repro.engine.plan import (
     PlanOutputs,
     Subproblem,
     UoIPlan,
+    annotate_failure,
+    plan_verification_enabled,
+    run_plan,
 )
 from repro.engine.hooks import EngineHook, HookList, ProgressHook, RecordingHook
 from repro.engine.coordinator import (
@@ -53,16 +57,10 @@ from repro.engine.coordinator import (
     WorkerTransport,
     worker_utilization,
 )
-from repro.engine.executors import (
-    CoordinatedExecutor,
-    Executor,
+from repro.engine.transports import (
     MultiprocessExecutor,
     SerialExecutor,
     SimMpiExecutor,
-    VerifyingExecutor,
-    annotate_failure,
-    plan_verification_enabled,
-    run_plan,
 )
 from repro.engine.plans import LassoPlan, VarPlan
 
@@ -76,8 +74,6 @@ __all__ = [
     "HookList",
     "RecordingHook",
     "ProgressHook",
-    "Executor",
-    "CoordinatedExecutor",
     "Coordinator",
     "Lease",
     "TransportEvent",
@@ -87,7 +83,6 @@ __all__ = [
     "SerialExecutor",
     "MultiprocessExecutor",
     "SimMpiExecutor",
-    "VerifyingExecutor",
     "plan_verification_enabled",
     "LassoPlan",
     "VarPlan",
@@ -98,6 +93,7 @@ __all__ = [
     "BACKENDS",
     "BACKEND_ALIASES",
     "make_executor",
+    "named_executor",
     "default_executor",
 ]
 
@@ -115,7 +111,7 @@ BACKENDS = {
     ),
     "simmpi": (
         SimMpiExecutor,
-        "simulated MPI ranks with modeled time (standalone or bound)",
+        "a fresh world of simulated MPI ranks per stage, modeled time",
     ),
     "elastic": (
         ElasticExecutor,
@@ -128,14 +124,14 @@ BACKENDS = {
 BACKEND_ALIASES = {"processpool-elastic": "elastic"}
 
 
-def make_executor(name: str, verify: bool = False, **kwargs: object) -> Executor:
-    """Executor instance for a backend name (see :data:`BACKENDS`).
+def make_executor(
+    name: str, verify: bool = False, **kwargs: object
+) -> Coordinator:
+    """A fresh executor for a backend name (see :data:`BACKENDS`).
 
-    ``verify=True`` wraps the backend in a
-    :class:`~repro.engine.executors.VerifyingExecutor`, which runs
-    :func:`repro.analysis.planver.verify_plan` on each plan before its
-    first stage (process-wide opt-in: ``REPRO_PLAN_VERIFY=1``, checked
-    by :func:`run_plan` itself).
+    ``verify=True`` marks it so :func:`run_plan` runs
+    :func:`repro.analysis.planver.verify_plan` on every plan it is
+    handed (process-wide opt-in: ``REPRO_PLAN_VERIFY=1``).
     """
     name = BACKEND_ALIASES.get(name, name)
     try:
@@ -145,25 +141,29 @@ def make_executor(name: str, verify: bool = False, **kwargs: object) -> Executor
             f"unknown engine backend {name!r}; choose from {sorted(BACKENDS)}"
         ) from None
     executor = factory(**kwargs)
-    if verify:
-        executor = VerifyingExecutor(executor)
+    executor.verify = verify
     return executor
 
 
-def default_executor() -> Executor:
-    """The process-wide default backend.
+def named_executor(name: str) -> Coordinator:
+    """The executor a backend *name* stands for.
 
-    ``REPRO_ENGINE_BACKEND`` selects it (CI matrix entries set
-    ``multiprocess`` and ``elastic`` to run the whole suite off the
-    reference backend); unset or empty means serial.  ``elastic``
-    resolves to the process-wide shared fleet rather than a fresh
-    executor per call — spawning workers per fit would dominate every
-    small run.
+    The one owner of the rule that ``elastic`` (or its alias) by name
+    means the process-wide shared fleet — spawning workers per fit or
+    per service batch would dominate every small run — while every
+    other name is a fresh :func:`make_executor`.
     """
-    name = os.environ.get("REPRO_ENGINE_BACKEND", "").strip().lower()
-    if not name:
-        return SerialExecutor()
-    name = BACKEND_ALIASES.get(name, name)
-    if name == "elastic":
+    if BACKEND_ALIASES.get(name, name) == "elastic":
         return shared_elastic_executor()
     return make_executor(name)
+
+
+def default_executor() -> Coordinator:
+    """The process-wide default backend.
+
+    ``REPRO_ENGINE_BACKEND`` names it (CI matrix entries set
+    ``multiprocess`` and ``elastic`` to run the whole suite off the
+    reference backend); unset or empty means serial.
+    """
+    name = os.environ.get("REPRO_ENGINE_BACKEND", "").strip().lower()
+    return named_executor(name or "serial")

@@ -1,10 +1,12 @@
-"""Transport-agnostic coordinator for the execution engine.
+"""The engine's one executor: a coordinator over a pluggable transport.
 
-PR 7 splits every backend into two layers:
+Every backend is two layers:
 
-* a **Coordinator** (this module) that owns the orchestration
-  invariants — the work queue of warm-start chains, lease-based
-  assignment, completion tracking (optionally persisted to a
+* a **Coordinator** (this module) — the object
+  :func:`~repro.engine.plan.run_plan` drives — that owns the
+  orchestration invariants: grid ownership, the work queue of
+  warm-start chains, lease-based assignment, completion tracking
+  (optionally persisted to a
   :class:`~repro.resilience.checkpoint.CheckpointStore`), straggler
   speculation, and the deterministic hook replay that keeps results
   bitwise identical across backends; and
@@ -27,7 +29,8 @@ funnelled through the same lookup/replay path (which is what makes the
 backends bit-identical):
 
 * ``inline`` — the chain runs synchronously on the calling thread and
-  hooks fire mid-chain, exactly like the legacy ``SerialExecutor``;
+  hooks fire mid-chain (the serial reference, and each rank of the
+  distributed drivers behind its grid's ``owns=`` predicate);
 * ``batched`` — every pending chain is handed over at once (simmpi:
   one SPMD launch per stage, chain *i* on rank ``i % nranks``);
 * streaming (default) — chains are dispatched as worker slots free
@@ -54,7 +57,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from repro.engine.hooks import HookList
-from repro.engine.plan import Subproblem, UoIPlan
+from repro.engine.plan import Subproblem, UoIPlan, annotate_failure
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.dynamic import DynamicChecker
@@ -71,7 +74,6 @@ __all__ = [
     "WorkerTransport",
     "SpeculationPolicy",
     "Coordinator",
-    "annotate_failure",
     "lookup_chain",
     "worker_utilization",
     "WorkerUtilization",
@@ -79,30 +81,6 @@ __all__ = [
 
 #: Telemetry span/counter category for lease accounting.
 _DISTRIBUTION = "distribution"
-
-
-def annotate_failure(
-    exc: BaseException,
-    backend: str,
-    stage: str,
-    tasks: Sequence[Subproblem] | None = None,
-) -> BaseException:
-    """Attach engine context to an exception (PEP 678 note).
-
-    The note names the executing backend and the plan position —
-    stage plus the subproblem keys of the failing chain — so aggregated
-    reports (:class:`~repro.simmpi.executor.SpmdError`,
-    ``failed_ranks``) identify exactly which subproblem died where.
-    """
-    where = f"engine backend={backend} stage={stage}"
-    if tasks:
-        keys = ", ".join(t.key for t in tasks)
-        where += f" subproblems [{keys}]"
-    try:
-        exc.add_note(where)
-    except Exception:  # pragma: no cover - non-standard exception types
-        pass
-    return exc
 
 
 def lookup_chain(
@@ -259,10 +237,21 @@ class SpeculationPolicy:
 class Coordinator:
     """Drive one stage of a plan over a :class:`WorkerTransport`.
 
+    This is the engine's executor type: ``name`` (its transport's) and
+    :meth:`run_stage` are all :func:`~repro.engine.plan.run_plan` uses.
+
     Parameters
     ----------
     transport:
         Where chains run.
+    owns:
+        Optional ownership predicate over :class:`Subproblem`.  Tasks it
+        rejects are dropped at the top of :meth:`run_stage` — before any
+        ``lookup`` — so this coordinator neither recovers, runs nor
+        reports them.  The distributed drivers pass their
+        :meth:`~repro.core.parallel.ProcessGrid.owns`, which makes each
+        rank the engine of its own P_B x P_lambda cell while
+        ``plan.chains()`` keeps enumerating the full grid.
     store:
         Optional :class:`CheckpointStore` backing completion tracking:
         streamed per-task payloads are persisted as they arrive, and a
@@ -284,10 +273,15 @@ class Coordinator:
         Streaming poll granularity in seconds.
     """
 
+    #: Verify each plan before its first stage; read by ``run_plan``
+    #: and set by ``make_executor(name, verify=True)``.
+    verify = False
+
     def __init__(
         self,
         transport: WorkerTransport,
         *,
+        owns: Callable[[Subproblem], bool] | None = None,
         store: "CheckpointStore | None" = None,
         speculation: SpeculationPolicy | None = None,
         checker: "DynamicChecker | None" = None,
@@ -295,7 +289,15 @@ class Coordinator:
         tick: float = 0.05,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
+        if owns is not None and not (transport.inline or transport.batched):
+            # Streaming workers re-enumerate plan.chains() themselves and
+            # address chains by index; a filtered list would misalign.
+            raise ValueError(
+                "owns= needs an inline or batched transport, "
+                f"not streaming {transport.name!r}"
+            )
         self.transport = transport
+        self.owns = owns
         self.store = store
         self.speculation = speculation or SpeculationPolicy()
         self.checker = checker
@@ -311,6 +313,11 @@ class Coordinator:
             "joins": 0,
             "leaves": 0,
         }
+
+    @property
+    def name(self) -> str:
+        """Backend name used in failure attribution and CLI listings."""
+        return self.transport.name
 
     # ----------------------------------------------------------- helpers
     def _recorder(self) -> "Recorder | None":
@@ -384,6 +391,9 @@ class Coordinator:
         chains: list[list[Subproblem]],
         hooks: HookList,
     ) -> dict[str, Payload]:
+        if self.owns is not None:
+            owned = ([t for t in chain if self.owns(t)] for chain in chains)
+            chains = [chain for chain in owned if chain]
         if self.transport.inline:
             return self._run_inline(plan, stage, chains, hooks)
         if self.transport.batched:
@@ -406,6 +416,11 @@ class Coordinator:
         the legacy serial telemetry profile must not change.
         """
         results: dict[str, Payload] = {}
+
+        def emit(task: Subproblem, payload: Payload) -> None:
+            results[task.key] = payload
+            hooks.on_subproblem_done(task, payload, recovered=False)
+
         for chain in chains:
             recovered = lookup_chain(chain, hooks)
             for task in chain:
@@ -416,15 +431,6 @@ class Coordinator:
                     )
             if len(recovered) == len(chain):
                 continue
-
-            def emit(
-                task: Subproblem,
-                payload: Payload,
-                _results: dict[str, Payload] = results,
-            ) -> None:
-                _results[task.key] = payload
-                hooks.on_subproblem_done(task, payload, recovered=False)
-
             try:
                 self.transport.run_inline(plan, stage, chain, recovered, emit)
             except BaseException as exc:

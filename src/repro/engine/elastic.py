@@ -51,17 +51,16 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.dynamic import instrumented_lock, instrumented_rlock
 from repro.engine.coordinator import (
+    Coordinator,
     Lease,
     Payload,
     SpeculationPolicy,
     TransportEvent,
     WorkerTransport,
-    annotate_failure,
 )
-from repro.engine.executors import CoordinatedExecutor
 from repro.engine.hooks import HookList
 from repro.engine.plan import Subproblem, UoIPlan
-from repro.telemetry.recorder import Recorder, export_snapshot, use_recorder
+from repro.engine.transports import run_chain_recorded
 from repro.wire import (
     LineChannel,
     decode_arrays,
@@ -140,12 +139,9 @@ def worker_main(
                     os._exit(CRASH_EXIT_CODE)
                 if delay > 0.0:
                     time.sleep(delay)
-                chain: list[Subproblem] | None = None
-                recorder = Recorder()
                 try:
                     if plan is None:
                         raise RuntimeError("run before stage frame")
-                    chain = chains[ci]
                     recovered = decode_payload_table(
                         frame.get("recovered", {})
                     )
@@ -160,12 +156,10 @@ def worker_main(
                             }
                         )
 
-                    # Capture solver instrumentation fired in this
-                    # process; it ships home on the done frame.
-                    with use_recorder(recorder):
-                        plan.run_chain(stage, chain, recovered, emit)
+                    telemetry = run_chain_recorded(
+                        plan, stage, chains[ci], recovered, emit, "elastic"
+                    )
                 except BaseException as exc:  # noqa: B036 - shipped to hub
-                    annotate_failure(exc, "elastic", stage, chain)
                     try:
                         blob = encode_blob(exc)
                     except Exception:
@@ -182,9 +176,7 @@ def worker_main(
                         {
                             "op": "done",
                             "lease": lease_id,
-                            "telemetry": encode_blob(
-                                export_snapshot(recorder)
-                            ),
+                            "telemetry": encode_blob(telemetry),
                         }
                     )
             elif op == "stop":
@@ -452,8 +444,8 @@ class ElasticTransport(WorkerTransport):
 # ---------------------------------------------------------------------------
 # executor + fleet management
 # ---------------------------------------------------------------------------
-class ElasticExecutor(CoordinatedExecutor):
-    """Engine backend over an elastic out-of-process worker fleet.
+class ElasticExecutor(Coordinator):
+    """A :class:`Coordinator` that owns its worker fleet and a stage lock.
 
     Parameters
     ----------
@@ -485,8 +477,6 @@ class ElasticExecutor(CoordinatedExecutor):
     ``REPRO_ENGINE_BACKEND=elastic``) is safe to share across
     scheduler threads, one engine run at a time on the one fleet.
     """
-
-    name = "elastic"
 
     def __init__(
         self,
@@ -618,7 +608,7 @@ class ElasticExecutor(CoordinatedExecutor):
 
     def utilization(self) -> dict[str, int]:
         """Fleet-lifetime orchestration counters (joins, leases, ...)."""
-        return dict(self.coordinator.stats)
+        return dict(self.stats)
 
     def shutdown(self) -> None:
         """Stop the fleet and close the hub (idempotent)."""

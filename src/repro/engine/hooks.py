@@ -17,7 +17,9 @@ four drivers separately.  The engine guarantees the call order:
    crucially *before* the stage's reduction: a checkpoint hook flushes
    here, so solved state is durable before the run re-enters the
    world collectives (the same ordering the legacy drivers used).
-4. ``on_run_end(plan)`` — once, after the final stage reduced.
+4. ``on_run_end(plan)`` — once, after the final stage reduced *or* as
+   a failed run unwinds: whatever ``on_run_start`` installed (a
+   context-var recorder, an allocation observer) is undone here.
 
 ``lookup`` is how resume works: the first hook returning a payload
 wins, and the engine treats the task as already solved.
@@ -30,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.engine.executors import Executor
+    from repro.engine.coordinator import Coordinator
     from repro.engine.plan import Subproblem, UoIPlan
 
 __all__ = ["EngineHook", "HookList", "RecordingHook", "ProgressHook"]
@@ -39,7 +41,7 @@ __all__ = ["EngineHook", "HookList", "RecordingHook", "ProgressHook"]
 class EngineHook:
     """Base hook: every callback is a no-op; override what you need."""
 
-    def on_run_start(self, plan: "UoIPlan", executor: "Executor") -> None:
+    def on_run_start(self, plan: "UoIPlan", executor: "Coordinator") -> None:
         """Called once before the first stage."""
 
     def lookup(self, task: "Subproblem") -> dict[str, np.ndarray] | None:
@@ -59,7 +61,7 @@ class EngineHook:
         """Called after a stage's last task, before its reduction."""
 
     def on_run_end(self, plan: "UoIPlan") -> None:
-        """Called once after the final stage reduced."""
+        """Called once as the run ends, finished or failed."""
 
 
 class HookList(EngineHook):
@@ -72,7 +74,7 @@ class HookList(EngineHook):
     def __init__(self, hooks: Iterable[EngineHook] = ()) -> None:
         self.hooks: list[EngineHook] = list(hooks)
 
-    def on_run_start(self, plan: "UoIPlan", executor: "Executor") -> None:
+    def on_run_start(self, plan: "UoIPlan", executor: "Coordinator") -> None:
         for h in self.hooks:
             h.on_run_start(plan, executor)
 
@@ -113,7 +115,7 @@ class RecordingHook(EngineHook):
     def __init__(self) -> None:
         self.events: list[tuple] = []
 
-    def on_run_start(self, plan: "UoIPlan", executor: "Executor") -> None:
+    def on_run_start(self, plan: "UoIPlan", executor: "Coordinator") -> None:
         self.events.append(("run_start", plan.kind))
 
     def on_subproblem_done(
@@ -146,7 +148,7 @@ class ProgressHook(EngineHook):
         self.totals: dict[str, int] = {}
         self.done: dict[str, int] = {}
 
-    def on_run_start(self, plan: "UoIPlan", executor: "Executor") -> None:
+    def on_run_start(self, plan: "UoIPlan", executor: "Coordinator") -> None:
         desc = plan.describe()
         self.totals = {
             stage: info["subproblems"] for stage, info in desc["stages"].items()

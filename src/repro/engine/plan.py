@@ -6,10 +6,13 @@ intersected) followed by an *estimation* stage (B2 bootstraps x q
 candidate supports, winners unioned).  A :class:`UoIPlan` captures one
 concrete instance of that skeleton as data — an enumerable set of
 :class:`Subproblem` tasks with their dependency structure — so any
-:class:`~repro.engine.executors.Executor` backend can run it and any
-cross-cutting concern (checkpointing, tracing, progress) can observe
-it through :class:`~repro.engine.hooks.EngineHook` without the four
-drivers each re-implementing the wiring.
+backend (a :class:`~repro.engine.coordinator.Coordinator` over some
+transport) can run it and any cross-cutting concern (checkpointing,
+tracing, progress) can observe it through
+:class:`~repro.engine.hooks.EngineHook` without the four drivers each
+re-implementing the wiring.  :func:`run_plan` is the driver loop they
+all share: stage → hooks' ``on_stage_end`` (checkpoint flush) → stage
+reduction — and the one place a plan is verified before it runs.
 
 Determinism contract
 --------------------
@@ -31,10 +34,13 @@ backend.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
+
+from repro.engine.hooks import EngineHook, HookList
 
 __all__ = [
     "SELECTION",
@@ -42,6 +48,9 @@ __all__ = [
     "Subproblem",
     "PlanOutputs",
     "UoIPlan",
+    "annotate_failure",
+    "plan_verification_enabled",
+    "run_plan",
 ]
 
 #: Stage names, in execution order.
@@ -183,3 +192,89 @@ class UoIPlan:
         so :meth:`describe`-style tooling never fails on a new plan.
         """
         return {stage: 0.0 for stage in self.stages}
+
+
+# ---------------------------------------------------------------------------
+# driver loop
+# ---------------------------------------------------------------------------
+def annotate_failure(
+    exc: BaseException,
+    backend: str,
+    stage: str,
+    tasks: Sequence[Subproblem] | None = None,
+) -> BaseException:
+    """Attach engine context to an exception (PEP 678 note).
+
+    The note names the executing backend and the plan position —
+    stage plus the subproblem keys of the failing chain — so aggregated
+    reports (:class:`~repro.simmpi.executor.SpmdError`,
+    ``failed_ranks``) identify exactly which subproblem died where.
+    """
+    where = f"engine backend={backend} stage={stage}"
+    if tasks:
+        keys = ", ".join(t.key for t in tasks)
+        where += f" subproblems [{keys}]"
+    try:
+        exc.add_note(where)
+    except Exception:  # pragma: no cover - non-standard exception types
+        pass
+    return exc
+
+
+def plan_verification_enabled() -> bool:
+    """Whether ``REPRO_PLAN_VERIFY`` opts this process into pre-run
+    plan verification (any value but empty/``0``/``false``/``no``)."""
+    value = os.environ.get("REPRO_PLAN_VERIFY", "").strip().lower()
+    return value not in ("", "0", "false", "no")
+
+
+def run_plan(
+    plan: UoIPlan,
+    executor: Any,
+    hooks: "Iterable[EngineHook] | HookList" = (),
+    verify: bool | None = None,
+) -> Any:
+    """Run every stage of ``plan`` on ``executor``; returns ``finalize()``.
+
+    ``executor`` is anything with a ``name`` and a
+    ``run_stage(plan, stage, chains, hooks)`` returning the stage's
+    ``{key: payload}`` table — in this package always a
+    :class:`~repro.engine.coordinator.Coordinator`.  Per stage: execute
+    all chains, fire ``on_stage_end`` (checkpoint hooks flush here,
+    making solved state durable *before* the reduction's collectives —
+    the ordering the legacy drivers pinned), then reduce.  Hooks get
+    ``on_run_end`` whether the run finished or a stage raised, so what
+    ``on_run_start`` installed (the telemetry recorder, the allocation
+    observer) never outlives a failed run.
+
+    ``verify`` opts into pre-run plan verification
+    (:func:`repro.analysis.planver.verify_plan`): ``True``/``False``
+    explicitly, or ``None`` (default) to follow the executor's
+    ``verify`` mark (``make_executor(name, verify=True)``,
+    ``Scheduler(verify=True)``) and the ``REPRO_PLAN_VERIFY``
+    environment variable.  Every entry point funnels through this
+    loop, so this is the only place a plan is verified — each plan
+    object once, per-window stream plans included.  Verification is
+    read-only — verified runs are bitwise identical to unverified ones.
+    """
+    if verify is None:
+        verify = getattr(executor, "verify", False) or plan_verification_enabled()
+    if verify:
+        from repro.analysis.planver import assert_valid_plan
+
+        assert_valid_plan(plan)
+    hook_list = hooks if isinstance(hooks, HookList) else HookList(hooks)
+    hook_list.on_run_start(plan, executor)
+    try:
+        for stage in plan.stages:
+            chains = plan.chains(stage)
+            results = executor.run_stage(plan, stage, chains, hook_list)
+            hook_list.on_stage_end(stage, plan)
+            try:
+                plan.reduce(stage, results)
+            except BaseException as exc:
+                annotate_failure(exc, executor.name, f"{stage}/reduce")
+                raise
+    finally:
+        hook_list.on_run_end(plan)
+    return plan.finalize()

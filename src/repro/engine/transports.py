@@ -1,7 +1,7 @@
 """In-process :class:`WorkerTransport` implementations.
 
-The three legacy backends re-expressed as transports under the
-:class:`~repro.engine.coordinator.Coordinator` (PR 7):
+The three in-process backends as transports under the
+:class:`~repro.engine.coordinator.Coordinator`:
 
 * :class:`SerialTransport` — inline: the chain runs on the calling
   thread and hooks fire mid-chain (the numerical reference cadence).
@@ -18,6 +18,11 @@ The three legacy backends re-expressed as transports under the
 
 The out-of-process elastic transport lives in
 :mod:`repro.engine.elastic`.
+
+:class:`SerialExecutor`, :class:`MultiprocessExecutor` and
+:class:`SimMpiExecutor` are the :data:`repro.engine.BACKENDS`
+constructors: a ``Coordinator`` over the matching transport, nothing
+more.
 """
 
 from __future__ import annotations
@@ -31,13 +36,13 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.engine.coordinator import (
+    Coordinator,
     Lease,
     Payload,
     TransportEvent,
     WorkerTransport,
-    annotate_failure,
 )
-from repro.engine.plan import Subproblem, UoIPlan
+from repro.engine.plan import Subproblem, UoIPlan, annotate_failure
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards, typing only
     from repro.simmpi.comm import SimComm
@@ -47,7 +52,43 @@ __all__ = [
     "SerialTransport",
     "MultiprocessTransport",
     "SimMpiTransport",
+    "SerialExecutor",
+    "MultiprocessExecutor",
+    "SimMpiExecutor",
+    "run_chain_recorded",
 ]
+
+
+def run_chain_recorded(
+    plan: UoIPlan,
+    stage: str,
+    chain: list[Subproblem],
+    recovered: dict[str, Payload],
+    emit: Callable[[Subproblem, Payload], None],
+    backend: str,
+) -> dict:
+    """Run one chain in a worker process; returns its telemetry snapshot.
+
+    Solver instrumentation (admm.* counters, computation spans) fires
+    in the *worker*; a fresh recorder captures it and the snapshot
+    ships home with the results, so off-process runs keep the serial
+    telemetry surface.  Shared by every out-of-process backend so they
+    cannot drift in what they record or how a failure is attributed.
+    """
+    from repro.telemetry.recorder import (
+        Recorder,
+        export_snapshot,
+        use_recorder,
+    )
+
+    recorder = Recorder()
+    try:
+        with use_recorder(recorder):
+            plan.run_chain(stage, chain, recovered, emit)
+    except BaseException as exc:
+        annotate_failure(exc, backend, stage, chain)
+        raise
+    return export_snapshot(recorder)
 
 
 class SerialTransport(WorkerTransport):
@@ -74,10 +115,6 @@ class SerialTransport(WorkerTransport):
 # the (potentially large) plan is pickled once, not per chain.
 _MP_STATE: dict = {}
 
-#: Backend name baked into worker-side failure attribution (a literal,
-#: not ``MultiprocessTransport.name``, to keep the worker import-light).
-_MP_BACKEND = "multiprocess"
-
 
 def _mp_init(blob: bytes) -> None:
     plan, stage = pickle.loads(blob)
@@ -89,12 +126,6 @@ def _mp_init(blob: bytes) -> None:
 def _mp_run_chain(
     chain_index: int, recovered: dict[str, Payload]
 ) -> tuple[dict[str, Payload], dict]:
-    from repro.telemetry.recorder import (
-        Recorder,
-        export_snapshot,
-        use_recorder,
-    )
-
     plan, stage = _MP_STATE["plan"], _MP_STATE["stage"]
     chain = _MP_STATE["chains"][chain_index]
     out: dict[str, Payload] = {}
@@ -102,17 +133,10 @@ def _mp_run_chain(
     def emit(task: Subproblem, payload: Payload) -> None:
         out[task.key] = payload
 
-    # Solver instrumentation (admm.* counters, computation spans) fires
-    # in *this* process; capture it and ship it home with the results
-    # so off-process runs keep the serial telemetry surface.
-    recorder = Recorder()
-    try:
-        with use_recorder(recorder):
-            plan.run_chain(stage, chain, recovered, emit)
-    except BaseException as exc:
-        annotate_failure(exc, _MP_BACKEND, stage, chain)
-        raise
-    return out, export_snapshot(recorder)
+    telemetry = run_chain_recorded(
+        plan, stage, chain, recovered, emit, MultiprocessTransport.name
+    )
+    return out, telemetry
 
 
 class MultiprocessTransport(WorkerTransport):
@@ -332,3 +356,34 @@ class SimMpiTransport(WorkerTransport):
         merged = res.values[0]
         assert merged is not None
         return merged
+
+
+# ---------------------------------------------------------------------------
+# BACKENDS constructors
+# ---------------------------------------------------------------------------
+class SerialExecutor(Coordinator):
+    """In-order, in-process execution — the reference backend."""
+
+    def __init__(self) -> None:
+        super().__init__(SerialTransport())
+
+
+class MultiprocessExecutor(Coordinator):
+    """Multi-core execution (arguments: :class:`MultiprocessTransport`)."""
+
+    def __init__(
+        self, max_workers: int | None = None, start_method: str | None = None
+    ) -> None:
+        super().__init__(MultiprocessTransport(max_workers, start_method))
+
+
+class SimMpiExecutor(Coordinator):
+    """A fresh simulated-MPI world per stage (arguments:
+    :class:`SimMpiTransport`).  No restart loop of its own: resilience
+    runs go through the distributed drivers, where each rank is a
+    ``Coordinator`` over its own grid cell."""
+
+    def __init__(
+        self, nranks: int = 2, machine: "Machine | None" = None
+    ) -> None:
+        super().__init__(SimMpiTransport(nranks, machine))

@@ -354,7 +354,7 @@ class CheckpointHook:
     """Checkpoint/restart as an engine hook.
 
     One :class:`CheckpointHook` attached to
-    :func:`repro.engine.executors.run_plan` replaces the lookup /
+    :func:`repro.engine.run_plan` replaces the lookup /
     record / flush wiring the four legacy drivers each carried:
 
     * ``on_run_start`` pins the plan's metadata into the store

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.analysis.dynamic import instrumented_condition
-from repro.engine import BACKEND_ALIASES, EngineHook, make_executor, run_plan
+from repro.engine import EngineHook, named_executor, run_plan
 from repro.engine.plan import Subproblem
 from repro.service.batch import BatchPlan
 from repro.service.jobs import (
@@ -52,7 +52,7 @@ from repro.service.jobs import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine import Executor
+    from repro.engine import Coordinator
     from repro.service.store import ReplicatedResultsStore
     from repro.telemetry.recorder import Recorder
 
@@ -131,17 +131,18 @@ class Scheduler:
         Optional :class:`~repro.telemetry.recorder.Recorder` for
         per-job spans, queue gauges and lifecycle counters.
     verify:
-        Wrap executors in plan verification
-        (:class:`~repro.engine.executors.VerifyingExecutor`).
+        Mark every executor this scheduler runs on for pre-run plan
+        verification (:func:`~repro.engine.run_plan` then verifies each
+        batch plan and each per-window stream plan).  The mark stays on
+        a shared elastic fleet; verification is read-only, so later
+        runs on it only pay the check.
     executor_factory:
-        Optional ``backend_name -> Executor`` override.  The default
-        builds a fresh in-process executor per run via
-        :func:`~repro.engine.make_executor`, except ``elastic`` (or
-        its ``processpool-elastic`` alias), which resolves to the
-        process-wide shared worker fleet
-        (:func:`~repro.engine.elastic.shared_elastic_executor`) so
-        jobs scale out to out-of-process workers without paying a
-        fleet spawn per batch.
+        Optional ``backend_name -> executor`` override.  The default is
+        :func:`~repro.engine.named_executor`: a fresh in-process
+        executor per run, except ``elastic`` (or its
+        ``processpool-elastic`` alias), which is the process-wide
+        shared worker fleet so jobs scale out to out-of-process
+        workers without paying a fleet spawn per batch.
     """
 
     def __init__(
@@ -153,7 +154,7 @@ class Scheduler:
         store: "ReplicatedResultsStore | None" = None,
         recorder: "Recorder | None" = None,
         verify: bool = False,
-        executor_factory: "Callable[[str], Executor] | None" = None,
+        executor_factory: "Callable[[str], Coordinator] | None" = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -314,7 +315,7 @@ class Scheduler:
                     self._gauge("service.running_jobs", self._running)
 
     # --------------------------------------------------------- execution
-    def _make_executor(self, backend: str) -> "Executor":
+    def _make_executor(self, backend: str) -> "Coordinator":
         """Executor for one batch run (see ``executor_factory``).
 
         The elastic backend shares one process-wide worker fleet
@@ -322,18 +323,9 @@ class Scheduler:
         fleet's lock, but workers joining or leaving mid-job scale
         every queued tenant up or down at once.
         """
-        if self.executor_factory is not None:
-            executor = self.executor_factory(backend)
-        elif BACKEND_ALIASES.get(backend, backend) == "elastic":
-            from repro.engine.elastic import shared_elastic_executor
-
-            executor = shared_elastic_executor()
-        else:
-            return make_executor(backend, verify=self.verify)
+        executor = (self.executor_factory or named_executor)(backend)
         if self.verify:
-            from repro.engine.executors import VerifyingExecutor
-
-            executor = VerifyingExecutor(executor)
+            executor.verify = True
         return executor
 
     def _run_batch(self, batch: list[Job]) -> None:
@@ -390,10 +382,9 @@ class Scheduler:
         one progress subproblem, and cooperative cancellation is
         checked at every window boundary (mid-window work completes —
         a window is the streaming unit of atomicity, like a
-        subproblem is the batch one).  Under ``verify``, the
-        :class:`~repro.engine.executors.VerifyingExecutor` wrapper
-        runs PLAN4xx verification on every per-window (warm-started)
-        plan before its first stage.
+        subproblem is the batch one).  Under ``verify``, the marked
+        executor makes ``run_plan`` run PLAN4xx verification on every
+        per-window (warm-started) plan before its first stage.
         """
         from repro.stream.refit import StreamConfig, run_rolling
 

@@ -39,7 +39,7 @@ from repro.service.store import ReplicatedResultsStore
 from repro.telemetry.recorder import Recorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine import Executor
+    from repro.engine import Coordinator
 
 __all__ = ["Service", "ServiceClient"]
 
@@ -73,7 +73,7 @@ class Service:
         store: ReplicatedResultsStore | None = None,
         recorder: Recorder | None = None,
         verify: bool = False,
-        executor_factory: Callable[[str], "Executor"] | None = None,
+        executor_factory: Callable[[str], "Coordinator"] | None = None,
     ) -> None:
         if store is None and store_root is not None:
             store = ReplicatedResultsStore(store_root)

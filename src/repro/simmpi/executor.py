@@ -48,7 +48,7 @@ def describe_failure(exc: BaseException) -> str:
     The execution engine annotates exceptions with PEP 678 notes
     carrying the backend name, stage, and subproblem keys of the work
     that was in flight (see
-    :func:`repro.engine.executors.annotate_failure`); folding them into
+    :func:`repro.engine.annotate_failure`); folding them into
     the description means an :class:`SpmdError` message — and the
     ``failed_ranks`` tables built from it — pinpoints *where in the
     plan* a rank died, not just that it died.

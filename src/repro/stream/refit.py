@@ -64,7 +64,7 @@ from repro.telemetry.recorder import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.executors import Executor
+    from repro.engine import Coordinator
 
 __all__ = [
     "StreamConfig",
@@ -296,7 +296,7 @@ class RollingRefitter:
         config: StreamConfig,
         p: int,
         *,
-        executor: "Executor | None" = None,
+        executor: "Coordinator | None" = None,
         diff_log: DiffLog | None = None,
         on_window: Callable[[WindowFit], None] | None = None,
     ) -> None:
@@ -494,7 +494,7 @@ def run_rolling(
     config: StreamConfig,
     *,
     p: int | None = None,
-    executor: "Executor | None" = None,
+    executor: "Coordinator | None" = None,
     diff_log: DiffLog | None = None,
     on_window: Callable[[WindowFit], None] | None = None,
 ) -> StreamOutputs:

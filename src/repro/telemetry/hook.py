@@ -1,7 +1,7 @@
 """Engine hook that times every (stage, bootstrap, λ) subproblem.
 
 One :class:`TelemetryHook` attached to
-:func:`repro.engine.executors.run_plan` turns a real execution on any
+:func:`repro.engine.run_plan` turns a real execution on any
 backend into the same four-category runtime attribution the simulator
 produces on virtual clocks:
 
@@ -16,17 +16,18 @@ produces on virtual clocks:
   context-var current recorder, so the solver and I/O one-liners in
   :mod:`repro.linalg`, :mod:`repro.pfs` and :mod:`repro.distribution`
   feed the same recorder without any plumbing;
-* ``on_run_end`` restores the previous recorder and, when an export
-  directory is configured, writes the JSONL run manifest and Chrome
-  trace via :mod:`repro.telemetry.export`.
+* ``on_run_end`` (fired for failed runs too) restores the previous
+  recorder and, when an export directory is configured, writes the
+  JSONL run manifest and Chrome trace via
+  :mod:`repro.telemetry.export`.
 
 Timing model
 ------------
 Per-task spans are measured *at the hook layer* as the interval
 between consecutive engine events on the dispatching thread.  On the
-serial backend and on a bound simmpi rank this is the true solve time
-(lookup + solve happen inline between events).  On the multiprocess
-backend and the standalone simmpi backend, hook events replay in the
+serial backend and on a distributed-driver rank this is the true solve
+time (lookup + solve happen inline between events).  On the
+multiprocess and simmpi backends, hook events replay in the
 parent after the stage's workers finish, so per-task spans reflect
 replay order while the *stage* span (and therefore the breakdown) is
 accurate wall clock.  The first span of a stage also absorbs the
@@ -146,8 +147,9 @@ class TelemetryHook(EngineHook):
         self._stage_start = now
         self._last_event = now
         # Install for the run so solver/IO one-liners hit this recorder
-        # without plumbing.  Restored in on_run_end (same thread — the
-        # engine dispatches all hook events from the driving thread).
+        # without plumbing.  Restored in on_run_end, which run_plan
+        # fires even when a stage raises (same thread — the engine
+        # dispatches all hook events from the driving thread).
         self._token = _current.set(self.recorder)
 
     def on_subproblem_done(

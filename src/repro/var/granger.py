@@ -11,8 +11,12 @@ statistics ("fewer than 40 edges out of 2500 possible").
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import networkx as nx
+
+if TYPE_CHECKING:  # pragma: no cover - networkx is imported where used
+    import networkx as nx
 
 __all__ = ["granger_adjacency", "granger_digraph", "edge_list", "network_summary"]
 
@@ -67,6 +71,8 @@ def granger_digraph(
         labels = [str(i) for i in range(p)]
     if len(labels) != p:
         raise ValueError(f"got {len(labels)} labels for {p} nodes")
+    import networkx as nx
+
     g = nx.DiGraph()
     g.add_nodes_from(labels)
     for i in range(p):

@@ -27,7 +27,7 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 def _reference_outputs(hooks=()):
     from repro.analysis.check import _reference_plans
-    from repro.engine.executors import SerialExecutor, run_plan
+    from repro.engine import SerialExecutor, run_plan
 
     return [
         pickle.dumps(run_plan(plan, SerialExecutor(), hooks=hooks))

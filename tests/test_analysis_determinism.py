@@ -298,7 +298,7 @@ class TestExclusionList:
         assert _excluded("repro.engine.coordinator")
         assert _excluded("repro.engine.elastic")
         assert not _excluded("repro.engine.transports")
-        assert not _excluded("repro.engine.executors")
+        assert not _excluded("repro.engine.plan")
         assert not _excluded("repro.engine.plans")
 
     def test_engine_package_scan_is_clean(self):

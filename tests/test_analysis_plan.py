@@ -19,7 +19,6 @@ from repro.analysis import (
 from repro.core.config import UoILassoConfig, UoIVarConfig
 from repro.engine import (
     SerialExecutor,
-    VerifyingExecutor,
     make_executor,
     plan_verification_enabled,
     run_plan,
@@ -299,19 +298,41 @@ class TestStaticCongruence:
 
 
 class TestEngineWiring:
-    def test_make_executor_verify_wraps(self):
+    def test_make_executor_verify_marks(self):
+        """verify=True marks the backend itself — no wrapper object."""
         ex = make_executor("serial", verify=True)
-        assert isinstance(ex, VerifyingExecutor)
+        assert isinstance(ex, SerialExecutor)
         assert ex.name == "serial"
-        assert isinstance(ex.inner, SerialExecutor)
+        assert ex.verify is True
 
-    def test_make_executor_default_unwrapped(self):
-        assert not isinstance(make_executor("serial"), VerifyingExecutor)
+    def test_make_executor_default_unmarked(self):
+        assert make_executor("serial").verify is False
+        assert SerialExecutor.verify is False  # the mark is per instance
 
     def test_verifying_executor_rejects_bad_plan(self):
         mod = _load_fixture_module()
         with pytest.raises(PlanVerificationError):
             run_plan(mod.DuplicateKeyPlan(), make_executor("serial", verify=True))
+
+    def test_marked_executor_verifies_every_plan_object(self):
+        """The old wrapper cached verified plans by ``id(plan)``, so a
+        new plan recycling a collected plan's id was waved through.
+        run_plan verifies each plan it is handed: a second, freshly
+        built bad plan on the same executor is rejected too."""
+        mod = _load_fixture_module()
+        ex = make_executor("serial", verify=True)
+        run_plan(_make_lasso_plan(), ex)
+        for _ in range(2):
+            with pytest.raises(PlanVerificationError):
+                run_plan(mod.DuplicateKeyPlan(), ex)
+
+    def test_explicit_verify_false_beats_the_mark(self):
+        mod = _load_fixture_module()
+        ex = make_executor("serial", verify=True)
+        # The fixture has no run_chain: reaching it means the verifier
+        # (which would have raised PlanVerificationError) was skipped.
+        with pytest.raises(NotImplementedError):
+            run_plan(mod.DuplicateKeyPlan(), ex, verify=False)
 
     def test_env_gate_rejects_bad_plan(self, monkeypatch):
         mod = _load_fixture_module()

@@ -16,8 +16,8 @@ import pytest
 from repro.core import UoILasso, UoILassoConfig
 from repro.datasets import make_sparse_regression
 from repro.engine import (
+    BACKENDS,
     ESTIMATION,
-    CoordinatedExecutor,
     Coordinator,
     LassoPlan,
     Lease,
@@ -49,19 +49,25 @@ def lasso_data():
 
 
 # ---------------------------------------------------------------------------
-# architecture: executors are coordinator + transport
+# architecture: the executor *is* a coordinator over one transport
 # ---------------------------------------------------------------------------
 class TestLayering:
     def test_executors_are_coordinated(self):
-        for executor in (
-            SerialExecutor(),
-            MultiprocessExecutor(max_workers=2),
-            SimMpiExecutor(nranks=2),
-        ):
-            assert isinstance(executor, CoordinatedExecutor)
-            assert isinstance(executor.coordinator, Coordinator)
-            assert isinstance(executor.transport, WorkerTransport)
-            assert executor.transport.name == executor.name
+        """Every BACKENDS constructor returns a Coordinator named after
+        its transport, and none of them overrides orchestration except
+        the elastic fleet-lock wrapper."""
+        for name, (factory, _) in BACKENDS.items():
+            executor = factory(spawn=False) if name == "elastic" else factory()
+            try:
+                assert isinstance(executor, Coordinator)
+                assert isinstance(executor.transport, WorkerTransport)
+                assert executor.name == executor.transport.name == name
+                assert executor.verify is False
+                overrides = "run_stage" in vars(type(executor))
+                assert overrides == (name == "elastic")
+            finally:
+                if name == "elastic":
+                    executor.shutdown()
 
     def test_transport_shapes(self):
         serial = SerialExecutor().transport
@@ -75,17 +81,49 @@ class TestLayering:
             False, True, False,
         )
 
-    def test_legacy_constructor_attributes_survive(self):
-        mp = MultiprocessExecutor(max_workers=3, start_method="spawn")
-        assert (mp.max_workers, mp.start_method) == (3, "spawn")
-        sim = SimMpiExecutor(nranks=5)
-        assert sim.nranks == 5
-
     def test_lease_describe(self):
         lease = Lease(
             id=3, chain_index=1, keys=("a", "b"), worker="w0", issued_at=0.0
         )
         assert lease.describe() == "chain 1 [a, b] leased to w0"
+
+
+# ---------------------------------------------------------------------------
+# ownership predicate: one filter, applied before any lookup
+# ---------------------------------------------------------------------------
+class TestOwnership:
+    def test_unowned_tasks_are_never_looked_up_run_or_reported(
+        self, lasso_data
+    ):
+        from repro.engine import SELECTION, EngineHook, HookList
+        from repro.engine.transports import SerialTransport
+
+        looked_up, done = [], []
+
+        class Spy(EngineHook):
+            def lookup(self, task):
+                looked_up.append(task.key)
+
+            def on_subproblem_done(self, task, payload, *, recovered):
+                done.append(task.key)
+
+        plan = LassoPlan(LASSO_CFG, lasso_data.X, lasso_data.y)
+        chains = plan.chains(SELECTION)
+        owned = [t.key for chain in chains for t in chain if t.bootstrap != 1]
+        assert len(owned) < sum(len(c) for c in chains)
+        executor = Coordinator(
+            SerialTransport(), owns=lambda task: task.bootstrap != 1
+        )
+        results = executor.run_stage(plan, SELECTION, chains, HookList([Spy()]))
+        assert sorted(results) == sorted(owned)
+        assert looked_up == owned and done == owned
+
+    def test_streaming_transport_rejects_owns(self):
+        with pytest.raises(ValueError, match="inline or batched"):
+            Coordinator(
+                MultiprocessExecutor(max_workers=1).transport,
+                owns=lambda task: True,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +266,7 @@ class TestStallReporting:
 
         checker = DynamicChecker()
         plan = LassoPlan(LASSO_CFG, lasso_data.X, lasso_data.y)
-        executor = CoordinatedExecutor(
+        executor = Coordinator(
             _StuckTransport(), checker=checker, stall_timeout=0.2, tick=0.01
         )
         with pytest.raises(RuntimeError, match="engine stage stalled"):

@@ -176,7 +176,7 @@ class TestWorkerTelemetry:
 class TestWorkerHub:
     def test_join_handshake_and_name_uniquify(self):
         hub = WorkerHub()
-        chans = []
+        chans, names = [], []
         try:
             for _ in range(2):
                 chan = LineChannel(
@@ -184,7 +184,10 @@ class TestWorkerHub:
                 )
                 chan.send({"op": "join", "worker": "dup"})
                 chans.append(chan)
-            names = [chan.recv()["worker"] for chan in chans]
+                # Read the welcome before the next join: the hub serves
+                # each connection on its own thread, so two in-flight
+                # joins may register in either order.
+                names.append(chan.recv()["worker"])
             assert names == ["dup", "dup+"]
             deadline = time.monotonic() + 5.0
             while hub.workers() != ["dup", "dup+"]:

@@ -12,6 +12,12 @@ from repro.core.parallel import (
 )
 from repro.datasets import make_sparse_regression, make_sparse_var
 from repro.pfs import SimH5File
+from repro.resilience import (
+    CheckpointHook,
+    CheckpointPlan,
+    CheckpointStore,
+    FaultPlan,
+)
 from repro.simmpi import LAPTOP, run_spmd, SpmdError
 from repro.var import partition_coefficients
 
@@ -128,6 +134,145 @@ class TestProcessGrid:
 
         with pytest.raises(SpmdError, match="pb"):
             run_spmd(2, prog, machine=LAPTOP)
+
+
+class _OwnedOnlyHook(CheckpointHook):
+    """The drivers' checkpoint hook, failing the run on any ``lookup``
+    of a task outside this rank's grid cell."""
+
+    def on_run_start(self, plan, executor):
+        self.grid = plan.grid
+        super().on_run_start(plan, executor)
+
+    def lookup(self, task):
+        g = self.grid
+        if not (
+            g.owns_bootstrap(task.bootstrap) and g.owns_lambda(task.lam_index)
+        ):
+            raise AssertionError(
+                f"lookup of un-owned {task.key} on cell ({g.b}, {g.l})"
+            )
+        return super().lookup(task)
+
+
+class TestGridOwnership:
+    """The distributed drivers run through ``Coordinator._run_inline``
+    behind the grid's ``owns=`` predicate: un-owned tasks are dropped
+    before any lookup, and crash/resume keeps bits and counters."""
+
+    VCFG = UoIVarConfig(
+        order=1,
+        lasso=UoILassoConfig(
+            n_lambdas=4,
+            n_selection_bootstraps=2,
+            n_estimation_bootstraps=2,
+            random_state=7,
+        ),
+    )
+
+    @pytest.fixture
+    def jobs(self, lasso_setup, monkeypatch):
+        from repro.core import parallel
+
+        monkeypatch.setattr(parallel, "CheckpointHook", _OwnedOnlyHook)
+        _, file, _ = lasso_setup
+        series = make_sparse_var(3, 40, rng=np.random.default_rng(18)).series
+
+        def lasso(comm, checkpoint=None):
+            return distributed_uoi_lasso(
+                comm, file, "data", CFG, pb=2, plam=2, checkpoint=checkpoint
+            )
+
+        def var(comm, checkpoint=None):
+            return distributed_uoi_var(
+                comm, series if comm.rank < 1 else None, self.VCFG,
+                pb=2, plam=2, checkpoint=checkpoint,
+            )
+
+        return {"lasso": (lasso, CFG), "var": (var, self.VCFG.lasso)}
+
+    @pytest.mark.parametrize("kind", ["lasso", "var"])
+    def test_predicate_runs_before_lookup(self, jobs, kind):
+        job, _ = jobs[kind]
+        res = run_spmd(4, job, machine=LAPTOP)
+        assert res.failed_ranks == {}
+        for v in res.values[1:]:
+            assert v.coef.tobytes() == res.values[0].coef.tobytes()
+
+    def test_executor_is_an_inline_coordinator_named_simmpi(self):
+        from repro.engine import Coordinator
+
+        def prog(comm):
+            ex = ProcessGrid.build(comm, pb=2, plam=2).executor()
+            return type(ex) is Coordinator, ex.name, ex.transport.inline
+
+        res = run_spmd(4, prog, machine=LAPTOP)
+        assert res.values == [(True, "simmpi", True)] * 4
+
+    @pytest.mark.parametrize("kind", ["lasso", "var"])
+    def test_interrupted_then_resumed_matches_uninterrupted(
+        self, jobs, kind, tmp_path
+    ):
+        job, lcfg = jobs[kind]
+        total = lcfg.n_lambdas * (
+            lcfg.n_selection_bootstraps + lcfg.n_estimation_bootstraps
+        )
+        ref = run_spmd(
+            4, job, machine=LAPTOP,
+            checkpoint=CheckpointPlan(CheckpointStore(tmp_path / "ref")),
+        )
+        assert ref.completed
+        uninterrupted = ref.values[0]
+        assert uninterrupted.recovered_subproblems == 0
+        assert uninterrupted.completed_subproblems == total
+
+        store = CheckpointStore(tmp_path / "ckpt")
+        ck = CheckpointPlan(store, cadence=1)
+        faults = FaultPlan().crash(1, at_time=0.5 * ref.elapsed)
+        failed = run_spmd(
+            4, job, machine=LAPTOP, fault_plan=faults, checkpoint=ck
+        )
+        assert set(failed.failed_ranks) == {1}
+        pre_crash = len(store)
+        assert pre_crash > 0
+
+        resumed = run_spmd(
+            4, job, machine=LAPTOP, fault_plan=faults, checkpoint=ck
+        )
+        assert resumed.completed
+        for out in resumed.values:
+            assert out.coef.tobytes() == uninterrupted.coef.tobytes()
+            assert out.losses.tobytes() == uninterrupted.losses.tobytes()
+            np.testing.assert_array_equal(out.supports, uninterrupted.supports)
+            np.testing.assert_array_equal(out.winners, uninterrupted.winners)
+            assert out.recovered_subproblems == pre_crash
+            assert (
+                out.recovered_subproblems + out.completed_subproblems
+                == uninterrupted.completed_subproblems
+            )
+
+    def test_failure_note_names_simmpi_backend(self, lasso_setup, monkeypatch):
+        from repro.core import parallel
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(parallel, "consensus_lasso_admm", boom)
+        _, file, _ = lasso_setup
+        with pytest.raises(SpmdError, match="boom") as excinfo:
+            run_spmd(
+                4,
+                lambda comm: distributed_uoi_lasso(
+                    comm, file, "data", CFG, pb=2, plam=2
+                ),
+                machine=LAPTOP,
+            )
+        # Rank 0 is cell (0, 0): its first chain is bootstrap 0, and of
+        # its six λ tasks the cell owns the even ones.
+        assert (
+            "engine backend=simmpi stage=selection "
+            "subproblems [sel/k0/j0, sel/k0/j2, sel/k0/j4]"
+        ) in str(excinfo.value)
 
 
 class TestDistributedUoIVar:

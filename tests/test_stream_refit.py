@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.config import UoILassoConfig, UoIVarConfig
 from repro.engine import SerialExecutor, VarPlan, run_plan
-from repro.engine.executors import Executor
 from repro.resilience.faults import FaultPlan
 from repro.stream import (
     DiffLog,
@@ -205,7 +204,7 @@ class TestWarmColdIdentity:
 # ---------------------------------------------------------------------------
 # recovery
 # ---------------------------------------------------------------------------
-class _FlakyExecutor(Executor):
+class _FlakyExecutor:
     """Delegates to a serial backend, dying on chosen run_stage calls."""
 
     name = "flaky"

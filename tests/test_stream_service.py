@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.config import UoILassoConfig, UoIVarConfig
 from repro.engine import SerialExecutor
-from repro.engine.executors import Executor
 from repro.service import (
     CANCELLED,
     AdmissionError,
@@ -97,6 +96,33 @@ class TestLifecycle:
             assert np.array_equal(sw.outputs.supports, dw.outputs.supports)
             assert np.array_equal(sw.outputs.coef, dw.outputs.coef)
 
+    def test_verify_marks_every_window_plan(self, series, monkeypatch):
+        """``Scheduler(verify=True)`` marks the executor instead of
+        wrapping it; ``run_plan`` then verifies each per-window plan —
+        one ``assert_valid_plan`` call per fitted window, none without
+        the mark."""
+        from repro.analysis import planver
+        from repro.engine import VarPlan
+
+        monkeypatch.delenv("REPRO_PLAN_VERIFY", raising=False)
+        verified = []
+        real = planver.assert_valid_plan
+
+        def counting(plan):
+            verified.append(plan)
+            real(plan)
+
+        monkeypatch.setattr(planver, "assert_valid_plan", counting)
+        with Service(workers=1) as svc:
+            svc.results(svc.submit(_spec(series)), timeout=120.0)
+        assert verified == []
+        with Service(workers=1, verify=True) as svc:
+            out = svc.results(svc.submit(_spec(series)), timeout=120.0)
+        assert len(out.windows) == 4
+        assert len(verified) == 4
+        assert all(isinstance(plan, VarPlan) for plan in verified)
+        assert len({id(plan) for plan in verified}) == 4
+
     def test_stream_jobs_never_batch(self, series):
         with Service(workers=1, batching=True, max_batch=4) as svc:
             client = ServiceClient(svc)
@@ -127,7 +153,7 @@ class TestLifecycle:
         assert second == first
 
 
-class _GatedExecutor(Executor):
+class _GatedExecutor:
     """Serial backend whose first run_stage call waits for a release."""
 
     name = "gated"

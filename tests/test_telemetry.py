@@ -8,9 +8,12 @@ import pytest
 from repro.core import UoILasso, UoILassoConfig, UoIVar, UoIVarConfig
 from repro.datasets import make_sparse_regression, make_sparse_var
 from repro.engine import (
+    ESTIMATION,
+    LassoPlan,
     MultiprocessExecutor,
     SerialExecutor,
     SimMpiExecutor,
+    run_plan,
 )
 from repro.perf.report import CATEGORY_ORDER, BreakdownRow
 from repro.telemetry import (
@@ -169,6 +172,46 @@ def _executors():
         ("multiprocess", MultiprocessExecutor(max_workers=2)),
         ("simmpi", SimMpiExecutor(nranks=2)),
     ]
+
+
+class _FailingEstimation(LassoPlan):
+    def run_chain(self, stage, tasks, recovered, emit):
+        if stage == ESTIMATION:
+            raise RuntimeError("boom")
+        super().run_chain(stage, tasks, recovered, emit)
+
+
+class TestFailedRunRestoresRecorder:
+    """A run whose chain raises must not leave its recorder installed:
+    the next fit on this thread would record into the dead run."""
+
+    @pytest.mark.parametrize(
+        "executor",
+        [SerialExecutor(), MultiprocessExecutor(max_workers=2)],
+        ids=["serial", "multiprocess"],
+    )
+    def test_failing_plan_leaves_no_recorder(self, lasso_data, executor):
+        assert current_recorder() is None
+        hook = TelemetryHook()
+        plan = _FailingEstimation(LASSO_CFG, lasso_data.X, lasso_data.y)
+        with pytest.raises(RuntimeError, match="boom"):
+            run_plan(plan, executor, [hook])
+        assert current_recorder() is None
+        # The dead run's recorder stops growing: a later fit on this
+        # thread records nothing into it.
+        before = dict(hook.recorder.counter_values())
+        UoILasso(LASSO_CFG).fit(lasso_data.X, lasso_data.y)
+        assert hook.recorder.counter_values() == before
+        # The failed run still closed its run span (it is traceable).
+        assert hook.total_seconds() > 0.0
+
+    def test_outer_recorder_is_restored_not_cleared(self, lasso_data):
+        outer = Recorder()
+        plan = _FailingEstimation(LASSO_CFG, lasso_data.X, lasso_data.y)
+        with use_recorder(outer):
+            with pytest.raises(RuntimeError, match="boom"):
+                run_plan(plan, SerialExecutor(), [TelemetryHook()])
+            assert current_recorder() is outer
 
 
 class TestFitTelemetry:
