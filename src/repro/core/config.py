@@ -35,7 +35,14 @@ class UoILassoConfig:
         ``"admm"`` (the paper's solver) or ``"cd"`` (coordinate
         descent; useful as a cross-check).
     rho:
-        ADMM penalty parameter.
+        ADMM penalty parameter, or ``None`` (default) to scale it to
+        each design: ``sqrt(lambda_min+ * lambda_max)`` of the
+        bootstrap's ``2 X'X``, resolved once per factorization by
+        :class:`repro.linalg.admm.LassoADMM` (and agreed across ranks
+        by one allreduce in the consensus solver).  An explicit float
+        is used for every solve as given; ``rho=1.0`` was the default
+        before the spectral one and leaves most selection solves
+        stopping on ``max_iter``.
     max_iter:
         Per-solve iteration cap.
     abstol, reltol:
@@ -44,8 +51,10 @@ class UoILassoConfig:
         Coordinate-descent sweep tolerance (``solver="cd"`` only).
     adapt_rho:
         Enable ADMM residual balancing (Boyd §3.4.1) in both the
-        serial and consensus solvers; converges in far fewer
-        iterations at the price of occasional refactorizations (see
+        serial and consensus solvers.  It repairs a badly scaled fixed
+        ``rho`` at the price of refactorizations (and of the lock-step
+        VAR column solve, which needs one shared ``rho``); with the
+        spectral default it does not reduce iterations further (see
         ``benchmarks/bench_ablation_rho.py``).
     selection_rule:
         How estimation picks each bootstrap's winning support:
@@ -70,7 +79,7 @@ class UoILassoConfig:
     train_frac: float = 0.8
     fit_intercept: bool = False
     solver: str = "admm"
-    rho: float = 1.0
+    rho: float | None = None
     max_iter: int = 500
     abstol: float = 1e-5
     reltol: float = 1e-4
@@ -91,7 +100,7 @@ class UoILassoConfig:
             raise ValueError("train_frac must lie in (0, 1)")
         if self.solver not in ("admm", "cd"):
             raise ValueError(f"solver must be 'admm' or 'cd', got {self.solver!r}")
-        if self.rho <= 0:
+        if self.rho is not None and self.rho <= 0:
             raise ValueError("rho must be > 0")
         if self.selection_rule not in ("min", "1se"):
             raise ValueError(
@@ -103,6 +112,21 @@ class UoILassoConfig:
     def with_(self, **overrides) -> "UoILassoConfig":
         """Copy with some fields replaced."""
         return replace(self, **overrides)
+
+    def solver_meta(self) -> dict:
+        """The fields that decide what a selection solve returns.
+
+        Part of every plan's checkpoint identity: payloads written
+        under one ``rho`` / tolerance / budget are not interchangeable
+        with another's, so a resume across them must be refused.
+        """
+        return {
+            name: getattr(self, name)
+            for name in (
+                "solver", "rho", "max_iter", "abstol", "reltol", "cd_tol",
+                "adapt_rho",
+            )
+        }
 
 
 @dataclass(frozen=True)

@@ -318,6 +318,7 @@ class _DistUoIPlan(UoIPlan):
             "B2": self.B2,
             "random_state": self.lcfg.random_state,
             "intersection_frac": self.lcfg.intersection_frac,
+            **self.lcfg.solver_meta(),
             "pb": self.grid.pb,
             "plam": self.grid.plam,
         }
@@ -726,7 +727,7 @@ def distributed_cv_lasso(
     k: int = 5,
     rule: str = "min",
     random_state: int = 0,
-    rho: float = 1.0,
+    rho: float | None = None,
     max_iter: int = 500,
     adapt_rho: bool = True,
 ) -> tuple[np.ndarray, float, np.ndarray]:

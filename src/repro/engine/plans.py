@@ -287,6 +287,7 @@ class LassoPlan(UoIPlan):
             "B2": cfg.n_estimation_bootstraps,
             "random_state": cfg.random_state,
             "intersection_frac": cfg.intersection_frac,
+            **cfg.solver_meta(),
         }
 
     def chains(self, stage: str) -> list[list[Subproblem]]:
@@ -476,6 +477,7 @@ class VarPlan(UoIPlan):
             "B2": lcfg.n_estimation_bootstraps,
             "random_state": lcfg.random_state,
             "intersection_frac": lcfg.intersection_frac,
+            **lcfg.solver_meta(),
             # Seeding changes intermediate path iterates (never
             # supports or coefficients), and keep_paths changes payload
             # contents — either difference makes a checkpoint store

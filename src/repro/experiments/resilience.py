@@ -81,7 +81,10 @@ def run(
     """
     if not (0 <= crash_rank < nranks):
         raise ValueError(f"crash_rank {crash_rank} out of range for {nranks} ranks")
-    rows_per_rank, p = (48, 10) if fast else (96, 20)
+    # Sized so that consensus solves, not the modeled ~1 ms file load,
+    # are most of the run: the default crash at half the modeled time
+    # then lands mid-stage, after some subproblems were checkpointed.
+    rows_per_rank, p = (120, 60) if fast else (240, 120)
     n = rows_per_rank * nranks
     cfg = FIG4_FUNCTIONAL_CONFIG
     ds = make_sparse_regression(

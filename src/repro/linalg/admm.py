@@ -21,6 +21,14 @@ The x-update factorization ``2 X'X + rho I`` (Cholesky; or the Woodbury
 form when n < p) is computed **once** per design matrix and reused
 across all λ values and warm starts, mirroring the cached-factorization
 optimization in the C++/MKL implementation.
+
+The penalty ``rho`` defaults to the geometric mean of the extreme
+non-zero eigenvalues of ``2 X'X`` (:func:`spectral_rho`): the
+iteration's contraction rate depends on ``rho`` relative to that
+spectrum, so a fixed ``rho = 1`` against a Gram of scale 10^3 spends
+the whole ``max_iter`` budget on a transient, while the scaled value
+stops on tolerance and makes iteration counts invariant to the units
+of ``X``.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from repro.linalg.soft_threshold import soft_threshold, soft_threshold_into
 from repro.perf.pool import Workspace
 from repro.telemetry.recorder import count as _tcount, gauge as _tgauge
 
-__all__ = ["ADMMResult", "LassoADMM", "lasso_admm"]
+__all__ = ["ADMMResult", "LassoADMM", "gram_extremes", "lasso_admm", "spectral_rho"]
 
 
 @dataclass
@@ -78,11 +86,44 @@ class ADMMResult:
     dual: np.ndarray | None = None
 
 
-def _count_solve(result: ADMMResult) -> ADMMResult:
+def gram_extremes(gram: np.ndarray) -> tuple[float, float]:
+    """``(lambda_min+, lambda_max)`` of a symmetric PSD matrix.
+
+    ``lambda_min+`` is the smallest eigenvalue above the rank cut-off
+    ``size * eps * lambda_max`` (``numpy.linalg.matrix_rank``'s rule),
+    so the numerically-zero eigenvalues of a rank-deficient Gram
+    (``n < p``, bootstrap-duplicated rows, duplicated columns) never
+    pass for the bottom of the spectrum.  ``(0.0, 0.0)`` when the
+    matrix is empty or has no positive eigenvalue.
+    """
+    if gram.shape[0] == 0:
+        return 0.0, 0.0
+    w = np.linalg.eigvalsh(gram)
+    hi = float(w[-1])
+    if not hi > 0.0:
+        return 0.0, 0.0
+    cut = gram.shape[0] * np.finfo(float).eps * hi
+    return float(w[np.searchsorted(w, cut, side="right")]), hi
+
+
+def spectral_rho(lo: float, hi: float) -> float:
+    """Default ADMM penalty ``sqrt(lo * hi)`` for a Gram spectrum.
+
+    ``lo``/``hi`` are :func:`gram_extremes` of ``2 X'X``.  The geometric
+    mean balances the slowest primal and dual modes of the x-update
+    ``(2 X'X + rho I)^{-1}``; a design without a positive eigenvalue
+    (all-zero, or a single constant column after centering) has no
+    scale to take and falls back to 1.0.
+    """
+    return math.sqrt(lo * hi) if lo > 0.0 else 1.0
+
+
+def _count_solve(result: ADMMResult, rho: float) -> ADMMResult:
     """Telemetry for one finished solve (one response column).
 
-    One soft-threshold per iteration; no-ops unless a telemetry
-    recorder is installed for this run.
+    One soft-threshold per iteration; ``rho`` is the penalty the solve
+    ended on.  No-ops unless a telemetry recorder is installed for
+    this run.
     """
     _tcount("admm.solves")
     _tcount("admm.iterations", result.iterations)
@@ -90,6 +131,7 @@ def _count_solve(result: ADMMResult) -> ADMMResult:
     _tcount("admm.converged" if result.converged else "admm.nonconverged")
     _tgauge("admm.primal_residual", result.primal_residual)
     _tgauge("admm.dual_residual", result.dual_residual)
+    _tgauge("admm.rho", rho)
     return result
 
 
@@ -103,7 +145,11 @@ class LassoADMM:
     y:
         ``(n,)`` response.
     rho:
-        ADMM penalty parameter (> 0).
+        ADMM penalty parameter (> 0), or ``None`` (default) to take
+        :func:`spectral_rho` of this design — ``sqrt(lambda_min+ *
+        lambda_max)`` of the Gram the constructor forms anyway, one
+        ``eigvalsh`` per design.  :attr:`rho` holds the resolved value.
+        An explicit float is used as given.
     alpha:
         Over-relaxation parameter in ``[1, 1.8]``; 1.0 disables
         over-relaxation.
@@ -118,8 +164,11 @@ class LassoADMM:
         rescaled.  Each adaptation **invalidates the cached
         factorization** — the very optimization the paper's
         implementation relies on — so the refactorization count is
-        tracked and exposed; the trade-off is quantified in
-        ``benchmarks/bench_ablation_rho.py``.
+        tracked and exposed.  It rescues a badly chosen fixed ``rho``
+        (an order of magnitude fewer iterations than ``rho=1.0``) but
+        starting from the spectral default it no longer pays: it
+        converges no faster and refactorizes on the way
+        (``benchmarks/bench_ablation_rho.py`` prints all three legs).
     adapt_tau, adapt_mu:
         Residual-balancing parameters (Boyd's defaults: 2 and 10).
     pool:
@@ -148,7 +197,7 @@ class LassoADMM:
         X: np.ndarray,
         y: np.ndarray,
         *,
-        rho: float = 1.0,
+        rho: float | None = None,
         alpha: float = 1.5,
         max_iter: int = 500,
         abstol: float = 1e-5,
@@ -164,7 +213,7 @@ class LassoADMM:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
         if y.shape != (X.shape[0],):
             raise ValueError(f"y shape {y.shape} incompatible with X {X.shape}")
-        if rho <= 0:
+        if rho is not None and rho <= 0:
             raise ValueError(f"rho must be > 0, got {rho}")
         if not (1.0 <= alpha <= 1.8):
             raise ValueError(f"alpha must lie in [1, 1.8], got {alpha}")
@@ -175,7 +224,6 @@ class LassoADMM:
         self.X = X
         self.y = y
         self.n, self.p = X.shape
-        self.rho = float(rho)
         self.alpha = float(alpha)
         self.max_iter = int(max_iter)
         self.abstol = float(abstol)
@@ -193,6 +241,14 @@ class LassoADMM:
         self._woodbury = self.n < self.p
         self._gram_base = (
             2.0 * (X @ X.T) if self._woodbury else 2.0 * (X.T @ X)
+        )
+        #: The penalty solves start from: the explicit argument, or the
+        #: spectral default resolved from this design (``2 X X'`` on the
+        #: Woodbury branch has the non-zero spectrum of ``2 X'X``).
+        self.rho = (
+            spectral_rho(*gram_extremes(self._gram_base))
+            if rho is None
+            else float(rho)
         )
         self._factorize(self.rho)
 
@@ -425,7 +481,7 @@ class LassoADMM:
             objective=self._objective(y, z, lam),
             history=history,
             dual=u,
-        ))
+        ), rho)
 
     def _solve_pooled(
         self,
@@ -530,7 +586,7 @@ class LassoADMM:
             objective=self._objective(y, z, lam),
             history=history,
             dual=u.copy(),
-        ))
+        ), rho)
 
     def solve_columns(
         self,
@@ -718,7 +774,7 @@ class LassoADMM:
             frozen[cols[i]] = self._column_result(
                 Yt[cols[i]], Z[i], U[i], lam, it, False, Norms[:, i]
             )
-        return [_count_solve(frozen[c]) for c in range(m)]
+        return [_count_solve(frozen[c], rho) for c in range(m)]
 
     def _column_result(
         self,

@@ -35,6 +35,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from repro.linalg.admm import gram_extremes, spectral_rho
 from repro.linalg.soft_threshold import soft_threshold
 from repro.perf.flops import (
     charge_cholesky,
@@ -79,7 +80,7 @@ def consensus_lasso_admm(
     b_local: np.ndarray,
     lam: float,
     *,
-    rho: float = 1.0,
+    rho: float | None = None,
     max_iter: int = 500,
     abstol: float = 1e-5,
     reltol: float = 1e-4,
@@ -106,7 +107,14 @@ def consensus_lasso_admm(
         L1 penalty of the *global* objective (paper eq. 2 scaling).
         ``lam = 0`` gives distributed OLS.
     rho:
-        ADMM penalty parameter.
+        ADMM penalty parameter (> 0), or ``None`` (default) for the
+        spectral penalty of the serial solver
+        (:func:`repro.linalg.admm.spectral_rho`) taken over the row
+        split: each rank finds the extreme non-zero eigenvalues of its
+        local ``2 A_i'A_i``, one SUM-allreduce of that 2-vector
+        averages them, and every rank derives the identical value —
+        one extra (tiny) collective per solve, and ranks stay bitwise
+        equal to each other.  An explicit float is used as given.
     max_iter, abstol, reltol:
         Stopping configuration (Boyd §3.3 consensus criteria).
     beta0:
@@ -115,8 +123,9 @@ def consensus_lasso_admm(
         Residual balancing (Boyd §3.4.1).  The decision is driven by
         the globally reduced residual norms, so every rank adapts
         identically without extra communication; each adaptation
-        triggers a local refactorization (see
-        ``benchmarks/bench_ablation_rho.py`` for the trade-off).
+        triggers a local refactorization.  Worth it against a badly
+        scaled fixed ``rho``, not against the spectral default (see
+        ``benchmarks/bench_ablation_rho.py`` for all three legs).
 
     Notes
     -----
@@ -138,7 +147,7 @@ def consensus_lasso_admm(
         raise ValueError(f"b_local shape {b.shape} incompatible with A {A.shape}")
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    if rho <= 0:
+    if rho is not None and rho <= 0:
         raise ValueError(f"rho must be > 0, got {rho}")
     P = comm.size
     clock, machine = comm.clock, comm.machine
@@ -161,6 +170,7 @@ def consensus_lasso_admm(
         solve_nnz = gram_base.nnz + p
 
         def make_solver(rho_val):
+            _tcount("consensus.factorizations")
             charge_sparse_solve(clock, machine, solve_nnz, p)  # factorization
             return scipy.sparse.linalg.splu(gram_base + rho_val * eye).solve
     else:
@@ -171,12 +181,23 @@ def consensus_lasso_admm(
         solve_nnz = 0
 
         def make_solver(rho_val):
+            _tcount("consensus.factorizations")
             charge_cholesky(clock, machine, p)
             gram = gram_base.copy()
             gram[np.diag_indices_from(gram)] += rho_val
             chol = scipy.linalg.cho_factor(gram, lower=True)
             return lambda q: scipy.linalg.cho_solve(chol, q)
 
+    agreed = 0  # collectives spent agreeing on rho
+    if rho is None:
+        # Extremes of the local spectrum, averaged over the ranks so
+        # all derive one rho.  The dense symmetric eigensolve is a p^3
+        # kernel like the Cholesky; costed as one p x p x p gemm.
+        dense = gram_base.toarray() if sparse_input else gram_base
+        extremes = np.array(gram_extremes(dense))
+        charge_gemm(clock, machine, p, p, p)
+        rho = spectral_rho(*(comm.allreduce(extremes, SUM) / P))
+        agreed = 1
     solve_normal = make_solver(rho)
 
     z = np.zeros(p) if beta0 is None else np.asarray(beta0, dtype=float).copy()
@@ -242,16 +263,18 @@ def consensus_lasso_admm(
                 solve_normal = make_solver(rho)
 
     # One soft-threshold and one fused allreduce per iteration (the
-    # call the paper's communication bar is made of); no-ops unless a
-    # telemetry recorder is installed on this rank.
+    # call the paper's communication bar is made of), plus the one
+    # that agreed on a spectral rho; no-ops unless a telemetry
+    # recorder is installed on this rank.
     _tcount("consensus.solves")
     _tcount("consensus.iterations", it)
     _tcount("consensus.soft_thresholds", it)
-    _tcount("consensus.allreduces", it)
+    _tcount("consensus.allreduces", it + agreed)
     if converged:
         _tcount("consensus.converged")
     _tgauge("consensus.primal_residual", r_norm)
     _tgauge("consensus.dual_residual", s_norm)
+    _tgauge("consensus.rho", rho)
 
     return ConsensusResult(
         beta=z,

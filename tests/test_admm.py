@@ -160,8 +160,10 @@ class TestValidation:
 class TestAdaptiveRho:
     def test_fewer_iterations_same_answer(self, problem):
         X, y, _ = problem
-        fixed = LassoADMM(X, y, max_iter=5000).solve(8.0)
-        solver = LassoADMM(X, y, max_iter=5000, adapt_rho=True)
+        # The slow leg is a fixed rho off the Gram's scale (the spectral
+        # default already starts where balancing would end up).
+        fixed = LassoADMM(X, y, rho=1.0, max_iter=5000).solve(8.0)
+        solver = LassoADMM(X, y, rho=1.0, max_iter=5000, adapt_rho=True)
         adaptive = solver.solve(8.0)
         assert adaptive.iterations < fixed.iterations
         np.testing.assert_allclose(adaptive.beta, fixed.beta, atol=1e-3)
@@ -295,9 +297,12 @@ class TestSolveColumns:
             "admm.nonconverged", "admm.soft_thresholds",
         )
         counts = []
+        # rho=1.0 so that some (not all) columns miss the 40-iteration
+        # budget and both counters are exercised.
+        kwargs = {"rho": 1.0, "max_iter": 40}
         for run in (
-            lambda: LassoADMM(X, Y[:, 0], max_iter=40).solve_columns(Y, 3.0),
-            lambda: _per_column(X, Y, 3.0, max_iter=40),
+            lambda: LassoADMM(X, Y[:, 0], **kwargs).solve_columns(Y, 3.0),
+            lambda: _per_column(X, Y, 3.0, **kwargs),
         ):
             rec = Recorder()
             with use_recorder(rec):
@@ -372,3 +377,132 @@ class TestVarPathColumns:
             var_path_columns(config, X, Y, lambdas, warm_paths=warm),
             self._reference(config, X, Y, lambdas, warm_paths=warm),
         )
+
+
+def _pinned_problem():
+    """Exactly representable 12x4 design and three responses (no RNG,
+    no libm), so the pinned iterates below depend on the solver alone."""
+    i, j = np.meshgrid(np.arange(12), np.arange(4), indexing="ij")
+    X = ((i * 7 + j * 13 + i * j) % 11 - 5) / 4.0
+    Y = ((i * 5 + j * 3) % 7 - 3) / 2.0
+    return X, np.ascontiguousarray(Y[:, :3])
+
+
+def _nonzero_extremes(X):
+    """(lambda_min+, lambda_max) of 2 X'X from the singular values of X."""
+    s = np.linalg.svd(X, compute_uv=False)
+    rank = np.linalg.matrix_rank(X)
+    return 2.0 * s[rank - 1] ** 2, 2.0 * s[0] ** 2
+
+
+class TestSpectralRho:
+    """The default penalty: sqrt(lambda_min+ * lambda_max) of 2 X'X."""
+
+    @pytest.mark.parametrize("shape", [(80, 12), (14, 30)])
+    def test_default_is_geometric_mean_of_gram_extremes(self, shape):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal(shape)
+        solver = LassoADMM(X, rng.standard_normal(shape[0]))
+        lo, hi = _nonzero_extremes(X)
+        assert solver.rho == pytest.approx(np.sqrt(lo * hi), rel=1e-10)
+        assert solver.factorizations == 1
+
+    def test_explicit_rho_is_kept(self, problem):
+        X, y, _ = problem
+        assert LassoADMM(X, y, rho=2.5).rho == 2.5
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+    def test_scale_equivariance(self, problem, c):
+        """X -> cX, y -> cy, lam -> c^2 lam is the same problem in other
+        units: same support, and — with the unit-carrying absolute
+        tolerance out of the stopping rule — the same iteration count.
+        A fixed rho=1.0 cannot do either."""
+        X, y, _ = problem
+        ref = LassoADMM(X, y, abstol=0.0).solve(4.0)
+        got = LassoADMM(c * X, c * y, abstol=0.0).solve(c * c * 4.0)
+        assert ref.converged and got.converged
+        assert got.iterations == ref.iterations
+        np.testing.assert_array_equal(got.beta != 0, ref.beta != 0)
+        np.testing.assert_allclose(got.beta, ref.beta, rtol=1e-9, atol=1e-12)
+        # Default tolerances: the support still does not move.
+        default = LassoADMM(c * X, c * y).solve(c * c * 4.0)
+        assert default.converged
+        np.testing.assert_array_equal(default.beta != 0, ref.beta != 0)
+
+    def test_fixed_unit_rho_is_not_scale_equivariant(self, problem):
+        X, y, _ = problem
+        its = [
+            LassoADMM(c * X, c * y, rho=1.0, abstol=0.0, max_iter=2000)
+            .solve(c * c * 4.0)
+            .iterations
+            for c in (1e-3, 1.0, 1e3)
+        ]
+        assert len(set(its)) > 1
+
+    @pytest.mark.parametrize(
+        "X",
+        [np.zeros((9, 4)), np.zeros((9, 1)), np.zeros((3, 7))],
+        ids=["all-zero", "centered-constant-column", "all-zero-woodbury"],
+    )
+    def test_degenerate_spectrum_falls_back_to_one(self, X):
+        solver = LassoADMM(X, np.ones(X.shape[0]))
+        assert solver.rho == 1.0
+        res = solver.solve(0.5)
+        np.testing.assert_array_equal(res.beta, np.zeros(X.shape[1]))
+
+    @pytest.mark.parametrize("case", ["bootstrap-rows", "duplicate-columns"])
+    def test_rank_deficient_gram_uses_the_cutoff(self, case):
+        """Numerically-zero eigenvalues (~1e-16 lambda_max) never pass
+        for lambda_min: rho stays on the scale of the spectrum."""
+        rng = np.random.default_rng(5)
+        if case == "bootstrap-rows":  # n < p, duplicated rows: 2XX' singular
+            X = rng.standard_normal((20, 50))[rng.integers(0, 20, 20)]
+        else:  # n >= p, duplicated columns: 2X'X singular
+            X = rng.standard_normal((60, 10))
+            X[:, 7] = X[:, 4] = X[:, 2]
+        assert np.linalg.matrix_rank(X) < min(X.shape)
+        solver = LassoADMM(X, rng.standard_normal(X.shape[0]))
+        lo, hi = _nonzero_extremes(X)
+        assert solver.rho == pytest.approx(np.sqrt(lo * hi), rel=1e-8)
+        assert solver.rho > 1e-3 * hi
+
+    def test_gram_extremes_and_spectral_rho(self):
+        from repro.linalg.admm import gram_extremes, spectral_rho
+
+        assert gram_extremes(np.diag([4.0, 1e-20, 9.0])) == (4.0, 9.0)
+        assert gram_extremes(np.zeros((3, 3))) == (0.0, 0.0)
+        assert spectral_rho(4.0, 9.0) == 6.0
+        assert spectral_rho(0.0, 0.0) == 1.0
+
+    def test_resolved_rho_is_gauged(self, problem):
+        from repro.telemetry.recorder import Recorder, use_recorder
+
+        X, y, _ = problem
+        rec = Recorder()
+        with use_recorder(rec):
+            solver = LassoADMM(X, y)
+            solver.solve(4.0)
+        assert rec.gauge_values()["admm.rho"] == solver.rho
+        with use_recorder(rec):
+            LassoADMM(X, y, rho=3.0).solve_columns(np.stack([y, -y], axis=1), 4.0)
+        assert rec.gauge_values()["admm.rho"] == 3.0
+
+    def test_explicit_rho_reproduces_parent_commit_iterates(self):
+        """rho=<float> is not touched by the new default: these are the
+        iterates of commit b675644 (15 iterations at rho=1.0), serial and
+        lock-step, bit for bit."""
+        X, Y = _pinned_problem()
+        kwargs = {"rho": 1.0, "max_iter": 15}
+        want = [
+            ["-0x1.3fe43839d67e0p-2", "0x1.3ab6a9bf6cea0p-5",
+             "0x1.12658772d9e74p-2", "-0x1.44679963311c8p-2"],
+            ["0x1.eb36cf75250b8p-2", "-0x0.0p+0",
+             "-0x1.8902ecf8070f8p-3", "0x1.26f19e3697130p-3"],
+            ["-0x1.8101d1f1018a0p-2", "-0x1.b387adf6f1288p-2",
+             "-0x1.9fea5e9247ce4p-2", "0x1.5488667f1f500p-3"],
+        ]
+        serial = LassoADMM(X, Y[:, 0], **kwargs).solve(1.0)
+        assert serial.iterations == 15
+        assert [v.hex() for v in serial.beta] == want[0]
+        columns = LassoADMM(X, Y[:, 0], **kwargs).solve_columns(Y, 1.0)
+        assert [[v.hex() for v in r.beta] for r in columns] == want

@@ -141,8 +141,11 @@ class TestConsensusLasso:
 class TestAdaptiveRhoConsensus:
     def test_adaptive_matches_fixed_with_fewer_iterations(self, problem):
         X, y = problem
-        fixed = _run_consensus(X, y, 5.0, max_iter=2000)
-        adaptive = _run_consensus(X, y, 5.0, max_iter=2000, adapt_rho=True)
+        # The slow leg is a fixed rho off the Gram's scale (the spectral
+        # default already starts where balancing would end up).
+        kwargs = {"rho": 1.0, "max_iter": 2000}
+        fixed = _run_consensus(X, y, 5.0, **kwargs)
+        adaptive = _run_consensus(X, y, 5.0, adapt_rho=True, **kwargs)
         f, a = fixed.values[0][1], adaptive.values[0][1]
         assert a.iterations < f.iterations
         np.testing.assert_allclose(a.beta, f.beta, atol=1e-3)
@@ -178,3 +181,88 @@ class TestAdaptiveRhoConsensus:
 
         with pytest.raises(SpmdError, match="adapt"):
             run_spmd(2, prog, machine=LAPTOP)
+
+
+class TestSpectralRhoConsensus:
+    """rho=None: local Gram extremes, averaged by one allreduce."""
+
+    @staticmethod
+    def _ablation_problem():
+        # The problem of benchmarks/bench_ablation_rho.py.
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((240, 24))
+        beta = np.zeros(24)
+        beta[::5] = 2.5
+        return X, X @ beta + 0.15 * rng.standard_normal(240)
+
+    @staticmethod
+    def _run(X, y, lam, nranks, **kwargs):
+        from repro.telemetry.recorder import Recorder, use_recorder
+
+        def prog(comm):
+            idx = np.array_split(np.arange(len(y)), comm.size)[comm.rank]
+            rec = Recorder()
+            with use_recorder(rec):
+                res = consensus_lasso_admm(comm, X[idx], y[idx], lam, **kwargs)
+            return res, rec.gauge_values()["consensus.rho"], rec.counter_values()
+
+        return run_spmd(nranks, prog, machine=LAPTOP).values
+
+    @pytest.mark.parametrize("nranks", [2, 3, 4])
+    def test_ranks_agree_on_rho_and_beat_unit_rho(self, nranks):
+        X, y = self._ablation_problem()
+        spectral = self._run(X, y, 6.0, nranks, max_iter=3000)
+        res0, rho0, counters = spectral[0]
+        assert res0.converged
+        for res, rho, _ in spectral[1:]:
+            assert rho == rho0
+            assert res.iterations == res0.iterations
+            assert res.beta.tobytes() == res0.beta.tobytes()
+        # The mean of the ranks' local extremes, as one serial formula.
+        los, his = zip(*(
+            np.linalg.eigvalsh(2.0 * X[idx].T @ X[idx])[[0, -1]]
+            for idx in np.array_split(np.arange(len(y)), nranks)
+        ))
+        assert rho0 == pytest.approx(np.sqrt(np.mean(los) * np.mean(his)), rel=1e-10)
+        # One extra collective per solve, counted.
+        assert counters["consensus.allreduces"] == res0.iterations + 1
+
+        unit, rho_unit, unit_counters = self._run(
+            X, y, 6.0, nranks, rho=1.0, max_iter=3000
+        )[0]
+        assert rho_unit == 1.0
+        assert unit_counters["consensus.allreduces"] == unit.iterations
+        assert res0.iterations < unit.iterations
+        np.testing.assert_allclose(res0.beta, unit.beta, atol=1e-3)
+
+    def test_sparse_blocks_resolve_like_dense(self):
+        X, y = self._ablation_problem()
+
+        class Sparse:  # X[idx] -> csr block
+            def __getitem__(self, idx):
+                return scipy.sparse.csr_matrix(X[idx])
+
+        dense = self._run(X, y, 6.0, 2)
+        sparse = self._run(Sparse(), y, 6.0, 2)
+        assert sparse[0][1] == pytest.approx(dense[0][1], rel=1e-12)
+        assert sparse[0][0].beta.tobytes() == sparse[1][0].beta.tobytes()
+        np.testing.assert_allclose(sparse[0][0].beta, dense[0][0].beta, atol=1e-6)
+
+    def test_all_zero_design_falls_back_to_one(self):
+        out = self._run(np.zeros((8, 3)), np.ones(8), 0.5, 2)
+        for res, rho, _ in out:
+            assert rho == 1.0
+            np.testing.assert_array_equal(res.beta, np.zeros(3))
+
+    def test_explicit_rho_reproduces_parent_commit_iterates(self):
+        """The consensus iterates of commit b675644 at rho=1.0 (15
+        iterations, two ranks, exactly representable inputs)."""
+        i, j = np.meshgrid(np.arange(12), np.arange(4), indexing="ij")
+        X = ((i * 7 + j * 13 + i * j) % 11 - 5) / 4.0
+        y = ((i[:, 0] * 5) % 7 - 3) / 2.0
+        out = self._run(X, y, 1.0, 2, rho=1.0, max_iter=15)
+        want = ["-0x1.129ed60eb11eep-2", "0x0.0p+0",
+                "0x1.f67c68ce7c2a0p-3", "-0x1.772b64e83b276p-2"]
+        for res, _, _ in out:
+            assert res.iterations == 15
+            assert [v.hex() for v in res.beta] == want

@@ -54,6 +54,27 @@ class TestDistributedUoILasso:
         np.testing.assert_array_equal(out.winners, serial.winners_)
         np.testing.assert_allclose(out.lambdas, serial.lambdas_)
 
+    def test_store_refuses_another_rho(self, lasso_setup, tmp_path):
+        """Solver fields are part of the distributed plan's identity: a
+        store written at rho=1.0 refuses the spectral default and still
+        resumes bitwise at rho=1.0."""
+        _, file, _ = lasso_setup
+
+        def job(cfg):
+            return lambda comm, checkpoint=None: distributed_uoi_lasso(
+                comm, file, "data", cfg, checkpoint=checkpoint
+            )
+
+        ck = CheckpointPlan(CheckpointStore(tmp_path / "s"))
+        unit = CFG.with_(rho=1.0)
+        first = run_spmd(2, job(unit), machine=LAPTOP, checkpoint=ck)
+        with pytest.raises(SpmdError, match="different run"):
+            run_spmd(2, job(CFG), machine=LAPTOP, checkpoint=ck)
+        resumed = run_spmd(2, job(unit), machine=LAPTOP, checkpoint=ck)
+        for out in resumed.values:
+            assert out.completed_subproblems == 0
+            assert out.coef.tobytes() == first.values[0].coef.tobytes()
+
     def test_identical_on_all_ranks(self, lasso_setup):
         _, file, _ = lasso_setup
         res = run_spmd(

@@ -210,6 +210,38 @@ class TestSerialResume:
             UoILasso(n_lambdas=4, n_selection_bootstraps=3,
                      n_estimation_bootstraps=2).fit(ds.X, ds.y, checkpoint=plan)
 
+    def test_solver_fields_are_part_of_the_store_identity(self, tmp_path):
+        """A store written at rho=1.0 (the former default) refuses a
+        rerun at the spectral default — its payloads are the iterates of
+        another penalty — and still resumes bitwise at rho=1.0."""
+        ds = make_sparse_regression(
+            60, 8, n_informative=3, snr=10.0, rng=np.random.default_rng(3)
+        )
+        kw = dict(n_lambdas=4, n_selection_bootstraps=2,
+                  n_estimation_bootstraps=2, random_state=9)
+        plain = UoILasso(rho=1.0, **kw).fit(ds.X, ds.y)
+        plan = CheckpointPlan(CheckpointStore(tmp_path / "s"))
+        UoILasso(rho=1.0, **kw).fit(ds.X, ds.y, checkpoint=plan)
+        for other in (dict(rho=None), dict(rho=1.0, max_iter=400),
+                      dict(rho=1.0, reltol=1e-3), dict(rho=1.0, solver="cd")):
+            with pytest.raises(ValueError, match="different run"):
+                UoILasso(**kw, **other).fit(ds.X, ds.y, checkpoint=plan)
+        resumed = UoILasso(rho=1.0, **kw).fit(ds.X, ds.y, checkpoint=plan)
+        assert resumed.recovered_subproblems_ == 4
+        assert resumed.completed_subproblems_ == 0
+        assert resumed.coef_.tobytes() == plain.coef_.tobytes()
+
+    def test_uoi_var_store_refuses_another_rho(self, tmp_path):
+        ds = make_sparse_var(4, 60, rng=np.random.default_rng(5))
+        kw = dict(order=1, n_lambdas=3, n_selection_bootstraps=2,
+                  n_estimation_bootstraps=2, random_state=2)
+        plan = CheckpointPlan(CheckpointStore(tmp_path / "v"))
+        UoIVar(rho=1.0, **kw).fit(ds.series, checkpoint=plan)
+        with pytest.raises(ValueError, match="different run"):
+            UoIVar(**kw).fit(ds.series, checkpoint=plan)
+        resumed = UoIVar(rho=1.0, **kw).fit(ds.series, checkpoint=plan)
+        assert resumed.recovered_subproblems_ == 4
+
     def test_uoi_var_resume_is_bitwise_identical(self, tmp_path):
         ds = make_sparse_var(4, 60, rng=np.random.default_rng(5))
         kw = dict(order=1, n_lambdas=4, n_selection_bootstraps=3,

@@ -37,8 +37,11 @@ CFG = UoILassoConfig(
 
 @pytest.fixture(scope="module")
 def lasso_job():
+    # Sized so the consensus solves (which stop on tolerance after a few
+    # dozen iterations), not the modeled ~1 ms file load, are most of
+    # the run: a crash at half the modeled time must land mid-solve.
     ds = make_sparse_regression(
-        96, 10, n_informative=3, snr=15.0, rng=np.random.default_rng(11)
+        480, 60, n_informative=3, snr=15.0, rng=np.random.default_rng(11)
     )
     file = SimH5File("/recovery.h5")
     file.create_dataset("data", np.column_stack([ds.y, ds.X]))

@@ -423,6 +423,30 @@ class TestService:
                     assert np.array_equal(out.coef, ref_var.vec_coef_)
                 assert client.status(job_id)["state"] == DONE
 
+    @pytest.mark.parametrize("rho", [None, 2.5])
+    def test_rho_round_trips_the_wire_into_a_job(self, lasso_problem, rho):
+        """config_to_wire -> JSON -> config_from_wire keeps rho=None
+        (the spectral default) as None, and the job run from the decoded
+        config is bitwise the direct fit."""
+        import json
+
+        from repro.service.server import config_from_wire, config_to_wire
+
+        cfg = LASSO_CFG.with_(rho=rho)
+        decoded = config_from_wire(
+            "lasso", json.loads(json.dumps(config_to_wire(cfg)))
+        )
+        assert decoded == cfg and decoded.rho == rho
+        ref = UoILasso(cfg).fit(lasso_problem["X"], lasso_problem["y"])
+        with Service(workers=1) as svc:
+            client = ServiceClient(svc)
+            out = client.results(
+                client.submit("lasso", lasso_problem, config=decoded),
+                timeout=120.0,
+            )
+        assert out.coef.tobytes() == ref.coef_.tobytes()
+        assert np.array_equal(out.supports, ref.supports_)
+
     def test_duplicate_idempotency_key_returns_original_job_id(
         self, lasso_problem
     ):

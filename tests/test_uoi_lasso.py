@@ -143,8 +143,46 @@ class TestValidationAndConfig:
         with pytest.raises(ValueError):
             UoILassoConfig(rho=-1.0)
 
+    def test_default_rho_is_spectral(self):
+        assert UoILassoConfig().rho is None
+        assert UoILassoConfig(rho=2.0).solver_meta()["rho"] == 2.0
+        assert set(UoILassoConfig().solver_meta()) == {
+            "solver", "rho", "max_iter", "abstol", "reltol", "cd_tol",
+            "adapt_rho",
+        }
+
     def test_config_with_(self):
         cfg = UoILassoConfig()
         cfg2 = cfg.with_(n_lambdas=7)
         assert cfg2.n_lambdas == 7
         assert cfg.n_lambdas == 48  # frozen original
+
+
+class TestSelectionConverges:
+    """At library defaults the ADMM selection solves stop on tolerance,
+    so UoI intersects LASSO supports rather than a max_iter transient."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_admm_family_equals_converged_cd_family(self, seed):
+        from repro.telemetry.recorder import Recorder, use_recorder
+
+        ds = make_sparse_regression(
+            400, 90, n_informative=8, rng=np.random.default_rng(seed)
+        )
+        kw = dict(n_lambdas=8, n_selection_bootstraps=2,
+                  n_estimation_bootstraps=2, random_state=seed)
+        rec = Recorder()
+        with use_recorder(rec):
+            admm = UoILasso(solver="admm", **kw).fit(ds.X, ds.y)
+        counters = rec.counter_values()
+        assert counters["admm.solves"] == 16  # q x B1 selection solves
+        assert counters["admm.converged"] == 16
+        assert "admm.nonconverged" not in counters
+        assert counters["admm.factorizations"] == 2  # one per bootstrap
+        assert counters["admm.iterations"] < 16 * 100
+
+        cd = UoILasso(solver="cd", max_iter=20000, **kw).fit(ds.X, ds.y)
+        np.testing.assert_array_equal(admm.supports_, cd.supports_)
+        # The old fixed penalty stopped on max_iter with another family.
+        unit = UoILasso(solver="admm", rho=1.0, **kw).fit(ds.X, ds.y)
+        assert (unit.supports_ != cd.supports_).sum() > 0
