@@ -1,36 +1,26 @@
-"""Streaming re-fit economics: warm chains and incremental windows.
+"""Streaming re-fit economics: warm-started chains.
 
-The streaming subsystem's pitch is two constant-factor wins over
-"just re-run the batch fit every cadence":
-
-* **Warm-started chains.**  Each window's selection λ-paths seed the
-  next window's chains (delta-transported starts), so the coordinate-
-  descent solves begin near their solutions and converge in far fewer
-  sweeps — while every solve still runs to tolerance, keeping supports
-  and coefficients bitwise identical to cold chains (asserted here
-  before anything is timed).
-* **Incremental lag windows.**  :class:`repro.stream.SlidingLagWindow`
-  maintains the lagged design, Gram and cross products under
-  append+evict in O(kdim²) per tick instead of rebuilding
-  ``build_lag_matrices`` + ``X'X`` over the whole window.
+Each window's selection λ-paths seed the next window's chains
+(delta-transported starts), so the coordinate-descent solves begin
+near their solutions and converge in far fewer sweeps — while every
+solve still runs to tolerance, keeping supports and coefficients
+bitwise identical to cold chains (asserted here before anything is
+timed).
 
 Writes ``BENCH_stream.json`` at the repo root and gates the subsystem
-on a ≥1.5× warm-over-cold re-fit speedup and a ≥5× incremental-over-
-rebuild window-update speedup.
+on a ≥1.5× warm-over-cold re-fit speedup.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.config import UoILassoConfig, UoIVarConfig
-from repro.stream import SlidingLagWindow, SpikeRateSource, StreamConfig, run_rolling
-from repro.var.lag import build_lag_matrices
+from repro.stream import SpikeRateSource, StreamConfig, run_rolling
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_stream.json"
 
@@ -51,11 +41,7 @@ VAR_CFG = UoIVarConfig(
 )
 REPEATS = 3
 
-# Incremental-window leg.
-WIN_P, WIN_ORDER, WIN_CAP, WIN_TICKS = 8, 2, 512, 400
-
 WARM_GATE = 1.5
-WINDOW_GATE = 5.0
 
 
 @pytest.fixture(scope="module")
@@ -104,37 +90,8 @@ def refit_timings(series):
     return best
 
 
-@pytest.fixture(scope="module")
-def window_timings():
-    rng = np.random.default_rng(0)
-    rows = rng.standard_normal((WIN_CAP + WIN_TICKS, WIN_P))
-
-    win = SlidingLagWindow(WIN_P, WIN_ORDER, WIN_CAP)
-    win.extend(rows[:WIN_CAP])
-    t0 = time.perf_counter()
-    for row in rows[WIN_CAP:]:
-        win.append(row)
-        gram, cross = win.gram(), win.cross()
-    incremental = time.perf_counter() - t0
-
-    buf = list(rows[:WIN_CAP])
-    t0 = time.perf_counter()
-    for row in rows[WIN_CAP:]:
-        buf.append(row)
-        buf.pop(0)
-        _, X = build_lag_matrices(np.asarray(buf), WIN_ORDER)
-        gram_r, cross_r = X.T @ X, X.T @ _
-    rebuild = time.perf_counter() - t0
-
-    # The incremental products must be the rebuild's products (within
-    # accumulation tolerance) or the timing comparison is meaningless.
-    win.check_against_rebuild()
-    return {"incremental": incremental, "rebuild": rebuild}
-
-
-def test_stream_gates(refit_timings, window_timings):
+def test_stream_gates(refit_timings):
     warm_speedup = refit_timings["cold"] / refit_timings["warm"]
-    window_speedup = window_timings["rebuild"] / window_timings["incremental"]
     payload = {
         "refit": {
             "config": {
@@ -151,17 +108,6 @@ def test_stream_gates(refit_timings, window_timings):
             "warm_over_cold": round(warm_speedup, 3),
             "gate": {"min_speedup": WARM_GATE},
         },
-        "window": {
-            "config": {
-                "p": WIN_P,
-                "order": WIN_ORDER,
-                "capacity": WIN_CAP,
-                "ticks": WIN_TICKS,
-            },
-            "seconds": {k: round(v, 6) for k, v in window_timings.items()},
-            "incremental_over_rebuild": round(window_speedup, 3),
-            "gate": {"min_speedup": WINDOW_GATE},
-        },
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print()
@@ -170,17 +116,8 @@ def test_stream_gates(refit_timings, window_timings):
         f"cold {refit_timings['cold']:.3f}s best-of-{REPEATS}"
         f"  -> {warm_speedup:.2f}x"
     )
-    print(
-        f"window update: incremental {window_timings['incremental']:.4f}s, "
-        f"rebuild {window_timings['rebuild']:.4f}s over {WIN_TICKS} ticks"
-        f"  -> {window_speedup:.1f}x"
-    )
     print(f"wrote {RESULT_PATH}")
     assert warm_speedup >= WARM_GATE, (
         f"warm re-fit speedup {warm_speedup:.2f}x is below the "
         f"{WARM_GATE}x gate"
-    )
-    assert window_speedup >= WINDOW_GATE, (
-        f"incremental window speedup {window_speedup:.1f}x is below the "
-        f"{WINDOW_GATE}x gate"
     )

@@ -8,7 +8,7 @@ that re-evaluates every gate from the artifacts alone (no re-timing):
     PYTHONPATH=src python benchmarks/run_all.py [-o BENCH_summary.json]
 
 It walks each document for sections carrying a ``gate`` key (top-level
-or nested, e.g. ``BENCH_stream.json`` has two), evaluates the gate
+or nested, e.g. ``BENCH_stream.json``'s ``refit``), evaluates the gate
 against its sibling measurements, prints a pass/fail table, optionally
 writes the machine-readable summary, and exits non-zero if any gate
 fails — so a regression in *any* benchmarked subsystem fails the build

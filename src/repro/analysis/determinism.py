@@ -94,7 +94,7 @@ EXCLUDED_SUBPACKAGES: tuple[str, ...] = (
 )
 
 #: Modules scanned *despite* living in an excluded subpackage.
-#: ``repro.stream.window`` (incremental lag-window Gram/Kron products)
+#: ``repro.stream.window`` (incremental lag matrices)
 #: and ``repro.stream.diff`` (network-diff arithmetic) are pure
 #: computation — no sockets, no clocks, no thread scheduling — and
 #: their numbers feed window fits directly, so they stay under the

@@ -208,11 +208,11 @@ def ols_family_columns(
     q = family.shape[0]
     kdim, p = X.shape[1], Y.shape[1]
     out = np.zeros((q, kdim * p))
-    cache: dict[bytes, np.ndarray] = {}
+    cache: dict[tuple[int, bytes], np.ndarray] = {}
     for j in range(q):
         for c in range(p):
             mask = family[j, c * kdim : (c + 1) * kdim]
-            key = bytes([c]) + np.packbits(mask).tobytes()
+            key = (c, np.packbits(mask).tobytes())
             if key not in cache:
                 cache[key] = ols_on_support(X, Y[:, c], mask)
             out[j, c * kdim : (c + 1) * kdim] = cache[key]

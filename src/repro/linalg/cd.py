@@ -1,24 +1,44 @@
 """Cyclic coordinate-descent LASSO.
 
-An independent reference solver for the same objective as
-:mod:`repro.linalg.admm` (paper eq. 2):
+Solves the same objective as :mod:`repro.linalg.admm` (paper eq. 2):
 
     ||y - X b||^2 + lam * ||b||_1
 
-Used (a) in tests to cross-check the ADMM solver against a structurally
-different algorithm, and (b) as the "plain LASSO" statistical baseline
-in the accuracy benchmarks (the paper's motivating comparison: LASSO
-alone has many false positives, UoI removes them).
+Its covariance-update form (``precomputed=``) is the production solver
+of the streaming path: ``var_path_columns`` runs it for every window of
+a :class:`repro.stream.RollingRefitter` and for ``UoIVar(solver="cd")``,
+where the warm/cold identity needs solves that stop *on* the tolerance.
+Its residual form serves ``UoILasso(solver="cd")``, the "plain LASSO"
+statistical baselines, and the tests that cross-check ADMM against a
+structurally different algorithm.
+
+Both forms keep every per-coordinate scalar — the recurrence for
+``rho_j``, the soft-threshold, the coordinate change and the stopping
+test — in Python floats held in lists.  Python floats and numpy
+float64 scalars are the same IEEE doubles, so this is the same
+arithmetic in the same order as a numpy-scalar loop, without numpy's
+per-scalar dispatch (which was most of a small solve's time).
 """
 
 from __future__ import annotations
 
+from typing import Sequence, cast
+
 import numpy as np
 
-from repro.linalg.soft_threshold import soft_threshold
 from repro.telemetry.recorder import count as _tcount, gauge as _tgauge
 
 __all__ = ["lasso_cd", "precompute_gram"]
+
+#: Largest Gram dimension for which the covariance-update row update
+#: ``G beta += G[j] * delta`` runs as a Python loop over list rows.
+#: Above it the row update is one in-place numpy operation.  Both forms
+#: give the same bits; the choice is speed only.  On a warm-started
+#: 6-lambda path the list row is ~2x faster than the numpy row at
+#: kdim 4, the two tie at kdim 24, and the list row is ~2x slower at
+#: kdim 64 (crossover table in EXPERIMENTS.md, "Measured: coordinate
+#: descent on Python floats").
+LIST_ROW_MAX_KDIM = 24
 
 
 def precompute_gram(
@@ -105,51 +125,83 @@ def lasso_cd(
         raise ValueError(f"beta0 shape {beta.shape} != ({p},)")
 
     half_lam = 0.5 * lam
+    # The iterate, as Python floats; written back to an array on return.
+    b = beta.tolist()
+    all_indices = range(p)
 
     if precomputed is not None:
         gram, Xty, col_sq = precomputed
         if gram.shape != (p, p) or Xty.shape != (p,) or col_sq.shape != (p,):
             raise ValueError("precomputed triple has inconsistent shapes")
         # Covariance updates: rho_j = x_j'y - x_j'X beta + G_jj beta_j.
+        xty = Xty.tolist()
+        cs = col_sq.tolist()
         gram_beta = gram @ beta
+        rows: list[list[float]] | None
+        gb: list[float]
+        if p <= LIST_ROW_MAX_KDIM:
+            rows = gram.tolist()
+            gb = gram_beta.tolist()
+        else:
+            # Reads through a float64 buffer's memoryview are Python
+            # floats; the row update stays one numpy operation on the
+            # same buffer, and nothing writes through the view.
+            rows = None
+            gb = cast("list[float]", memoryview(gram_beta))
 
-        def sweep(indices) -> float:
+        def sweep(indices: Sequence[int]) -> float:
             max_delta = 0.0
             for j in indices:
-                cj = col_sq[j]
+                cj = cs[j]
                 if cj == 0.0:
                     continue
-                old = beta[j]
-                rho_j = Xty[j] - gram_beta[j] + cj * old
+                old = b[j]
+                rho_j = xty[j] - gb[j] + cj * old
                 z = abs(rho_j) - half_lam
                 new = 0.0 if z <= 0.0 else (z if rho_j > 0 else -z) / cj
                 if new != old:
-                    gram_beta[:] += gram[j] * (new - old)
-                    beta[j] = new
-                    delta = abs(new - old)
+                    step = new - old
+                    if rows is None:
+                        np.add(gram_beta, gram[j] * step, out=gram_beta)
+                    else:
+                        row = rows[j]
+                        for i in all_indices:
+                            gb[i] += row[i] * step
+                    b[j] = new
+                    delta = abs(step)
                     if delta > max_delta:
                         max_delta = delta
             return max_delta
 
     else:
-        col_sq = np.einsum("ij,ij->j", X, X)
+        cols = list(X.T)  # the column views X[:, j]
+        cs = np.einsum("ij,ij->j", X, X).tolist()
         resid = y - X @ beta
 
-        def sweep(indices) -> float:
+        def sweep(indices: Sequence[int]) -> float:
             max_delta = 0.0
             for j in indices:
-                if col_sq[j] == 0.0:
+                cj = cs[j]
+                if cj == 0.0:
                     continue
-                old = beta[j]
-                rho_j = X[:, j] @ resid + col_sq[j] * old
-                new = float(soft_threshold(rho_j, half_lam)) / col_sq[j]
+                old = b[j]
+                col = cols[j]
+                rho_j = float(col.dot(resid)) + cj * old
+                # soft_threshold: np.sign(rho) * np.maximum(|rho| - k, 0),
+                # where np.sign(+-0.0) is +0.0 and NaN propagates; a
+                # negative rho below the threshold gives -0.0.
+                m = abs(rho_j) - half_lam
+                if m <= 0.0:
+                    m = 0.0
+                new = (m if rho_j > 0 else -m if rho_j < 0 else 0.0 * m) / cj
                 if new != old:
-                    resid[:] += X[:, j] * (old - new)
-                    beta[j] = new
-                    max_delta = max(max_delta, abs(new - old))
+                    np.add(resid, col * (old - new), out=resid)
+                    b[j] = new
+                    delta = abs(new - old)
+                    if delta > max_delta:
+                        max_delta = delta
             return max_delta
 
-    all_indices = range(p)
     sweeps_left = max_iter
     converged = False
     delta = np.inf
@@ -162,8 +214,8 @@ def lasso_cd(
             break
         # Inner sweeps over the active set only.
         while sweeps_left > 0:
-            active = np.flatnonzero(beta)
-            if active.size == 0:
+            active = [j for j, v in enumerate(b) if v != 0.0]
+            if not active:
                 break
             delta = sweep(active)
             sweeps_left -= 1
@@ -181,4 +233,4 @@ def lasso_cd(
         # warm/cold identity) watches this counter.
         _tcount("cd.nonconverged")
     _tgauge("cd.last_delta", delta)
-    return beta
+    return np.array(b)

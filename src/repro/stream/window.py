@@ -3,30 +3,18 @@
 :class:`SlidingLagWindow` is the streaming counterpart of
 :func:`repro.var.lag.build_lag_matrices` (paper eqs. 7-8): it holds the
 last ``capacity`` raw samples of a ``p``-dimensional series and
-maintains, under append + evict,
-
-* the target matrix ``Y`` and lagged design ``X`` — as rings of
-  precomputed rows, so materializing the canonical ``(Y, X)`` pair is a
-  reorder of stored bytes and therefore **bitwise identical** to a full
-  ``build_lag_matrices`` rebuild of the same raw window;
-* the Gram product ``X'X`` and cross product ``X'Y`` — by rank-one
-  row updates (add the new row's outer product, subtract the evicted
-  row's), so they track the rebuilt products to floating-point
-  tolerance rather than bitwise; :meth:`rebuild_products` resets the
-  accumulated drift exactly when a consumer needs it.
-
-Each appended sample costs ``O(dp)`` to form its lag row plus
-``O((dp)^2)`` for the product updates — independent of the window
-length, which is the whole point: a full rebuild costs ``O(m (dp)^2)``
-for ``m`` rows (gated ≥5x slower in ``benchmarks/bench_stream.py``).
+maintains, under append + evict, the target matrix ``Y`` and lagged
+design ``X`` as rings of precomputed rows, so materializing the
+canonical ``(Y, X)`` pair is a reorder of stored bytes and therefore
+**bitwise identical** to a full ``build_lag_matrices`` rebuild of the
+same raw window.  Each appended sample costs ``O(dp)`` to form its lag
+row, independent of the window length.
 
 The downstream re-fit (:mod:`repro.stream.refit`) feeds
-:meth:`series` to :class:`repro.engine.plans.VarPlan`, which rebuilds
-its own lag matrices and λ grid from the raw window — so nothing in
-the fitted numbers ever depends on the incrementally maintained
-products.  ``X'Y`` still earns its keep as a free λ-grid preview
-(:meth:`lambda_max_preview`) and as the window-equivalence witness in
-the tests.
+:meth:`series` to :class:`repro.engine.plans.VarPlan`, which draws
+block bootstraps of the window's rows and forms each bootstrap's own
+Gram, so the window keeps no running ``X'X`` / ``X'Y``: no fit could
+read them.
 """
 
 from __future__ import annotations
@@ -39,7 +27,7 @@ __all__ = ["SlidingLagWindow"]
 
 
 class SlidingLagWindow:
-    """Sliding window of raw samples with incremental ``(Y, X)`` and products.
+    """Sliding window of raw samples with incremental ``(Y, X)``.
 
     Parameters
     ----------
@@ -90,8 +78,6 @@ class SlidingLagWindow:
         self._start = 0
         self._count = 0
 
-        self._gram = np.zeros((self.kdim, self.kdim))
-        self._cross = np.zeros((self.kdim, p))
         self.total_appended = 0
         self.total_evicted = 0
 
@@ -141,10 +127,6 @@ class SlidingLagWindow:
         if self._count > 0:
             # The oldest lag row regresses on the oldest ``d`` samples,
             # so dropping the oldest sample invalidates exactly it.
-            x = self._x[self._start]
-            y = self._y[self._start]
-            self._gram -= np.outer(x, x)
-            self._cross -= np.outer(x, y)
             self._start = (self._start + 1) % self._max_rows
             self._count -= 1
         self._rstart = (self._rstart + 1) % self.capacity
@@ -167,8 +149,6 @@ class SlidingLagWindow:
         self._x[pos] = x
         self._y[pos] = target
         self._count += 1
-        self._gram += np.outer(x, x)
-        self._cross += np.outer(x, target)
 
     # ------------------------------------------------------------- views
     def series(self) -> np.ndarray:
@@ -191,30 +171,6 @@ class SlidingLagWindow:
             np.ascontiguousarray(self._x[idx]),
         )
 
-    def gram(self) -> np.ndarray:
-        """Incrementally maintained ``X'X`` (copy)."""
-        return self._gram.copy()
-
-    def cross(self) -> np.ndarray:
-        """Incrementally maintained ``X'Y`` (copy)."""
-        return self._cross.copy()
-
-    def lambda_max_preview(self) -> float:
-        """``2 max|X'Y|`` — the λ-grid anchor VarPlan derives, for free."""
-        if self._count == 0:
-            raise ValueError("no lag rows yet: need n_samples > order")
-        return 2.0 * float(np.max(np.abs(self._cross)))
-
-    def rebuild_products(self) -> None:
-        """Recompute ``X'X`` / ``X'Y`` exactly, zeroing accumulated drift."""
-        if self._count == 0:
-            self._gram = np.zeros((self.kdim, self.kdim))
-            self._cross = np.zeros((self.kdim, self.p))
-            return
-        Y, X = self.matrices()
-        self._gram = X.T @ X
-        self._cross = X.T @ Y
-
     # ------------------------------------------------------- verification
     def check_against_rebuild(self) -> None:
         """Assert the invariants against a from-scratch rebuild (tests)."""
@@ -224,8 +180,3 @@ class SlidingLagWindow:
         )
         if not (np.array_equal(Y, Yr) and np.array_equal(X, Xr)):
             raise AssertionError("incremental (Y, X) diverged from rebuild")
-        if not (
-            np.allclose(self._gram, Xr.T @ Xr, atol=1e-8)
-            and np.allclose(self._cross, Xr.T @ Yr, atol=1e-8)
-        ):
-            raise AssertionError("incremental products drifted beyond tolerance")

@@ -99,6 +99,30 @@ class TestVar2:
         np.testing.assert_allclose(model.intercept_, mu, atol=0.35)
 
 
+class TestManySeries:
+    def test_ols_family_columns_past_255_series(self):
+        """The estimation stage's support cache is keyed per response
+        column; 256 or more series must neither crash it nor share an
+        entry between two columns with the same support mask."""
+        from repro.engine.plans import ols_family_columns
+        from repro.linalg import ols_on_support
+
+        rng = np.random.default_rng(0)
+        p, kdim, n = 260, 3, 12
+        X = rng.standard_normal((n, kdim))
+        Y = rng.standard_normal((n, p))
+        family = np.zeros((2, kdim * p), dtype=bool)
+        family[0, np.arange(p) * kdim] = True
+        family[1, np.arange(p) * kdim + 1] = True
+        out = ols_family_columns(X, Y, family)
+        for c in (0, 255, 256, 259):
+            cols = slice(c * kdim, (c + 1) * kdim)
+            for j in range(2):
+                np.testing.assert_array_equal(
+                    out[j, cols], ols_on_support(X, Y[:, c], family[j, cols])
+                )
+
+
 class TestConfig:
     def test_inner_overrides_forwarded(self):
         m = UoIVar(order=2, n_lambdas=5, random_state=7)
