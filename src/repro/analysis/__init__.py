@@ -1,11 +1,11 @@
 """Correctness tooling for the SPMD substrate (``repro.analysis``).
 
-Seven checkers, one findings currency:
+Seven checkers, one findings currency (:mod:`repro.analysis.findings`,
+rules in :mod:`repro.analysis.rules`):
 
 * :mod:`repro.analysis.linter` — an AST-based **static SPMD linter**
   enforcing the communication discipline the paper's implementation
-  depends on (rules ``SPMD001``-``SPMD004``), with per-line
-  ``# repro: ignore[RULE]`` suppressions;
+  depends on (rules ``SPMD001``-``SPMD004``);
 * :mod:`repro.analysis.shapes` — a **symbolic shape/dtype/memory
   abstract interpreter** (rules ``SHAPE101``-``SHAPE103``) proving
   the Kronecker lifting is never densely materialized and no
@@ -18,189 +18,26 @@ Seven checkers, one findings currency:
   constructed plans (opt-in at run time via ``REPRO_PLAN_VERIFY=1``
   or ``make_executor(..., verify=True)``) plus an AST side;
 * :mod:`repro.analysis.threads` — a **lock-order / shared-state
-  pass** over the threaded layers (rules ``LOCK501``-``LOCK504``):
-  the lock-acquisition graph, condition-wait discipline, Eraser-style
-  lock-set checking and blocking-while-holding detection;
+  pass** over the threaded layers (rules ``LOCK501``-``LOCK504``);
 * :mod:`repro.analysis.alloc` — an **allocation/copy pass** over the
-  hot regions (rules ``ALLOC601``-``ALLOC604``): per-iteration
-  constructor churn, avoidable copies, missed in-place forms, and
-  loop-escaping buffers (the :mod:`repro.perf.pool` candidate list),
-  each finding carrying a byte estimate at paper scale;
+  hot regions (rules ``ALLOC601``-``ALLOC604``), each finding carrying
+  a byte estimate at paper scale;
 * :mod:`repro.analysis.dynamic` — **runtime checkers** wired into
   :mod:`repro.simmpi` via ``run_spmd(checker=...)`` (rules
-  ``DYN201``-``DYN204``), plus the :class:`LockOrderObserver`
-  (``DYN206``) behind the ``instrumented_lock`` factories and
-  ``REPRO_THREAD_CHECK=1``, and the
-  :class:`~repro.analysis.allocobs.AllocationObserver` (``DYN207``,
-  :mod:`repro.analysis.allocobs`) behind ``REPRO_ALLOC_CHECK=1`` —
-  the runtime twin that cross-checks the static ALLOC findings
-  against measured allocation behaviour.
+  ``DYN201``-``DYN205``), plus the ``LockOrderObserver`` (``DYN206``)
+  behind the ``instrumented_lock`` factories and
+  ``REPRO_THREAD_CHECK=1``; its allocation twin ``DYN207`` lives in
+  :mod:`repro.analysis.allocobs`.
 
-``repro check
+The six static passes read one parse of the tree,
+:class:`repro.analysis.source.SourceIndex`, which also owns the
+``# repro: ignore[RULE]`` suppressions.  ``repro check
 lint|shapes|determinism|plan|threads|alloc|static|dynamic|all`` (see
 :mod:`repro.analysis.check`) runs them and gates CI on zero findings;
-``--format sarif`` exports GitHub-annotatable SARIF 2.1.0
-(:mod:`repro.analysis.sarif`).  Every rule is documented in
-``docs/static-analysis.md``.
+``--format sarif`` exports SARIF 2.1.0 (:mod:`repro.analysis.sarif`).
+Every rule is documented in ``docs/static-analysis.md``.
+
+This package module imports nothing: production code imports the
+runtime pieces (``dynamic``, ``planver``) from their defining modules
+without loading the static passes.
 """
-
-from repro.analysis.findings import (
-    ERROR,
-    INFO,
-    SEVERITIES,
-    WARNING,
-    Finding,
-    findings_from_json,
-    findings_to_json,
-    format_findings,
-)
-from repro.analysis.rules import (
-    ALLOC_RULES,
-    DETERMINISM_RULES,
-    DYNAMIC_RULES,
-    PLAN_RULES,
-    RULES,
-    SHAPE_RULES,
-    STATIC_RULES,
-    SUPPRESSION_RULES,
-    THREAD_RULES,
-    Rule,
-    get_rule,
-)
-from repro.analysis.suppress import Suppressions, filter_findings
-from repro.analysis.linter import (
-    lint_file,
-    lint_paths,
-    lint_source,
-)
-from repro.analysis.shapes import (
-    MemoryBudget,
-    shape_check_file,
-    shape_check_paths,
-    shape_check_source,
-)
-from repro.analysis.determinism import (
-    determinism_check_paths,
-    determinism_check_source,
-)
-from repro.analysis.planver import (
-    PlanVerificationError,
-    assert_valid_plan,
-    plan_lint_file,
-    plan_lint_paths,
-    plan_lint_source,
-    verify_plan,
-)
-from repro.analysis.sarif import findings_to_sarif
-from repro.analysis.threads import (
-    default_threads_paths,
-    threads_check_paths,
-    threads_check_source,
-)
-from repro.analysis.dynamic import (
-    CollectiveMismatchError,
-    DynamicChecker,
-    LockOrderObserver,
-    current_lock_observer,
-    instrumented_condition,
-    instrumented_lock,
-    instrumented_rlock,
-    use_lock_observer,
-)
-from repro.analysis.alloc import (
-    alloc_check_paths,
-    alloc_check_source,
-    alloc_scan,
-    default_alloc_paths,
-    static_alloc_sites,
-)
-from repro.analysis.allocobs import (
-    AllocationHook,
-    AllocationObserver,
-    cross_check,
-    current_alloc_observer,
-    maybe_alloc_hook,
-    use_alloc_observer,
-)
-from repro.analysis.check import (
-    MODES,
-    run_alloc,
-    run_check,
-    run_determinism,
-    run_dynamic,
-    run_lint,
-    run_plan_checks,
-    run_shapes,
-    run_threads,
-)
-
-__all__ = [
-    "ERROR",
-    "WARNING",
-    "INFO",
-    "SEVERITIES",
-    "Finding",
-    "findings_to_json",
-    "findings_from_json",
-    "format_findings",
-    "findings_to_sarif",
-    "Rule",
-    "RULES",
-    "STATIC_RULES",
-    "SHAPE_RULES",
-    "DYNAMIC_RULES",
-    "DETERMINISM_RULES",
-    "PLAN_RULES",
-    "SUPPRESSION_RULES",
-    "THREAD_RULES",
-    "get_rule",
-    "Suppressions",
-    "filter_findings",
-    "lint_source",
-    "lint_file",
-    "lint_paths",
-    "MemoryBudget",
-    "shape_check_source",
-    "shape_check_file",
-    "shape_check_paths",
-    "determinism_check_source",
-    "determinism_check_paths",
-    "PlanVerificationError",
-    "verify_plan",
-    "assert_valid_plan",
-    "plan_lint_source",
-    "plan_lint_file",
-    "plan_lint_paths",
-    "DynamicChecker",
-    "CollectiveMismatchError",
-    "LockOrderObserver",
-    "current_lock_observer",
-    "instrumented_lock",
-    "instrumented_rlock",
-    "instrumented_condition",
-    "use_lock_observer",
-    "threads_check_source",
-    "threads_check_paths",
-    "default_threads_paths",
-    "ALLOC_RULES",
-    "alloc_check_source",
-    "alloc_check_paths",
-    "alloc_scan",
-    "default_alloc_paths",
-    "static_alloc_sites",
-    "AllocationObserver",
-    "AllocationHook",
-    "use_alloc_observer",
-    "current_alloc_observer",
-    "maybe_alloc_hook",
-    "cross_check",
-    "MODES",
-    "run_check",
-    "run_lint",
-    "run_shapes",
-    "run_determinism",
-    "run_plan_checks",
-    "run_threads",
-    "run_alloc",
-    "run_dynamic",
-]

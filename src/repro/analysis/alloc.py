@@ -52,17 +52,11 @@ import ast
 import os
 from typing import Iterable, Sequence
 
-from repro.analysis.determinism import (
-    _FuncInfo,
-    _FunctionScanner,
-    _Index,
-    _module_name_for,
-    _roots,
-)
+from repro.analysis.determinism import reachable
 from repro.analysis.findings import Finding
 from repro.analysis.rules import get_rule
 from repro.analysis.shapes import DEFAULT_BINDINGS, Dim, _DTYPE_SIZES
-from repro.analysis.suppress import filter_findings
+from repro.analysis.source import FuncInfo, SourceIndex, package_root
 
 __all__ = [
     "HOT_MODULE_SUFFIXES",
@@ -72,7 +66,6 @@ __all__ = [
     "alloc_check_paths",
     "alloc_scan",
     "default_alloc_paths",
-    "static_alloc_sites",
 ]
 
 #: Modules whose every function is a hot region regardless of
@@ -309,7 +302,7 @@ def _invariant_base(node: ast.expr) -> str | None:
 class _HotFunctionScanner:
     """Scan one hot function for the four ALLOC rules."""
 
-    def __init__(self, info: _FuncInfo) -> None:
+    def __init__(self, info: FuncInfo) -> None:
         self.info = info
         #: (rule, line) -> Finding, so nested loops report a site once.
         self.found: dict[tuple[str, int], Finding] = {}
@@ -578,46 +571,23 @@ class _HotFunctionScanner:
 # ---------------------------------------------------------------------------
 # hot-region discovery + drivers
 # ---------------------------------------------------------------------------
-def _hot_functions(
-    index: _Index, forced_hot_paths: set[str]
-) -> list[_FuncInfo]:
+def _hot_functions(index: SourceIndex) -> list[FuncInfo]:
     """Reachable-from-plan functions ∪ functions of hot modules.
 
-    ``forced_hot_paths`` are files the caller explicitly targeted
-    (fixtures, single-file CLI runs): pointing the pass at a file
-    declares it hot.
+    Files the caller named explicitly (fixtures, single-file CLI runs)
+    are forced hot: pointing the pass at a file declares it hot.
     """
-    hot: dict[str, _FuncInfo] = {}
-
-    def add(info: _FuncInfo) -> None:
-        hot.setdefault(info.qualname, info)
-
-    # 1. call-graph closure from every UoIPlan.run_chain/reduce.
-    visited: set[str] = set()
-    queue: list[_FuncInfo] = list(_roots(index))
-    while queue:
-        info = queue.pop(0)
-        if info.qualname in visited:
-            continue
-        visited.add(info.qualname)
-        add(info)
-        scanner = _FunctionScanner(index, info, [info.display])
-        scanner.scan()  # DET findings discarded; only callees are used
-        for callee in scanner.callees:
-            if callee.qualname not in visited:
-                queue.append(callee)
-
+    hot: dict[str, FuncInfo] = {}
+    # 1. call-graph closure from every UoIPlan.run_chain/reduce (the
+    # DET traversal; its findings are discarded).
+    for scanner in reachable(index):
+        hot.setdefault(scanner.info.qualname, scanner.info)
     # 2. every function of the named hot modules / forced-hot files.
-    for mod in index.modules.values():
+    for mod in index.modules:
         posix = os.path.abspath(mod.path).replace(os.sep, "/")
-        named_hot = posix.endswith(HOT_MODULE_SUFFIXES)
-        if not named_hot and mod.path not in forced_hot_paths:
-            continue
-        for fn in mod.functions.values():
-            add(fn)
-        for cls in mod.classes.values():
-            for meth in cls.methods.values():
-                add(meth)
+        if posix.endswith(HOT_MODULE_SUFFIXES) or mod.explicit:
+            for fn in mod.defs():
+                hot.setdefault(fn.qualname, fn)
     return sorted(
         hot.values(), key=lambda f: (f.module.path, f.node.lineno)
     )
@@ -645,99 +615,33 @@ class AllocScan:
         self.files = files
 
 
-def alloc_scan(paths: Sequence[str] | None = None) -> AllocScan:
-    """Run the static pass and collect its cross-check coverage set."""
-    import re
+def alloc_scan(index: SourceIndex) -> AllocScan:
+    """Run the static pass over ``index`` and collect its cross-check
+    coverage set.
 
-    findings, index = _run(paths)
+    ``repro.analysis`` itself is never scanned unless named explicitly:
+    it builds workloads and fixtures whose loops are not production
+    hot paths.
+    """
+    index = index.select(
+        lambda mod: mod.explicit or "analysis" not in mod.name.split(".")
+    )
+    raw: list[Finding] = []
+    for info in _hot_functions(index):
+        raw.extend(_HotFunctionScanner(info).scan())
+    findings = index.suppress(raw, ALLOC_FAMILY)
     sites = {(os.path.abspath(f.file), f.line) for f in findings}
-    directive = re.compile(r"#\s*repro:\s*ignore\[[^\]]*ALLOC")
-    for mod in index.modules.values():
-        for lineno, line in enumerate(mod.source.splitlines(), start=1):
-            if directive.search(line):
+    for mod in index.modules:
+        for lineno, rules in mod.directives.items():
+            if any(r.startswith(ALLOC_FAMILY) for r in rules or ()):
                 sites.add((os.path.abspath(mod.path), lineno))
-    files = {os.path.abspath(mod.path) for mod in index.modules.values()}
+    files = {os.path.abspath(mod.path) for mod in index.modules}
     return AllocScan(findings, sites, files)
-
-
-def static_alloc_sites(
-    paths: Sequence[str] | None = None,
-) -> set[tuple[str, int]]:
-    """``(abspath, line)`` of every static finding *or* ALLOC
-    suppression (see :class:`AllocScan`)."""
-    return alloc_scan(paths).sites
-
-
-def _apply_suppressions(
-    index: _Index, findings: list[Finding]
-) -> list[Finding]:
-    by_file: dict[str, list[Finding]] = {}
-    for f in findings:
-        by_file.setdefault(f.file, []).append(f)
-    out: list[Finding] = []
-    sources = {mod.path: mod.source for mod in index.modules.values()}
-    for path, source in sorted(sources.items()):
-        out.extend(
-            filter_findings(
-                source, path, by_file.get(path, []), families=ALLOC_FAMILY
-            )
-        )
-    return out
-
-
-def _scan(index: _Index, forced_hot_paths: set[str]) -> list[Finding]:
-    findings: list[Finding] = []
-    for info in _hot_functions(index, forced_hot_paths):
-        findings.extend(_HotFunctionScanner(info).scan())
-    return findings
 
 
 def default_alloc_paths() -> list[str]:
     """The whole ``repro`` package."""
-    return [os.path.dirname(os.path.dirname(os.path.abspath(__file__)))]
-
-
-def _targets(paths: Sequence[str]) -> tuple[list[str], set[str]]:
-    targets: list[str] = []
-    forced_hot: set[str] = set()
-    for path in paths:
-        if os.path.isdir(path):
-            for dirpath, dirnames, filenames in os.walk(path):
-                dirnames[:] = sorted(
-                    d for d in dirnames if d != "__pycache__"
-                )
-                targets.extend(
-                    os.path.join(dirpath, f)
-                    for f in sorted(filenames)
-                    if f.endswith(".py")
-                )
-        elif path.endswith(".py"):
-            targets.append(path)
-            forced_hot.add(path)
-        else:
-            raise ValueError(f"not a directory or .py file: {path}")
-    return targets, forced_hot
-
-
-def _excluded(modname: str) -> bool:
-    # The pass never scans itself: repro.analysis builds workloads and
-    # fixtures whose loops are not production hot paths.
-    return "analysis" in modname.split(".")
-
-
-def _run(
-    paths: Sequence[str] | None,
-) -> tuple[list[Finding], _Index]:
-    roots = list(paths) if paths else default_alloc_paths()
-    targets, forced_hot = _targets(roots)
-    index = _Index()
-    for target in targets:
-        modname = _module_name_for(target)
-        if _excluded(modname) and target not in forced_hot:
-            continue
-        with open(target, "r", encoding="utf-8") as fh:
-            index.add_source(fh.read(), target, modname)
-    return _apply_suppressions(index, _scan(index, forced_hot)), index
+    return [package_root()]
 
 
 def alloc_check_source(
@@ -749,9 +653,7 @@ def alloc_check_source(
     it defines is scanned (fixtures and targeted CLI runs point the
     pass at code already known to be hot).
     """
-    index = _Index()
-    index.add_source(source, filename, "<standalone>")
-    return _apply_suppressions(index, _scan(index, {filename}))
+    return alloc_scan(SourceIndex.from_source(source, filename)).findings
 
 
 def alloc_check_paths(paths: Sequence[str] | None = None) -> list[Finding]:
@@ -760,5 +662,5 @@ def alloc_check_paths(paths: Sequence[str] | None = None) -> list[Finding]:
     Directories get hot-region inference (plan reachability + the
     named hot modules); explicitly listed files are forced hot.
     """
-    findings, _ = _run(paths)
-    return findings
+    index = SourceIndex.from_paths(paths or default_alloc_paths())
+    return alloc_scan(index).findings

@@ -5,9 +5,7 @@ this module *measures* it on a real engine run and attributes it to
 each (stage, bootstrap, λ) subproblem, exactly the static↔runtime
 pairing the DYN206 lock observer gives the LOCK5xx pass:
 
-* an :class:`AllocationObserver` is enabled globally with
-  ``REPRO_ALLOC_CHECK=1`` or per-scope with
-  :func:`use_alloc_observer`; while installed it (a) runs
+* an :class:`AllocationObserver`, while installed, (a) runs
   ``tracemalloc`` so every interval gets *net* retained bytes and the
   *peak* above its entry point — numpy data buffers are tracked, and
   per-iteration temporaries that never survive an interval still show
@@ -31,9 +29,9 @@ pairing the DYN206 lock observer gives the LOCK5xx pass:
 The observer is pure observation: wrapped constructors delegate to
 the originals and return their results unchanged, so observed fits
 are bitwise identical to unobserved ones (asserted in
-``tests/test_analysis_allocobs.py``).  When no observer is active
-nothing is patched and :func:`maybe_alloc_hook` returns ``None`` —
-the disabled path costs one environment lookup per run.
+``tests/test_analysis_allocobs.py``).  It is attached per run, as
+``run_plan(..., hooks=(AllocationHook(observer),))`` — ``repro check
+alloc`` does exactly that; with no hook installed nothing is patched.
 """
 
 from __future__ import annotations
@@ -43,8 +41,7 @@ import os
 import sys
 import threading
 import tracemalloc
-from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -55,9 +52,6 @@ from repro.engine.hooks import EngineHook
 __all__ = [
     "AllocationObserver",
     "AllocationHook",
-    "use_alloc_observer",
-    "current_alloc_observer",
-    "maybe_alloc_hook",
     "cross_check",
     "PATCHED_CONSTRUCTORS",
 ]
@@ -294,51 +288,6 @@ class AllocationHook(EngineHook):
 
 
 # ---------------------------------------------------------------------------
-# enablement (same pattern as the DYN206 lock observer)
-# ---------------------------------------------------------------------------
-_ACTIVE_OBSERVER: AllocationObserver | None = None
-_ENV_OBSERVER: AllocationObserver | None = None
-_OBSERVER_GUARD = threading.Lock()
-
-
-def current_alloc_observer() -> AllocationObserver | None:
-    """Scope-local observer, else the ``REPRO_ALLOC_CHECK=1``
-    process singleton, else ``None``."""
-    global _ENV_OBSERVER
-    if _ACTIVE_OBSERVER is not None:
-        return _ACTIVE_OBSERVER
-    if os.environ.get("REPRO_ALLOC_CHECK", "") not in ("", "0"):
-        with _OBSERVER_GUARD:
-            if _ENV_OBSERVER is None:
-                _ENV_OBSERVER = AllocationObserver()
-            return _ENV_OBSERVER
-    return None
-
-
-@contextmanager
-def use_alloc_observer(
-    observer: AllocationObserver,
-) -> Iterator[AllocationObserver]:
-    """Make ``observer`` current for the dynamic scope."""
-    global _ACTIVE_OBSERVER
-    previous = _ACTIVE_OBSERVER
-    _ACTIVE_OBSERVER = observer
-    try:
-        yield observer
-    finally:
-        _ACTIVE_OBSERVER = previous
-
-
-def maybe_alloc_hook() -> AllocationHook | None:
-    """An :class:`AllocationHook` for the current observer, or
-    ``None`` when allocation checking is disabled (the common case —
-    callers splice the result into ``run_plan(..., hooks=...)`` and
-    pay nothing)."""
-    observer = current_alloc_observer()
-    return AllocationHook(observer) if observer is not None else None
-
-
-# ---------------------------------------------------------------------------
 # static ↔ runtime cross-check
 # ---------------------------------------------------------------------------
 def cross_check(
@@ -353,7 +302,7 @@ def cross_check(
     static_sites:
         ``(abspath, line)`` of every static ALLOC finding *or*
         ``ALLOC`` suppression directive
-        (:func:`repro.analysis.alloc.static_alloc_sites`) — a
+        (:attr:`repro.analysis.alloc.AllocScan.sites`) — a
         suppressed site is a *known* site.
     observer:
         A finished observation (records closed, site totals final).

@@ -28,34 +28,36 @@ findings**: CI fails on any):
   :class:`~repro.analysis.dynamic.DynamicChecker`.
 
 ``repro check static`` runs the six static passes; ``repro check
-all`` runs everything.
+all`` runs everything.  The static passes share one
+:class:`~repro.analysis.source.SourceIndex`: every file is parsed and
+tokenized once, and each pass sees its default scope as a module
+filter over that index.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from repro.analysis.determinism import determinism_check_paths
+from repro.analysis.alloc import AllocScan, alloc_scan, default_alloc_paths
+from repro.analysis.determinism import (
+    default_determinism_paths,
+    determinism_check_index,
+)
 from repro.analysis.dynamic import DynamicChecker, LockOrderObserver, use_lock_observer
 from repro.analysis.findings import Finding
-from repro.analysis.linter import lint_paths
-from repro.analysis.planver import plan_lint_paths, verify_plan
-from repro.analysis.shapes import MemoryBudget, shape_check_paths
-from repro.analysis.threads import threads_check_paths
+from repro.analysis.linter import default_lint_paths, lint_index
+from repro.analysis.planver import default_plan_paths, plan_lint_index, verify_plan
+from repro.analysis.shapes import MemoryBudget, default_shape_paths, shape_check_index
+from repro.analysis.source import SourceIndex, package_root, under
+from repro.analysis.threads import default_threads_paths, threads_check_index
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.alloc import AllocScan
     from repro.simmpi.comm import SimComm
 
 __all__ = [
-    "run_lint",
-    "run_shapes",
-    "run_determinism",
     "run_plan_checks",
-    "run_threads",
-    "run_alloc",
     "run_dynamic",
     "run_check",
     "MODES",
@@ -72,26 +74,6 @@ MODES = (
     "dynamic",
     "all",
 )
-
-
-def run_lint(paths: Sequence[str] | None = None) -> list[Finding]:
-    """Static SPMD lint over ``paths`` (default: the installed ``repro``)."""
-    return lint_paths(paths)
-
-
-def run_shapes(
-    paths: Sequence[str] | None = None,
-    *,
-    budget: MemoryBudget | None = None,
-) -> list[Finding]:
-    """SHAPE pass over ``paths`` (default: ``repro.linalg`` +
-    ``repro.distribution``)."""
-    return shape_check_paths(paths, budget=budget)
-
-
-def run_determinism(paths: Sequence[str] | None = None) -> list[Finding]:
-    """DET taint pass over ``paths`` (default: the whole package)."""
-    return determinism_check_paths(paths)
 
 
 def _reference_plans() -> list[object]:
@@ -127,17 +109,15 @@ def _reference_plans() -> list[object]:
     return [LassoPlan(lasso_cfg, X, y), VarPlan(var_cfg, series)]
 
 
-def run_plan_checks(paths: Sequence[str] | None = None) -> list[Finding]:
-    """PLAN pass: AST lint plus ``verify_plan`` over reference plans."""
-    findings = plan_lint_paths(paths)
+def run_plan_checks(index: SourceIndex | None = None) -> list[Finding]:
+    """PLAN pass: AST lint over ``index`` (default: ``repro.engine`` +
+    ``repro.core``) plus ``verify_plan`` over reference plans."""
+    if index is None:
+        index = SourceIndex.from_paths(default_plan_paths())
+    findings = plan_lint_index(index)
     for plan in _reference_plans():
         findings.extend(verify_plan(plan))
     return findings
-
-
-def run_threads(paths: Sequence[str] | None = None) -> list[Finding]:
-    """LOCK pass over ``paths`` (default: the whole package)."""
-    return threads_check_paths(paths)
 
 
 def _exercise_lock_observer() -> DynamicChecker:
@@ -191,7 +171,7 @@ def _exercise_lock_observer() -> DynamicChecker:
 
 
 def _exercise_alloc_observer(
-    scan: "AllocScan", profile_out: str | None = None
+    scan: AllocScan, profile_out: str | None = None
 ) -> list[Finding]:
     """The DYN207 battery: observed vs unobserved reference fits.
 
@@ -231,25 +211,6 @@ def _exercise_alloc_observer(
     if profile_out is not None:
         observer.export_jsonl(profile_out)
     findings, _downgrades = cross_check(scan.sites, observer, scan.files)
-    return findings
-
-
-def run_alloc(
-    paths: Sequence[str] | None = None,
-    *,
-    observe: bool = True,
-    profile_out: str | None = None,
-) -> list[Finding]:
-    """ALLOC pass over ``paths`` (default: the whole package), plus —
-    when ``observe`` — the DYN207 runtime twin and its static↔runtime
-    cross-check.  ``profile_out`` writes the observation as JSONL (the
-    CI allocation-profile artifact)."""
-    from repro.analysis.alloc import alloc_scan
-
-    scan = alloc_scan(paths)
-    findings = list(scan.findings)
-    if observe:
-        findings.extend(_exercise_alloc_observer(scan, profile_out))
     return findings
 
 
@@ -338,6 +299,41 @@ def run_dynamic(*, nranks: int = 4) -> list[Finding]:
     return findings
 
 
+def _run_static(
+    mode: str,
+    paths: Sequence[str] | None,
+    budget: MemoryBudget | None,
+    profile_out: str | None,
+) -> list[Finding]:
+    """The static passes of ``mode`` over one shared index."""
+    index = SourceIndex.from_paths(paths or [package_root()])
+
+    def scope(default_paths: Callable[[], list[str]]) -> SourceIndex:
+        return index if paths else index.select(under(default_paths()))
+
+    findings: list[Finding] = []
+    if mode in ("lint", "static", "all"):
+        findings.extend(lint_index(scope(default_lint_paths)))
+    if mode in ("shapes", "static", "all"):
+        findings.extend(
+            shape_check_index(scope(default_shape_paths), budget=budget)
+        )
+    if mode in ("determinism", "static", "all"):
+        findings.extend(determinism_check_index(scope(default_determinism_paths)))
+    if mode in ("plan", "static", "all"):
+        findings.extend(run_plan_checks(scope(default_plan_paths)))
+    if mode in ("threads", "static", "all"):
+        findings.extend(threads_check_index(scope(default_threads_paths)))
+    if mode in ("alloc", "static", "all"):
+        scan = alloc_scan(scope(default_alloc_paths))
+        findings.extend(scan.findings)
+        # "static" runs the AST pass alone; "alloc" and "all" add the
+        # DYN207 runtime twin + cross-check.
+        if mode != "static":
+            findings.extend(_exercise_alloc_observer(scan, profile_out))
+    return findings
+
+
 def run_check(
     mode: str = "all",
     *,
@@ -358,22 +354,8 @@ def run_check(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     findings: list[Finding] = []
-    if mode in ("lint", "static", "all"):
-        findings.extend(run_lint(paths))
-    if mode in ("shapes", "static", "all"):
-        findings.extend(run_shapes(paths, budget=budget))
-    if mode in ("determinism", "static", "all"):
-        findings.extend(run_determinism(paths))
-    if mode in ("plan", "static", "all"):
-        findings.extend(run_plan_checks(paths))
-    if mode in ("threads", "static", "all"):
-        findings.extend(run_threads(paths))
-    if mode in ("alloc", "static", "all"):
-        # "static" runs the AST pass alone; "alloc" and "all" add the
-        # DYN207 runtime twin + cross-check.
-        findings.extend(
-            run_alloc(paths, observe=mode != "static", profile_out=profile_out)
-        )
+    if mode != "dynamic":
+        findings.extend(_run_static(mode, paths, budget, profile_out))
     if mode in ("threads", "dynamic", "all"):
         findings.extend(_exercise_lock_observer().findings)
     if mode in ("dynamic", "all"):

@@ -10,10 +10,11 @@ the contract statically by answering one question: *can a
 nondeterminism source flow into code reachable from
 ``UoIPlan.run_chain`` or ``reduce``?*
 
-The pass builds a whole-package index (modules, imports, classes,
-functions), roots the call graph at every ``run_chain``/``reduce``
-method of a :class:`~repro.engine.plan.UoIPlan` subclass, and walks
-the reachable closure looking for:
+The pass reads the whole-package symbol index
+(:class:`~repro.analysis.source.SourceIndex`), roots the call graph at
+every ``run_chain``/``reduce`` method of a
+:class:`~repro.engine.plan.UoIPlan` subclass, and walks the reachable
+closure looking for:
 
 * ``DET301`` — wall-clock reads (``time.time``, ``perf_counter``,
   ``datetime.now``, ...);
@@ -40,19 +41,25 @@ arithmetic.  Suppress per line with ``# repro: ignore[DET30x]``.
 from __future__ import annotations
 
 import ast
-import os
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.analysis.findings import Finding
 from repro.analysis.rules import get_rule
-from repro.analysis.suppress import filter_findings
+from repro.analysis.source import (
+    ClassInfo,
+    FuncInfo,
+    ModuleInfo,
+    SourceIndex,
+    dotted,
+    package_root,
+)
 
 __all__ = [
     "EXCLUDED_SUBPACKAGES",
     "SCANNED_EXCEPTIONS",
     "PLAN_BASE",
     "ROOT_METHODS",
+    "determinism_check_index",
     "determinism_check_source",
     "determinism_check_paths",
     "default_determinism_paths",
@@ -154,189 +161,32 @@ _RANDOM_MODULE_FUNCS = frozenset(
 )
 
 
-def _dotted(node: ast.expr) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        base = _dotted(node.value)
-        return f"{base}.{node.attr}" if base else None
-    return None
+def _is_plan_class(
+    index: SourceIndex, site: tuple[ModuleInfo, ClassInfo]
+) -> bool:
+    """Whether the class transitively derives from ``UoIPlan``.
 
-
-@dataclass
-class _FuncInfo:
-    module: "_ModuleInfo"
-    cls: str | None
-    name: str
-    node: ast.FunctionDef | ast.AsyncFunctionDef
-
-    @property
-    def qualname(self) -> str:
-        prefix = f"{self.cls}." if self.cls else ""
-        return f"{self.module.name}.{prefix}{self.name}"
-
-    @property
-    def display(self) -> str:
-        prefix = f"{self.cls}." if self.cls else ""
-        return f"{prefix}{self.name}"
-
-
-@dataclass
-class _ClassInfo:
-    name: str
-    bases: list[str] = field(default_factory=list)  # terminal base names
-    methods: dict[str, _FuncInfo] = field(default_factory=dict)
-
-
-@dataclass
-class _ModuleInfo:
-    name: str  # dotted module name (repro.engine.plans)
-    path: str
-    source: str
-    tree: ast.Module
-    functions: dict[str, _FuncInfo] = field(default_factory=dict)
-    classes: dict[str, _ClassInfo] = field(default_factory=dict)
-    #: ``from repro.x import f`` / ``import repro.x as y`` bindings:
-    #: local name -> dotted source module.
-    imports: dict[str, str] = field(default_factory=dict)
-
-
-class _Index:
-    """Whole-package symbol index for call resolution."""
-
-    def __init__(self) -> None:
-        self.modules: dict[str, _ModuleInfo] = {}
-        #: module-level function name -> every definition site.
-        self.functions_by_name: dict[str, list[_FuncInfo]] = {}
-        #: class name -> every (module, class) definition site.
-        self.classes_by_name: dict[str, list[tuple[_ModuleInfo, _ClassInfo]]] = {}
-
-    # -------------------------------------------------------- building
-    def add_source(self, source: str, path: str, modname: str) -> None:
-        tree = ast.parse(source, filename=path)
-        mod = _ModuleInfo(name=modname, path=path, source=source, tree=tree)
-        for stmt in tree.body:
-            self._index_stmt(mod, stmt)
-        self.modules[modname] = mod
-        for fn in mod.functions.values():
-            self.functions_by_name.setdefault(fn.name, []).append(fn)
-        for cls in mod.classes.values():
-            self.classes_by_name.setdefault(cls.name, []).append((mod, cls))
-
-    def _index_stmt(self, mod: _ModuleInfo, stmt: ast.stmt) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            mod.functions[stmt.name] = _FuncInfo(mod, None, stmt.name, stmt)
-        elif isinstance(stmt, ast.ClassDef):
-            cls = _ClassInfo(name=stmt.name)
-            for base in stmt.bases:
-                terminal = base.attr if isinstance(base, ast.Attribute) else (
-                    base.id if isinstance(base, ast.Name) else None
-                )
-                if terminal:
-                    cls.bases.append(terminal)
-            for sub in stmt.body:
-                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    cls.methods[sub.name] = _FuncInfo(
-                        mod, stmt.name, sub.name, sub
-                    )
-            mod.classes[stmt.name] = cls
-        elif isinstance(stmt, ast.ImportFrom) and stmt.module:
-            for alias in stmt.names:
-                mod.imports[alias.asname or alias.name] = stmt.module
-        elif isinstance(stmt, ast.Import):
-            for alias in stmt.names:
-                mod.imports[alias.asname or alias.name] = alias.name
-        elif isinstance(stmt, (ast.If, ast.Try)):
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.stmt):
-                    self._index_stmt(mod, child)
-
-    # ------------------------------------------------------ resolution
-    def resolve_class(
-        self, name: str, mod: _ModuleInfo
-    ) -> tuple[_ModuleInfo, _ClassInfo] | None:
-        if name in mod.classes:
-            return mod, mod.classes[name]
-        src = mod.imports.get(name)
-        if src is not None and src in self.modules:
-            other = self.modules[src]
-            if name in other.classes:
-                return other, other.classes[name]
-        sites = self.classes_by_name.get(name, [])
-        if len(sites) == 1:
-            return sites[0]
-        return None
-
-    def resolve_function(self, name: str, mod: _ModuleInfo) -> _FuncInfo | None:
-        if name in mod.functions:
-            return mod.functions[name]
-        src = mod.imports.get(name)
-        if src is not None and src in self.modules:
-            other = self.modules[src]
-            if name in other.functions:
-                return other.functions[name]
-        sites = self.functions_by_name.get(name, [])
-        if len(sites) == 1:
-            return sites[0]
-        return None
-
-    def resolve_method(
-        self, cls_site: tuple[_ModuleInfo, _ClassInfo], name: str
-    ) -> _FuncInfo | None:
-        """Look up ``name`` on the class, walking the base-name chain."""
-        seen: set[str] = set()
-        stack = [cls_site]
-        while stack:
-            mod, cls = stack.pop()
-            if cls.name in seen:
-                continue
-            seen.add(cls.name)
-            if name in cls.methods:
-                return cls.methods[name]
-            for base in cls.bases:
-                site = self.resolve_class(base, mod)
-                if site is not None:
-                    stack.append(site)
-        return None
-
-    def is_plan_class(self, mod: _ModuleInfo, cls: _ClassInfo) -> bool:
-        """Whether ``cls`` transitively derives from ``UoIPlan``.
-
-        An *unresolvable* base named ``UoIPlan`` still counts: a
-        single-file fixture subclassing the (unindexed) engine base is
-        a plan by declaration.
-        """
-        seen: set[str] = set()
-        stack: list[tuple[_ModuleInfo, _ClassInfo]] = [(mod, cls)]
-        while stack:
-            m, c = stack.pop()
-            if c.name in seen:
-                continue
-            seen.add(c.name)
-            if c.name == PLAN_BASE:
-                return True
-            for base in c.bases:
-                if base == PLAN_BASE:
-                    return True
-                site = self.resolve_class(base, m)
-                if site is not None:
-                    stack.append(site)
-        return False
+    An *unresolvable* base named ``UoIPlan`` still counts: a
+    single-file fixture subclassing the (unindexed) engine base is a
+    plan by declaration.
+    """
+    return any(
+        info.name == PLAN_BASE or PLAN_BASE in info.bases
+        for _mod, info in index.lineage(site)
+    )
 
 
 class _FunctionScanner:
     """Scan one reachable function for sources and outgoing calls."""
 
-    def __init__(self, index: _Index, info: _FuncInfo, path: list[str]) -> None:
+    def __init__(self, index: SourceIndex, info: FuncInfo, path: list[str]) -> None:
         self.index = index
         self.info = info
         self.path = path  # display names, root first
         self.findings: list[Finding] = []
-        self.callees: list[_FuncInfo] = []
-        self._parents: dict[ast.AST, ast.AST] = {}
+        self.callees: list[FuncInfo] = []
         #: local name -> class site, from ``x = ClassName(...)``.
-        self._local_types: dict[str, tuple[_ModuleInfo, _ClassInfo]] = {}
+        self._local_types: dict[str, tuple[ModuleInfo, ClassInfo]] = {}
         #: local names provably bound to sets.
         self._local_sets: set[str] = set()
 
@@ -359,10 +209,6 @@ class _FunctionScanner:
     # ------------------------------------------------------------ scan
     def scan(self) -> None:
         body = self.info.node.body
-        for stmt in body:
-            for node in ast.walk(stmt):
-                for child in ast.iter_child_nodes(node):
-                    self._parents[child] = node
         self._prepass(body)
         for stmt in body:
             for node in ast.walk(stmt):
@@ -400,31 +246,31 @@ class _FunctionScanner:
 
     # ----------------------------------------------------- taint rules
     def _check_call(self, call: ast.Call) -> None:
-        dotted = _dotted(call.func)
-        if dotted is None:
+        name = dotted(call.func)
+        if name is None:
             return
-        if dotted in _WALL_CLOCK_CALLS:
+        if name in _WALL_CLOCK_CALLS:
             self._emit(
                 "DET301",
                 call.lineno,
-                f"wall-clock read `{dotted}()` in plan-reachable code: "
+                f"wall-clock read `{name}()` in plan-reachable code: "
                 "results would depend on when the run started, breaking "
                 "same-seed bitwise replay",
             )
             return
         if (
-            dotted in _OS_ORDER_CALLS or dotted.endswith(".iterdir")
+            name in _OS_ORDER_CALLS or name.endswith(".iterdir")
         ) and not self._wrapped_in_sorted(call):
             self._emit(
                 "DET302",
                 call.lineno,
-                f"os-ordered listing `{dotted}()` feeds plan-reachable "
+                f"os-ordered listing `{name}()` feeds plan-reachable "
                 "code without sorted(...): filesystem order differs "
                 "across nodes and runs",
             )
             return
         # DET304: unseeded RNG.
-        terminal = dotted.rsplit(".", 1)[-1]
+        terminal = name.rsplit(".", 1)[-1]
         if terminal == "default_rng" and not call.args and not call.keywords:
             self._emit(
                 "DET304",
@@ -434,7 +280,7 @@ class _FunctionScanner:
                 "the run's random_state",
             )
             return
-        parts = dotted.split(".")
+        parts = name.split(".")
         if (
             len(parts) == 2
             and parts[0] == "random"
@@ -443,18 +289,18 @@ class _FunctionScanner:
             self._emit(
                 "DET304",
                 call.lineno,
-                f"stdlib global-state RNG `{dotted}()` in plan-reachable "
+                f"stdlib global-state RNG `{name}()` in plan-reachable "
                 "code: process-wide state interleaves across simulated "
                 "ranks and cannot replay from the run's seed",
             )
 
     def _wrapped_in_sorted(self, call: ast.Call) -> bool:
-        node: ast.AST = call
-        parent = self._parents.get(node)
-        if isinstance(parent, ast.Call) and isinstance(parent.func, ast.Name):
-            if parent.func.id in ("sorted", "len", "any", "all"):
-                return True
-        return False
+        parent = self.info.module.parents.get(call)
+        return (
+            isinstance(parent, ast.Call)
+            and isinstance(parent.func, ast.Name)
+            and parent.func.id in ("sorted", "len", "any", "all")
+        )
 
     def _check_set_iteration(self, it: ast.expr) -> None:
         is_set = isinstance(it, (ast.Set, ast.SetComp))
@@ -508,23 +354,9 @@ class _FunctionScanner:
                 if meth is not None:
                     self.callees.append(meth)
                 return
-            src = mod.imports.get(value.id)
-            if src is not None and src in self.index.modules:
-                other = self.index.modules[src]
-                if func.attr in other.functions:
-                    self.callees.append(other.functions[func.attr])
-            return
-
-
-def _module_name_for(path: str) -> str:
-    """Dotted module name of ``path``; falls back to the stem."""
-    posix = os.path.abspath(path).replace(os.sep, "/")
-    marker = "/src/repro/"
-    idx = posix.rfind(marker)
-    if idx >= 0:
-        rel = posix[idx + len("/src/") :]
-        return rel[: -len(".py")].replace("/", ".").replace(".__init__", "")
-    return os.path.basename(path)[: -len(".py")]
+            other = self.index.by_name.get(mod.imports.get(value.id, ""))
+            if other is not None and func.attr in other.functions:
+                self.callees.append(other.functions[func.attr])
 
 
 def _excluded(modname: str) -> bool:
@@ -534,11 +366,11 @@ def _excluded(modname: str) -> bool:
     return any(sub in parts for sub in EXCLUDED_SUBPACKAGES)
 
 
-def _roots(index: _Index) -> list[_FuncInfo]:
-    out: list[_FuncInfo] = []
-    for mod in index.modules.values():
+def _roots(index: SourceIndex) -> list[FuncInfo]:
+    out: list[FuncInfo] = []
+    for mod in index.modules:
         for cls in mod.classes.values():
-            if not index.is_plan_class(mod, cls):
+            if not _is_plan_class(index, (mod, cls)):
                 continue
             for meth in ROOT_METHODS:
                 if meth in cls.methods:
@@ -547,11 +379,11 @@ def _roots(index: _Index) -> list[_FuncInfo]:
     return out
 
 
-def _taint(index: _Index) -> list[Finding]:
-    """BFS the call graph from every plan root, scanning as we go."""
-    findings: list[Finding] = []
+def reachable(index: SourceIndex) -> Iterator[_FunctionScanner]:
+    """BFS the call graph from every plan root, yielding each reached
+    function's finished scan once (the ALLOC pass reuses the closure)."""
     visited: set[str] = set()
-    queue: list[tuple[_FuncInfo, list[str]]] = [
+    queue: list[tuple[FuncInfo, list[str]]] = [
         (root, [root.display]) for root in _roots(index)
     ]
     while queue:
@@ -561,28 +393,21 @@ def _taint(index: _Index) -> list[Finding]:
         visited.add(info.qualname)
         scanner = _FunctionScanner(index, info, path)
         scanner.scan()
-        findings.extend(scanner.findings)
+        yield scanner
         for callee in scanner.callees:
             if callee.qualname not in visited:
                 queue.append((callee, path + [callee.display]))
-    return findings
 
 
-def _apply_suppressions(
-    index: _Index, findings: list[Finding]
-) -> list[Finding]:
-    by_file: dict[str, list[Finding]] = {}
-    for f in findings:
-        by_file.setdefault(f.file, []).append(f)
-    out: list[Finding] = []
-    sources = {mod.path: mod.source for mod in index.modules.values()}
-    for path, source in sorted(sources.items()):
-        out.extend(
-            filter_findings(
-                source, path, by_file.get(path, []), families=("DET",)
-            )
-        )
-    return out
+def determinism_check_index(index: SourceIndex) -> list[Finding]:
+    """Run the DET pass over ``index`` minus the excluded subpackages.
+
+    All modules are indexed together, so reachability crosses module
+    boundaries (``run_chain`` → ``lasso_path`` → solver internals).
+    """
+    index = index.select(lambda mod: not _excluded(mod.name))
+    findings = [f for scanner in reachable(index) for f in scanner.findings]
+    return index.suppress(findings, ("DET",))
 
 
 def determinism_check_source(
@@ -594,44 +419,18 @@ def determinism_check_source(
     *named* ``UoIPlan`` root the traversal even though the engine base
     itself is not indexed.
     """
-    index = _Index()
-    index.add_source(source, filename, "<standalone>")
-    return _apply_suppressions(index, _taint(index))
+    return determinism_check_index(SourceIndex.from_source(source, filename))
 
 
 def default_determinism_paths() -> list[str]:
     """The whole ``repro`` package (exclusions applied per module)."""
-    return [os.path.dirname(os.path.dirname(os.path.abspath(__file__)))]
+    return [package_root()]
 
 
 def determinism_check_paths(
     paths: Sequence[str] | None = None,
 ) -> list[Finding]:
-    """Run the DET pass over ``.py`` files under ``paths``.
-
-    All files are indexed together, so reachability crosses module
-    boundaries (``run_chain`` → ``lasso_path`` → solver internals).
-    """
-    roots = paths if paths else default_determinism_paths()
-    targets: list[str] = []
-    for path in roots:
-        if os.path.isdir(path):
-            for dirpath, dirnames, filenames in os.walk(path):
-                dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
-                targets.extend(
-                    os.path.join(dirpath, f)
-                    for f in sorted(filenames)
-                    if f.endswith(".py")
-                )
-        elif path.endswith(".py"):
-            targets.append(path)
-        else:
-            raise ValueError(f"not a directory or .py file: {path}")
-    index = _Index()
-    for target in targets:
-        modname = _module_name_for(target)
-        if _excluded(modname):
-            continue
-        with open(target, "r", encoding="utf-8") as fh:
-            index.add_source(fh.read(), target, modname)
-    return _apply_suppressions(index, _taint(index))
+    """Run the DET pass over ``.py`` files under ``paths``."""
+    return determinism_check_index(
+        SourceIndex.from_paths(paths or default_determinism_paths())
+    )

@@ -34,17 +34,16 @@ collective when called on something named like a communicator).
 from __future__ import annotations
 
 import ast
-import os
 from typing import Iterable, Sequence
 
 from repro.analysis.findings import Finding
 from repro.analysis.rules import get_rule
-from repro.analysis.suppress import IGNORE_RE, filter_findings
+from repro.analysis.source import SourceIndex, package_root, scope_bodies, terminal
 
 __all__ = [
     "COLLECTIVE_METHODS",
+    "lint_index",
     "lint_source",
-    "lint_file",
     "lint_paths",
     "default_lint_paths",
 ]
@@ -93,26 +92,14 @@ _COMM_NAME_HINTS = ("comm", "world", "cell", "bgroup", "lgroup", "stripe")
 #: Receiver names that identify an RMA window handle.
 _WIN_NAME_HINTS = ("win", "window")
 
-#: Suppression syntax (shared; see :mod:`repro.analysis.suppress`).
-_IGNORE_RE = IGNORE_RE
-
-
-def _terminal_name(node: ast.expr) -> str:
-    """Rightmost identifier of a Name/Attribute chain, lowercased."""
-    if isinstance(node, ast.Attribute):
-        return node.attr.lower()
-    if isinstance(node, ast.Name):
-        return node.id.lower()
-    return ""
-
 
 def _receiver_is_commlike(node: ast.expr) -> bool:
-    name = _terminal_name(node)
+    name = (terminal(node) or "").lower()
     return any(h in name for h in _COMM_NAME_HINTS)
 
 
 def _receiver_is_windowlike(node: ast.expr) -> bool:
-    name = _terminal_name(node)
+    name = (terminal(node) or "").lower()
     return any(h in name for h in _WIN_NAME_HINTS)
 
 
@@ -250,14 +237,6 @@ class _SpmdVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _scope_bodies(tree: ast.Module) -> Iterable[list[ast.stmt]]:
-    """Yield every function body plus the module body (SPMD004 scopes)."""
-    yield tree.body
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.body
-
-
 def _get_from_window(node: ast.expr) -> bool:
     """Whether ``node`` is a ``<window>.get(...)`` call (no ``.copy()``)."""
     return (
@@ -276,7 +255,7 @@ def _walk_scope(stmt: ast.stmt) -> Iterable[ast.AST]:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             # A nested (or module-level) def is its own scope; its body
-            # is yielded separately by _scope_bodies.
+            # is yielded separately by scope_bodies.
             continue
         yield node
         stack.extend(ast.iter_child_nodes(node))
@@ -349,48 +328,28 @@ def _check_rma_mutations(
             )
 
 
+def lint_index(index: SourceIndex) -> list[Finding]:
+    """SPMD lint over every module of ``index``; suppression-filtered."""
+    findings: list[Finding] = []
+    for mod in index.modules:
+        visitor = _SpmdVisitor(mod.path)
+        visitor.visit(mod.tree)
+        findings.extend(visitor.findings)
+        for body in scope_bodies(mod.tree):
+            _check_rma_mutations(body, mod.path, findings)
+    return index.suppress(findings, ("SPMD",))
+
+
 def lint_source(source: str, filename: str = "<string>") -> list[Finding]:
-    """Lint one source string; returns suppression-filtered findings."""
-    tree = ast.parse(source, filename=filename)
-    visitor = _SpmdVisitor(filename)
-    visitor.visit(tree)
-    findings = visitor.findings
-    for body in _scope_bodies(tree):
-        _check_rma_mutations(body, filename, findings)
-    return filter_findings(source, filename, findings, families=("SPMD",))
-
-
-def lint_file(path: str) -> list[Finding]:
-    """Lint one file from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return lint_source(fh.read(), filename=path)
+    """Lint one source string."""
+    return lint_index(SourceIndex.from_source(source, filename))
 
 
 def default_lint_paths() -> list[str]:
     """The tree ``repro check lint`` covers by default: ``src/repro``."""
-    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    return [here]
+    return [package_root()]
 
 
 def lint_paths(paths: Sequence[str] | None = None) -> list[Finding]:
     """Lint every ``.py`` file under ``paths`` (files or directories)."""
-    targets: list[str] = []
-    for path in paths if paths else default_lint_paths():
-        if os.path.isdir(path):
-            for dirpath, dirnames, filenames in os.walk(path):
-                dirnames[:] = sorted(
-                    d for d in dirnames if d != "__pycache__"
-                )
-                targets.extend(
-                    os.path.join(dirpath, f)
-                    for f in sorted(filenames)
-                    if f.endswith(".py")
-                )
-        elif path.endswith(".py"):
-            targets.append(path)
-        else:
-            raise ValueError(f"not a directory or .py file: {path}")
-    findings: list[Finding] = []
-    for target in targets:
-        findings.extend(lint_file(target))
-    return findings
+    return lint_index(SourceIndex.from_paths(paths or default_lint_paths()))

@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 
 from repro.analysis.findings import Finding, format_findings
 from repro.analysis.rules import get_rule
-from repro.analysis.suppress import filter_findings
+from repro.analysis.source import ModuleInfo, SourceIndex, package_root
 
 __all__ = [
     "PlanVerificationError",
@@ -49,8 +49,8 @@ __all__ = [
     "assert_valid_plan",
     "verify_lease_disjointness",
     "assert_disjoint_leases",
+    "plan_lint_index",
     "plan_lint_source",
-    "plan_lint_file",
     "plan_lint_paths",
     "default_plan_paths",
 ]
@@ -436,14 +436,11 @@ def _key_argument(call: ast.Call) -> ast.expr | None:
 
 
 def _check_static_duplicate_keys(
-    tree: ast.Module, filename: str, findings: list[Finding]
+    mod: ModuleInfo, findings: list[Finding]
 ) -> None:
     """PLAN401 static: constant Subproblem key built inside a loop."""
-    parents: dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    for node in ast.walk(tree):
+    parents = mod.parents
+    for node in ast.walk(mod.tree):
         if not (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
@@ -471,7 +468,7 @@ def _check_static_duplicate_keys(
                         "key, so records clobber each other — interpolate "
                         "the loop indices into the key"
                     ),
-                    file=filename,
+                    file=mod.path,
                     line=node.lineno,
                     source="lint",
                     context={},
@@ -509,9 +506,7 @@ def _mentions_rank_or_ownership(test: ast.expr) -> bool:
     return False
 
 
-def _check_static_congruence(
-    tree: ast.Module, filename: str, findings: list[Finding]
-) -> None:
+def _check_static_congruence(mod: ModuleInfo, findings: list[Finding]) -> None:
     """PLAN404 static: collective discipline inside plan classes.
 
     ``run_chain`` runs only on the owning cell's ranks, so a
@@ -521,7 +516,7 @@ def _check_static_congruence(
     check).
     """
     rule = get_rule("PLAN404")
-    for cls in _plan_classes(tree):
+    for cls in _plan_classes(mod.tree):
         for meth in cls.body:
             if not isinstance(meth, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -546,17 +541,14 @@ def _check_static_congruence(
                                     "other ranks block forever; use the "
                                     "cell/solver communicator"
                                 ),
-                                file=filename,
+                                file=mod.path,
                                 line=node.lineno,
                                 source="lint",
                                 context={"receiver": receiver},
                             )
                         )
             elif meth.name == "reduce":
-                parents: dict[ast.AST, ast.AST] = {}
-                for node in ast.walk(meth):
-                    for child in ast.iter_child_nodes(node):
-                        parents[child] = node
+                parents = mod.parents
                 for node in ast.walk(meth):
                     if not isinstance(node, ast.Call):
                         continue
@@ -586,7 +578,7 @@ def _check_static_congruence(
                                     "unconditional (accumulate under the "
                                     "guard, reduce outside it)"
                                 ),
-                                file=filename,
+                                file=mod.path,
                                 line=node.lineno,
                                 source="lint",
                                 context={"receiver": receiver},
@@ -594,44 +586,26 @@ def _check_static_congruence(
                         )
 
 
+def plan_lint_index(index: SourceIndex) -> list[Finding]:
+    """Run the static PLAN checks over every module of ``index``."""
+    findings: list[Finding] = []
+    for mod in index.modules:
+        _check_static_duplicate_keys(mod, findings)
+        _check_static_congruence(mod, findings)
+    return index.suppress(findings, ("PLAN",))
+
+
 def plan_lint_source(source: str, filename: str = "<string>") -> list[Finding]:
     """Run the static PLAN checks over one source string."""
-    tree = ast.parse(source, filename=filename)
-    findings: list[Finding] = []
-    _check_static_duplicate_keys(tree, filename, findings)
-    _check_static_congruence(tree, filename, findings)
-    return filter_findings(source, filename, findings, families=("PLAN",))
-
-
-def plan_lint_file(path: str) -> list[Finding]:
-    """Run the static PLAN checks over one file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return plan_lint_source(fh.read(), filename=path)
+    return plan_lint_index(SourceIndex.from_source(source, filename))
 
 
 def default_plan_paths() -> list[str]:
     """Where plans live: the engine and the distributed core."""
-    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    here = package_root()
     return [os.path.join(here, "engine"), os.path.join(here, "core")]
 
 
 def plan_lint_paths(paths: Sequence[str] | None = None) -> list[Finding]:
     """Run the static PLAN checks over ``.py`` files under ``paths``."""
-    targets: list[str] = []
-    for path in paths if paths else default_plan_paths():
-        if os.path.isdir(path):
-            for dirpath, dirnames, filenames in os.walk(path):
-                dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
-                targets.extend(
-                    os.path.join(dirpath, f)
-                    for f in sorted(filenames)
-                    if f.endswith(".py")
-                )
-        elif path.endswith(".py"):
-            targets.append(path)
-        else:
-            raise ValueError(f"not a directory or .py file: {path}")
-    findings: list[Finding] = []
-    for target in targets:
-        findings.extend(plan_lint_file(target))
-    return findings
+    return plan_lint_index(SourceIndex.from_paths(paths or default_plan_paths()))

@@ -17,7 +17,7 @@ Seven rule families, one findings currency:
   stream layers (:mod:`repro.analysis.threads`);
 * ``ALLOC6xx`` — the allocation/copy pass over the hot regions
   (:mod:`repro.analysis.alloc`), plus ``SUP001`` for stale
-  suppressions (:mod:`repro.analysis.suppress`).
+  suppressions (:mod:`repro.analysis.source`).
 
 Every rule documented here also appears, with an example and its
 suppression syntax, in ``docs/static-analysis.md`` — keep the two in

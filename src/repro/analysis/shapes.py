@@ -39,7 +39,13 @@ from typing import Iterable, Sequence
 
 from repro.analysis.findings import Finding
 from repro.analysis.rules import get_rule
-from repro.analysis.suppress import filter_findings
+from repro.analysis.source import (
+    SourceIndex,
+    dotted,
+    package_root,
+    scope_bodies,
+    terminal,
+)
 
 __all__ = [
     "Dim",
@@ -48,8 +54,8 @@ __all__ = [
     "DEFAULT_BINDINGS",
     "SANCTIONED_KRON_MODULES",
     "SOLVER_BOUNDARIES",
+    "shape_check_index",
     "shape_check_source",
-    "shape_check_file",
     "shape_check_paths",
     "default_shape_paths",
 ]
@@ -174,24 +180,6 @@ class MemoryBudget:
     bindings: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_BINDINGS))
 
 
-def _terminal(node: ast.expr) -> str:
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return ""
-
-
-def _var_key(node: ast.expr) -> str | None:
-    """Dotted key for a Name/Attribute chain (``x``, ``self.Xc``)."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        base = _var_key(node.value)
-        return f"{base}.{node.attr}" if base else None
-    return None
-
-
 def _is_np_attr(node: ast.expr, names: Iterable[str]) -> str | None:
     """``fn`` when ``node`` is ``np.fn`` / ``numpy.fn`` with fn in names."""
     if (
@@ -270,7 +258,7 @@ class _ScopeInterpreter:
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
             return Dim(float(node.value))
         if isinstance(node, (ast.Name, ast.Attribute)):
-            name = _terminal(node)
+            name = terminal(node)
             return Dim(1.0, (name,)) if name else Dim(1.0, (_UNKNOWN,))
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
             return self._dim(node.left) * self._dim(node.right)
@@ -280,7 +268,7 @@ class _ScopeInterpreter:
             and node.func.id == "len"
             and node.args
         ):
-            inner = _var_key(node.args[0])
+            inner = dotted(node.args[0])
             return Dim(1.0, (f"len({inner})" if inner else _UNKNOWN,))
         return Dim(1.0, (_UNKNOWN,))
 
@@ -378,7 +366,7 @@ class _ScopeInterpreter:
             return ArrayInfo()
 
         # identity_kron(...) / IdentityKronOperator(...): lifted objects.
-        callee = _terminal(func)
+        callee = terminal(func)
         if callee == "identity_kron":
             sparse_kw = _kwarg(call, "sparse")
             dense = (
@@ -447,7 +435,7 @@ class _ScopeInterpreter:
 
     def _eval_expr(self, node: ast.expr) -> ArrayInfo | None:
         """ArrayInfo of an expression, if the interpreter can tell."""
-        key = _var_key(node)
+        key = dotted(node)
         if key is not None and key in self.env:
             return self.env[key]
         if isinstance(node, ast.Call):
@@ -548,7 +536,7 @@ class _ScopeInterpreter:
             and isinstance(value, ast.Attribute)
             and value.attr == "shape"
         ):
-            src = _var_key(value.value)
+            src = dotted(value.value)
             dims = []
             for el in target.elts:
                 name = el.id if isinstance(el, ast.Name) else _UNKNOWN
@@ -566,7 +554,7 @@ class _ScopeInterpreter:
             self._eval_expr(value)
             return
         info = self._eval_expr(value)
-        key = _var_key(target)
+        key = dotted(target)
         if key is None:
             return
         if info is not None:
@@ -575,16 +563,36 @@ class _ScopeInterpreter:
             self.env.pop(key, None)  # rebound to something unknown
 
 
-def _scope_bodies(tree: ast.Module) -> Iterable[list[ast.stmt]]:
-    yield tree.body
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.body
-
-
 def _is_sanctioned(filename: str, sanctioned: tuple[str, ...]) -> bool:
     posix = filename.replace(os.sep, "/")
     return any(posix.endswith(suffix) for suffix in sanctioned)
+
+
+def shape_check_index(
+    index: SourceIndex,
+    *,
+    budget: MemoryBudget | None = None,
+    sanctioned: tuple[str, ...] = SANCTIONED_KRON_MODULES,
+) -> list[Finding]:
+    """Run the SHAPE pass over every module of ``index``."""
+    budget = budget if budget is not None else MemoryBudget()
+    findings: list[Finding] = []
+    for mod in index.modules:
+        in_sanctioned = _is_sanctioned(mod.path, sanctioned)
+        raw: list[Finding] = []
+        for body in scope_bodies(mod.tree):
+            interp = _ScopeInterpreter(mod.path, raw, budget, in_sanctioned)
+            interp.run(body)
+        # One finding per (rule, line): the expression evaluator may
+        # visit a call twice (once as a value, once inside an enclosing
+        # binop).
+        seen: set[tuple[str, int, str]] = set()
+        for f in raw:
+            sig = (f.rule, f.line, f.message)
+            if sig not in seen:
+                seen.add(sig)
+                findings.append(f)
+    return index.suppress(findings, ("SHAPE",))
 
 
 def shape_check_source(
@@ -595,31 +603,11 @@ def shape_check_source(
     sanctioned: tuple[str, ...] = SANCTIONED_KRON_MODULES,
 ) -> list[Finding]:
     """Run the SHAPE pass over one source string."""
-    tree = ast.parse(source, filename=filename)
-    budget = budget if budget is not None else MemoryBudget()
-    findings: list[Finding] = []
-    in_sanctioned = _is_sanctioned(filename, sanctioned)
-    for body in _scope_bodies(tree):
-        interp = _ScopeInterpreter(filename, findings, budget, in_sanctioned)
-        interp.run(body)
-    # One finding per (rule, line): the expression evaluator may visit
-    # a call twice (once as a value, once inside an enclosing binop).
-    seen: set[tuple[str, int, str]] = set()
-    unique: list[Finding] = []
-    for f in findings:
-        sig = (f.rule, f.line, f.message)
-        if sig not in seen:
-            seen.add(sig)
-            unique.append(f)
-    return filter_findings(source, filename, unique, families=("SHAPE",))
-
-
-def shape_check_file(
-    path: str, *, budget: MemoryBudget | None = None
-) -> list[Finding]:
-    """Run the SHAPE pass over one file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return shape_check_source(fh.read(), filename=path, budget=budget)
+    return shape_check_index(
+        SourceIndex.from_source(source, filename),
+        budget=budget,
+        sanctioned=sanctioned,
+    )
 
 
 def default_shape_paths() -> list[str]:
@@ -627,7 +615,7 @@ def default_shape_paths() -> list[str]:
     kernels (``repro.linalg``) and the data-distribution layer
     (``repro.distribution``) — the two subsystems the Kronecker lifting
     flows through."""
-    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    here = package_root()
     return [os.path.join(here, "linalg"), os.path.join(here, "distribution")]
 
 
@@ -637,21 +625,6 @@ def shape_check_paths(
     budget: MemoryBudget | None = None,
 ) -> list[Finding]:
     """Run the SHAPE pass over ``.py`` files under ``paths``."""
-    targets: list[str] = []
-    for path in paths if paths else default_shape_paths():
-        if os.path.isdir(path):
-            for dirpath, dirnames, filenames in os.walk(path):
-                dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
-                targets.extend(
-                    os.path.join(dirpath, f)
-                    for f in sorted(filenames)
-                    if f.endswith(".py")
-                )
-        elif path.endswith(".py"):
-            targets.append(path)
-        else:
-            raise ValueError(f"not a directory or .py file: {path}")
-    findings: list[Finding] = []
-    for target in targets:
-        findings.extend(shape_check_file(target, budget=budget))
-    return findings
+    return shape_check_index(
+        SourceIndex.from_paths(paths or default_shape_paths()), budget=budget
+    )

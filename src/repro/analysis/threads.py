@@ -6,8 +6,9 @@ the replicated results store and double-buffered stream ingestion all
 coordinate via ``threading.Lock``/``RLock``/``Condition`` — and none
 of the existing passes look at any of it.  This pass is the
 ThreadSanitizer-shaped rung of the verification ladder (in the
-lock-set spirit of Eraser): it indexes the package the way
-:mod:`repro.analysis.determinism` does, identifies every lock object
+lock-set spirit of Eraser): over the shared
+:class:`~repro.analysis.source.SourceIndex` it identifies every lock
+object
 (``self.x = threading.Lock()`` attributes, annotated
 ``threading.Condition`` dataclass fields, module-level locks, local
 ``cv = threading.Condition()`` bindings — the ``instrumented_*``
@@ -44,18 +45,26 @@ suppressions are reported as ``SUP001``.
 from __future__ import annotations
 
 import ast
-import os
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from repro.analysis.findings import Finding
 from repro.analysis.rules import get_rule
-from repro.analysis.suppress import filter_findings
+from repro.analysis.source import (
+    ClassInfo,
+    FuncInfo,
+    ModuleInfo,
+    SourceIndex,
+    dotted,
+    package_root,
+    terminal,
+)
 
 __all__ = [
     "BLOCKING_TERMINALS",
     "LOCK_FACTORIES",
     "CONDITION_FACTORIES",
+    "threads_check_index",
     "threads_check_source",
     "threads_check_paths",
     "default_threads_paths",
@@ -107,25 +116,6 @@ _MUTATORS = frozenset(
 )
 
 
-def _dotted(node: ast.expr) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        base = _dotted(node.value)
-        return f"{base}.{node.attr}" if base else None
-    return None
-
-
-def _terminal(node: ast.expr) -> str | None:
-    """Rightmost name of a Name/Attribute(/Call) chain."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
 @dataclass(frozen=True)
 class LockId:
     """Identity of one lock: owner scope + attribute/variable name.
@@ -148,62 +138,18 @@ class LockId:
         return f"{self.owner}.{self.attr}"
 
 
-@dataclass
-class _FuncInfo:
-    module: "_ModuleInfo"
-    cls: str | None
-    name: str
-    node: ast.FunctionDef | ast.AsyncFunctionDef
-
-    @property
-    def qualname(self) -> str:
-        prefix = f"{self.cls}." if self.cls else ""
-        return f"{self.module.name}.{prefix}{self.name}"
-
-    @property
-    def display(self) -> str:
-        prefix = f"{self.cls}." if self.cls else ""
-        return f"{prefix}{self.name}"
-
-    @property
-    def is_init(self) -> bool:
-        return self.name in _INIT_METHODS
-
-
-@dataclass
-class _ClassInfo:
-    name: str
-    bases: list[str] = field(default_factory=list)
-    methods: dict[str, _FuncInfo] = field(default_factory=dict)
-    #: lock attribute name -> LockId (``self.x = threading.Lock()``
-    #: anywhere in the class, or an annotated Condition field).
-    locks: dict[str, LockId] = field(default_factory=dict)
-    #: non-lock attribute name -> class name it is constructed from
-    #: (``self.store = CheckpointStore(...)`` in __init__).
-    attr_types: dict[str, str] = field(default_factory=dict)
-
-
-@dataclass
-class _ModuleInfo:
-    name: str
-    path: str
-    source: str
-    tree: ast.Module
-    functions: dict[str, _FuncInfo] = field(default_factory=dict)
-    classes: dict[str, _ClassInfo] = field(default_factory=dict)
-    imports: dict[str, str] = field(default_factory=dict)
-    #: module-level lock name -> LockId.
-    locks: dict[str, LockId] = field(default_factory=dict)
+def _is_init(info: FuncInfo) -> bool:
+    return info.name in _INIT_METHODS
 
 
 def _lock_kind(value: ast.expr) -> str | None:
     """``"lock"``/``"condition"`` when ``value`` constructs one."""
     if not isinstance(value, ast.Call):
         return None
-    terminal = _terminal(value.func)
-    if terminal in LOCK_FACTORIES:
+    name = terminal(value.func)
+    if name in LOCK_FACTORIES:
         return "lock"
-    if terminal in CONDITION_FACTORIES:
+    if name in CONDITION_FACTORIES:
         return "condition"
     return None
 
@@ -211,85 +157,70 @@ def _lock_kind(value: ast.expr) -> str | None:
 def _annotation_is_condition(annotation: ast.expr | None) -> bool:
     if annotation is None:
         return False
-    return _terminal(annotation) == "Condition"
+    return terminal(annotation) == "Condition"
 
 
-class _Index:
-    """Whole-package symbol + lock index (see determinism's twin)."""
+class _LockTables:
+    """LOCK's side tables over the shared index's classes and modules."""
 
-    def __init__(self) -> None:
-        self.modules: dict[str, _ModuleInfo] = {}
-        self.functions_by_name: dict[str, list[_FuncInfo]] = {}
-        self.classes_by_name: dict[str, list[tuple[_ModuleInfo, _ClassInfo]]] = {}
+    def __init__(self, index: SourceIndex) -> None:
+        self.index = index
+        #: class -> lock attribute name -> LockId (``self.x =
+        #: threading.Lock()`` anywhere in the class, or an annotated
+        #: Condition field).
+        self.class_locks: dict[ClassInfo, dict[str, LockId]] = {}
+        #: class -> non-lock attribute name -> class name it is
+        #: constructed from (``self.store = CheckpointStore(...)``).
+        self.attr_types: dict[ClassInfo, dict[str, str]] = {}
+        #: module -> module-level lock name -> LockId.
+        self.module_locks: dict[ModuleInfo, dict[str, LockId]] = {}
         #: lock attr name -> owning classes (for unique-name fallback).
         self.lock_attr_owners: dict[str, list[LockId]] = {}
+        for mod in index.modules:
+            locks = self.module_locks[mod] = {}
+            for stmt in mod.statements():
+                if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+                    target = stmt.targets[0]
+                    kind = _lock_kind(stmt.value)
+                    if isinstance(target, ast.Name) and kind is not None:
+                        locks[target.id] = LockId(
+                            mod.name.rsplit(".", 1)[-1],
+                            target.id,
+                            condition=kind == "condition",
+                        )
+            for info in mod.classes.values():
+                self._index_class(info)
+                for lock in self.class_locks[info].values():
+                    self.lock_attr_owners.setdefault(lock.attr, []).append(lock)
 
-    # -------------------------------------------------------- building
-    def add_source(self, source: str, path: str, modname: str) -> None:
-        tree = ast.parse(source, filename=path)
-        mod = _ModuleInfo(name=modname, path=path, source=source, tree=tree)
-        for stmt in tree.body:
-            self._index_stmt(mod, stmt)
-        self.modules[modname] = mod
-        for fn in mod.functions.values():
-            self.functions_by_name.setdefault(fn.name, []).append(fn)
-        for cls in mod.classes.values():
-            self.classes_by_name.setdefault(cls.name, []).append((mod, cls))
-            for lock in cls.locks.values():
-                self.lock_attr_owners.setdefault(lock.attr, []).append(lock)
-
-    def _index_stmt(self, mod: _ModuleInfo, stmt: ast.stmt) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            mod.functions[stmt.name] = _FuncInfo(mod, None, stmt.name, stmt)
-        elif isinstance(stmt, ast.ClassDef):
-            self._index_class(mod, stmt)
-        elif isinstance(stmt, ast.ImportFrom) and stmt.module:
-            for alias in stmt.names:
-                mod.imports[alias.asname or alias.name] = stmt.module
-        elif isinstance(stmt, ast.Import):
-            for alias in stmt.names:
-                mod.imports[alias.asname or alias.name] = alias.name
-        elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target = stmt.targets[0]
-            kind = _lock_kind(stmt.value)
-            if isinstance(target, ast.Name) and kind is not None:
-                mod.locks[target.id] = LockId(
-                    mod.name.rsplit(".", 1)[-1],
-                    target.id,
-                    condition=kind == "condition",
-                )
-        elif isinstance(stmt, (ast.If, ast.Try)):
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.stmt):
-                    self._index_stmt(mod, child)
-
-    def _index_class(self, mod: _ModuleInfo, stmt: ast.ClassDef) -> None:
-        cls = _ClassInfo(name=stmt.name)
-        for base in stmt.bases:
-            terminal = _terminal(base)
-            if terminal:
-                cls.bases.append(terminal)
-        for sub in stmt.body:
+    def _index_class(self, info: ClassInfo) -> None:
+        locks = self.class_locks[info] = {}
+        types = self.attr_types[info] = {}
+        for sub in info.node.body:
             if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                cls.methods[sub.name] = _FuncInfo(mod, stmt.name, sub.name, sub)
                 for node in ast.walk(sub):
-                    self._note_self_assign(cls, node)
+                    self._note_self_assign(info.name, locks, types, node)
             elif isinstance(sub, ast.AnnAssign) and isinstance(
                 sub.target, ast.Name
             ):
                 # Dataclass-style field: ``cond: threading.Condition = ...``.
                 if _annotation_is_condition(sub.annotation):
-                    cls.locks[sub.target.id] = LockId(
-                        cls.name, sub.target.id, condition=True
+                    locks[sub.target.id] = LockId(
+                        info.name, sub.target.id, condition=True
                     )
                 kind = _lock_kind(sub.value) if sub.value is not None else None
                 if kind is not None:
-                    cls.locks[sub.target.id] = LockId(
-                        cls.name, sub.target.id, condition=kind == "condition"
+                    locks[sub.target.id] = LockId(
+                        info.name, sub.target.id, condition=kind == "condition"
                     )
-        mod.classes[stmt.name] = cls
 
-    def _note_self_assign(self, cls: _ClassInfo, node: ast.AST) -> None:
+    @staticmethod
+    def _note_self_assign(
+        owner: str,
+        locks: dict[str, LockId],
+        types: dict[str, str],
+        node: ast.AST,
+    ) -> None:
         """Record ``self.x = <lock factory / ClassName(...)>``."""
         if not isinstance(node, ast.Assign) or len(node.targets) != 1:
             return
@@ -302,81 +233,24 @@ class _Index:
             return
         kind = _lock_kind(node.value)
         if kind is not None:
-            cls.locks[target.attr] = LockId(
-                cls.name, target.attr, condition=kind == "condition"
+            locks[target.attr] = LockId(
+                owner, target.attr, condition=kind == "condition"
             )
             return
         if isinstance(node.value, ast.Call) and isinstance(
             node.value.func, (ast.Name, ast.Attribute)
         ):
-            ctor = _terminal(node.value.func)
+            ctor = terminal(node.value.func)
             if ctor and ctor[:1].isupper():
-                cls.attr_types.setdefault(target.attr, ctor)
-
-    # ------------------------------------------------------ resolution
-    def resolve_class(
-        self, name: str, mod: _ModuleInfo
-    ) -> tuple[_ModuleInfo, _ClassInfo] | None:
-        if name in mod.classes:
-            return mod, mod.classes[name]
-        src = mod.imports.get(name)
-        if src is not None and src in self.modules:
-            other = self.modules[src]
-            if name in other.classes:
-                return other, other.classes[name]
-        sites = self.classes_by_name.get(name, [])
-        if len(sites) == 1:
-            return sites[0]
-        return None
-
-    def resolve_function(self, name: str, mod: _ModuleInfo) -> _FuncInfo | None:
-        if name in mod.functions:
-            return mod.functions[name]
-        src = mod.imports.get(name)
-        if src is not None and src in self.modules:
-            other = self.modules[src]
-            if name in other.functions:
-                return other.functions[name]
-        sites = self.functions_by_name.get(name, [])
-        if len(sites) == 1:
-            return sites[0]
-        return None
-
-    def resolve_method(
-        self, cls_site: tuple[_ModuleInfo, _ClassInfo], name: str
-    ) -> _FuncInfo | None:
-        seen: set[str] = set()
-        stack = [cls_site]
-        while stack:
-            mod, cls = stack.pop()
-            if cls.name in seen:
-                continue
-            seen.add(cls.name)
-            if name in cls.methods:
-                return cls.methods[name]
-            for base in cls.bases:
-                site = self.resolve_class(base, mod)
-                if site is not None:
-                    stack.append(site)
-        return None
+                types.setdefault(target.attr, ctor)
 
     def class_lock(
-        self, cls_site: tuple[_ModuleInfo, _ClassInfo], attr: str
+        self, site: tuple[ModuleInfo, ClassInfo], attr: str
     ) -> LockId | None:
         """Lock attribute ``attr`` on the class or its bases."""
-        seen: set[str] = set()
-        stack = [cls_site]
-        while stack:
-            mod, cls = stack.pop()
-            if cls.name in seen:
-                continue
-            seen.add(cls.name)
-            if attr in cls.locks:
-                return cls.locks[attr]
-            for base in cls.bases:
-                site = self.resolve_class(base, mod)
-                if site is not None:
-                    stack.append(site)
+        for _mod, info in self.index.lineage(site):
+            if attr in self.class_locks[info]:
+                return self.class_locks[info][attr]
         return None
 
     def unique_lock_attr(self, attr: str) -> LockId | None:
@@ -400,7 +274,7 @@ class _Acquisition:
 
 @dataclass
 class _CallSite:
-    callee: _FuncInfo
+    callee: FuncInfo
     lineno: int
     held: tuple[LockId, ...]
 
@@ -430,7 +304,7 @@ class _WaitSite:
 
 @dataclass
 class _Summary:
-    info: _FuncInfo
+    info: FuncInfo
     acquisitions: list[_Acquisition] = field(default_factory=list)
     calls: list[_CallSite] = field(default_factory=list)
     writes: list[_Write] = field(default_factory=list)
@@ -442,8 +316,9 @@ class _FunctionScanner:
     """Build one function's :class:`_Summary` (single recursive walk
     carrying the syntactically-held lock stack)."""
 
-    def __init__(self, index: _Index, info: _FuncInfo) -> None:
-        self.index = index
+    def __init__(self, tables: _LockTables, info: FuncInfo) -> None:
+        self.tables = tables
+        self.index = tables.index
         self.info = info
         self.summary = _Summary(info)
         self._local_types: dict[str, str] = {}
@@ -456,9 +331,9 @@ class _FunctionScanner:
         for arg in list(node.args.args) + list(node.args.kwonlyargs):
             if arg.arg in ("self", "cls") or arg.annotation is None:
                 continue
-            terminal = _terminal(arg.annotation)
-            if terminal and terminal[:1].isupper():
-                self._local_types[arg.arg] = terminal
+            annotated = terminal(arg.annotation)
+            if annotated and annotated[:1].isupper():
+                self._local_types[arg.arg] = annotated
         for sub in ast.walk(node):
             if not isinstance(sub, ast.Assign) or len(sub.targets) != 1:
                 continue
@@ -473,7 +348,7 @@ class _FunctionScanner:
                 continue
             if isinstance(sub.value, ast.Call):
                 func = sub.value.func
-                ctor = _terminal(func)
+                ctor = terminal(func)
                 if ctor and ctor[:1].isupper():
                     self._local_types[target.id] = ctor
                 elif (
@@ -484,11 +359,11 @@ class _FunctionScanner:
                     # ``job = self._job(...)`` with an annotated return.
                     meth = self._self_method(func.attr)
                     if meth is not None and meth.node.returns is not None:
-                        ret = _terminal(meth.node.returns)
+                        ret = terminal(meth.node.returns)
                         if ret and ret[:1].isupper():
                             self._local_types[target.id] = ret
 
-    def _self_method(self, name: str) -> _FuncInfo | None:
+    def _self_method(self, name: str) -> FuncInfo | None:
         if self.info.cls is None:
             return None
         cls = self.info.module.classes.get(self.info.cls)
@@ -508,12 +383,13 @@ class _FunctionScanner:
         if isinstance(expr, ast.Name):
             if expr.id in self._local_locks:
                 return self._local_locks[expr.id]
-            mod_lock = self.info.module.locks.get(expr.id)
+            mod = self.info.module
+            mod_lock = self.tables.module_locks[mod].get(expr.id)
             if mod_lock is not None:
                 return mod_lock
-            src = self.info.module.imports.get(expr.id)
-            if src is not None and src in self.index.modules:
-                return self.index.modules[src].locks.get(expr.id)
+            other = self.index.by_name.get(mod.imports.get(expr.id, ""))
+            if other is not None:
+                return self.tables.module_locks[other].get(expr.id)
             return None
         if not isinstance(expr, ast.Attribute):
             return None
@@ -528,17 +404,17 @@ class _FunctionScanner:
             if owner_cls is not None:
                 site = self.index.resolve_class(owner_cls, self.info.module)
                 if site is not None:
-                    lock = self.index.class_lock(site, attr)
+                    lock = self.tables.class_lock(site, attr)
                     if lock is not None:
                         return lock
                     if value.id == "self":
                         # self.<attr> on a class where <attr> is not a
                         # lock: definitely not an acquisition target.
                         return None
-        unique = self.index.unique_lock_attr(attr)
+        unique = self.tables.unique_lock_attr(attr)
         if unique is not None:
             return unique
-        if attr in self.index.lock_attr_owners:
+        if attr in self.tables.lock_attr_owners:
             return LockId("?", attr)
         return None
 
@@ -593,9 +469,9 @@ class _FunctionScanner:
     # ------------------------------------------------------------ calls
     def _check_call(self, call: ast.Call, held: tuple[LockId, ...]) -> None:
         func = call.func
-        terminal = _terminal(func)
+        method = terminal(func)
         # Explicit .acquire() on a lock expression.
-        if terminal == "acquire" and isinstance(func, ast.Attribute):
+        if method == "acquire" and isinstance(func, ast.Attribute):
             lock = self._lock_of(func.value)
             if lock is not None:
                 self.summary.acquisitions.append(
@@ -603,7 +479,7 @@ class _FunctionScanner:
                 )
                 return
         # Condition.wait discipline (LOCK502).
-        if terminal == "wait" and isinstance(func, ast.Attribute):
+        if method == "wait" and isinstance(func, ast.Attribute):
             lock = self._lock_of(func.value)
             if lock is not None and lock.condition:
                 loop = self._loop_stack[-1] if self._loop_stack else None
@@ -611,14 +487,14 @@ class _FunctionScanner:
                 return
         # Blocking calls (LOCK504); Condition.wait was handled above
         # and is exempt (it releases the lock while waiting).
-        blocking = self._blocking_description(call, terminal)
+        blocking = self._blocking_description(call, method)
         if blocking is not None and held:
             self.summary.blocking.append(
                 _BlockingCall(blocking, call.lineno, held)
             )
         # Container mutation through a method call (LOCK503 write).
         if (
-            terminal in _MUTATORS
+            method in _MUTATORS
             and isinstance(func, ast.Attribute)
             and isinstance(func.value, ast.Attribute)
             and isinstance(func.value.value, ast.Name)
@@ -633,19 +509,19 @@ class _FunctionScanner:
             self.summary.calls.append(_CallSite(callee, call.lineno, held))
 
     def _blocking_description(
-        self, call: ast.Call, terminal: str | None
+        self, call: ast.Call, method: str | None
     ) -> str | None:
-        dotted = _dotted(call.func)
-        if dotted in _BLOCKING_DOTTED:
-            return f"{dotted}()"
-        if terminal is None:
+        name = dotted(call.func)
+        if name in _BLOCKING_DOTTED:
+            return f"{name}()"
+        if method is None:
             return None
-        if terminal in BLOCKING_TERMINALS:
-            return f"{terminal}()"
-        if terminal == "get":
+        if method in BLOCKING_TERMINALS:
+            return f"{method}()"
+        if method == "get":
             has_timeout = any(kw.arg == "timeout" for kw in call.keywords)
             receiver = (
-                _terminal(call.func.value)
+                terminal(call.func.value)
                 if isinstance(call.func, ast.Attribute)
                 else None
             )
@@ -653,7 +529,7 @@ class _FunctionScanner:
                 return "Queue.get()"
         return None
 
-    def _resolve_call(self, call: ast.Call) -> _FuncInfo | None:
+    def _resolve_call(self, call: ast.Call) -> FuncInfo | None:
         func = call.func
         mod = self.info.module
         if isinstance(func, ast.Name):
@@ -676,10 +552,8 @@ class _FunctionScanner:
                 if site is not None:
                     return self.index.resolve_method(site, func.attr)
                 return None
-            src = mod.imports.get(value.id)
-            if src is not None and src in self.index.modules:
-                return self.index.modules[src].functions.get(func.attr)
-            return None
+            other = self.index.by_name.get(mod.imports.get(value.id, ""))
+            return other.functions.get(func.attr) if other is not None else None
         # ``self.<attr>.<method>()`` through a typed attribute
         # (``self.clock.tick()`` where __init__ did
         # ``self.clock = LamportClock()``).
@@ -691,7 +565,7 @@ class _FunctionScanner:
         ):
             cls = mod.classes.get(self.info.cls)
             if cls is not None:
-                owner = cls.attr_types.get(value.attr)
+                owner = self.tables.attr_types[cls].get(value.attr)
                 if owner is not None:
                     site = self.index.resolve_class(owner, mod)
                     if site is not None:
@@ -731,18 +605,14 @@ class _FunctionScanner:
 # whole-program analysis
 # ---------------------------------------------------------------------------
 class _Analysis:
-    def __init__(self, index: _Index) -> None:
+    def __init__(self, index: SourceIndex) -> None:
         self.index = index
+        self.tables = _LockTables(index)
         self.findings: list[Finding] = []
         self.summaries: dict[str, _Summary] = {}
-        for mod in index.modules.values():
-            for fn in mod.functions.values():
-                self.summaries[fn.qualname] = _FunctionScanner(index, fn).scan()
-            for cls in mod.classes.values():
-                for meth in cls.methods.values():
-                    self.summaries[meth.qualname] = _FunctionScanner(
-                        index, meth
-                    ).scan()
+        for mod in index.modules:
+            for fn in mod.defs():
+                self.summaries[fn.qualname] = _FunctionScanner(self.tables, fn).scan()
         self._effective = self._effective_acquisitions()
         self._coverage = self._caller_coverage()
 
@@ -811,7 +681,7 @@ class _Analysis:
             non_init = [
                 (caller, held)
                 for caller, held in sites[q]
-                if not self.summaries[caller].info.is_init
+                if not _is_init(self.summaries[caller].info)
             ]
             if sites[q] and not non_init:
                 coverage[q] = all_locks  # init-only helper: exempt
@@ -826,7 +696,7 @@ class _Analysis:
                 non_init = [
                     (caller, held)
                     for caller, held in sites[q]
-                    if not self.summaries[caller].info.is_init
+                    if not _is_init(self.summaries[caller].info)
                 ]
                 if not non_init:
                     continue
@@ -935,11 +805,10 @@ class _Analysis:
 
     # ---------------------------------------------------------- LOCK503
     def check_shared_state(self) -> None:
-        for modname in sorted(self.index.modules):
-            mod = self.index.modules[modname]
+        for mod in sorted(self.index.modules, key=lambda m: m.name):
             for clsname in sorted(mod.classes):
                 cls = mod.classes[clsname]
-                if not cls.locks:
+                if not self.tables.class_locks[cls]:
                     continue
                 self._check_class_state(mod, cls)
 
@@ -950,15 +819,16 @@ class _Analysis:
             summary.info.qualname, frozenset()
         )
 
-    def _check_class_state(self, mod: _ModuleInfo, cls: _ClassInfo) -> None:
-        class_locks = set(cls.locks.values())
+    def _check_class_state(self, mod: ModuleInfo, cls: ClassInfo) -> None:
+        locks_by_attr = self.tables.class_locks[cls]
+        class_locks = set(locks_by_attr.values())
         guarded: dict[str, set[LockId]] = {}
         for meth in cls.methods.values():
-            if meth.is_init:
+            if _is_init(meth):
                 continue
             summary = self.summaries[meth.qualname]
             for write in summary.writes:
-                if write.attr in cls.locks:
+                if write.attr in locks_by_attr:
                     continue
                 locks = self._held_at(summary, write.held) & class_locks
                 if locks:
@@ -967,7 +837,7 @@ class _Analysis:
             return
         for name in sorted(cls.methods):
             meth = cls.methods[name]
-            if meth.is_init:
+            if _is_init(meth):
                 continue
             summary = self.summaries[meth.qualname]
             for write in summary.writes:
@@ -1020,39 +890,22 @@ class _Analysis:
 # ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
-def _module_name_for(path: str) -> str:
-    """Dotted module name of ``path``; falls back to the stem."""
-    posix = os.path.abspath(path).replace(os.sep, "/")
-    marker = "/src/repro/"
-    idx = posix.rfind(marker)
-    if idx >= 0:
-        rel = posix[idx + len("/src/") :]
-        return rel[: -len(".py")].replace("/", ".").replace(".__init__", "")
-    return os.path.basename(path)[: -len(".py")]
+def threads_check_index(index: SourceIndex) -> list[Finding]:
+    """Run the LOCK pass over every module of ``index``.
 
-
-def _apply_suppressions(index: _Index, findings: list[Finding]) -> list[Finding]:
-    by_file: dict[str, list[Finding]] = {}
-    for f in findings:
-        by_file.setdefault(f.file, []).append(f)
-    out: list[Finding] = []
-    sources = {mod.path: mod.source for mod in index.modules.values()}
-    for path, source in sorted(sources.items()):
-        out.extend(
-            filter_findings(
-                source, path, by_file.get(path, []), families=("LOCK",)
-            )
-        )
-    return out
+    All modules are analysed together so lock identities and caller
+    coverage cross module boundaries (the scheduler holding its
+    condition while touching ``Job.cond``, the store fanning out to
+    replica locks).
+    """
+    return index.suppress(_Analysis(index).run(), ("LOCK",))
 
 
 def threads_check_source(
     source: str, filename: str = "<string>"
 ) -> list[Finding]:
     """Run the LOCK pass over one standalone source string."""
-    index = _Index()
-    index.add_source(source, filename, "<standalone>")
-    return _apply_suppressions(index, _Analysis(index).run())
+    return threads_check_index(SourceIndex.from_source(source, filename))
 
 
 def default_threads_paths() -> list[str]:
@@ -1063,34 +916,11 @@ def default_threads_paths() -> list[str]:
     lock-free numeric subsystems contribute nothing to index but also
     nothing to flag.
     """
-    return [os.path.dirname(os.path.dirname(os.path.abspath(__file__)))]
+    return [package_root()]
 
 
 def threads_check_paths(paths: Sequence[str] | None = None) -> list[Finding]:
-    """Run the LOCK pass over ``.py`` files under ``paths``.
-
-    All files are indexed together so lock identities and caller
-    coverage cross module boundaries (the scheduler holding its
-    condition while touching ``Job.cond``, the store fanning out to
-    replica locks).
-    """
-    roots = paths if paths else default_threads_paths()
-    targets: list[str] = []
-    for path in roots:
-        if os.path.isdir(path):
-            for dirpath, dirnames, filenames in os.walk(path):
-                dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
-                targets.extend(
-                    os.path.join(dirpath, f)
-                    for f in sorted(filenames)
-                    if f.endswith(".py")
-                )
-        elif path.endswith(".py"):
-            targets.append(path)
-        else:
-            raise ValueError(f"not a directory or .py file: {path}")
-    index = _Index()
-    for target in targets:
-        with open(target, "r", encoding="utf-8") as fh:
-            index.add_source(fh.read(), target, _module_name_for(target))
-    return _apply_suppressions(index, _Analysis(index).run())
+    """Run the LOCK pass over ``.py`` files under ``paths``."""
+    return threads_check_index(
+        SourceIndex.from_paths(paths or default_threads_paths())
+    )

@@ -732,13 +732,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.analysis import (
-        MemoryBudget,
-        findings_to_json,
-        findings_to_sarif,
-        format_findings,
-        run_check,
-    )
+    from repro.analysis.check import run_check
+    from repro.analysis.findings import findings_to_json, format_findings
+    from repro.analysis.sarif import findings_to_sarif
+    from repro.analysis.shapes import MemoryBudget
 
     budget = None
     if args.rank_budget_gib is not None:

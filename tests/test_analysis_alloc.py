@@ -21,9 +21,9 @@ from repro.analysis.alloc import (
     alloc_check_source,
     alloc_scan,
     default_alloc_paths,
-    static_alloc_sites,
 )
 from repro.analysis.rules import ALLOC_RULES, RULES
+from repro.analysis.source import SourceIndex
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 SRC = os.path.join(
@@ -525,12 +525,12 @@ class TestShippedTree:
         ]
 
     def test_static_sites_include_suppressions(self):
-        sites = static_alloc_sites()
+        sites = alloc_scan(SourceIndex.from_paths(default_alloc_paths())).sites
         files = {os.path.basename(path) for path, _ in sites}
         assert {"parallel.py", "admm.py"} <= files
 
     def test_scan_exposes_coverage(self):
-        scan = alloc_scan()
+        scan = alloc_scan(SourceIndex.from_paths(default_alloc_paths()))
         assert scan.findings == []
         assert scan.sites  # the deliberate suppressions
         assert any(p.endswith("admm.py") for p in scan.files)

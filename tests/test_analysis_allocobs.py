@@ -1,6 +1,6 @@
-"""DYN207 allocation observer: zero disabled cost, bitwise identity,
-interval attribution, the static↔runtime cross-check, and the
-``repro check alloc`` CLI surface."""
+"""DYN207 allocation observer: nothing patched unless installed,
+bitwise identity, interval attribution, the static↔runtime
+cross-check, and the ``repro check alloc`` CLI surface."""
 
 import json
 import os
@@ -16,9 +16,6 @@ from repro.analysis.allocobs import (
     AllocationObserver,
     _SiteStats,
     cross_check,
-    current_alloc_observer,
-    maybe_alloc_hook,
-    use_alloc_observer,
 )
 from repro.cli import main
 
@@ -36,11 +33,6 @@ def _reference_outputs(hooks=()):
 
 
 class TestDisabledCost:
-    def test_no_observer_means_no_hook(self):
-        assert os.environ.get("REPRO_ALLOC_CHECK", "") in ("", "0")
-        assert current_alloc_observer() is None
-        assert maybe_alloc_hook() is None
-
     def test_constructors_unpatched_when_disabled(self):
         # The plain-span path is byte-for-byte numpy: nothing wrapped,
         # nothing traced.  (np.kron carries numpy's own __wrapped__, so
@@ -48,24 +40,6 @@ class TestDisabledCost:
         for name in PATCHED_CONSTRUCTORS:
             module = getattr(getattr(np, name), "__module__", "")
             assert module != allocobs.__name__, name
-
-    def test_env_gate_creates_singleton(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ALLOC_CHECK", "1")
-        monkeypatch.setattr(allocobs, "_ENV_OBSERVER", None)
-        first = current_alloc_observer()
-        assert isinstance(first, AllocationObserver)
-        assert current_alloc_observer() is first
-        hook = maybe_alloc_hook()
-        assert isinstance(hook, AllocationHook)
-        assert hook.observer is first
-        monkeypatch.setattr(allocobs, "_ENV_OBSERVER", None)
-
-    def test_scope_local_observer_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ALLOC_CHECK", "1")
-        scoped = AllocationObserver()
-        with use_alloc_observer(scoped):
-            assert current_alloc_observer() is scoped
-        monkeypatch.setattr(allocobs, "_ENV_OBSERVER", None)
 
 
 class TestObserver:

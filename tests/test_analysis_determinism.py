@@ -3,7 +3,10 @@
 import os
 import textwrap
 
-from repro.analysis import determinism_check_paths, determinism_check_source
+from repro.analysis.determinism import (
+    determinism_check_paths,
+    determinism_check_source,
+)
 
 FIXTURE = os.path.join(
     os.path.dirname(__file__), "fixtures", "det_time_in_run_chain.py"
@@ -308,14 +311,15 @@ class TestExclusionList:
         import glob
         import os
 
-        from repro.analysis.determinism import _excluded, _module_name_for
+        from repro.analysis.determinism import _excluded
+        from repro.analysis.source import module_name
 
         engine_dir = os.path.join(
             os.path.dirname(__file__), "..", "src", "repro", "engine"
         )
         paths = sorted(glob.glob(os.path.join(engine_dir, "*.py")))
         assert paths, "engine package not found"
-        kept = [p for p in paths if not _excluded(_module_name_for(p))]
+        kept = [p for p in paths if not _excluded(module_name(p))]
         assert any(p.endswith("transports.py") for p in kept)
         assert not any(p.endswith("coordinator.py") for p in kept)
         assert not any(p.endswith("elastic.py") for p in kept)

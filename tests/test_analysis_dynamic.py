@@ -18,7 +18,7 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.analysis import CollectiveMismatchError, DynamicChecker
+from repro.analysis.dynamic import CollectiveMismatchError, DynamicChecker
 from repro.simmpi import MIN, SUM, SpmdError, Window, run_spmd
 
 

@@ -2,16 +2,15 @@
 
 import textwrap
 
-from repro.analysis import (
+from repro.analysis.findings import (
     ERROR,
     WARNING,
     Finding,
     findings_from_json,
     findings_to_json,
     format_findings,
-    lint_paths,
-    lint_source,
 )
+from repro.analysis.linter import lint_paths, lint_source
 from repro.analysis.rules import RULES, get_rule
 
 

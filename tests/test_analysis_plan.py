@@ -8,12 +8,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.analysis import (
+from repro.analysis.check import run_plan_checks
+from repro.analysis.planver import (
     PlanVerificationError,
     assert_valid_plan,
-    plan_lint_file,
+    plan_lint_paths,
     plan_lint_source,
-    run_plan_checks,
     verify_plan,
 )
 from repro.core.config import UoILassoConfig, UoIVarConfig
@@ -215,7 +215,7 @@ class TestDriverPlansVerify:
 
 class TestSeededFixture:
     def test_static_lint_yields_exact_rule_and_line(self):
-        findings = plan_lint_file(FIXTURE)
+        findings = plan_lint_paths([FIXTURE])
         assert [(f.rule, f.line) for f in findings] == [("PLAN401", 29)]
         assert findings[0].file == FIXTURE
 

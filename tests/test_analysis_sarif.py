@@ -2,8 +2,9 @@
 
 import json
 
-from repro.analysis import Finding, findings_to_sarif, lint_source
-from repro.analysis.sarif import SARIF_VERSION
+from repro.analysis.findings import Finding
+from repro.analysis.linter import lint_source
+from repro.analysis.sarif import SARIF_VERSION, findings_to_sarif
 
 
 def _sarif(findings):

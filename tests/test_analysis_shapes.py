@@ -3,8 +3,13 @@
 import os
 import textwrap
 
-from repro.analysis import MemoryBudget, shape_check_paths, shape_check_source
-from repro.analysis.shapes import DEFAULT_BINDINGS, Dim, shape_check_file
+from repro.analysis.shapes import (
+    DEFAULT_BINDINGS,
+    Dim,
+    MemoryBudget,
+    shape_check_paths,
+    shape_check_source,
+)
 
 FIXTURE = os.path.join(
     os.path.dirname(__file__), "fixtures", "shape_dense_kron.py"
@@ -229,7 +234,7 @@ class TestDtypeDrift:
 
 class TestSeededFixture:
     def test_fixture_yields_exact_rules_and_lines(self):
-        findings = shape_check_file(FIXTURE)
+        findings = shape_check_paths([FIXTURE])
         assert [(f.rule, f.line) for f in findings] == [
             ("SHAPE101", 16),
             ("SHAPE102", 21),

@@ -543,10 +543,10 @@ class TestShippedTree:
 
 class TestCheckWiring:
     def test_threads_mode_in_cli_and_api(self):
-        from repro.analysis.check import MODES, run_threads
+        from repro.analysis.check import MODES, run_check
 
         assert "threads" in MODES
-        assert run_threads() == []
+        assert run_check("threads") == []
 
     def test_sarif_includes_lock_rules(self):
         """LOCK/DYN206 findings export with full registry metadata."""

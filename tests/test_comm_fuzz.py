@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import DynamicChecker
+from repro.analysis.dynamic import DynamicChecker
 from repro.simmpi import LAPTOP, MAX, MIN, SUM, run_spmd
 
 OPS = ["allreduce_sum", "allreduce_max", "allreduce_min", "allgather",

@@ -3,7 +3,9 @@
 Every fit, engine worker and service process pays ``import repro``;
 ``scipy.stats`` (one ``chi2.sf`` call) and ``networkx`` (one
 ``DiGraph``) together doubled it, so they are imported inside the
-functions that use them.
+functions that use them.  Likewise the static-analysis passes: the
+service, store and stream layers import the lock factories from
+``repro.analysis.dynamic``, which must not drag the passes along.
 """
 
 import os
@@ -18,11 +20,10 @@ from repro.datasets import make_sparse_var
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
-def test_import_repro_does_not_load_scipy_stats_or_networkx():
+def _loaded_after(imports: str, candidates: tuple[str, ...]) -> str:
     code = (
-        "import repro, sys; "
-        "print(sorted(m for m in ('scipy.stats', 'networkx') "
-        "if m in sys.modules))"
+        f"import sys, {imports}; "
+        f"print(sorted(m for m in {candidates!r} if m in sys.modules))"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -32,7 +33,23 @@ def test_import_repro_does_not_load_scipy_stats_or_networkx():
         [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_repro_does_not_load_scipy_stats_or_networkx():
+    assert _loaded_after("repro", ("scipy.stats", "networkx")) == "[]"
+
+
+def test_production_imports_do_not_load_static_passes():
+    passes = tuple(
+        f"repro.analysis.{name}"
+        for name in (
+            "linter", "shapes", "determinism", "threads",
+            "alloc", "allocobs", "check", "sarif",
+        )
+    )
+    assert _loaded_after("repro", passes) == "[]"
+    assert _loaded_after("repro, repro.service", passes) == "[]"
 
 
 def test_lazy_imports_still_serve_diagnose_and_granger_graph():
