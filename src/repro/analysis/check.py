@@ -124,7 +124,7 @@ def _exercise_lock_observer() -> DynamicChecker:
     """A short checked concurrency workload for ``DYN206``.
 
     Two writer threads race puts into a two-shard replicated store
-    (primary lock -> replica locks -> checkpoint lock) while a
+    (primary lock -> replica locks) while a
     producer/consumer pair runs the double-buffered ingest condition
     protocol — the lock topologies the observer exists to watch.
     """

@@ -14,10 +14,12 @@ records written with the classic atomic write-rename protocol (write to
 a temp file, ``os.replace`` into place) plus a versioned
 ``MANIFEST.json`` carrying a sha256 checksum per record — a crashed
 writer can never leave a torn record behind, and a corrupted one is
-detected at load.  Modeled write time is charged to the virtual clocks
-through the :mod:`repro.pfs.lustre` cost model (checkpoints live on the
-same striped filesystem Tier-1 reads from), so checkpoint cadence shows
-up honestly in the paper-style DATA_IO bars —
+detected at load (the ``encode_record`` / ``write_record`` /
+``read_record`` codec, shared with the service's results store).
+Modeled write time is charged to the virtual clocks through the
+:mod:`repro.pfs.lustre` cost model (checkpoints live on the same
+striped filesystem Tier-1 reads from), so checkpoint cadence shows up
+honestly in the paper-style DATA_IO bars —
 ``benchmarks/bench_ablation_checkpoint.py`` measures exactly that.
 
 :class:`CheckpointSession` is the per-rank half: lookup / record /
@@ -60,7 +62,7 @@ FORMAT_VERSION = 1
 
 
 class CheckpointCorruption(RuntimeError):
-    """A record's bytes do not match its manifest checksum."""
+    """A record is missing or its bytes do not match its checksum."""
 
 
 def _safe_filename(key: str) -> str:
@@ -68,6 +70,50 @@ def _safe_filename(key: str) -> str:
     stem = re.sub(r"[^A-Za-z0-9_.-]+", "_", key)[:80]
     digest = hashlib.sha1(key.encode()).hexdigest()[:10]
     return f"{stem}-{digest}.npz"
+
+
+def _replace_atomically(path: Path, data: bytes) -> None:
+    """Temp file + ``os.replace``: a crash never leaves ``path`` torn."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+
+
+def write_json(path: Path, obj: object) -> None:
+    """Atomically replace ``path`` with ``obj`` as (sorted-key) JSON."""
+    _replace_atomically(path, json.dumps(obj, sort_keys=True).encode())
+
+
+def encode_record(arrays: dict[str, np.ndarray]) -> bytes:
+    """One record's ``.npz`` payload, as :func:`write_record` stores it."""
+    if not arrays:
+        raise ValueError("record must contain at least one array")
+    buf = io.BytesIO()
+    np.savez(buf, **{k: np.asarray(v) for k, v in arrays.items()})
+    return buf.getvalue()
+
+
+def write_record(records_dir: Path, key: str, payload: bytes) -> str:
+    """Atomically store an encoded record under ``key``; returns its sha256."""
+    _replace_atomically(records_dir / _safe_filename(key), payload)
+    return hashlib.sha256(payload).hexdigest()
+
+
+def read_record(
+    records_dir: Path, key: str, sha256: str | None
+) -> dict[str, np.ndarray]:
+    """``key``'s arrays, re-hashed against ``sha256`` unless it is None; a
+    mismatch or a missing file raises :class:`CheckpointCorruption`."""
+    path = records_dir / _safe_filename(key)
+    try:
+        payload = path.read_bytes()
+    except FileNotFoundError as exc:
+        raise CheckpointCorruption(f"record {key!r}: {path} is missing") from exc
+    if sha256 is not None and hashlib.sha256(payload).hexdigest() != sha256:
+        raise CheckpointCorruption(f"record {key!r} fails its checksum (torn or rotted)")
+    with np.load(io.BytesIO(payload)) as npz:
+        return {name: npz[name] for name in npz.files}
 
 
 class CheckpointStore:
@@ -109,15 +155,6 @@ class CheckpointStore:
             }
 
     # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _write_manifest(self) -> None:
-        tmp = self.root / (MANIFEST_NAME + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self._manifest, fh, indent=1, sort_keys=True)
-        os.replace(tmp, self.root / MANIFEST_NAME)
-
-    # ------------------------------------------------------------------
     # metadata
     # ------------------------------------------------------------------
     @property
@@ -144,7 +181,7 @@ class CheckpointStore:
             if not current:
                 self._manifest["meta"] = dict(meta)
                 self._manifest["version"] += 1
-                self._write_manifest()
+                write_json(self.root / MANIFEST_NAME, self._manifest)
             elif current != dict(meta):
                 raise ValueError(
                     f"checkpoint store {self.root} was written by a "
@@ -156,53 +193,31 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     def save(self, key: str, arrays: dict[str, np.ndarray]) -> int:
         """Atomically persist one record; returns its payload bytes."""
-        if not arrays:
-            raise ValueError("record must contain at least one array")
-        buf = io.BytesIO()
-        np.savez(buf, **{k: np.asarray(v) for k, v in arrays.items()})
-        payload = buf.getvalue()
-        checksum = hashlib.sha256(payload).hexdigest()
-        fname = _safe_filename(key)
+        payload = encode_record(arrays)
         with self._lock:
-            tmp = self._records_dir / (fname + ".tmp")
-            with open(tmp, "wb") as fh:
-                fh.write(payload)
-            os.replace(tmp, self._records_dir / fname)
             self._manifest["records"][key] = {
-                "file": fname,
-                "sha256": checksum,
+                "file": _safe_filename(key),
+                "sha256": write_record(self._records_dir, key, payload),
                 "nbytes": len(payload),
                 "arrays": sorted(arrays),
             }
             self._manifest["version"] += 1
-            self._write_manifest()
+            write_json(self.root / MANIFEST_NAME, self._manifest)
         return len(payload)
 
     def load(self, key: str, *, verify: bool = True) -> dict[str, np.ndarray] | None:
         """Record arrays, or ``None`` if absent.
 
         With ``verify`` (default) the payload is re-hashed against the
-        manifest checksum and :class:`CheckpointCorruption` is raised on
-        mismatch — a restart must never trust a torn or bit-rotted
-        record.
+        manifest checksum (see :func:`read_record`).
         """
         with self._lock:
             entry = self._manifest["records"].get(key)
             if entry is None:
                 return None
-            path = self._records_dir / entry["file"]
-            try:
-                payload = path.read_bytes()
-            except FileNotFoundError as exc:
-                raise CheckpointCorruption(
-                    f"record {key!r} listed in manifest but {path} is missing"
-                ) from exc
-            if verify and hashlib.sha256(payload).hexdigest() != entry["sha256"]:
-                raise CheckpointCorruption(
-                    f"record {key!r} fails its checksum (torn write or bit rot)"
-                )
-        with np.load(io.BytesIO(payload)) as npz:
-            return {name: npz[name] for name in npz.files}
+            return read_record(
+                self._records_dir, key, entry["sha256"] if verify else None
+            )
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
@@ -240,7 +255,7 @@ class CheckpointStore:
                     pass
             self._manifest["records"] = {}
             self._manifest["version"] += 1
-            self._write_manifest()
+            write_json(self.root / MANIFEST_NAME, self._manifest)
 
 
 @dataclass

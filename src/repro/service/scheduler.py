@@ -329,21 +329,11 @@ class Scheduler:
         return executor
 
     def _run_batch(self, batch: list[Job]) -> None:
-        if batch[0].spec.kind == "stream":
-            self._run_stream_job(batch[0])
-            return
-        solo = len(batch) == 1
-        plan = BatchPlan([(job.id, job.plan) for job in batch])
-        hook = JobBatchHook(
-            {job.id: job for job in batch}, store=self.store, solo=solo
-        )
-        backend = batch[0].spec.backend
-        self._count("service.batches")
-        if not solo:
-            self._count("service.batched_jobs", len(batch))
         try:
-            executor = self._make_executor(backend)
-            outputs = run_plan(plan, executor, [hook])
+            if batch[0].spec.kind == "stream":
+                outputs = {batch[0].id: self._run_stream_job(batch[0])}
+            else:
+                outputs = self._run_engine(batch)
         except JobCancelled:
             self._finish(batch[0], CANCELLED)
             return
@@ -355,27 +345,43 @@ class Scheduler:
                 else:
                     self._finish(job, FAILED, error=error)
             return
-        # Attribution must never escape the worker loop: an exception
-        # here (missing output key, store I/O failure) would otherwise
-        # kill the worker thread and strand the batch's remaining jobs
-        # in RUNNING forever.  Each job fails individually instead.
         for job in batch:
-            if job.cancel_event.is_set():
-                self._finish(job, CANCELLED)
-                continue
-            try:
-                result = outputs[job.id]
-                if self.store is not None:
-                    self.store.put(
-                        f"{job.store_key}/result", outputs_to_arrays(result)
-                    )
-            except BaseException as exc:  # noqa: B036 - worker must survive
-                self._finish(job, FAILED, error=self._format_error(exc))
-                continue
-            self._finish(job, DONE, result=result)
+            self._deliver(job, outputs)
 
-    def _run_stream_job(self, job: Job) -> None:
-        """Drive one streaming job's rolling re-fit loop.
+    def _run_engine(self, batch: list[Job]) -> dict:
+        """One engine run of the batch's plans; outputs keyed by job id."""
+        solo = len(batch) == 1
+        plan = BatchPlan([(job.id, job.plan) for job in batch])
+        hook = JobBatchHook(
+            {job.id: job for job in batch}, store=self.store, solo=solo
+        )
+        self._count("service.batches")
+        if not solo:
+            self._count("service.batched_jobs", len(batch))
+        return run_plan(plan, self._make_executor(batch[0].spec.backend), [hook])
+
+    def _deliver(self, job: Job, outputs: dict) -> None:
+        """Persist ``job``'s result from ``outputs`` and finish the job.
+
+        Attribution must never escape the worker loop: an exception
+        here (missing output key, store I/O failure) would otherwise
+        kill the worker thread and strand the batch's remaining jobs
+        in RUNNING forever.  Each job fails individually instead.
+        """
+        if job.cancel_event.is_set():
+            self._finish(job, CANCELLED)
+            return
+        try:
+            result = outputs[job.id]
+            if self.store is not None:
+                self.store.put(f"{job.store_key}/result", outputs_to_arrays(result))
+        except BaseException as exc:  # noqa: B036 - worker must survive
+            self._finish(job, FAILED, error=self._format_error(exc))
+            return
+        self._finish(job, DONE, result=result)
+
+    def _run_stream_job(self, job: Job) -> object:
+        """Drive one streaming job's rolling re-fit loop; returns its outputs.
 
         The series is replayed tick-by-tick through
         :func:`repro.stream.refit.run_rolling`; each fitted window is
@@ -399,36 +405,13 @@ class Scheduler:
             if job.cancel_event.is_set():
                 raise JobCancelled(job.id)
 
-        try:
-            executor = self._make_executor(spec.backend)
-            outputs = run_rolling(
-                iter(series),
-                config,
-                p=series.shape[1],
-                executor=executor,
-                on_window=on_window,
-            )
-        except JobCancelled:
-            self._finish(job, CANCELLED)
-            return
-        except BaseException as exc:  # noqa: B036 - worker must survive
-            if job.cancel_event.is_set():
-                self._finish(job, CANCELLED)
-            else:
-                self._finish(job, FAILED, error=self._format_error(exc))
-            return
-        if job.cancel_event.is_set():
-            self._finish(job, CANCELLED)
-            return
-        try:
-            if self.store is not None:
-                self.store.put(
-                    f"{job.store_key}/result", outputs_to_arrays(outputs)
-                )
-        except BaseException as exc:  # noqa: B036 - worker must survive
-            self._finish(job, FAILED, error=self._format_error(exc))
-            return
-        self._finish(job, DONE, result=outputs)
+        return run_rolling(
+            iter(series),
+            config,
+            p=series.shape[1],
+            executor=self._make_executor(spec.backend),
+            on_window=on_window,
+        )
 
     @staticmethod
     def _format_error(exc: BaseException) -> str:

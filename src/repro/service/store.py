@@ -3,8 +3,7 @@
 The service's durable half: fit results and per-subproblem payloads
 land in a :class:`ReplicatedResultsStore` — a set of *shards* (keys
 hash-partitioned) each held by ``replication`` :class:`ReplicaNode`
-peers, every peer backed by one atomic checksummed
-:class:`~repro.resilience.checkpoint.CheckpointStore`.  The
+peers, every peer a directory of atomic checksummed records.  The
 replication protocol follows the distributed-database exemplar in
 SNIPPETS.md (multi-leader LWW with logical clocks):
 
@@ -24,23 +23,22 @@ SNIPPETS.md (multi-leader LWW with logical clocks):
   resolution is deterministic and order-independent.  Deletions
   propagate as *tombstones* (ops with no arrays) under the same rule.
 
-Replica state persists in two layers, so a crashed node reopens
-exactly where it stopped — this is what crash-safe job resume in
-:mod:`repro.service.scheduler` leans on:
+Replica state persists in three layers, so a crashed node reopens
+exactly where it stopped (crash-safe job resume in
+:mod:`repro.service.scheduler` leans on this), and a put costs O(1)
+in store size — one record rename and one journal append per replica:
 
-* **Op journal** — every applied op appends one metadata line to
-  ``OPLOG.jsonl`` (O(1) per op), and its arrays land in the node's
-  :class:`CheckpointStore` under an op-scoped record
-  (``__op__/<origin>:<seq>``).  The journal *is* the node's write
-  stream: anti-entropy replay to a recovering peer works across
-  restarts, not just within one process lifetime.
-* **Snapshot** — the derived state (version vector, per-key winner
-  index, clock) is written to a ``REPLICA.json`` sidecar with the
-  same atomic write-rename protocol as the checkpoint manifest, every
-  :data:`SNAPSHOT_EVERY` applies rather than on each one (a per-op
-  full-index rewrite would cost O(total keys) per write).  Reopening
-  loads the snapshot and replays the journal suffix it does not
-  cover, reconstructing identical state after a crash at any point.
+* **Records** — each op's arrays, one ``records/<safe name>.npz``
+  written by :func:`~repro.resilience.checkpoint.write_record`.
+* **Op journal** — one ``OPLOG.jsonl`` line per applied op, carrying
+  its record's sha256, which every read verifies (a mismatch or a
+  missing file raises ``CheckpointCorruption``).  The journal *is* the
+  node's write stream, so anti-entropy replay works across restarts.
+* **Snapshot** — the derived state (version vector, winner index,
+  clock) goes atomically to ``REPLICA.json`` every
+  :data:`SNAPSHOT_EVERY` applies, not per op (a full-index rewrite
+  costs O(total keys)).  Reopening replays the journal suffix it does
+  not cover, reconstructing identical state after a crash anywhere.
 """
 
 from __future__ import annotations
@@ -49,13 +47,20 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from repro.analysis.dynamic import instrumented_lock, instrumented_rlock
-from repro.resilience.checkpoint import CheckpointStore
+from repro.resilience.checkpoint import (
+    CheckpointCorruption,
+    encode_record,
+    read_record,
+    write_json,
+    write_record,
+)
 
 __all__ = [
     "LamportClock",
@@ -68,15 +73,10 @@ __all__ = [
 REPLICA_STATE_NAME = "REPLICA.json"
 OPLOG_NAME = "OPLOG.jsonl"
 TOPOLOGY_NAME = "STORE.json"
-STATE_FORMAT = 2
+STATE_FORMAT = 3
 #: Applies between REPLICA.json snapshots (journal suffix replay
 #: covers the gap on reopen).
 SNAPSHOT_EVERY = 64
-
-
-def _op_record_key(origin: str, seq: int) -> str:
-    """CheckpointStore record key holding one op's array payload."""
-    return f"__op__/{origin}:{seq}"
 
 
 def parse_op_id(op_id: str) -> tuple[str, int]:
@@ -129,6 +129,11 @@ class WriteOp:
     def seq(self) -> int:
         return parse_op_id(self.op_id)[1]
 
+    @cached_property
+    def payload(self) -> bytes:
+        """The arrays' encoded record, shared by every replica applying it."""
+        return encode_record(self.arrays or {})
+
 
 def _digest_arrays(arrays: Mapping[str, np.ndarray]) -> str:
     """Stable content hash of a record's arrays (name/dtype/shape/bytes)."""
@@ -143,30 +148,27 @@ def _digest_arrays(arrays: Mapping[str, np.ndarray]) -> str:
 
 
 class ReplicaNode:
-    """One replica: a CheckpointStore plus the replication metadata.
+    """One replica: op records, an op journal and a state snapshot.
 
     All mutations are serialized by an internal lock (worker threads
-    of the service share the nodes).  Every applied op durably appends
-    one line to the ``OPLOG.jsonl`` journal and saves its arrays under
-    an op-scoped store record; the derived state snapshot
-    (``REPLICA.json``) is rewritten every :data:`SNAPSHOT_EVERY`
-    applies.  Reopening the directory loads the snapshot, replays the
-    journal suffix it does not cover, and resumes with the same
-    version vector, winner index and write stream.
+    of the service share the nodes).  Reopening the directory resumes
+    with the same version vector, winner index and write stream (see
+    the module docstring for the three on-disk layers).
     """
 
     def __init__(self, root: str | os.PathLike, name: str) -> None:
         self.name = name
         self.root = Path(root)
-        self.store = CheckpointStore(self.root)
+        self._records = self.root / "records"
+        self._records.mkdir(parents=True, exist_ok=True)
         self._lock = instrumented_rlock("service.store.replica")
         #: applied op metadata in arrival order (mirrors OPLOG.jsonl);
-        #: each entry is {"op_id", "key", "ts", "deleted"}.
+        #: each entry is {"op_id", "key", "ts", "deleted", "sha256"}.
         self._journal: list[dict] = []
         self._next_seq = 1
         self._last_seen: dict[str, int] = {}
         self._missing: dict[str, set[int]] = {}
-        #: key -> winning op metadata {"ts", "origin", "seq", "deleted"}.
+        #: key -> winning op {"ts", "origin", "seq", "deleted", "sha256"}.
         self._index: dict[str, dict] = {}
         self.clock = LamportClock()
         self._since_snapshot = 0
@@ -190,7 +192,7 @@ class ReplicaNode:
             covered = int(state.get("journal", 0))
         self._journal = self._read_journal()
         for entry in self._journal[covered:]:
-            self._replay_entry(entry)
+            self._fold(entry)
         if not state_path.exists():
             # Pin the format sidecar up front so a reopen can always
             # tell a fresh node from an incompatible one.
@@ -198,19 +200,22 @@ class ReplicaNode:
 
     # ------------------------------------------------------------ state
     def _read_journal(self) -> list[dict]:
-        """Parse OPLOG.jsonl, tolerating one torn trailing line."""
+        """Parse OPLOG.jsonl, dropping one torn trailing line."""
         path = self.root / OPLOG_NAME
         if not path.exists():
             return []
         entries: list[dict] = []
-        with open(path, "r", encoding="utf-8") as fh:
+        whole = 0
+        with open(path, "r+b") as fh:
             for line in fh:
-                try:
-                    entries.append(json.loads(line))
-                except json.JSONDecodeError:
+                if not line.endswith(b"\n"):
                     # A crash mid-append leaves at most one partial
-                    # final line; everything before it is intact.
+                    # final line: cut it, so the next append starts a
+                    # line of its own instead of extending the torn one.
+                    fh.truncate(whole)
                     break
+                entries.append(json.loads(line))
+                whole += len(line)
         return entries
 
     def _append_journal(self, entry: dict) -> None:
@@ -218,48 +223,45 @@ class ReplicaNode:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
             fh.flush()
 
-    def _replay_entry(self, entry: dict) -> None:
-        """Re-derive state from one journal line (reopen path)."""
+    def _fold(self, entry: dict) -> None:
+        """Derive state from one journal line (apply and reopen paths)."""
         origin, seq = parse_op_id(entry["op_id"])
-        if self._applied(origin, seq):  # pragma: no cover - stale journal
-            return
         self._mark_applied(origin, seq)
         self.clock.observe(entry["ts"])
         if origin == self.name:
             self._next_seq = max(self._next_seq, seq + 1)
-        self._update_index(
-            entry["key"], entry["ts"], origin, seq, entry["deleted"]
-        )
-
-    def _update_index(
-        self, key: str, ts: int, origin: str, seq: int, deleted: bool
-    ) -> None:
-        cur = self._index.get(key)
-        if cur is None or (ts, origin) > (cur["ts"], cur["origin"]):
-            self._index[key] = {
-                "ts": ts,
+        cur = self._index.get(entry["key"])
+        if cur is None or (entry["ts"], origin) > (cur["ts"], cur["origin"]):
+            self._index[entry["key"]] = {
+                "ts": entry["ts"],
                 "origin": origin,
                 "seq": seq,
-                "deleted": deleted,
+                "deleted": entry["deleted"],
+                "sha256": entry["sha256"],
             }
+
+    def _read(self, origin: str, seq: int, sha256: str) -> dict[str, np.ndarray]:
+        """One op's arrays, verified against its journaled checksum."""
+        return read_record(self._records, f"{origin}:{seq}", sha256)
+
+    def _state(self) -> dict:
+        """Version vector, gap sets and winner index (dump sort_keys)."""
+        return {
+            "last_seen": self._last_seen,
+            "missing": {k: sorted(v) for k, v in self._missing.items() if v},
+            "index": self._index,
+        }
 
     def _save_state(self) -> None:
         state = {
+            **self._state(),
             "format": STATE_FORMAT,
             "name": self.name,
             "next_seq": self._next_seq,
             "clock": self.clock.time,
             "journal": len(self._journal),
-            "last_seen": dict(sorted(self._last_seen.items())),
-            "missing": {
-                k: sorted(v) for k, v in sorted(self._missing.items()) if v
-            },
-            "index": {k: self._index[k] for k in sorted(self._index)},
         }
-        tmp = self.root / (REPLICA_STATE_NAME + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(state, fh, indent=1, sort_keys=True)
-        os.replace(tmp, self.root / REPLICA_STATE_NAME)
+        write_json(self.root / REPLICA_STATE_NAME, state)
         self._since_snapshot = 0
 
     @property
@@ -318,24 +320,23 @@ class ReplicaNode:
         with self._lock:
             if self._applied(origin, seq):
                 return False
-            deleted = op.arrays is None
             # Durability order: arrays first (an orphan record is
             # harmless), then the journal line (the commit point — a
             # crash before it means the op was simply never applied
             # and replication will redeliver it).
-            if not deleted:
-                self.store.save(_op_record_key(origin, seq), op.arrays)
+            sha256: str | None = None
+            if op.arrays is not None:
+                sha256 = write_record(self._records, f"{origin}:{seq}", op.payload)
             entry = {
                 "op_id": op.op_id,
                 "key": op.key,
                 "ts": op.ts,
-                "deleted": deleted,
+                "deleted": op.arrays is None,
+                "sha256": sha256,
             }
             self._append_journal(entry)
             self._journal.append(entry)
-            self._mark_applied(origin, seq)
-            self.clock.observe(op.ts)
-            self._update_index(op.key, op.ts, origin, seq, deleted)
+            self._fold(entry)
             self._since_snapshot += 1
             if self._since_snapshot >= SNAPSHOT_EVERY:
                 self._save_state()
@@ -347,9 +348,9 @@ class ReplicaNode:
         """Applied ops in arrival order — the node's write stream.
 
         Materialized from the durable journal (arrays load from the
-        op-scoped store records), so it survives process restarts and
-        anti-entropy replay to a recovering peer still ships the full
-        history after a reopen.
+        op records, checksum-verified), so it survives process restarts
+        and anti-entropy replay to a recovering peer still ships the
+        full history after a reopen.
         """
         with self._lock:
             return [self._materialize(entry) for entry in self._journal]
@@ -357,8 +358,7 @@ class ReplicaNode:
     def _materialize(self, entry: dict) -> WriteOp:
         arrays = None
         if not entry["deleted"]:
-            origin, seq = parse_op_id(entry["op_id"])
-            arrays = self.store.load(_op_record_key(origin, seq))
+            arrays = self._read(*parse_op_id(entry["op_id"]), entry["sha256"])
         return WriteOp(entry["op_id"], entry["key"], entry["ts"], arrays)
 
     def get(self, key: str) -> dict[str, np.ndarray] | None:
@@ -367,9 +367,7 @@ class ReplicaNode:
             entry = self._index.get(key)
             if entry is None or entry["deleted"]:
                 return None
-            return self.store.load(
-                _op_record_key(entry["origin"], entry["seq"])
-            )
+            return self._read(entry["origin"], entry["seq"], entry["sha256"])
 
     def keys(self) -> list[str]:
         """Visible (non-tombstoned) keys, sorted."""
@@ -382,31 +380,23 @@ class ReplicaNode:
         """Content hash of the node's replicated state.
 
         Covers the version vector, the per-key winner metadata and the
-        winning array bytes — everything replication is responsible
+        winning array content — everything replication is responsible
         for — and deliberately *not* the op log, whose order is
-        delivery-dependent.  Two nodes converged iff digests match.
+        delivery-dependent, nor the payload checksums, which depend on
+        the container encoding rather than the arrays.  Two nodes
+        converged iff digests match.
         """
         with self._lock:
-            h = hashlib.sha256()
-            h.update(
-                json.dumps(
-                    {
-                        "last_seen": dict(sorted(self._last_seen.items())),
-                        "missing": {
-                            k: sorted(v)
-                            for k, v in sorted(self._missing.items())
-                            if v
-                        },
-                        "index": {k: self._index[k] for k in sorted(self._index)},
-                    },
-                    sort_keys=True,
-                ).encode()
-            )
-            for key in sorted(self._index):
-                entry = self._index[key]
+            state = self._state()
+            state["index"] = {
+                k: {f: v for f, v in e.items() if f != "sha256"}
+                for k, e in self._index.items()
+            }
+            h = hashlib.sha256(json.dumps(state, sort_keys=True).encode())
+            for _, entry in sorted(self._index.items()):
                 if not entry["deleted"]:
-                    arrays = self.store.load(
-                        _op_record_key(entry["origin"], entry["seq"])
+                    arrays = self._read(
+                        entry["origin"], entry["seq"], entry["sha256"]
                     )
                     h.update(_digest_arrays(arrays).encode())
             return h.hexdigest()
@@ -428,7 +418,8 @@ class ReplicatedResultsStore:
     Writes originate on a shard's primary (replica 0), which mints the
     ``op_id``, and fan out to the peers via :meth:`ReplicaNode.apply`.
     Reads try the primary first and fall back to peers, so a wiped
-    replica degrades reads to its siblings instead of failing them.
+    replica, or one with a corrupt or missing record, degrades reads to
+    its siblings instead of failing them.
     """
 
     def __init__(
@@ -449,16 +440,19 @@ class ReplicatedResultsStore:
         if topo_path.exists():
             with open(topo_path, "r", encoding="utf-8") as fh:
                 existing = json.load(fh)
+            if existing.get("format") != STATE_FORMAT:
+                raise ValueError(
+                    f"store {self.root} is format {existing.get('format')!r}, this "
+                    f"version reads format {STATE_FORMAT}: results are "
+                    f"recomputable, so point store_root at a fresh directory"
+                )
             if existing != topo:
                 raise ValueError(
                     f"store {self.root} has topology {existing!r}, "
                     f"reopened with {topo!r}: resharding is not supported"
                 )
         else:
-            tmp = self.root / (TOPOLOGY_NAME + ".tmp")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(topo, fh, indent=1, sort_keys=True)
-            os.replace(tmp, topo_path)
+            write_json(topo_path, topo)
         self.nshards = nshards
         self.replication = replication
         self.nodes: list[list[ReplicaNode]] = [
@@ -485,26 +479,35 @@ class ReplicatedResultsStore:
         """Replicated write; returns the op's ``op_id``."""
         if arrays is None:
             raise ValueError("put() needs arrays; use delete() for tombstones")
-        replicas = self.replicas(key)
-        op = replicas[0].local_write(key, dict(arrays))
-        for peer in replicas[1:]:
-            peer.apply(op)
-        return op.op_id
+        return self._originate(key, dict(arrays))
 
     def delete(self, key: str) -> str:
         """Replicated tombstone; returns the op's ``op_id``."""
+        return self._originate(key, None)
+
+    def _originate(self, key: str, arrays: dict[str, np.ndarray] | None) -> str:
         replicas = self.replicas(key)
-        op = replicas[0].local_write(key, None)
+        op = replicas[0].local_write(key, arrays)
         for peer in replicas[1:]:
             peer.apply(op)
         return op.op_id
 
     # ------------------------------------------------------------- reads
     def get(self, key: str) -> dict[str, np.ndarray] | None:
+        """The key's arrays from the first replica that can serve them;
+        a damaged record's ``CheckpointCorruption`` surfaces only if no
+        replica can."""
+        error: CheckpointCorruption | None = None
         for node in self.replicas(key):
-            value = node.get(key)
+            try:
+                value = node.get(key)
+            except CheckpointCorruption as exc:
+                error = error or exc
+                continue
             if value is not None:
                 return value
+        if error is not None:
+            raise error
         return None
 
     def __contains__(self, key: str) -> bool:
@@ -527,8 +530,7 @@ class ReplicatedResultsStore:
         shards = range(self.nshards) if shard is None else (shard,)
         out: list[WriteOp] = []
         for s in shards:
-            with self.nodes[s][0]._lock:
-                out.extend(self.nodes[s][0].log)
+            out.extend(self.nodes[s][0].log)
         return out
 
     def replay(self, ops: Iterable[WriteOp]) -> int:

@@ -1,6 +1,8 @@
 """Tests for the replicated, idempotent results store."""
 
+import hashlib
 import json
+import os
 import random
 import shutil
 import threading
@@ -8,7 +10,9 @@ import threading
 import numpy as np
 import pytest
 
+from repro.resilience.checkpoint import CheckpointCorruption
 from repro.service.store import (
+    SNAPSHOT_EVERY,
     LamportClock,
     ReplicaNode,
     ReplicatedResultsStore,
@@ -20,6 +24,13 @@ from repro.service.store import (
 def arrays(seed: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
     return {"coef": rng.normal(size=7), "mask": rng.integers(0, 2, size=7)}
+
+
+def flip_byte(path) -> None:
+    """Bit rot: invert the last byte of a file in place."""
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0xFF
+    path.write_bytes(bytes(data))
 
 
 class TestOpIds:
@@ -165,6 +176,44 @@ class TestReplicaNode:
         assert reopened.last_seen == {"n": 2}
         assert len(reopened.log) == 2
 
+    def test_writes_after_a_torn_tail_survive_the_next_reopen(self, tmp_path):
+        node = ReplicaNode(tmp_path / "n", "n")
+        node.local_write("k0", arrays(0))
+        with open(tmp_path / "n" / "OPLOG.jsonl", "a") as fh:
+            fh.write('{"op_id": "n:99", "key"')  # crash mid-append
+        resumed = ReplicaNode(tmp_path / "n", "n")
+        resumed.local_write("k1", arrays(1))
+        resumed.local_write("k2", arrays(2))
+        # The torn line was cut on reopen, so the later appends start
+        # lines of their own instead of extending it into garbage.
+        reopened = ReplicaNode(tmp_path / "n", "n")
+        assert reopened.last_seen == {"n": 3}
+        assert reopened.keys() == ["k0", "k1", "k2"]
+        assert reopened.state_digest() == resumed.state_digest()
+
+    def test_journal_line_carries_the_record_checksum(self, tmp_path):
+        node = ReplicaNode(tmp_path / "n", "n")
+        node.local_write("k", arrays(0))
+        node.local_write("k", None)
+        lines = (tmp_path / "n" / "OPLOG.jsonl").read_text().splitlines()
+        put, tomb = (json.loads(line) for line in lines)
+        (record,) = (tmp_path / "n" / "records").glob("*.npz")
+        assert put["sha256"] == hashlib.sha256(record.read_bytes()).hexdigest()
+        assert tomb["sha256"] is None
+        assert not (tmp_path / "n" / "MANIFEST.json").exists()
+
+    def test_corrupt_or_missing_record_raises(self, tmp_path):
+        node = ReplicaNode(tmp_path / "n", "n")
+        node.local_write("k", arrays(0))
+        (record,) = (tmp_path / "n" / "records").glob("*.npz")
+        flip_byte(record)
+        for read in (lambda: node.get("k"), lambda: node.log, node.state_digest):
+            with pytest.raises(CheckpointCorruption, match="checksum"):
+                read()
+        record.unlink()
+        with pytest.raises(CheckpointCorruption, match="missing"):
+            node.get("k")
+
     def test_corrupt_state_format_rejected(self, tmp_path):
         node = ReplicaNode(tmp_path / "n", "n")
         node.local_write("k", arrays(0))
@@ -219,6 +268,70 @@ class TestReplicatedResultsStore:
         primary._index.clear()
         got = store.get("k")
         assert np.array_equal(got["coef"], arrays(2)["coef"])
+
+    @staticmethod
+    def _records(root, replica: int) -> list:
+        return sorted((root / "shard0" / f"replica{replica}" / "records").glob("*.npz"))
+
+    @pytest.mark.parametrize("damage", [flip_byte, os.unlink])
+    def test_read_falls_back_past_a_damaged_primary_record(self, tmp_path, damage):
+        store = ReplicatedResultsStore(tmp_path / "s", nshards=1, replication=2)
+        store.put("k", arrays(3))
+        (record,) = self._records(tmp_path / "s", 0)
+        damage(record)
+        with pytest.raises(CheckpointCorruption):
+            store.nodes[0][0].get("k")
+        got = store.get("k")
+        peer = store.nodes[0][1].get("k")
+        assert set(got) == set(arrays(3))
+        for name in got:
+            assert got[name].tobytes() == peer[name].tobytes()
+            assert got[name].tobytes() == arrays(3)[name].tobytes()
+
+    def test_read_raises_when_every_replica_is_damaged(self, tmp_path):
+        store = ReplicatedResultsStore(tmp_path / "s", nshards=1, replication=2)
+        store.put("k", arrays(4))
+        flip_byte(self._records(tmp_path / "s", 0)[0])
+        os.unlink(self._records(tmp_path / "s", 1)[0])
+        with pytest.raises(CheckpointCorruption, match="checksum"):
+            store.get("k")
+
+    def test_put_cost_does_not_grow_with_store_size(self, tmp_path, monkeypatch):
+        store = ReplicatedResultsStore(tmp_path / "s", nshards=1, replication=2)
+        renamed: list[str] = []
+        real_replace = os.replace
+
+        def counting_replace(src, dst):
+            renamed.append(os.path.basename(dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", counting_replace)
+        nputs = 2 * SNAPSHOT_EVERY + 5
+        for i in range(nputs):
+            store.put(f"k{i}", arrays(i))
+        # Per put: one record rename on each of the two replicas; per
+        # SNAPSHOT_EVERY applies: one REPLICA.json rename per replica.
+        # Nothing else — no index or manifest rewrite that scales with
+        # the number of keys already stored.
+        records = [name for name in renamed if name.endswith(".npz")]
+        snapshots = [name for name in renamed if name == "REPLICA.json"]
+        assert len(records) == 2 * nputs
+        assert len(snapshots) == 2 * (nputs // SNAPSHOT_EVERY)
+        assert len(renamed) == len(records) + len(snapshots)
+        assert not list((tmp_path / "s").rglob("MANIFEST.json"))
+
+    def test_old_format_store_names_both_formats_and_the_fix(self, tmp_path):
+        root = tmp_path / "s"
+        root.mkdir()
+        (root / "STORE.json").write_text(
+            json.dumps({"format": 2, "nshards": 2, "replication": 2})
+        )
+        with pytest.raises(ValueError) as info:
+            ReplicatedResultsStore(root, nshards=2, replication=2)
+        message = str(info.value)
+        assert "format 2" in message and "format 3" in message
+        assert "fresh directory" in message
+        assert "resharding" not in message
 
     def test_replay_with_duplicates_and_reordering_is_identical(
         self, tmp_path
@@ -332,8 +445,8 @@ class TestReplicatedResultsStore:
 
     def test_concurrent_puts_clean_under_lock_observer(self, tmp_path):
         """The same race with DYN206 enabled: the store's primary ->
-        replica -> checkpoint lock topology must produce zero observed
-        inversions and no long holds."""
+        replica lock topology must produce zero observed inversions and
+        no long holds."""
         from repro.analysis.dynamic import LockOrderObserver, use_lock_observer
 
         observer = LockOrderObserver()
