@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.linalg.ols import ols_on_support
+from repro.linalg.ols import ols_family_columns
 
 __all__ = [
     "prediction_loss",
@@ -40,16 +40,9 @@ def fit_support_ols(
     """OLS estimates for every support in a ``(q, p)`` family.
 
     Returns a ``(q, p)`` array whose row ``j`` is dense on ``S_j`` and
-    exactly zero elsewhere.
+    exactly zero elsewhere (one-response ``ols_family_columns``).
     """
-    family = np.asarray(family, dtype=bool)
-    if family.ndim != 2:
-        raise ValueError(f"family must be (q, p), got {family.shape}")
-    q, p = family.shape
-    out = np.zeros((q, p))
-    for j in range(q):
-        out[j] = ols_on_support(X_train, y_train, family[j])
-    return out
+    return ols_family_columns(X_train, np.asarray(y_train)[:, None], family)
 
 
 def merge_loss_tables(*tables: np.ndarray) -> np.ndarray:

@@ -35,16 +35,14 @@ from repro.engine.plan import ESTIMATION, SELECTION, PlanOutputs, Subproblem, Uo
 from repro.linalg.admm import LassoADMM
 from repro.linalg.cd import lasso_cd, precompute_gram
 from repro.linalg.lambda_grid import lambda_grid, lambda_grid_from_max
-from repro.linalg.ols import ols_on_support
+from repro.linalg.ols import ols_family_columns
 from repro.var.lag import build_lag_matrices
 
 __all__ = [
     "LassoPlan",
     "VarPlan",
     "lasso_path",
-    "ols_family",
     "var_path_columns",
-    "ols_family_columns",
     "lifted_loss",
 ]
 
@@ -84,21 +82,6 @@ def lasso_path(
                 tol=config.cd_tol,
             )
             out[j] = beta
-    return out
-
-
-def ols_family(
-    X_train: np.ndarray, y_train: np.ndarray, family: np.ndarray
-) -> np.ndarray:
-    """Per-support OLS with caching of duplicate supports."""
-    q, p = family.shape
-    out = np.zeros((q, p))
-    cache: dict[bytes, np.ndarray] = {}
-    for j in range(q):
-        key = np.packbits(family[j]).tobytes()
-        if key not in cache:
-            cache[key] = ols_on_support(X_train, y_train, family[j])
-        out[j] = cache[key]
     return out
 
 
@@ -201,30 +184,18 @@ def var_path_columns(
     return out
 
 
-def ols_family_columns(
-    X: np.ndarray, Y: np.ndarray, family: np.ndarray
-) -> np.ndarray:
-    """Per-support OLS on the lifted problem, column-decomposed."""
-    q = family.shape[0]
-    kdim, p = X.shape[1], Y.shape[1]
-    out = np.zeros((q, kdim * p))
-    cache: dict[tuple[int, bytes], np.ndarray] = {}
-    for j in range(q):
-        for c in range(p):
-            mask = family[j, c * kdim : (c + 1) * kdim]
-            key = (c, np.packbits(mask).tobytes())
-            if key not in cache:
-                cache[key] = ols_on_support(X, Y[:, c], mask)
-            out[j, c * kdim : (c + 1) * kdim] = cache[key]
-    return out
-
-
 def lifted_loss(X: np.ndarray, Y: np.ndarray, vec_beta: np.ndarray) -> float:
     """Mean squared error of ``vec B`` over all output columns."""
     kdim, p = X.shape[1], Y.shape[1]
     B = vec_beta.reshape((kdim, p), order="F")
     resid = Y - X @ B
     return float((resid**2).sum() / max(resid.size, 1))
+
+
+def _require_finite(**arrays: np.ndarray) -> None:
+    for name, a in arrays.items():  # NaN / inf would zero the fit silently
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} contains NaN or inf")
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +222,7 @@ class LassoPlan(UoIPlan):
         n, p = X.shape
         if y.shape != (n,):
             raise ValueError(f"y shape {y.shape} incompatible with X {X.shape}")
+        _require_finite(X=X, y=y)
         self.config = config
         self.n, self.p = n, p
         self.q = config.n_lambdas
@@ -316,7 +288,9 @@ class LassoPlan(UoIPlan):
             emit(task, {"betas": betas})
         else:
             train_idx, eval_idx = self.estimation_idx[k]
-            est = ols_family(self.Xc[train_idx], self.yc[train_idx], self.family)
+            est = ols_family_columns(
+                self.Xc[train_idx], self.yc[train_idx, None], self.family
+            )
             # Materialize the eval split once, not once per support
             # (was ALLOC602: loop-invariant fancy index).
             X_ev, y_ev = self.Xc[eval_idx], self.yc[eval_idx]
@@ -416,6 +390,7 @@ class VarPlan(UoIPlan):
         if chain_seeding not in ("path", "none"):
             raise ValueError(f"unknown chain_seeding mode {chain_seeding!r}")
         lcfg = config.lasso
+        _require_finite(series=series)
         Y, X = build_lag_matrices(
             series, config.order, add_intercept=config.fit_intercept
         )

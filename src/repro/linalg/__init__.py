@@ -34,7 +34,7 @@ from repro.linalg.soft_threshold import (
 )
 from repro.linalg.admm import ADMMResult, LassoADMM, lasso_admm
 from repro.linalg.cd import lasso_cd, precompute_gram
-from repro.linalg.ols import ols_on_support, ols
+from repro.linalg.ols import ols_family_columns, ols_from_gram, ols_on_support, ols
 from repro.linalg.ridge import ridge
 from repro.linalg.nonconvex import mcp_regression, scad_regression
 from repro.linalg.lambda_grid import lambda_max, lambda_grid
@@ -58,6 +58,8 @@ __all__ = [
     "precompute_gram",
     "ols_on_support",
     "ols",
+    "ols_from_gram",
+    "ols_family_columns",
     "ridge",
     "mcp_regression",
     "scad_regression",

@@ -275,8 +275,14 @@ class TestGridOwnership:
     def test_failure_note_names_simmpi_backend(self, lasso_setup, monkeypatch):
         from repro.core import parallel
 
-        def boom(*args, **kwargs):
-            raise RuntimeError("boom")
+        real = parallel.consensus_lasso_admm
+
+        def boom(comm, *args, **kwargs):
+            # Only world rank 0 fails: if every rank raised, another
+            # rank could abort the job before rank 0 reached its solve.
+            if comm.clock.rank == 0:
+                raise RuntimeError("boom")
+            return real(comm, *args, **kwargs)
 
         monkeypatch.setattr(parallel, "consensus_lasso_admm", boom)
         _, file, _ = lasso_setup
@@ -288,6 +294,7 @@ class TestGridOwnership:
                 ),
                 machine=LAPTOP,
             )
+        assert [rank for rank, _ in excinfo.value.failures] == [0]
         # Rank 0 is cell (0, 0): its first chain is bootstrap 0, and of
         # its six λ tasks the cell owns the even ones.
         assert (

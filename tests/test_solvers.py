@@ -10,10 +10,13 @@ from repro.linalg import (
     lasso_cd,
     mcp_regression,
     ols,
+    ols_family_columns,
+    ols_from_gram,
     ols_on_support,
     ridge,
     scad_regression,
 )
+from repro.telemetry import Recorder, use_recorder
 
 
 @pytest.fixture
@@ -147,6 +150,129 @@ class TestOls:
             ols_on_support(X, y, np.zeros(4, dtype=bool))
         with pytest.raises(ValueError, match="out of range"):
             ols_on_support(X, y, np.array([99]))
+
+    def test_duplicate_indices_rejected(self, problem):
+        # Duplicates used to split the coefficient between the copies
+        # ([0, 0, 1, 4] gave half of beta[0]).
+        X, y, _ = problem
+        G, c = X.T @ X, X.T @ y
+        with pytest.raises(ValueError, match="distinct"):
+            ols_on_support(X, y, np.array([0, 0, 1, 4]))
+        with pytest.raises(ValueError, match="distinct"):
+            ols_from_gram(G, c, np.array([0, 0, 1, 4]), X, y)
+
+    def test_float_indices_rejected(self, problem):
+        # Float indices used to be truncated silently by astype(intp).
+        X, y, _ = problem
+        G, c = X.T @ X, X.T @ y
+        with pytest.raises(ValueError, match="integers"):
+            ols_on_support(X, y, np.array([0.0, 3.7]))
+        with pytest.raises(ValueError, match="integers"):
+            ols_from_gram(G, c, np.array([0.0, 3.7]), X, y)
+
+
+def _ols_counts(fn, *args):
+    rec = Recorder()
+    with use_recorder(rec):
+        out = fn(*args)
+    counts = rec.counter_values()
+    return out, counts.get("ols.solves", 0), counts.get("ols.gram_fallbacks", 0)
+
+
+class TestGramOls:
+    """The normal-equations path of the estimation stage and its SVD
+    fallback."""
+
+    @pytest.mark.parametrize(
+        "eps",
+        [0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2],
+    )
+    def test_collinearity_sweep(self, problem, eps):
+        X0, y, _ = problem
+        rng = np.random.default_rng(5)
+        X = np.column_stack([X0, X0[:, 3] + eps * rng.standard_normal(len(y))])
+        support = np.ones(X.shape[1], dtype=bool)
+        svd = ols_on_support(X, y, support)
+        gram, solves, fallbacks = _ols_counts(
+            ols_from_gram, X.T @ X, X.T @ y, support, X, y
+        )
+        assert solves == 1
+        if fallbacks:
+            assert gram.tobytes() == svd.tobytes()
+        else:
+            np.testing.assert_allclose(gram, svd, rtol=1e-7, atol=0)
+        # The floor is what decides: only the well-separated end of the
+        # sweep is solved from the Gram.
+        assert fallbacks == (eps < 1e-3)
+
+    def test_matches_svd_on_well_conditioned_support(self, problem):
+        X, y, _ = problem
+        mask = np.zeros(10, dtype=bool)
+        mask[[0, 3, 7]] = True
+        gram, solves, fallbacks = _ols_counts(
+            ols_from_gram, X.T @ X, X.T @ y, mask, X, y
+        )
+        assert (solves, fallbacks) == (1, 0)
+        assert np.all(gram[~mask] == 0.0)
+        np.testing.assert_allclose(gram, ols_on_support(X, y, mask), rtol=1e-12)
+
+    def test_more_columns_than_rows_falls_back(self, problem):
+        X, y, _ = problem
+        X, y = X[:6], y[:6]
+        support = np.arange(8)
+        gram, solves, fallbacks = _ols_counts(
+            ols_from_gram, X.T @ X, X.T @ y, support, X, y
+        )
+        assert (solves, fallbacks) == (1, 1)
+        assert gram.tobytes() == ols_on_support(X, y, support).tobytes()
+
+    def test_zero_column_falls_back(self, problem):
+        # dpotrf fails on the zero pivot; lstsq gives the min-norm 0.
+        X, y, _ = problem
+        X = X.copy()
+        X[:, 2] = 0.0
+        mask = np.zeros(10, dtype=bool)
+        mask[[0, 2, 3]] = True
+        gram, solves, fallbacks = _ols_counts(
+            ols_from_gram, X.T @ X, X.T @ y, mask, X, y
+        )
+        assert (solves, fallbacks) == (1, 1)
+        assert gram.tobytes() == ols_on_support(X, y, mask).tobytes()
+
+    def test_empty_support(self, problem):
+        X, y, _ = problem
+        gram, solves, fallbacks = _ols_counts(
+            ols_from_gram, X.T @ X, X.T @ y, np.zeros(10, dtype=bool), X, y
+        )
+        assert (solves, fallbacks) == (0, 0)
+        np.testing.assert_array_equal(gram, np.zeros(10))
+
+    def test_family_counts_distinct_supports(self, problem):
+        X, y, _ = problem
+        family = np.zeros((5, 10), dtype=bool)
+        family[1:, 0] = True
+        family[2:, 3] = True
+        family[3, 7] = True  # rows 2 and 4 share the support {0, 3}
+        est, solves, fallbacks = _ols_counts(
+            ols_family_columns, X, y[:, None], family
+        )
+        assert (solves, fallbacks) == (3, 0)
+        for j in range(5):
+            np.testing.assert_allclose(
+                est[j], ols_on_support(X, y, family[j]), rtol=1e-12, atol=1e-15
+            )
+
+    def test_family_fallback_is_bitwise_svd(self, problem):
+        X, y, _ = problem
+        X = np.column_stack([X, X[:, 0]])  # exact duplicate of column 0
+        family = np.zeros((2, 11), dtype=bool)
+        family[0, [0, 3]] = True
+        family[1, [0, 3, 10]] = True
+        est, solves, fallbacks = _ols_counts(
+            ols_family_columns, X, y[:, None], family
+        )
+        assert (solves, fallbacks) == (2, 1)
+        assert est[1].tobytes() == ols_on_support(X, y, family[1]).tobytes()
 
 
 class TestRidge:

@@ -118,6 +118,19 @@ class TestValidationAndConfig:
         with pytest.raises(ValueError, match="incompatible"):
             m.fit(np.ones((5, 2)), np.ones(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, bad):
+        rng = np.random.default_rng(0)
+        X, y = rng.standard_normal((30, 4)), rng.standard_normal(30)
+        y_bad = y.copy()
+        y_bad[3] = bad
+        with pytest.raises(ValueError, match="^y contains NaN or inf"):
+            UoILasso(**FAST).fit(X, y_bad)
+        X_bad = X.copy()
+        X_bad[5, 1] = bad
+        with pytest.raises(ValueError, match="^X contains NaN or inf"):
+            UoILasso(**FAST).fit(X_bad, y)
+
     def test_predict_before_fit(self):
         with pytest.raises(RuntimeError, match="fit"):
             UoILasso().predict(np.ones((2, 2)))

@@ -104,8 +104,7 @@ class TestManySeries:
         """The estimation stage's support cache is keyed per response
         column; 256 or more series must neither crash it nor share an
         entry between two columns with the same support mask."""
-        from repro.engine.plans import ols_family_columns
-        from repro.linalg import ols_on_support
+        from repro.linalg import ols_family_columns, ols_from_gram
 
         rng = np.random.default_rng(0)
         p, kdim, n = 260, 3, 12
@@ -115,12 +114,24 @@ class TestManySeries:
         family[0, np.arange(p) * kdim] = True
         family[1, np.arange(p) * kdim + 1] = True
         out = ols_family_columns(X, Y, family)
+        # The family's Gram spans the union of its supports: columns 0, 1.
+        XU = X[:, [0, 1]]
+        G, C = XU.T @ XU, XU.T @ Y
         for c in (0, 255, 256, 259):
             cols = slice(c * kdim, (c + 1) * kdim)
             for j in range(2):
-                np.testing.assert_array_equal(
-                    out[j, cols], ols_on_support(X, Y[:, c], family[j, cols])
-                )
+                expect = np.zeros(kdim)
+                expect[:2] = ols_from_gram(G, C[:, c], family[j, cols][:2], XU, Y[:, c])
+                np.testing.assert_array_equal(out[j, cols], expect)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_series_raises(self, bad):
+        series = np.random.default_rng(0).standard_normal((40, 3))
+        series[7, 2] = bad
+        with pytest.raises(ValueError, match="^series contains NaN or inf"):
+            UoIVar(order=1, **FAST).fit(series)
 
 
 class TestConfig:
