@@ -25,7 +25,9 @@ Tier-1 blocks loaded once at startup.
 :func:`distributed_uoi_lasso` expects the paper's ``InputData``
 layout: one ``(n, 1 + p)`` dataset whose column 0 is the response.
 :func:`distributed_uoi_var` runs Algorithm 2 with the
-distributed-Kronecker construction and a sparse consensus solver.
+distributed-Kronecker construction, solving each response column
+locally when one rank owns it and by consensus among the ranks that
+share it otherwise.
 
 Both drivers are thin adapters over the execution engine
 (:mod:`repro.engine`): after the data-distribution preamble they build
@@ -273,8 +275,8 @@ class _DistUoIPlan(UoIPlan):
     structure the legacy loops had, with the orchestration (ownership,
     lookup, hook dispatch) lifted into the engine.
 
-    Subclasses say where a bootstrap's local rows come from
-    (:meth:`_local_problem`) and how many responses one row carries.
+    Subclasses supply ``run_chain``: how a cell solves its owned
+    (bootstrap, λ) subproblems.
 
     Reductions deliberately keep the legacy float-summation grouping
     (per-rank partial sums combined by ``Allreduce``): regrouping
@@ -283,8 +285,6 @@ class _DistUoIPlan(UoIPlan):
 
     #: (selection key prefix, estimation key prefix)
     prefixes = ("sel", "est")
-    #: Responses per sampled row (the held-out loss is a per-response mean).
-    responses = 1
 
     def __init__(
         self,
@@ -341,66 +341,6 @@ class _DistUoIPlan(UoIPlan):
         if self.result is None:
             raise RuntimeError("plan has not been reduced yet")
         return self.result
-
-    # ------------------------------------------------------------ solves
-    def _local_problem(self, idx: np.ndarray):
-        """This rank's ``(A_local, b_local)`` row block for sample ``idx``
-        (collective over the solver communicator)."""
-        raise NotImplementedError
-
-    def _consensus(self, A_local, b_local, lam: float, beta0=None) -> np.ndarray:
-        cfg = self.lcfg
-        return consensus_lasso_admm(
-            self.solver_comm,
-            A_local,
-            b_local,
-            lam,
-            rho=cfg.rho,
-            max_iter=cfg.max_iter,
-            abstol=cfg.abstol,
-            reltol=cfg.reltol,
-            adapt_rho=cfg.adapt_rho,
-            beta0=beta0,
-        ).beta
-
-    def run_chain(self, stage, tasks, recovered, emit):
-        k = tasks[0].bootstrap
-        if stage == SELECTION:
-            # At least one subproblem to solve: pay the data movement
-            # (Tier-2 shuffle / distributed-Kronecker assembly).
-            A_loc, b_loc = self._local_problem(self.selection_idx[k])
-            beta = None
-            for task in tasks:
-                rec = recovered.get(task.key)
-                if rec is not None:
-                    # Recovered solve still seeds the λ-path warm start.
-                    beta = rec["beta"]
-                    continue
-                beta = self._consensus(
-                    A_loc, b_loc, float(self.lambdas[task.lam_index]), beta
-                )
-                emit(task, {"beta": beta})
-            return
-
-        train_idx, eval_idx = self.estimation_idx[k]
-        A_tr, b_tr = self._local_problem(train_idx)
-        A_ev, b_ev = self._local_problem(eval_idx)
-        n_eval = len(eval_idx) * self.responses
-        for task in tasks:
-            if task.key in recovered:
-                continue
-            cols = np.flatnonzero(self.family[task.lam_index])
-            # Deliberate per-task allocation: the buffer escapes into
-            # the task payload, so pooling needs a copy-on-emit
-            # protocol first (ROADMAP item 3(d); ~8 KB/task for
-            # UoI_LASSO and ~24 MB/task for UoI_VAR at paper scale, the
-            # largest open item on the ALLOC ledger).
-            beta_full = np.zeros(self.ncoef)  # repro: ignore[ALLOC601]
-            if cols.size:
-                beta_full[cols] = self._consensus(A_tr[:, cols], b_tr, 0.0)
-            resid = b_ev - A_ev @ beta_full
-            sse = self.solver_comm.allreduce(float(resid @ resid), SUM)
-            emit(task, {"beta": beta_full, "loss": sse / max(n_eval, 1)})
 
     # ------------------------------------------------------- reductions
     def reduce(self, stage, results):
@@ -481,12 +421,201 @@ class _DistLassoPlan(_DistUoIPlan):
         }
 
     def _local_problem(self, idx):
+        """This rank's ``(A_local, b_local)`` row block for sample ``idx``
+        (collective over the solver communicator)."""
         rows = self.dist.sample(idx, subcomm=self.solver_comm)
         return rows[:, 1:], rows[:, 0]
 
+    def _consensus(self, A_local, b_local, lam: float, beta0=None) -> np.ndarray:
+        cfg = self.lcfg
+        return consensus_lasso_admm(
+            self.solver_comm,
+            A_local,
+            b_local,
+            lam,
+            rho=cfg.rho,
+            max_iter=cfg.max_iter,
+            abstol=cfg.abstol,
+            reltol=cfg.reltol,
+            adapt_rho=cfg.adapt_rho,
+            beta0=beta0,
+        ).beta
+
+    def run_chain(self, stage, tasks, recovered, emit):
+        k = tasks[0].bootstrap
+        if stage == SELECTION:
+            # At least one subproblem to solve: pay the data movement
+            # (Tier-2 shuffle).
+            A_loc, b_loc = self._local_problem(self.selection_idx[k])
+            beta = None
+            for task in tasks:
+                rec = recovered.get(task.key)
+                if rec is not None:
+                    # Recovered solve still seeds the λ-path warm start.
+                    beta = rec["beta"]
+                    continue
+                beta = self._consensus(
+                    A_loc, b_loc, float(self.lambdas[task.lam_index]), beta
+                )
+                emit(task, {"beta": beta})
+            return
+
+        train_idx, eval_idx = self.estimation_idx[k]
+        A_tr, b_tr = self._local_problem(train_idx)
+        A_ev, b_ev = self._local_problem(eval_idx)
+        # One block per chain; each task's payload is its own row.
+        refits = np.zeros((len(tasks), self.ncoef))
+        for task, beta_full in zip(tasks, refits):
+            if task.key in recovered:
+                continue
+            cols = np.flatnonzero(self.family[task.lam_index])
+            if cols.size:
+                beta_full[cols] = self._consensus(A_tr[:, cols], b_tr, 0.0)
+            resid = b_ev - A_ev @ beta_full
+            sse = self.solver_comm.allreduce(float(resid @ resid), SUM)
+            emit(task, {"beta": beta_full, "loss": sse / max(len(eval_idx), 1)})
+
+
+@dataclass
+class _ColumnGroups:
+    """One rank's response columns of a lifted problem with ``m`` rows
+    per column.
+
+    :func:`~repro.distribution.kron_dist.lifted_row_block` stripes the
+    ``m * p`` lifted rows column-major, so a rank's range holds whole
+    response columns plus at most one column cut at each end.  Rows of
+    column ``j`` are ``e_j' ⊗ X[i]``: restricted to any rows, the
+    lifted Gram is block diagonal per column, so a column one rank owns
+    outright is a serial problem on ``X``, and a cut column couples
+    only the ranks that share it.
+    """
+
+    m: int
+    lo: int
+    hi: int
+    #: Columns this rank owns outright, ascending (and contiguous).
+    whole: list[int]
+    #: ``(column, position in the sorted cut list)`` of each column this
+    #: rank shares with others, ascending.
+    cut: list[tuple[int, int]]
+    #: Per rank, the columns it contributes to the exchange: its whole
+    #: columns and the cut columns it is the lowest owner of.
+    sources: list[list[int]]
+    n_cut: int
+    #: Sub-communicator per cut position this rank takes part in.
+    comms: dict[int, SimComm] | None = None
+
+    @classmethod
+    def build(cls, m: int, p: int, size: int, rank: int) -> "_ColumnGroups":
+        from repro.distribution.kron_dist import lifted_row_block
+
+        owners: list[list[int]] = [[] for _ in range(p)]
+        for r in range(size):
+            lo, hi = lifted_row_block(m, p, size, r)
+            if hi > lo:
+                for j in range(lo // m, (hi - 1) // m + 1):
+                    owners[j].append(r)
+        cut_cols = [j for j in range(p) if len(owners[j]) > 1]
+        position = {j: t for t, j in enumerate(cut_cols)}
+        lo, hi = lifted_row_block(m, p, size, rank)
+        mine = range(lo // m, (hi - 1) // m + 1) if hi > lo else range(0)
+        sources: list[list[int]] = [[] for _ in range(size)]
+        for j in range(p):
+            sources[owners[j][0]].append(j)
+        return cls(
+            m=m,
+            lo=lo,
+            hi=hi,
+            whole=[j for j in mine if j not in position],
+            cut=[(j, position[j]) for j in mine if j in position],
+            sources=sources,
+            n_cut=len(cut_cols),
+        )
+
+    def rows(self, j: int) -> slice:
+        """This rank's local rows of column ``j``."""
+        return slice(
+            max(j * self.m, self.lo) - self.lo,
+            min((j + 1) * self.m, self.hi) - self.lo,
+        )
+
+    def split(self, j: int, n_first: int) -> tuple[slice, slice]:
+        """:meth:`rows` of column ``j`` cut into those among the
+        column's first ``n_first`` rows and the rest."""
+        rs = self.rows(j)
+        cut = min(max(j * self.m + n_first - self.lo, rs.start), rs.stop)
+        return slice(rs.start, cut), slice(cut, rs.stop)
+
+    def whole_block(
+        self, rows: np.ndarray, b: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(X, Y)`` of the whole columns: every one of them has all
+        ``m`` rows of ``X``, and ``Y[:, c]`` is column ``whole[c]``."""
+        start = self.rows(self.whole[0]).start
+        stop = start + len(self.whole) * self.m
+        return rows[start : start + self.m], b[start:stop].reshape(-1, self.m).T
+
+    def cut_comms(self, comm: SimComm) -> dict[int, SimComm]:
+        """Sub-communicators of this rank's cut columns, keyed by cut
+        position.
+
+        Collective over ``comm`` on the first call of a layout with cut
+        columns: two splits, even positions then odd.  A rank's cut
+        columns sit at the two ends of its range, adjacent in the cut
+        list, so it needs at most one communicator of each parity.
+        """
+        if self.comms is None:
+            self.comms = {}
+            for parity in range(2 if self.n_cut else 0):
+                mine = [t for _, t in self.cut if t % 2 == parity]
+                sub = comm.split(mine[0] if mine else self.n_cut + comm.rank)
+                if mine:
+                    self.comms[mine[0]] = sub
+        return self.comms
+
+
+def _gram_rows(G: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A row design ``(R, r)`` with the sufficient statistics ``R'R = G``
+    and ``R'r = c``.
+
+    ``c = X'y`` lies in ``G = X'X``'s range, so least squares on any
+    column subset of ``(R, r)`` has the minimisers of least squares on
+    the rows ``G`` was summed from: the SVD fallback of
+    :func:`~repro.linalg.ols.ols_from_gram` for a column whose rows
+    sit on several ranks.
+    """
+    w, V = np.linalg.eigh(G)
+    keep = w > w[-1] * len(w) * np.finfo(float).eps
+    root = np.sqrt(w[keep])
+    return root[:, None] * V[:, keep].T, (V[:, keep].T @ c) / root
+
 
 class _DistVarPlan(_DistUoIPlan):
-    """Distributed UoI_VAR over the distributed-Kronecker lifted problem."""
+    """Distributed UoI_VAR over column groups of the lifted problem.
+
+    The lifted problem ``(I_p ⊗ X) vec B`` splits into ``p``
+    independent column problems (eq. 9), and the distributed Kronecker
+    layout hands each rank whole columns plus at most two cut ones
+    (:class:`_ColumnGroups`).  Per (bootstrap, λ):
+
+    * whole columns run the serial kernels on their dense block, which
+      is ``X[idx]``: selection advances all of them with one factor
+      (``LassoADMM.solve_columns``, or covariance cd), estimation fits
+      every support from one Gram (``ols_family_columns``);
+    * a cut column runs the paper's algorithm on the ranks that share
+      it: consensus ADMM on a ``kdim``-vector in selection, one
+      allreduce of its partial ``X_U'X_U`` / ``X_U'y`` in estimation;
+    * one ``allgather`` of every rank's column blocks gives all ranks
+      the same lifted vector, bit for bit (per (bootstrap, λ) in
+      selection, per bootstrap in estimation, whose training and
+      held-out rows arrive in one fetch).
+
+    At paper scale (``m p`` rows over far more ranks than columns)
+    every column is cut, and this is the paper's consensus per column
+    group.  Local factors and solves are charged to the rank's virtual
+    clock at the machine model's rates, as consensus ADMM charges its
+    own.  The serial kernels are imported where they are used.
+    """
 
     kind = "uoi_var"
     prefixes = ("var-sel", "var-est")
@@ -497,7 +626,7 @@ class _DistVarPlan(_DistUoIPlan):
         grid: ProcessGrid,
         config: UoIVarConfig,
         solver_comm: SimComm,
-        lifted_local,
+        lifted_rows,
         dims: tuple[int, int, int],
         lambdas: np.ndarray,
         selection_idx,
@@ -509,8 +638,8 @@ class _DistVarPlan(_DistUoIPlan):
             lambdas, selection_idx, estimation_idx,
         )
         self.config = config
-        self.lifted_local = lifted_local
-        self.responses = self.p
+        self.lifted_rows = lifted_rows
+        self._layouts: dict[int, _ColumnGroups] = {}
 
     def meta(self) -> dict:
         return {
@@ -521,10 +650,227 @@ class _DistVarPlan(_DistUoIPlan):
             "order": self.config.order,
             "block_length": self.config.block_length,
             **super().meta(),
+            "solve": "column-groups",
         }
 
-    def _local_problem(self, idx):
-        return self.lifted_local(idx)
+    # ------------------------------------------------------------ solves
+    def _column_blocks(
+        self, idx: np.ndarray
+    ) -> tuple[_ColumnGroups, np.ndarray, np.ndarray]:
+        """This rank's layout and dense lifted rows for sample ``idx``
+        (collective over the solver communicator)."""
+        n = len(idx)
+        if n not in self._layouts:
+            comm = self.solver_comm
+            self._layouts[n] = _ColumnGroups.build(n, self.p, comm.size, comm.rank)
+        rows, b = self.lifted_rows(idx)
+        return self._layouts[n], rows, b
+
+    def _exchange(
+        self, groups: _ColumnGroups, solved: dict, lead: tuple[int, ...] = ()
+    ) -> np.ndarray:
+        """The lifted ``(*lead, p * kdim)`` coefficients from every
+        rank's ``solved[column]`` blocks of shape ``(*lead, kdim)``.
+
+        One ``allgather``, not a SUM: every rank copies the same bits.
+        """
+        comm = self.solver_comm
+        cols = groups.sources[comm.rank]
+        mine = np.empty((*lead, len(cols), self.kdim))
+        for i, j in enumerate(cols):
+            mine[..., i, :] = solved[j]
+        out = np.empty((*lead, self.p, self.kdim))
+        for cols, block in zip(groups.sources, comm.allgather(mine)):
+            out[..., cols, :] = block
+        return out.reshape(*lead, self.p * self.kdim)
+
+    def run_chain(self, stage, tasks, recovered, emit):
+        if stage == SELECTION:
+            self._select(tasks, recovered, emit)
+        else:
+            self._estimate(tasks, recovered, emit)
+
+    def _select(self, tasks, recovered, emit) -> None:
+        cfg, p, kdim = self.lcfg, self.p, self.kdim
+        groups, rows, b = self._column_blocks(self.selection_idx[tasks[0].bootstrap])
+        comms = groups.cut_comms(self.solver_comm)
+        whole = self._whole_lasso(groups, rows, b)
+        beta = None
+        for task in tasks:
+            rec = recovered.get(task.key)
+            if rec is not None:
+                # Recovered solve still seeds the λ-path warm start.
+                beta = rec["beta"]
+                continue
+            lam = float(self.lambdas[task.lam_index])
+            start = None if beta is None else beta.reshape(p, kdim)
+            solved = {}
+            if groups.whole:
+                seed = None if start is None else start[groups.whole]
+                solved.update(zip(groups.whole, whole(lam, seed)))
+            for c, t in groups.cut:
+                rs = groups.rows(c)
+                solved[c] = consensus_lasso_admm(
+                    comms[t],
+                    rows[rs],
+                    b[rs],
+                    lam,
+                    rho=cfg.rho,
+                    max_iter=cfg.max_iter,
+                    abstol=cfg.abstol,
+                    reltol=cfg.reltol,
+                    adapt_rho=cfg.adapt_rho,
+                    beta0=None if start is None else start[c],
+                ).beta
+            beta = self._exchange(groups, solved)
+            emit(task, {"beta": beta})
+
+    def _whole_lasso(self, groups: _ColumnGroups, rows: np.ndarray, b: np.ndarray):
+        """``step(lam, seed) -> [beta per whole column]`` on one factor
+        of this bootstrap's ``X``, warm-started by ``seed`` (``(n_whole,
+        kdim)`` or ``None``), with ``lcfg.solver``'s kernel."""
+        from repro.linalg.admm import LassoADMM
+        from repro.linalg.cd import lasso_cd, precompute_gram
+        from repro.perf.flops import charge_cholesky, charge_gemm
+
+        if not groups.whole:
+            return None
+        cfg = self.lcfg
+        X, Y = groups.whole_block(rows, b)
+        n, kdim = X.shape
+        ncols = Y.shape[1]
+        clock, machine = self.solver_comm.clock, self.solver_comm.machine
+        small = min(n, kdim)
+        charge_gemm(clock, machine, small, small, max(n, kdim))  # Gram
+        charge_gemm(clock, machine, kdim, ncols, n)  # X'Y
+        if cfg.solver == "admm":
+            solver = LassoADMM(
+                X,
+                Y[:, 0],
+                rho=cfg.rho,
+                max_iter=cfg.max_iter,
+                abstol=cfg.abstol,
+                reltol=cfg.reltol,
+                adapt_rho=cfg.adapt_rho,
+            )
+            if cfg.rho is None:
+                charge_gemm(clock, machine, small, small, small)  # spectrum
+            charge_cholesky(clock, machine, small)
+
+            def admm_step(lam, seed):
+                results = solver.solve_columns(
+                    Y, lam, beta0=None if seed is None else seed.T
+                )
+                its = sum(res.iterations for res in results)
+                # Two triangular solves per column iteration, run as
+                # multi-RHS solves; the Woodbury branch adds two
+                # products with X.
+                charge_gemm(clock, machine, small, its, small)
+                if n < kdim:
+                    charge_gemm(clock, machine, n, 2 * its, kdim)
+                return [res.beta for res in results]
+
+            return admm_step
+
+        gram, _, col_sq = precompute_gram(X)
+        triples = [(gram, X.T @ Y[:, c], col_sq) for c in range(ncols)]
+
+        def cd_step(lam, seed):
+            # lasso_cd does not report its sweeps: one per solve.
+            charge_gemm(clock, machine, kdim, ncols, kdim)
+            return [
+                lasso_cd(
+                    X, Y[:, c], lam,
+                    beta0=None if seed is None else seed[c],
+                    max_iter=cfg.max_iter, tol=cfg.cd_tol,
+                    precomputed=triples[c],
+                )
+                for c in range(ncols)
+            ]
+
+        return cd_step
+
+    def _estimate(self, tasks, recovered, emit) -> None:
+        from repro.linalg.ols import ols_family_columns, ols_from_gram
+        from repro.perf.flops import charge_gemm, charge_gemv
+
+        todo = [t for t in tasks if t.key not in recovered]
+        js = [t.lam_index for t in todo]
+        kdim = self.kdim
+        clock, machine = self.solver_comm.clock, self.solver_comm.machine
+        # One fetch per bootstrap: each column's first n_train lifted
+        # rows are the training sample, the rest are held out.
+        train_idx, eval_idx = self.estimation_idx[tasks[0].bootstrap]
+        n_train = len(train_idx)
+        groups, rows, b = self._column_blocks(np.concatenate([train_idx, eval_idx]))
+        comms = groups.cut_comms(self.solver_comm)
+        family = self.family.reshape(self.q, self.p, kdim)
+        masks = family[js]
+        union = family.any(axis=(0, 1))
+        nu = int(union.sum())
+        solved = {}
+        sse = np.zeros(len(js))
+        if groups.whole:
+            X, Y = groups.whole_block(rows, b)
+            # One extra all-zero response whose support is the whole
+            # family's union makes ols_family_columns form the serial
+            # fit's Gram X_U'X_U; its solve is dropped.
+            padded = np.zeros((len(js), len(groups.whole) + 1, kdim), dtype=bool)
+            padded[:, :-1] = masks[:, groups.whole]
+            padded[0, -1] = union
+            est = ols_family_columns(
+                X[:n_train], np.column_stack([Y[:n_train], np.zeros(n_train)]),
+                padded.reshape(len(js), -1),
+            ).reshape(padded.shape)[:, :-1]
+            solved.update(zip(groups.whole, est.swapaxes(0, 1)))
+            charge_gemm(clock, machine, nu, nu + len(groups.whole), n_train)
+            for c in groups.whole:
+                _charge_ols(clock, machine, masks[:, c])
+            resid = Y[None, n_train:] - np.einsum("nk,qck->qnc", X[n_train:], est)
+            sse += np.einsum("qnc,qnc->q", resid, resid)
+            charge_gemm(clock, machine, len(X) - n_train, est.size // kdim, kdim)
+        cut_fits = np.zeros((len(groups.cut), len(js), kdim))
+        for (c, t), beta in zip(groups.cut, cut_fits):
+            tr, ev = groups.split(c, n_train)
+            XU, yc = rows[tr][:, union], b[tr]
+            if nu:
+                stats = np.concatenate([(XU.T @ XU).ravel(), XU.T @ yc])
+                charge_gemm(clock, machine, nu, nu, len(yc))
+                charge_gemv(clock, machine, nu, len(yc))
+                stats = comms[t].allreduce(stats, SUM)
+                G, cvec = stats[: nu * nu].reshape(nu, nu), stats[nu * nu :]
+                R, r = _gram_rows(G, cvec)
+                charge_gemm(clock, machine, nu, nu, nu)  # eigh
+                fits: dict[bytes, np.ndarray] = {}
+                for i, mask in enumerate(masks[:, c, union]):
+                    key = mask.tobytes()
+                    if key not in fits:
+                        fits[key] = ols_from_gram(G, cvec, mask, R, r)
+                    beta[i, union] = fits[key]
+                _charge_ols(clock, machine, masks[:, c])
+            solved[c] = beta
+            resid = b[ev, None] - rows[ev] @ beta.T
+            sse += np.einsum("nq,nq->q", resid, resid)
+            charge_gemm(clock, machine, len(resid), len(js), kdim)
+        est = self._exchange(groups, solved, (len(js),))
+        # Every rank's held-out rows are of its own columns, whose fits
+        # it holds: one allreduce of the per-support SSE.
+        sse = self.solver_comm.allreduce(sse, SUM)
+        n_eval = max(len(eval_idx) * self.p, 1)
+        for task, beta, err in zip(todo, est, sse):
+            emit(task, {"beta": beta, "loss": err / n_eval})
+
+
+def _charge_ols(clock, machine, masks: np.ndarray) -> None:
+    """Charge one Cholesky and two triangular solves per distinct
+    non-empty support among ``masks`` (one column's, ``(nq, kdim)``)."""
+    from repro.perf.flops import charge_cholesky, charge_trsv
+
+    for size in {m.tobytes(): int(m.sum()) for m in masks}.values():
+        if size:
+            charge_cholesky(clock, machine, size)
+            charge_trsv(clock, machine, size)
+            charge_trsv(clock, machine, size)
 
 
 def _run_on_grid(
@@ -628,12 +974,16 @@ def distributed_uoi_var(
 
     ``series`` (the raw ``(N, p)`` time series) must be supplied on the
     ``n_readers`` leading ranks; other ranks may pass ``None``.  Every
-    bootstrap builds its lifted problem through the distributed
+    bootstrap fetches its lifted rows through the distributed
     Kronecker path (readers expose the bootstrap lag matrices in RMA
-    windows, compute cores assemble sparse slices) and solves it with
-    sparse consensus ADMM.  All ranks return the same result; the
-    lifted coefficient vector can be rearranged with
-    :func:`repro.var.lag.partition_coefficients`.
+    windows, compute cores Get the rows they own).  Response columns a
+    rank owns outright are solved with the serial kernels; a column
+    whose rows span several ranks is solved by consensus ADMM among
+    exactly those ranks (see :class:`_DistVarPlan`).  All ranks return
+    the same result; the lifted coefficient vector can be rearranged
+    with :func:`repro.var.lag.partition_coefficients`.  A series with
+    NaN or inf is refused on every rank with the serial fit's
+    ``ValueError``, before any solve.
 
     With ``pb``/``plam`` > 1 (Fig. 8's algorithmic parallelism) the
     communicator splits into a P_B x P_lambda grid of cells; the small
@@ -663,11 +1013,14 @@ def distributed_uoi_var(
         )
         m, p = Y.shape
         kdim = X.shape[1]
-        lmax_corr = float(np.max(np.abs(X.T @ Y)))
-        meta = (m, p, kdim, lmax_corr)
+        finite = bool(np.isfinite(series).all())
+        lmax_corr = float(np.max(np.abs(X.T @ Y))) if finite else np.nan
+        meta = (m, p, kdim, lmax_corr, finite)
     else:
         meta, X, Y = None, None, None
-    m, p, kdim, lmax_corr = comm.bcast(meta, root=0)
+    m, p, kdim, lmax_corr, finite = comm.bcast(meta, root=0)
+    if not finite:
+        raise ValueError("series contains NaN or inf")
     if gridded:
         # One broadcast of the (small) source matrices, so every cell's
         # leading ranks can serve as that cell's readers.
@@ -698,20 +1051,20 @@ def distributed_uoi_var(
     solver_comm = grid.cell if gridded else comm
     kron_readers = cell_readers if gridded else n_readers
 
-    def lifted_local(idx: np.ndarray):
-        """Distributed-Kronecker assembly of the lifted slice for rows idx."""
-        if is_reader:
-            dk = DistributedKron(
-                solver_comm, X[idx], Y[idx], n_readers=kron_readers
-            )
-        else:
-            dk = DistributedKron(solver_comm, None, None, n_readers=kron_readers)
-        A_loc, b_loc, _ = dk.build_local()
+    def lifted_rows(idx: np.ndarray):
+        """Distributed-Kronecker fetch of this rank's lifted rows of idx."""
+        dk = DistributedKron(
+            solver_comm,
+            X[idx] if is_reader else None,
+            Y[idx] if is_reader else None,
+            n_readers=kron_readers,
+        )
+        rows, b_loc, _ = dk.build_rows()
         dk.close()
-        return A_loc, b_loc
+        return rows, b_loc
 
     plan = _DistVarPlan(
-        comm, grid, config, solver_comm, lifted_local, (m, p, kdim),
+        comm, grid, config, solver_comm, lifted_rows, (m, p, kdim),
         lambdas, selection_idx, estimation_idx,
     )
     return _run_on_grid(plan, checkpoint, telemetry)

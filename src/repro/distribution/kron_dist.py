@@ -12,9 +12,11 @@ read from disk.  The paper's strategy, reproduced here:
   ``r`` back to its source coordinates ``(i, j) = (r mod m, r div m)``
   — lifted row ``r`` is ``e_j' ⊗ X[i, :]`` with response ``Y[i, j]`` —
   and one-sided-``Get``\\ s exactly the source rows it needs;
-* the local slice is assembled directly in sparse (CSR) form: the
-  lifted design has sparsity ``1 - 1/p`` and the paper's solver is
-  Eigen-Sparse.
+* the local slice is assembled directly in sparse (CSR) form
+  (:meth:`DistributedKron.build_local`: the lifted design has sparsity
+  ``1 - 1/p`` and the paper's solver is Eigen-Sparse), or kept as the
+  dense source rows (:meth:`DistributedKron.build_rows`), which is all
+  a per-column solve needs.
 
 The many-origins-few-targets traffic pattern is the UoI_VAR
 "Distribution" cost the paper's Figs. 7-10 track; the window's
@@ -135,13 +137,19 @@ class DistributedKron:
                 return r
         raise AssertionError("unreachable: reader bounds cover [0, m)")
 
-    def build_local(self) -> tuple[scipy.sparse.csr_matrix, np.ndarray, tuple[int, int]]:
-        """Assemble this rank's slice of ``(I ⊗ X, vec Y)``.
+    def build_rows(self) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
+        """Fetch this rank's lifted rows as their dense source rows.
+
+        Lifted row ``r = i + m * j`` is ``e_j' ⊗ X[i, :]``: its only
+        nonzeros are ``X[i, :]``, in columns ``[j*k, (j+1)*k)``.  So the
+        rank's rows of one response column ``j`` form a dense block of
+        ``X``, and its rows of a column it owns outright are all of
+        ``X``.
 
         Returns
         -------
-        A_local:
-            ``(n_local, k * p)`` CSR slice of the lifted design.
+        rows:
+            ``(n_local, k)``: row ``r - lo`` is ``X[r mod m, :]``.
         b_local:
             ``(n_local,)`` slice of ``vec Y``.
         bounds:
@@ -152,8 +160,7 @@ class DistributedKron:
         lo, hi = lifted_row_block(m, p, comm.size, comm.rank)
         n_local = hi - lo
         b_local = np.empty(n_local)
-        data = np.empty((n_local, k))
-        col_block = np.empty(n_local, dtype=np.intp)
+        rows = np.empty((n_local, k))
 
         # Walk the owned lifted rows grouped by (output column j,
         # reader owner) so each group is one batched Get per window.
@@ -167,21 +174,36 @@ class DistributedKron:
             x_rows = self._x_win.get(owner, slice(i - o_lo, i - o_lo + run))
             y_vals = self._y_win.get(owner, (slice(i - o_lo, i - o_lo + run), j))
             sel = slice(r - lo, r - lo + run)
-            data[sel] = x_rows
+            rows[sel] = x_rows
             b_local[sel] = y_vals
-            col_block[sel] = j
             r += run
+        self._x_win.fence()
+        return rows, b_local, (lo, hi)
 
+    def build_local(self) -> tuple[scipy.sparse.csr_matrix, np.ndarray, tuple[int, int]]:
+        """Assemble this rank's slice of ``(I ⊗ X, vec Y)``.
+
+        Returns
+        -------
+        A_local:
+            ``(n_local, k * p)`` CSR slice of the lifted design.
+        b_local:
+            ``(n_local,)`` slice of ``vec Y``.
+        bounds:
+            The ``[lo, hi)`` lifted-row range this rank owns.
+        """
+        rows, b_local, (lo, hi) = self.build_rows()
+        n_local, k = hi - lo, self.k
         # CSR assembly: lifted row (i, j) has its k nonzeros in columns
         # [j*k, (j+1)*k).
+        col_block = np.arange(lo, hi, dtype=np.intp) // self.m
         indptr = np.arange(0, (n_local + 1) * k, k, dtype=np.intp)
         indices = (
             col_block[:, None] * k + np.arange(k, dtype=np.intp)[None, :]
         ).reshape(-1)
         A_local = scipy.sparse.csr_matrix(
-            (data.reshape(-1), indices, indptr), shape=(n_local, k * p)
+            (rows.reshape(-1), indices, indptr), shape=(n_local, k * self.p)
         )
-        self._x_win.fence()
         return A_local, b_local, (lo, hi)
 
     def close(self) -> None:

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 from repro.linalg.admm import gram_extremes, spectral_rho
 from repro.linalg.soft_threshold import soft_threshold
@@ -41,7 +40,6 @@ from repro.perf.flops import (
     charge_cholesky,
     charge_gemm,
     charge_gemv,
-    charge_sparse_solve,
     charge_trsv,
 )
 from repro.simmpi.comm import SimComm
@@ -96,11 +94,11 @@ def consensus_lasso_admm(
     comm:
         Communicator whose ranks each hold a row block.
     A_local:
-        This rank's ``(n_i, p)`` block of the design matrix — a dense
-        ndarray, or a ``scipy.sparse`` matrix (the UoI_VAR lifted
-        design ``I ⊗ X`` is ``1 - 1/p`` sparse; the paper uses
-        Eigen-Sparse for it).  Sparse blocks are factorized with a
-        sparse LU instead of a dense Cholesky.
+        This rank's dense ``(n_i, p)`` block of the design matrix.  A
+        ``scipy.sparse`` block is refused: the one sparse design here,
+        UoI_VAR's lifted ``I ⊗ X``, is block diagonal per response
+        column, and the distributed driver solves each column's dense
+        block instead (``repro.core.parallel``).
     b_local:
         This rank's ``(n_i,)`` block of the response.
     lam:
@@ -134,11 +132,13 @@ def consensus_lasso_admm(
     rank — convergence is therefore decided on the (identical)
     consensus quantities so no rank exits early.
     """
-    sparse_input = scipy.sparse.issparse(A_local)
-    if sparse_input:
-        A = scipy.sparse.csr_matrix(A_local, dtype=float)
-    else:
-        A = np.ascontiguousarray(A_local, dtype=float)
+    if scipy.sparse.issparse(A_local):
+        raise ValueError(
+            "consensus_lasso_admm takes a dense A_local; pass the dense "
+            "block (A_local.toarray()), or one response column's rows of "
+            "a lifted VAR design"
+        )
+    A = np.ascontiguousarray(A_local, dtype=float)
     b = np.ascontiguousarray(b_local, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"A_local must be 2-D, got shape {A.shape}")
@@ -161,40 +161,25 @@ def consensus_lasso_admm(
     # every iteration — the paper's cached-factorization optimization.
     # Residual balancing invalidates it, so the Gram base is kept and
     # the factorization rebuilt on each rho change.
-    if sparse_input:
-        gram_base = (2.0 * (A.T @ A)).tocsc()
-        eye = scipy.sparse.identity(p, format="csc")
-        Atb2 = 2.0 * (A.T @ b)
-        charge_sparse_solve(clock, machine, A.nnz, p)  # A'A
-        charge_sparse_solve(clock, machine, A.nnz)  # A'b
-        solve_nnz = gram_base.nnz + p
+    gram_base = 2.0 * (A.T @ A)
+    Atb2 = 2.0 * (A.T @ b)
+    charge_gemm(clock, machine, p, p, n_i)  # A'A
+    charge_gemv(clock, machine, p, n_i)  # A'b
 
-        def make_solver(rho_val):
-            _tcount("consensus.factorizations")
-            charge_sparse_solve(clock, machine, solve_nnz, p)  # factorization
-            return scipy.sparse.linalg.splu(gram_base + rho_val * eye).solve
-    else:
-        gram_base = 2.0 * (A.T @ A)
-        Atb2 = 2.0 * (A.T @ b)
-        charge_gemm(clock, machine, p, p, n_i)  # A'A
-        charge_gemv(clock, machine, p, n_i)  # A'b
-        solve_nnz = 0
-
-        def make_solver(rho_val):
-            _tcount("consensus.factorizations")
-            charge_cholesky(clock, machine, p)
-            gram = gram_base.copy()
-            gram[np.diag_indices_from(gram)] += rho_val
-            chol = scipy.linalg.cho_factor(gram, lower=True)
-            return lambda q: scipy.linalg.cho_solve(chol, q)
+    def make_solver(rho_val):
+        _tcount("consensus.factorizations")
+        charge_cholesky(clock, machine, p)
+        gram = gram_base.copy()
+        gram[np.diag_indices_from(gram)] += rho_val
+        chol = scipy.linalg.cho_factor(gram, lower=True)
+        return lambda q: scipy.linalg.cho_solve(chol, q)
 
     agreed = 0  # collectives spent agreeing on rho
     if rho is None:
         # Extremes of the local spectrum, averaged over the ranks so
         # all derive one rho.  The dense symmetric eigensolve is a p^3
         # kernel like the Cholesky; costed as one p x p x p gemm.
-        dense = gram_base.toarray() if sparse_input else gram_base
-        extremes = np.array(gram_extremes(dense))
+        extremes = np.array(gram_extremes(gram_base))
         charge_gemm(clock, machine, p, p, p)
         rho = spectral_rho(*(comm.allreduce(extremes, SUM) / P))
         agreed = 1
@@ -211,11 +196,8 @@ def consensus_lasso_admm(
     it = 0
     for it in range(1, max_iter + 1):
         x = solve_normal(Atb2 + rho * (z - u))
-        if sparse_input:
-            charge_sparse_solve(clock, machine, solve_nnz)
-        else:
-            charge_trsv(clock, machine, p)
-            charge_trsv(clock, machine, p)
+        charge_trsv(clock, machine, p)
+        charge_trsv(clock, machine, p)
 
         # One fused Allreduce carries the consensus sums plus the
         # residual statistics (sum x_i, sum u_i, sum ||x_i - z||^2,

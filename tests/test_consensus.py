@@ -78,24 +78,18 @@ class TestConsensusLasso:
             assert clock.breakdown[TimeCategory.COMPUTE] > 0
             assert clock.breakdown[TimeCategory.COMMUNICATION] > 0
 
-    def test_sparse_input_matches_dense(self, problem):
+    def test_sparse_block_rejected(self, problem):
+        """Dense blocks only; the error names the fix."""
         X, y = problem
-        lam = 5.0
-        n = X.shape[0]
 
         def prog(comm):
-            idx = np.array_split(np.arange(n), comm.size)[comm.rank]
-            sp = scipy.sparse.csr_matrix(X[idx])
-            return consensus_lasso_admm(comm, sp, y[idx], lam)
+            consensus_lasso_admm(comm, scipy.sparse.csr_matrix(X), y, 5.0)
 
-        res = run_spmd(4, prog, machine=CORI_KNL)
-        dense = _run_consensus(X, y, lam)
-        np.testing.assert_allclose(
-            res.values[0].beta, dense.values[0][1].beta, atol=1e-6
-        )
+        with pytest.raises(SpmdError, match=r"dense A_local.*toarray"):
+            run_spmd(2, prog, machine=LAPTOP)
 
     def test_block_diagonal_sparse_problem(self):
-        """The UoI_VAR shape: sparse block-diagonal lifted design."""
+        """The UoI_VAR shape: block-diagonal lifted design (densified)."""
         rng = np.random.default_rng(1)
         from repro.linalg.kron import identity_kron, vec
 
@@ -110,7 +104,7 @@ class TestConsensusLasso:
 
         def prog(comm):
             idx = np.array_split(np.arange(n), comm.size)[comm.rank]
-            return consensus_lasso_admm(comm, lifted[idx], b[idx], lam)
+            return consensus_lasso_admm(comm, lifted[idx].toarray(), b[idx], lam)
 
         res = run_spmd(3, prog, machine=CORI_KNL)
         serial = lasso_cd(lifted.toarray(), b, lam)
@@ -156,22 +150,6 @@ class TestAdaptiveRhoConsensus:
         ref = res.values[0][1].beta
         for _, r in res.values[1:]:
             np.testing.assert_array_equal(r.beta, ref)
-
-    def test_adaptive_sparse_path(self):
-        rng = np.random.default_rng(2)
-        import scipy.sparse as sp
-        X = rng.standard_normal((60, 8))
-        y = rng.standard_normal(60)
-
-        def prog(comm):
-            idx = np.array_split(np.arange(60), comm.size)[comm.rank]
-            return consensus_lasso_admm(
-                comm, sp.csr_matrix(X[idx]), y[idx], 2.0, adapt_rho=True
-            )
-
-        res = run_spmd(3, prog, machine=CORI_KNL)
-        serial = lasso_cd(X, y, 2.0)
-        np.testing.assert_allclose(res.values[0].beta, serial, atol=2e-3)
 
     def test_adapt_validation(self, problem):
         X, y = problem
@@ -234,19 +212,6 @@ class TestSpectralRhoConsensus:
         assert unit_counters["consensus.allreduces"] == unit.iterations
         assert res0.iterations < unit.iterations
         np.testing.assert_allclose(res0.beta, unit.beta, atol=1e-3)
-
-    def test_sparse_blocks_resolve_like_dense(self):
-        X, y = self._ablation_problem()
-
-        class Sparse:  # X[idx] -> csr block
-            def __getitem__(self, idx):
-                return scipy.sparse.csr_matrix(X[idx])
-
-        dense = self._run(X, y, 6.0, 2)
-        sparse = self._run(Sparse(), y, 6.0, 2)
-        assert sparse[0][1] == pytest.approx(dense[0][1], rel=1e-12)
-        assert sparse[0][0].beta.tobytes() == sparse[1][0].beta.tobytes()
-        np.testing.assert_allclose(sparse[0][0].beta, dense[0][0].beta, atol=1e-6)
 
     def test_all_zero_design_falls_back_to_one(self):
         out = self._run(np.zeros((8, 3)), np.ones(8), 0.5, 2)

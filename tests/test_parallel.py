@@ -7,6 +7,8 @@ from repro.core import UoILasso, UoILassoConfig, UoIVar, UoIVarConfig
 from repro.core.parallel import (
     DistributedUoIResult,
     ProcessGrid,
+    _ColumnGroups,
+    _gram_rows,
     distributed_uoi_lasso,
     distributed_uoi_var,
 )
@@ -26,6 +28,15 @@ CFG = UoILassoConfig(
     n_selection_bootstraps=4,
     n_estimation_bootstraps=3,
     random_state=5,
+)
+VAR_CFG = UoIVarConfig(
+    order=1,
+    lasso=UoILassoConfig(
+        n_lambdas=4,
+        n_selection_bootstraps=2,
+        n_estimation_bootstraps=2,
+        random_state=7,
+    ),
 )
 
 
@@ -369,6 +380,192 @@ class TestDistributedUoIVar:
 
         with pytest.raises(SpmdError, match="series"):
             run_spmd(2, prog, machine=LAPTOP)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_series_refused_on_every_rank(self, bad):
+        """Rank 0 reads the series, every rank raises the serial fit's
+        error before any solve."""
+        series = make_sparse_var(3, 40, rng=np.random.default_rng(18)).series
+        series[7, 1] = bad
+        with pytest.raises(ValueError, match="series contains NaN or inf"):
+            UoIVar(VAR_CFG).fit(series)
+
+        def prog(comm):
+            # Caught on the rank, so no rank's error aborts another's.
+            try:
+                distributed_uoi_var(
+                    comm, series if comm.rank == 0 else None, VAR_CFG
+                )
+            except ValueError as exc:
+                return str(exc)
+
+        res = run_spmd(2, prog, machine=LAPTOP)
+        assert res.values == ["series contains NaN or inf"] * 2
+
+    def test_store_refuses_lifted_consensus_records(self, tmp_path, monkeypatch):
+        """The solve layout is part of the plan identity: a store written
+        by the lifted-consensus driver (the same meta, without
+        ``solve``) is refused, and the column-group driver still
+        resumes its own store bitwise."""
+        from repro.core import parallel
+
+        series = make_sparse_var(3, 40, rng=np.random.default_rng(18)).series
+
+        def job(comm, checkpoint=None):
+            return distributed_uoi_var(
+                comm, series if comm.rank == 0 else None, VAR_CFG,
+                checkpoint=checkpoint,
+            )
+
+        column_groups_meta = parallel._DistVarPlan.meta
+
+        def lifted_meta(plan):
+            meta = column_groups_meta(plan)
+            assert meta.pop("solve") == "column-groups"
+            return meta
+
+        lifted = CheckpointPlan(CheckpointStore(tmp_path / "lifted"))
+        monkeypatch.setattr(parallel._DistVarPlan, "meta", lifted_meta)
+        run_spmd(2, job, machine=LAPTOP, checkpoint=lifted)
+        monkeypatch.undo()
+        with pytest.raises(SpmdError, match="different run"):
+            run_spmd(2, job, machine=LAPTOP, checkpoint=lifted)
+
+        own = CheckpointPlan(CheckpointStore(tmp_path / "own"))
+        first = run_spmd(2, job, machine=LAPTOP, checkpoint=own)
+        resumed = run_spmd(2, job, machine=LAPTOP, checkpoint=own)
+        for out in resumed.values:
+            assert out.completed_subproblems == 0
+            assert out.coef.tobytes() == first.values[0].coef.tobytes()
+
+
+def _n_cut(m: int, p: int, world: int) -> int:
+    return _ColumnGroups.build(m, p, world, 0).n_cut
+
+
+class TestColumnGroups:
+    """Response columns one rank owns are solved locally; a column whose
+    lifted rows span ranks runs consensus among exactly those ranks."""
+
+    VCFG = UoIVarConfig(
+        order=1,
+        lasso=UoILassoConfig(
+            n_lambdas=5,
+            n_selection_bootstraps=3,
+            n_estimation_bootstraps=2,
+            random_state=6,
+        ),
+    )
+
+    @staticmethod
+    def _run(series, vcfg, world, **kwargs):
+        return run_spmd(
+            world,
+            lambda comm: distributed_uoi_var(
+                comm, series if comm.rank == 0 else None, vcfg, **kwargs
+            ),
+            machine=LAPTOP,
+        )
+
+    def test_layout(self):
+        # p = 3 on 2 ranks, m = 10: rank 0 owns rows [0, 15), rank 1
+        # [15, 30); column 1 is cut, and rank 0 contributes it.
+        left = _ColumnGroups.build(10, 3, 2, 0)
+        right = _ColumnGroups.build(10, 3, 2, 1)
+        assert (left.whole, left.cut) == ([0], [(1, 0)])
+        assert (right.whole, right.cut) == ([2], [(1, 0)])
+        assert left.sources == right.sources == [[0, 1], [2]]
+        assert (left.rows(1), right.rows(1)) == (slice(10, 15), slice(0, 5))
+        # p = 2 on 5 ranks: rank 2 holds the end of column 0 and the
+        # start of column 1, adjacent cut positions of both parities.
+        middle = _ColumnGroups.build(10, 2, 5, 2)
+        assert (middle.whole, middle.cut) == ([], [(0, 0), (1, 1)])
+        assert _ColumnGroups.build(10, 2, 5, 3).cut == [(1, 1)]
+        # No column is cut when the ranks divide the columns.
+        assert _n_cut(159, 10, 2) == _n_cut(59, 4, 4) == 0
+
+    def test_gram_rows_carry_the_least_squares_problem(self):
+        """A cut column's estimation has only the allreduced ``X'X`` and
+        ``X'y``; the row design built from them gives ols_from_gram's
+        SVD fallback the minimiser the scattered rows would."""
+        from repro.linalg.ols import ols_from_gram, ols_on_support
+
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((30, 6))
+        X[:, 4] = X[:, 1]  # exact collinearity: Cholesky fails on it
+        y = rng.standard_normal(30)
+        G, c = X.T @ X, X.T @ y
+        R, r = _gram_rows(G, c)
+        assert R.shape == (5, 6)  # one row per non-zero eigenvalue
+        np.testing.assert_allclose(R.T @ R, G, atol=1e-10)
+        for support in ([0, 2, 5], [1, 4], [0, 1, 3, 4, 5]):
+            np.testing.assert_allclose(
+                ols_from_gram(G, c, np.array(support), R, r),
+                ols_on_support(X, y, np.array(support)),
+                atol=1e-10,
+            )
+
+    @pytest.mark.parametrize("p,world", [(3, 2), (5, 3), (2, 5)])
+    def test_cut_layouts_match_serial(self, p, world):
+        sv = make_sparse_var(p, 60, rng=np.random.default_rng(17))
+        assert _n_cut(59, p, world) > 0
+        serial = UoIVar(self.VCFG).fit(sv.series)
+        res = self._run(sv.series, self.VCFG, world)
+        out = res.values[0]
+        for v in res.values[1:]:
+            for name in ("coef", "supports", "losses", "winners"):
+                assert getattr(v, name).tobytes() == getattr(out, name).tobytes()
+        # test_matches_serial's tolerances.
+        np.testing.assert_array_equal(out.winners, serial.winners_)
+        np.testing.assert_allclose(out.losses, serial.losses_, rtol=0.05)
+        coefs, _ = partition_coefficients(out.coef, p, 1)
+        both = (coefs[0] != 0) & (serial.coefs_[0] != 0)
+        overlap = both.sum() / max((serial.coefs_[0] != 0).sum(), 1)
+        assert overlap >= 0.8
+        np.testing.assert_allclose(
+            coefs[0][both], serial.coefs_[0][both], atol=0.15
+        )
+
+    @pytest.mark.parametrize("p,world", [(4, 4), (10, 2)])
+    def test_no_cut_layout_is_the_serial_fit(self, p, world):
+        sv = make_sparse_var(p, 60, rng=np.random.default_rng(17))
+        vcfg = self.VCFG.with_(lasso=self.VCFG.lasso.with_(solver="admm"))
+        assert _n_cut(59, p, world) == 0
+        serial = UoIVar(vcfg).fit(sv.series)
+        res = self._run(sv.series, vcfg, world, pb=1, plam=1, telemetry=True)
+        out = res.values[0]
+        assert out.supports.tobytes() == serial.supports_.tobytes()
+        np.testing.assert_array_equal(out.winners, serial.winners_)
+        np.testing.assert_allclose(out.coef, serial.vec_coef_, rtol=0, atol=1e-10)
+        for v in res.values:
+            counters = v.telemetry.recorder.counter_values()
+            assert counters.get("consensus.solves", 0) == 0
+            assert counters["admm.solves"] > 0
+
+    def test_crash_on_cut_layout_resumes_bitwise(self, tmp_path):
+        from repro.resilience import run_with_recovery
+
+        sv = make_sparse_var(5, 60, rng=np.random.default_rng(17))
+
+        def job(comm, checkpoint=None):
+            return distributed_uoi_var(
+                comm, sv.series if comm.rank == 0 else None, self.VCFG,
+                checkpoint=checkpoint,
+            )
+
+        ref = run_spmd(3, job, machine=LAPTOP)
+        ck = CheckpointPlan(CheckpointStore(tmp_path / "ckpt"))
+        outcome = run_with_recovery(
+            3, job, machine=LAPTOP,
+            fault_plan=FaultPlan().crash(1, at_time=0.5 * ref.elapsed),
+            checkpoint=ck,
+        )
+        assert outcome.n_restarts == 1
+        assert outcome.recovered_subproblems > 0
+        want = ref.values[0]
+        for out in outcome.result.values:
+            for name in ("coef", "supports", "losses", "winners"):
+                assert getattr(out, name).tobytes() == getattr(want, name).tobytes()
 
 
 class TestDistributedCvLasso:
