@@ -10,8 +10,8 @@ churn happens.  This pass finds it:
 * a **hot region** is any function reachable from
   ``UoIPlan.run_chain``/``reduce`` (the DET3xx call-graph machinery,
   rooted the same way) plus every function of the explicitly hot
-  modules — the solver kernels (``linalg/admm|cd|ols|consensus|
-  soft_threshold``), the simmpi collectives/RMA layer
+  modules — the solver kernels (``linalg/admm|cd|homotopy|ols|
+  consensus|soft_threshold``), the simmpi collectives/RMA layer
   (``simmpi/comm|window``) and the bootstrap resampler
   (``core/bootstrap``);
 * inside hot functions the pass reports, per loop:
@@ -74,6 +74,7 @@ __all__ = [
 HOT_MODULE_SUFFIXES: tuple[str, ...] = (
     "linalg/admm.py",
     "linalg/cd.py",
+    "linalg/homotopy.py",
     "linalg/ols.py",
     "linalg/consensus.py",
     "linalg/soft_threshold.py",

@@ -33,7 +33,13 @@ class UoILassoConfig:
         Center the data and recover an intercept after the fit.
     solver:
         ``"admm"`` (the paper's solver) or ``"cd"`` (coordinate
-        descent; useful as a cross-check).
+        descent; useful as a cross-check).  Under the default
+        ``"admm"``, UoI_LASSO selection on an ``n < p`` design takes
+        the exact homotopy path instead
+        (:func:`repro.linalg.homotopy.lasso_homotopy`): every
+        selection solution is a KKT-certified minimiser, and a path
+        that cannot be certified is re-solved on ADMM.  The regime
+        follows the shape and is not a separate setting.
     rho:
         ADMM penalty parameter, or ``None`` (default) to scale it to
         each design: ``sqrt(lambda_min+ * lambda_max)`` of the

@@ -34,8 +34,10 @@ from repro.core.selection import intersect_supports, support_family
 from repro.engine.plan import ESTIMATION, SELECTION, PlanOutputs, Subproblem, UoIPlan
 from repro.linalg.admm import LassoADMM
 from repro.linalg.cd import lasso_cd, precompute_gram
+from repro.linalg.homotopy import lasso_homotopy
 from repro.linalg.lambda_grid import lambda_grid, lambda_grid_from_max
 from repro.linalg.ols import ols_family_columns
+from repro.telemetry.recorder import count as _tcount
 from repro.var.lag import build_lag_matrices
 
 __all__ = [
@@ -53,11 +55,31 @@ _EST_ITERS = 40.0
 # ---------------------------------------------------------------------------
 # stage kernels (moved verbatim from the legacy serial estimators)
 # ---------------------------------------------------------------------------
+def _homotopy_selection(config: UoILassoConfig, n: int, p: int) -> bool:
+    """Whether selection on an ``n x p`` design runs the exact homotopy path.
+
+    The regime follows the shape alone (``n < p``, the test that picks
+    ADMM's Woodbury branch): ``solver="admm"`` fits of wide designs.
+    """
+    return config.solver == "admm" and n < p
+
+
 def lasso_path(
     config: UoILassoConfig, X: np.ndarray, y: np.ndarray, lambdas: np.ndarray
 ) -> np.ndarray:
-    """LASSO estimates for all λ on one bootstrap sample: ``(q, p)``."""
+    """LASSO estimates for all λ on one bootstrap sample: ``(q, p)``.
+
+    On ``n < p`` under ``solver="admm"`` this is the exact homotopy path
+    (:func:`repro.linalg.homotopy.lasso_homotopy`); a path it cannot
+    certify is re-solved on the ADMM path below and counted as
+    ``homotopy.fallbacks``.
+    """
     q, p = len(lambdas), X.shape[1]
+    if _homotopy_selection(config, *X.shape):
+        exact = lasso_homotopy(X, y, lambdas)
+        if exact is not None:
+            return exact
+        _tcount("homotopy.fallbacks")
     out = np.empty((q, p))
     if config.solver == "admm":
         solver = LassoADMM(
@@ -260,6 +282,13 @@ class LassoPlan(UoIPlan):
             "random_state": cfg.random_state,
             "intersection_frac": cfg.intersection_frac,
             **cfg.solver_meta(),
+            # Wide fits select on the homotopy path, whose payloads differ
+            # from the ADMM ones older stores of the same config hold.
+            **(
+                {"selection": "homotopy"}
+                if _homotopy_selection(cfg, self.n, self.p)
+                else {}
+            ),
         }
 
     def chains(self, stage: str) -> list[list[Subproblem]]:
@@ -332,7 +361,12 @@ class LassoPlan(UoIPlan):
 
     def estimate_flops(self) -> dict[str, float]:
         n, p, q = float(self.n), float(self.p), float(self.q)
-        per_sel = 2 * n * p * p + (2 / 3) * p**3 + q * _EST_ITERS * 4 * n * p
+        if _homotopy_selection(self.config, self.n, self.p):
+            # ~min(n, p) path steps, each two GEMVs with X (residual and
+            # direction correlations) plus active-set solves of <= n^2.
+            per_sel = n * (4 * n * p + n * n)
+        else:
+            per_sel = 2 * n * p * p + (2 / 3) * p**3 + q * _EST_ITERS * 4 * n * p
         per_est = q * (2 * n * p * p + (2 / 3) * p**3)
         return {
             SELECTION: self.B1 * per_sel,

@@ -16,6 +16,9 @@ relies on:
 * :mod:`repro.linalg.cd` — cyclic coordinate-descent LASSO, used as an
   independent reference solver in tests and as the statistical
   baseline ("plain LASSO") in the accuracy benchmarks.
+* :mod:`repro.linalg.homotopy` — the exact piecewise-linear LASSO path
+  (homotopy / LARS-lasso), the serial selection solver of ``n < p``
+  designs, with a KKT certificate per grid solution.
 * :mod:`repro.linalg.ols` — least squares restricted to a support.
 * :mod:`repro.linalg.ridge` — ridge regression baseline.
 * :mod:`repro.linalg.nonconvex` — MCP and SCAD penalized regression via
