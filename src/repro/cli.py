@@ -902,9 +902,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                     n_estimation_bootstraps=args.b2,
                     solver="cd",
                     # Generous sweep budget: warm/cold identity needs
-                    # every cd solve to reach tolerance, and sweeps on
-                    # ill-conditioned windows can crawl (cd counts full
-                    # sweeps, so this is a cap, not a cost).
+                    # every cd solve to reach tolerance.  Solves settle
+                    # in a few sweeps, so this is a cap, not a cost.
                     max_iter=20000,
                     random_state=args.seed,
                 ),

@@ -776,7 +776,9 @@ class _DistVarPlan(_DistUoIPlan):
         triples = [(gram, X.T @ Y[:, c], col_sq) for c in range(ncols)]
 
         def cd_step(lam, seed):
-            # lasso_cd does not report its sweeps: one per solve.
+            # The rank clock charges one covariance sweep per column
+            # (G beta for every column: one GEMM), not the solve's real
+            # sweeps and exact steps, which only the cd.* counters see.
             charge_gemm(clock, machine, kdim, ncols, kdim)
             return [
                 lasso_cd(

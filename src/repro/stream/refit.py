@@ -84,9 +84,10 @@ class StreamConfig:
     ----------
     var:
         The per-window UoI_VAR hyperparameters.  ``solver="cd"`` is
-        the recommended streaming solver: it converges to exact zeros
-        at tight tolerance, which is what makes the warm/cold identity
-        cheap to guarantee.
+        the recommended streaming solver: its exact active-set step
+        lands on exact zeros in a few sweeps per solve, well inside the
+        default ``max_iter``, and the warm/cold identity needs every
+        solve to stop on tolerance rather than on that budget.
     window:
         Sliding-window capacity in raw samples.
     cadence:

@@ -131,13 +131,14 @@ class TestWarmColdIdentity:
     def test_identity_requires_converged_solves(self):
         """The identity's one precondition, pinned by a real case.
 
-        On this seed an ill-conditioned bootstrap window makes some cd
-        solves crawl: with the default ``max_iter=500`` sweep budget
-        they stop early at start-dependent points, and warm/cold
-        supports genuinely diverge.  The refitter must *report* the
-        budget exhaustion (``WindowFit.nonconverged``, the
-        ``stream.nonconverged_solves`` counter), and restoring a
-        convergent budget must restore bitwise identity.
+        On this seed an ill-conditioned bootstrap window makes cd solves
+        slow to settle: with a starved ``max_iter=2`` sweep budget they
+        stop early at start-dependent points, and warm/cold supports
+        genuinely diverge.  The refitter must *report* the budget
+        exhaustion (``WindowFit.nonconverged``, the
+        ``stream.nonconverged_solves`` counter), and a convergent budget
+        — the library default of 500 sweeps among them — must restore
+        bitwise identity.
         """
         def cfg(max_iter, **overrides):
             return StreamConfig(
@@ -162,7 +163,7 @@ class TestWarmColdIdentity:
 
         rec = Recorder()
         with use_recorder(rec):
-            starved = run_rolling(iter(series), cfg(500))
+            starved = run_rolling(iter(series), cfg(2))
         stuck = sum(w.nonconverged for w in starved.windows)
         assert stuck > 0
         assert rec.counter_values()["stream.nonconverged_solves"] == stuck
@@ -170,12 +171,18 @@ class TestWarmColdIdentity:
             starved.extra["stream_nonconverged"],
             np.array([w.nonconverged for w in starved.windows]),
         )
+        cold = run_rolling(iter(series), cfg(2, warm=False, chain_seeding="none"))
+        assert not all(
+            np.array_equal(w.outputs.supports, c.outputs.supports)
+            for w, c in zip(starved.windows, cold.windows)
+        )
 
         # Same data, solver allowed to reach tolerance: verify=True
         # passes every window (a divergence would raise), nothing is
         # reported nonconverged.
-        healthy = run_rolling(iter(series), cfg(20000, verify=True))
-        assert sum(w.nonconverged for w in healthy.windows) == 0
+        for max_iter in (UoILassoConfig().max_iter, 20000):
+            healthy = run_rolling(iter(series), cfg(max_iter, verify=True))
+            assert sum(w.nonconverged for w in healthy.windows) == 0
 
     def test_admm_budget_exhaustion_is_reported_too(self):
         """An admm stream feeds the same field from ``admm.nonconverged``
