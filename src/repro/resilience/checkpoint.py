@@ -15,7 +15,9 @@ a temp file, ``os.replace`` into place) plus a versioned
 ``MANIFEST.json`` carrying a sha256 checksum per record — a crashed
 writer can never leave a torn record behind, and a corrupted one is
 detected at load (the ``encode_record`` / ``write_record`` /
-``read_record`` codec, shared with the service's results store).
+``read_record`` codec; only ``encode_record`` is shared with the
+service's results store, which appends the encoded payloads to one log
+per replica instead of writing record files).
 Modeled write time is charged to the virtual clocks through the
 :mod:`repro.pfs.lustre` cost model (checkpoints live on the same
 striped filesystem Tier-1 reads from), so checkpoint cadence shows up
@@ -174,7 +176,8 @@ class CheckpointStore:
         The first call records ``meta`` (JSON-serializable values); any
         later call — typically from the restarted job — must present an
         identical dict, otherwise the checkpoints describe a *different*
-        run and silently mixing them would corrupt results.
+        run and silently mixing them would corrupt results.  The error
+        names each differing key with its stored and given value.
         """
         with self._lock:
             current = self._manifest["meta"]
@@ -183,9 +186,18 @@ class CheckpointStore:
                 self._manifest["version"] += 1
                 write_json(self.root / MANIFEST_NAME, self._manifest)
             elif current != dict(meta):
+                def shown(d: dict, k: str) -> str:
+                    return repr(d[k]) if k in d else "(absent)"
+
+                diffs = "; ".join(
+                    f"{k}: stored {shown(current, k)}, given {shown(meta, k)}"
+                    for k in sorted(current.keys() | meta.keys())
+                    if shown(current, k) != shown(meta, k)
+                )
                 raise ValueError(
-                    f"checkpoint store {self.root} was written by a "
-                    f"different run: stored meta {current!r} != {dict(meta)!r}"
+                    f"checkpoint store {self.root} was written by a different "
+                    f"run ({diffs}); its records cannot serve this one: point "
+                    f"the run at a fresh store root"
                 )
 
     # ------------------------------------------------------------------

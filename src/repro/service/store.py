@@ -3,7 +3,7 @@
 The service's durable half: fit results and per-subproblem payloads
 land in a :class:`ReplicatedResultsStore` — a set of *shards* (keys
 hash-partitioned) each held by ``replication`` :class:`ReplicaNode`
-peers, every peer a directory of atomic checksummed records.  The
+peers, every peer one append-only log of checksummed frames.  The
 replication protocol follows the distributed-database exemplar in
 SNIPPETS.md (multi-leader LWW with logical clocks):
 
@@ -23,27 +23,29 @@ SNIPPETS.md (multi-leader LWW with logical clocks):
   resolution is deterministic and order-independent.  Deletions
   propagate as *tombstones* (ops with no arrays) under the same rule.
 
-Replica state persists in three layers, so a crashed node reopens
-exactly where it stopped (crash-safe job resume in
-:mod:`repro.service.scheduler` leans on this), and a put costs O(1)
-in store size — one record rename and one journal append per replica:
+Replica state persists in two files, so a crashed node reopens exactly
+where it stopped (crash-safe job resume in
+:mod:`repro.service.scheduler` leans on this), and a put is one append
+per replica — no file is created or renamed:
 
-* **Records** — each op's arrays, one ``records/<safe name>.npz``
-  written by :func:`~repro.resilience.checkpoint.write_record`.
-* **Op journal** — one ``OPLOG.jsonl`` line per applied op, carrying
-  its record's sha256, which every read verifies (a mismatch or a
-  missing file raises ``CheckpointCorruption``).  The journal *is* the
-  node's write stream, so anti-entropy replay works across restarts.
-* **Snapshot** — the derived state (version vector, winner index,
-  clock) goes atomically to ``REPLICA.json`` every
+* **Log** — ``REPLICA.log``, one frame per applied op: a JSON header
+  line ``{op_id, key, ts, deleted, sha256, size}``, then the op's
+  ``size``-byte encoded record (none for a tombstone).  A frame commits
+  when complete; every read re-hashes its payload against the header
+  (a mismatch or a short read raises ``CheckpointCorruption``).  The
+  log *is* the node's write stream, so anti-entropy replay works
+  across restarts.
+* **Snapshot** — the derived state (version vector, winner index with
+  payload offsets, clock) goes atomically to ``REPLICA.json`` every
   :data:`SNAPSHOT_EVERY` applies, not per op (a full-index rewrite
-  costs O(total keys)).  Reopening replays the journal suffix it does
-  not cover, reconstructing identical state after a crash anywhere.
+  costs O(total keys)).  Reopening folds the frames it does not cover,
+  reconstructing identical state after a crash anywhere.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -57,9 +59,7 @@ from repro.analysis.dynamic import instrumented_lock, instrumented_rlock
 from repro.resilience.checkpoint import (
     CheckpointCorruption,
     encode_record,
-    read_record,
     write_json,
-    write_record,
 )
 
 __all__ = [
@@ -71,11 +71,10 @@ __all__ = [
 ]
 
 REPLICA_STATE_NAME = "REPLICA.json"
-OPLOG_NAME = "OPLOG.jsonl"
+LOG_NAME = "REPLICA.log"
 TOPOLOGY_NAME = "STORE.json"
-STATE_FORMAT = 3
-#: Applies between REPLICA.json snapshots (journal suffix replay
-#: covers the gap on reopen).
+STATE_FORMAT = 4
+#: Applies between REPLICA.json snapshots (reopen folds the frames after one).
 SNAPSHOT_EVERY = 64
 
 
@@ -148,27 +147,26 @@ def _digest_arrays(arrays: Mapping[str, np.ndarray]) -> str:
 
 
 class ReplicaNode:
-    """One replica: op records, an op journal and a state snapshot.
+    """One replica: an append-only op log and a state snapshot.
 
     All mutations are serialized by an internal lock (worker threads
     of the service share the nodes).  Reopening the directory resumes
     with the same version vector, winner index and write stream (see
-    the module docstring for the three on-disk layers).
+    the module docstring for the two on-disk files).
     """
 
     def __init__(self, root: str | os.PathLike, name: str) -> None:
         self.name = name
         self.root = Path(root)
-        self._records = self.root / "records"
-        self._records.mkdir(parents=True, exist_ok=True)
+        self.root.mkdir(parents=True, exist_ok=True)
+        self._log = self.root / LOG_NAME
+        self._log.touch()  # up front, so no apply ever creates a file
         self._lock = instrumented_rlock("service.store.replica")
-        #: applied op metadata in arrival order (mirrors OPLOG.jsonl);
-        #: each entry is {"op_id", "key", "ts", "deleted", "sha256"}.
-        self._journal: list[dict] = []
+        self._journal: list[dict] = []  # frame headers + payload offsets
         self._next_seq = 1
         self._last_seen: dict[str, int] = {}
         self._missing: dict[str, set[int]] = {}
-        #: key -> winning op {"ts", "origin", "seq", "deleted", "sha256"}.
+        #: key -> winning op (origin, seq, ts, deleted, sha256, offset, size).
         self._index: dict[str, dict] = {}
         self.clock = LamportClock()
         self._since_snapshot = 0
@@ -190,7 +188,7 @@ class ReplicaNode:
             self._index = dict(state["index"])
             self.clock = LamportClock(int(state["clock"]))
             covered = int(state.get("journal", 0))
-        self._journal = self._read_journal()
+        self._journal = self._scan_log()
         for entry in self._journal[covered:]:
             self._fold(entry)
         if not state_path.exists():
@@ -199,32 +197,33 @@ class ReplicaNode:
             self._save_state()
 
     # ------------------------------------------------------------ state
-    def _read_journal(self) -> list[dict]:
-        """Parse OPLOG.jsonl, dropping one torn trailing line."""
-        path = self.root / OPLOG_NAME
-        if not path.exists():
-            return []
-        entries: list[dict] = []
-        whole = 0
-        with open(path, "r+b") as fh:
-            for line in fh:
-                if not line.endswith(b"\n"):
-                    # A crash mid-append leaves at most one partial
-                    # final line: cut it, so the next append starts a
-                    # line of its own instead of extending the torn one.
-                    fh.truncate(whole)
+    def _scan_log(self) -> list[dict]:
+        """Frame headers of the log, seeking past every payload.  A crash
+        mid-append leaves at most one torn trailing frame (partial header
+        or short payload): it is cut, so the next append starts afresh."""
+        entries, whole = [], 0
+        with open(self._log, "rb") as fh:
+            end = os.fstat(fh.fileno()).st_size
+            while (line := fh.readline()).endswith(b"\n"):
+                try:
+                    header = json.loads(line)
+                    offset, size = whole + len(line), header["size"]
+                    if not isinstance(size, int) or size < 0:
+                        raise ValueError(f"bad payload size {size!r}")
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise CheckpointCorruption(
+                        f"{self._log}: frame header at byte {whole} is damaged"
+                    ) from exc
+                if offset + size > end:
                     break
-                entries.append(json.loads(line))
-                whole += len(line)
+                entries.append({**header, "offset": offset})
+                whole = fh.seek(offset + size)
+        if whole < end:
+            os.truncate(self._log, whole)
         return entries
 
-    def _append_journal(self, entry: dict) -> None:
-        with open(self.root / OPLOG_NAME, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-            fh.flush()
-
     def _fold(self, entry: dict) -> None:
-        """Derive state from one journal line (apply and reopen paths)."""
+        """Derive state from one frame header (apply and reopen paths)."""
         origin, seq = parse_op_id(entry["op_id"])
         self._mark_applied(origin, seq)
         self.clock.observe(entry["ts"])
@@ -232,17 +231,25 @@ class ReplicaNode:
             self._next_seq = max(self._next_seq, seq + 1)
         cur = self._index.get(entry["key"])
         if cur is None or (entry["ts"], origin) > (cur["ts"], cur["origin"]):
-            self._index[entry["key"]] = {
-                "ts": entry["ts"],
-                "origin": origin,
-                "seq": seq,
-                "deleted": entry["deleted"],
-                "sha256": entry["sha256"],
-            }
+            won = {f: entry[f] for f in ("ts", "deleted", "sha256", "offset", "size")}
+            self._index[entry["key"]] = {"origin": origin, "seq": seq, **won}
 
-    def _read(self, origin: str, seq: int, sha256: str) -> dict[str, np.ndarray]:
-        """One op's arrays, verified against its journaled checksum."""
-        return read_record(self._records, f"{origin}:{seq}", sha256)
+    def _read(self, entry: dict) -> dict[str, np.ndarray]:
+        """One op's arrays, verified against its frame header's checksum."""
+        offset, size = entry["offset"], entry["size"]
+        try:
+            with open(self._log, "rb") as fh:
+                fh.seek(offset)
+                payload = fh.read(size)
+        except FileNotFoundError:
+            payload = b""
+        where = f"{self._log}: payload at byte {offset}"
+        if len(payload) < size:
+            raise CheckpointCorruption(f"{where}: {size - len(payload)} bytes missing")
+        if hashlib.sha256(payload).hexdigest() != entry["sha256"]:
+            raise CheckpointCorruption(f"{where} fails its checksum (torn or rotted)")
+        with np.load(io.BytesIO(payload)) as npz:
+            return {name: npz[name] for name in npz.files}
 
     def _state(self) -> dict:
         """Version vector, gap sets and winner index (dump sort_keys)."""
@@ -320,21 +327,19 @@ class ReplicaNode:
         with self._lock:
             if self._applied(origin, seq):
                 return False
-            # Durability order: arrays first (an orphan record is
-            # harmless), then the journal line (the commit point — a
-            # crash before it means the op was simply never applied
-            # and replication will redeliver it).
-            sha256: str | None = None
-            if op.arrays is not None:
-                sha256 = write_record(self._records, f"{origin}:{seq}", op.payload)
-            entry = {
-                "op_id": op.op_id,
-                "key": op.key,
-                "ts": op.ts,
-                "deleted": op.arrays is None,
-                "sha256": sha256,
+            # The complete frame is the commit point: a torn one is cut on
+            # reopen, the op was never applied, and replication redelivers.
+            deleted = op.arrays is None
+            payload = b"" if deleted else op.payload
+            header = {
+                "op_id": op.op_id, "key": op.key, "ts": op.ts, "deleted": deleted,
+                "sha256": None if deleted else hashlib.sha256(payload).hexdigest(),
+                "size": len(payload),
             }
-            self._append_journal(entry)
+            line = json.dumps(header, sort_keys=True).encode() + b"\n"
+            with open(self._log, "ab") as fh:
+                entry = {**header, "offset": fh.tell() + len(line)}
+                fh.write(line + payload)
             self._journal.append(entry)
             self._fold(entry)
             self._since_snapshot += 1
@@ -347,19 +352,16 @@ class ReplicaNode:
     def log(self) -> list[WriteOp]:
         """Applied ops in arrival order — the node's write stream.
 
-        Materialized from the durable journal (arrays load from the
-        op records, checksum-verified), so it survives process restarts
-        and anti-entropy replay to a recovering peer still ships the
-        full history after a reopen.
+        Materialized from the durable log (payloads checksum-verified),
+        so it survives process restarts and anti-entropy replay to a
+        recovering peer still ships the full history after a reopen.
         """
         with self._lock:
-            return [self._materialize(entry) for entry in self._journal]
-
-    def _materialize(self, entry: dict) -> WriteOp:
-        arrays = None
-        if not entry["deleted"]:
-            arrays = self._read(*parse_op_id(entry["op_id"]), entry["sha256"])
-        return WriteOp(entry["op_id"], entry["key"], entry["ts"], arrays)
+            return [
+                WriteOp(e["op_id"], e["key"], e["ts"],
+                        None if e["deleted"] else self._read(e))
+                for e in self._journal
+            ]
 
     def get(self, key: str) -> dict[str, np.ndarray] | None:
         """The key's visible arrays, or None (absent / tombstoned)."""
@@ -367,7 +369,7 @@ class ReplicaNode:
             entry = self._index.get(key)
             if entry is None or entry["deleted"]:
                 return None
-            return self._read(entry["origin"], entry["seq"], entry["sha256"])
+            return self._read(entry)
 
     def keys(self) -> list[str]:
         """Visible (non-tombstoned) keys, sorted."""
@@ -382,23 +384,20 @@ class ReplicaNode:
         Covers the version vector, the per-key winner metadata and the
         winning array content — everything replication is responsible
         for — and deliberately *not* the op log, whose order is
-        delivery-dependent, nor the payload checksums, which depend on
-        the container encoding rather than the arrays.  Two nodes
-        converged iff digests match.
+        delivery-dependent, nor the payload checksums, offsets and sizes,
+        which depend on the container encoding and the log layout rather
+        than the arrays.  Two nodes converged iff digests match.
         """
         with self._lock:
             state = self._state()
             state["index"] = {
-                k: {f: v for f, v in e.items() if f != "sha256"}
+                k: {f: v for f, v in e.items() if f not in ("sha256", "offset", "size")}
                 for k, e in self._index.items()
             }
             h = hashlib.sha256(json.dumps(state, sort_keys=True).encode())
             for _, entry in sorted(self._index.items()):
                 if not entry["deleted"]:
-                    arrays = self._read(
-                        entry["origin"], entry["seq"], entry["sha256"]
-                    )
-                    h.update(_digest_arrays(arrays).encode())
+                    h.update(_digest_arrays(self._read(entry)).encode())
             return h.hexdigest()
 
 

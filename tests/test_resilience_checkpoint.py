@@ -96,6 +96,32 @@ class TestCheckpointStore:
         with pytest.raises(ValueError, match="different run"):
             store.ensure_meta({"kind": "uoi_lasso", "n": 97})
 
+    @pytest.mark.parametrize(
+        "stored, given, named",
+        [
+            ({"rho": 1.0, "solver": "admm"}, {"rho": None, "solver": "cd"},
+             ["rho: stored 1.0, given None", "solver: stored 'admm', given 'cd'"]),
+            ({"p": 5}, {"p": 5, "solve": "column-groups"},
+             ["solve: stored (absent), given 'column-groups'"]),
+            ({"p": 5}, {"p": 5, "selection": "homotopy"},
+             ["selection: stored (absent), given 'homotopy'"]),
+        ],
+        ids=["solver-fields", "column-groups", "homotopy"],
+    )
+    def test_refusal_names_the_differing_keys_and_the_fix(
+        self, store, stored, given, named
+    ):
+        common = {"kind": "serial_uoi_lasso", "random_state": 4}
+        store.ensure_meta({**common, **stored})
+        with pytest.raises(ValueError) as info:
+            store.ensure_meta({**common, **given})
+        message = str(info.value)
+        assert "different run" in message and "fresh store root" in message
+        for diff in named:
+            assert diff in message
+        # Keys both runs agree on are not dumped.
+        assert "serial_uoi_lasso" not in message and "random_state" not in message
+
     def test_colliding_key_sanitizations_stay_distinct(self, store):
         store.save("sel/k0:j1", {"x": np.ones(1)})
         store.save("sel/k0!j1", {"x": np.zeros(1)})

@@ -1,6 +1,7 @@
 """Tests for the replicated, idempotent results store."""
 
 import hashlib
+import io
 import json
 import os
 import random
@@ -31,6 +32,23 @@ def flip_byte(path) -> None:
     data = bytearray(path.read_bytes())
     data[-1] ^= 0xFF
     path.write_bytes(bytes(data))
+
+
+def truncate_tail(path) -> None:
+    """Lost tail: cut the last 16 bytes of a file."""
+    os.truncate(path, path.stat().st_size - 16)
+
+
+def frames(log) -> list[tuple[int, dict, bytes]]:
+    """Parse a replica log into ``(header offset, header, payload)``."""
+    data = log.read_bytes()
+    out, pos = [], 0
+    while pos < len(data):
+        end = data.index(b"\n", pos) + 1
+        header = json.loads(data[pos:end])
+        out.append((pos, header, data[end : end + header["size"]]))
+        pos = end + header["size"]
+    return out
 
 
 class TestOpIds:
@@ -158,11 +176,10 @@ class TestReplicaNode:
         for i in range(5):
             node.local_write(f"k{i}", arrays(i))
         # Only the creation-time snapshot was written; the per-op
-        # durability lives in the O(1)-append journal.
+        # durability lives in the O(1)-append log, one frame per op.
         state = json.loads((tmp_path / "n" / "REPLICA.json").read_text())
         assert state["journal"] == 0
-        lines = (tmp_path / "n" / "OPLOG.jsonl").read_text().splitlines()
-        assert len(lines) == 5
+        assert len(frames(tmp_path / "n" / "REPLICA.log")) == 5
         reopened = ReplicaNode(tmp_path / "n", "n")
         assert reopened.state_digest() == node.state_digest()
 
@@ -170,8 +187,8 @@ class TestReplicaNode:
         node = ReplicaNode(tmp_path / "n", "n")
         node.local_write("k0", arrays(0))
         node.local_write("k1", arrays(1))
-        with open(tmp_path / "n" / "OPLOG.jsonl", "a") as fh:
-            fh.write('{"op_id": "n:99", "key"')  # crash mid-append
+        with open(tmp_path / "n" / "REPLICA.log", "a") as fh:
+            fh.write('{"deleted": false, "key"')  # crash mid-append
         reopened = ReplicaNode(tmp_path / "n", "n")
         assert reopened.last_seen == {"n": 2}
         assert len(reopened.log) == 2
@@ -179,13 +196,13 @@ class TestReplicaNode:
     def test_writes_after_a_torn_tail_survive_the_next_reopen(self, tmp_path):
         node = ReplicaNode(tmp_path / "n", "n")
         node.local_write("k0", arrays(0))
-        with open(tmp_path / "n" / "OPLOG.jsonl", "a") as fh:
-            fh.write('{"op_id": "n:99", "key"')  # crash mid-append
+        with open(tmp_path / "n" / "REPLICA.log", "a") as fh:
+            fh.write('{"deleted": false, "key"')  # crash mid-append
         resumed = ReplicaNode(tmp_path / "n", "n")
         resumed.local_write("k1", arrays(1))
         resumed.local_write("k2", arrays(2))
-        # The torn line was cut on reopen, so the later appends start
-        # lines of their own instead of extending it into garbage.
+        # The torn header was cut on reopen, so the later appends start
+        # frames of their own instead of extending it into garbage.
         reopened = ReplicaNode(tmp_path / "n", "n")
         assert reopened.last_seen == {"n": 3}
         assert reopened.keys() == ["k0", "k1", "k2"]
@@ -195,24 +212,109 @@ class TestReplicaNode:
         node = ReplicaNode(tmp_path / "n", "n")
         node.local_write("k", arrays(0))
         node.local_write("k", None)
-        lines = (tmp_path / "n" / "OPLOG.jsonl").read_text().splitlines()
-        put, tomb = (json.loads(line) for line in lines)
-        (record,) = (tmp_path / "n" / "records").glob("*.npz")
-        assert put["sha256"] == hashlib.sha256(record.read_bytes()).hexdigest()
-        assert tomb["sha256"] is None
-        assert not (tmp_path / "n" / "MANIFEST.json").exists()
+        (_, put, payload), (_, tomb, empty) = frames(tmp_path / "n" / "REPLICA.log")
+        assert put["size"] == len(payload) > 0
+        assert put["sha256"] == hashlib.sha256(payload).hexdigest()
+        assert tomb["sha256"] is None and tomb["size"] == 0 and empty == b""
+        assert sorted(os.listdir(tmp_path / "n")) == ["REPLICA.json", "REPLICA.log"]
 
     def test_corrupt_or_missing_record_raises(self, tmp_path):
         node = ReplicaNode(tmp_path / "n", "n")
         node.local_write("k", arrays(0))
-        (record,) = (tmp_path / "n" / "records").glob("*.npz")
-        flip_byte(record)
+        log = tmp_path / "n" / "REPLICA.log"
+        flip_byte(log)  # the last byte is the put's payload
         for read in (lambda: node.get("k"), lambda: node.log, node.state_digest):
             with pytest.raises(CheckpointCorruption, match="checksum"):
                 read()
-        record.unlink()
+        truncate_tail(log)
         with pytest.raises(CheckpointCorruption, match="missing"):
             node.get("k")
+        log.unlink()
+        with pytest.raises(CheckpointCorruption, match="missing"):
+            node.get("k")
+
+    def test_reopen_reads_headers_only(self, tmp_path, monkeypatch):
+        node = ReplicaNode(tmp_path / "n", "n")
+        big = {"x": np.arange(1 << 16, dtype=np.float64)}  # 512 KiB payloads
+        for i in range(3):
+            node.local_write(f"k{i}", big)
+        real_open = open
+
+        class Counting(io.BufferedReader):
+            consumed = 0
+
+            def read(self, *args):
+                data = super().read(*args)
+                Counting.consumed += len(data)
+                return data
+
+            def readline(self, *args):
+                line = super().readline(*args)
+                Counting.consumed += len(line)
+                return line
+
+        def counting_open(path, mode="r", *args, **kwargs):
+            if str(path).endswith("REPLICA.log") and mode == "rb":
+                return Counting(io.FileIO(path, "rb"))
+            return real_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        reopened = ReplicaNode(tmp_path / "n", "n")
+        monkeypatch.undo()
+        # The reopen consumed three header lines and seeked past 1.5 MiB.
+        assert Counting.consumed == sum(
+            len(json.dumps(h, sort_keys=True)) + 1
+            for _, h, _ in frames(tmp_path / "n" / "REPLICA.log")
+        )
+        assert reopened.state_digest() == node.state_digest()
+
+    def test_crash_after_any_byte_reopens_to_the_complete_prefix(self, tmp_path):
+        small = lambda i: {"x": np.array([float(i)])}  # noqa: E731
+        ops = [
+            WriteOp("n:1", "a", 1, small(1)),
+            WriteOp("n:2", "b", 2, small(2)),
+            WriteOp("n:3", "a", 3, None),
+            WriteOp("peer:4", "b", 5, small(3)),
+            WriteOp("n:4", "a", 6, small(4)),
+        ]
+        ref = ReplicaNode(tmp_path / "ref", "n")
+        expected = [(ref.state_digest(), ref.last_seen)]
+        for op in ops:
+            ref.apply(op)
+            expected.append((ref.state_digest(), ref.last_seen))
+        data = (tmp_path / "ref" / "REPLICA.log").read_bytes()
+        ends = [pos + len(json.dumps(h, sort_keys=True)) + 1 + h["size"]
+                for pos, h, _ in frames(tmp_path / "ref" / "REPLICA.log")]
+        assert ends[-1] == len(data) and len(ends) == len(ops)
+        snapshot = json.loads((tmp_path / "ref" / "REPLICA.json").read_text())
+        assert snapshot["journal"] == 0  # every frame is folded on reopen
+        crashed = tmp_path / "crashed"
+        crashed.mkdir()
+        for cut in range(len(data) + 1):
+            (crashed / "REPLICA.json").write_text(json.dumps(snapshot))
+            (crashed / "REPLICA.log").write_bytes(data[:cut])
+            node = ReplicaNode(crashed, "n")
+            whole = sum(end <= cut for end in ends)
+            assert (node.state_digest(), node.last_seen) == expected[whole], cut
+            assert (crashed / "REPLICA.log").stat().st_size == ([0] + ends)[whole]
+            op = node.local_write("late", small(9))
+            reopened = ReplicaNode(crashed, "n")
+            assert reopened.get("late")["x"].tobytes() == small(9)["x"].tobytes()
+            assert reopened.last_seen["n"] == op.seq
+            assert reopened.state_digest() == node.state_digest()
+
+    def test_damaged_header_mid_log_names_its_offset(self, tmp_path):
+        node = ReplicaNode(tmp_path / "n", "n")
+        for i in range(3):
+            node.local_write(f"k{i}", arrays(i))
+        log = tmp_path / "n" / "REPLICA.log"
+        (_, _, _), (second, _, _), _ = frames(log)
+        data = bytearray(log.read_bytes())
+        data[second + 1] = ord("#")  # '{"deleted"...' -> '{#deleted"...'
+        log.write_bytes(bytes(data))
+        with pytest.raises(CheckpointCorruption, match=f"at byte {second} "):
+            ReplicaNode(tmp_path / "n", "n")
+        assert log.read_bytes() == bytes(data)  # damage is not cut away
 
     def test_corrupt_state_format_rejected(self, tmp_path):
         node = ReplicaNode(tmp_path / "n", "n")
@@ -270,15 +372,14 @@ class TestReplicatedResultsStore:
         assert np.array_equal(got["coef"], arrays(2)["coef"])
 
     @staticmethod
-    def _records(root, replica: int) -> list:
-        return sorted((root / "shard0" / f"replica{replica}" / "records").glob("*.npz"))
+    def _log(root, replica: int):
+        return root / "shard0" / f"replica{replica}" / "REPLICA.log"
 
-    @pytest.mark.parametrize("damage", [flip_byte, os.unlink])
+    @pytest.mark.parametrize("damage", [flip_byte, truncate_tail])
     def test_read_falls_back_past_a_damaged_primary_record(self, tmp_path, damage):
         store = ReplicatedResultsStore(tmp_path / "s", nshards=1, replication=2)
         store.put("k", arrays(3))
-        (record,) = self._records(tmp_path / "s", 0)
-        damage(record)
+        damage(self._log(tmp_path / "s", 0))
         with pytest.raises(CheckpointCorruption):
             store.nodes[0][0].get("k")
         got = store.get("k")
@@ -291,8 +392,8 @@ class TestReplicatedResultsStore:
     def test_read_raises_when_every_replica_is_damaged(self, tmp_path):
         store = ReplicatedResultsStore(tmp_path / "s", nshards=1, replication=2)
         store.put("k", arrays(4))
-        flip_byte(self._records(tmp_path / "s", 0)[0])
-        os.unlink(self._records(tmp_path / "s", 1)[0])
+        flip_byte(self._log(tmp_path / "s", 0))
+        truncate_tail(self._log(tmp_path / "s", 1))
         with pytest.raises(CheckpointCorruption, match="checksum"):
             store.get("k")
 
@@ -306,30 +407,29 @@ class TestReplicatedResultsStore:
             real_replace(src, dst)
 
         monkeypatch.setattr(os, "replace", counting_replace)
+        entries = sorted((tmp_path / "s").rglob("*"))
         nputs = 2 * SNAPSHOT_EVERY + 5
         for i in range(nputs):
             store.put(f"k{i}", arrays(i))
-        # Per put: one record rename on each of the two replicas; per
-        # SNAPSHOT_EVERY applies: one REPLICA.json rename per replica.
-        # Nothing else — no index or manifest rewrite that scales with
-        # the number of keys already stored.
-        records = [name for name in renamed if name.endswith(".npz")]
-        snapshots = [name for name in renamed if name == "REPLICA.json"]
-        assert len(records) == 2 * nputs
-        assert len(snapshots) == 2 * (nputs // SNAPSHOT_EVERY)
-        assert len(renamed) == len(records) + len(snapshots)
-        assert not list((tmp_path / "s").rglob("MANIFEST.json"))
+        # Per put: one frame appended to each replica's log, and no file
+        # created or renamed; per SNAPSHOT_EVERY applies: one REPLICA.json
+        # rename per replica.  Nothing else — no index or manifest
+        # rewrite that scales with the number of keys already stored.
+        assert renamed == ["REPLICA.json"] * (2 * (nputs // SNAPSHOT_EVERY))
+        assert sorted((tmp_path / "s").rglob("*")) == entries
+        for replica in (0, 1):
+            assert len(frames(self._log(tmp_path / "s", replica))) == nputs
 
     def test_old_format_store_names_both_formats_and_the_fix(self, tmp_path):
         root = tmp_path / "s"
         root.mkdir()
         (root / "STORE.json").write_text(
-            json.dumps({"format": 2, "nshards": 2, "replication": 2})
+            json.dumps({"format": 3, "nshards": 2, "replication": 2})
         )
         with pytest.raises(ValueError) as info:
             ReplicatedResultsStore(root, nshards=2, replication=2)
         message = str(info.value)
-        assert "format 2" in message and "format 3" in message
+        assert "format 3" in message and "format 4" in message
         assert "fresh directory" in message
         assert "resharding" not in message
 
