@@ -9,15 +9,16 @@ bootstrap indices from the shared ``random_state``, skipping every
 checkpointed subproblem, and re-entering the world collectives with
 bitwise-identical state.
 
-:class:`CheckpointStore` is the durable half: a directory of ``.npz``
-records written with the classic atomic write-rename protocol (write to
+:class:`CheckpointStore` is the durable half: a directory of record
+files written with the classic atomic write-rename protocol (write to
 a temp file, ``os.replace`` into place) plus a versioned
 ``MANIFEST.json`` carrying a sha256 checksum per record — a crashed
 writer can never leave a torn record behind, and a corrupted one is
-detected at load (the ``encode_record`` / ``write_record`` /
-``read_record`` codec; only ``encode_record`` is shared with the
-service's results store, which appends the encoded payloads to one log
-per replica instead of writing record files).
+detected at load.  A record is raw arrays, not an archive: a 4-byte
+header length, a JSON header ``[[name, dtype, shape], ...]``, then each
+array's C-order bytes (:func:`encode_record` / :func:`decode_record`,
+the one record codec; the service's results store appends the same
+payloads to one log per replica instead of writing record files).
 Modeled write time is charged to the virtual clocks through the
 :mod:`repro.pfs.lustre` cost model (checkpoints live on the same
 striped filesystem Tier-1 reads from), so checkpoint cadence shows up
@@ -37,10 +38,11 @@ collectives, so solved state is durable when the run re-enters them.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
+import math
 import os
 import re
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,7 +62,7 @@ __all__ = [
 ]
 
 MANIFEST_NAME = "MANIFEST.json"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointCorruption(RuntimeError):
@@ -71,7 +73,7 @@ def _safe_filename(key: str) -> str:
     """Filesystem-safe, collision-free file name for a record key."""
     stem = re.sub(r"[^A-Za-z0-9_.-]+", "_", key)[:80]
     digest = hashlib.sha1(key.encode()).hexdigest()[:10]
-    return f"{stem}-{digest}.npz"
+    return f"{stem}-{digest}.rec"
 
 
 def _replace_atomically(path: Path, data: bytes) -> None:
@@ -87,13 +89,71 @@ def write_json(path: Path, obj: object) -> None:
     _replace_atomically(path, json.dumps(obj, sort_keys=True).encode())
 
 
-def encode_record(arrays: dict[str, np.ndarray]) -> bytes:
-    """One record's ``.npz`` payload, as :func:`write_record` stores it."""
+def encode_record(arrays: dict[str, np.ndarray], key: str) -> bytes:
+    """Record ``key``'s payload: a little-endian uint32 header length,
+    the JSON header ``[[name, dtype.str, shape], ...]``, then each
+    array's C-order bytes.  Object, structured and zero-width dtypes have
+    no raw byte form and are refused with a ``ValueError`` naming the key."""
     if not arrays:
-        raise ValueError("record must contain at least one array")
-    buf = io.BytesIO()
-    np.savez(buf, **{k: np.asarray(v) for k, v in arrays.items()})
-    return buf.getvalue()
+        raise ValueError(f"record {key!r} must contain at least one array")
+    header, body = [], []
+    for name, value in arrays.items():
+        a = np.asarray(value)
+        dt = a.dtype
+        if dt.hasobject or not dt.itemsize or np.dtype(dt.str) != dt:
+            raise ValueError(
+                f"record {key!r}: array {name!r} has dtype {dt}, which has "
+                f"no raw byte form (store numeric, bool or fixed-width string arrays)"
+            )
+        header.append([name, dt.str, list(a.shape)])
+        body.append(a.tobytes())  # C order for any layout
+    head = json.dumps(header).encode()
+    return b"".join([struct.pack("<I", len(head)), head, *body])
+
+
+def decode_record(payload: bytes, key: str) -> dict[str, np.ndarray]:
+    """Writable arrays of an :func:`encode_record` payload, bitwise.
+
+    A payload whose header does not parse, or whose byte count disagrees
+    with the header's shapes, raises :class:`CheckpointCorruption`
+    naming ``key`` — with no checksum to compare, this is the only
+    guard against a truncated or damaged record.
+    """
+    where = f"record {key!r}"
+    if len(payload) < 4:
+        raise CheckpointCorruption(f"{where}: {len(payload)}-byte payload is truncated")
+    (hlen,) = struct.unpack_from("<I", payload)
+    start = 4 + hlen
+    if start > len(payload):
+        raise CheckpointCorruption(
+            f"{where}: header length {hlen} runs past the {len(payload)}-byte payload"
+        )
+    try:
+        layout = []
+        for name, dtype, shape in json.loads(payload[4:start]):
+            dt = np.dtype(dtype)
+            if (
+                not isinstance(name, str)
+                or dt.str != dtype  # as encode_record writes it: no subarrays
+                or dt.hasobject
+                or not dt.itemsize
+                or not all(isinstance(d, int) and d >= 0 for d in shape)
+            ):
+                raise ValueError(f"bad entry {[name, dtype, shape]!r}")
+            layout.append((name, dt, tuple(shape), math.prod(shape)))
+    except (ValueError, TypeError) as exc:
+        raise CheckpointCorruption(f"{where}: header is damaged ({exc})") from exc
+    nbytes = sum(count * dt.itemsize for _, dt, _, count in layout)
+    if start + nbytes != len(payload):
+        raise CheckpointCorruption(
+            f"{where}: header describes {nbytes} array bytes, payload "
+            f"holds {len(payload) - start}"
+        )
+    out, offset = {}, start
+    for name, dt, shape, count in layout:
+        out[name] = np.frombuffer(payload, dt, count, offset).reshape(shape).copy()
+        offset += count * dt.itemsize
+    return out
 
 
 def write_record(records_dir: Path, key: str, payload: bytes) -> str:
@@ -114,8 +174,7 @@ def read_record(
         raise CheckpointCorruption(f"record {key!r}: {path} is missing") from exc
     if sha256 is not None and hashlib.sha256(payload).hexdigest() != sha256:
         raise CheckpointCorruption(f"record {key!r} fails its checksum (torn or rotted)")
-    with np.load(io.BytesIO(payload)) as npz:
-        return {name: npz[name] for name in npz.files}
+    return decode_record(payload, key)
 
 
 class CheckpointStore:
@@ -205,7 +264,7 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     def save(self, key: str, arrays: dict[str, np.ndarray]) -> int:
         """Atomically persist one record; returns its payload bytes."""
-        payload = encode_record(arrays)
+        payload = encode_record(arrays, key)
         with self._lock:
             self._manifest["records"][key] = {
                 "file": _safe_filename(key),

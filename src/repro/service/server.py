@@ -1,7 +1,10 @@
 """Line-JSON socket transport for the service, plus the demo driver.
 
-One request (or one stream subscription) per connection; every frame
-is a single JSON line.  ndarrays cross the wire as
+A connection carries any number of request/response exchanges, one
+after another, or one stream subscription; every frame is a single
+JSON line.  A request line longer than :data:`MAX_REQUEST_BYTES` gets
+a ``FrameTooLarge`` error frame and the connection closes, as does a
+connection idle for :data:`IDLE_TIMEOUT_S`.  ndarrays cross the wire as
 ``{"__ndarray__": <base64 bytes>, "dtype": ..., "shape": ...}`` so
 results decode bitwise — the transport never rounds through text
 floats.  The verbs mirror :class:`~repro.service.service.Service`:
@@ -22,13 +25,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import select
 import socket
 import threading
+import time
 from types import TracebackType
-from typing import Any, Iterator, Mapping
+from typing import Any, BinaryIO, Iterator, Mapping
 
 import numpy as np
 
+from repro.analysis.dynamic import instrumented_lock
 from repro.core.config import UoILassoConfig, UoIVarConfig
 from repro.service.jobs import (
     AdmissionError,
@@ -60,6 +66,15 @@ __all__ = [
     "config_from_wire",
     "run_demo",
 ]
+
+#: Longest request line the server reads, newline included; the
+#: connection is unauthenticated, so no peer may make it buffer more.
+MAX_REQUEST_BYTES = 256 << 20
+#: Seconds a connection may sit between requests before the server
+#: closes it (clients drop pooled connections at half this age).
+IDLE_TIMEOUT_S = 300.0
+#: Idle connections a client keeps for reuse.
+POOL_SIZE = 4
 
 
 def config_from_wire(kind: str, cfg: Mapping[str, Any] | None) -> Any:
@@ -110,8 +125,8 @@ def config_to_wire(config: Any) -> dict | None:
 class ServiceServer:
     """Threaded line-JSON TCP front end over a :class:`Service`.
 
-    One handler thread per connection; a connection carries either a
-    single request/response exchange or one progress stream.  Binding
+    One handler thread per connection, serving its request lines in
+    order until the peer closes it (or one progress stream).  Binding
     ``port=0`` picks an ephemeral port (see :attr:`address`).
     """
 
@@ -125,6 +140,9 @@ class ServiceServer:
         self._sock.listen(32)
         self.address: tuple[str, int] = self._sock.getsockname()[:2]
         self._stopped = threading.Event()
+        #: live connection -> its handler thread
+        self._conns: dict[socket.socket, threading.Thread] = {}
+        self._conns_lock = instrumented_lock("service.server.conns")
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="repro-svc-accept", daemon=True
         )
@@ -137,32 +155,48 @@ class ServiceServer:
                 conn, _ = self._sock.accept()
             except OSError:
                 return  # listener closed
-            threading.Thread(
-                target=self._handle, args=(conn,), daemon=True
-            ).start()
+            handler = threading.Thread(
+                target=self._handle, args=(conn,), name="repro-svc-conn", daemon=True
+            )
+            with self._conns_lock:
+                self._conns[conn] = handler
+            handler.start()
 
     def _handle(self, conn: socket.socket) -> None:
-        with conn:
-            rfile = conn.makefile("r", encoding="utf-8")
-            wfile = conn.makefile("w", encoding="utf-8")
-            line = rfile.readline()
-            if not line.strip():
-                return
+        conn.settimeout(IDLE_TIMEOUT_S)
 
-            def send(obj: dict) -> None:
-                wfile.write(json.dumps(obj) + "\n")
-                wfile.flush()
+        def send(obj: dict) -> None:
+            conn.sendall(json.dumps(obj).encode() + b"\n")
 
-            try:
-                request = json.loads(line)
-                self._dispatch(request, send)
-            except (BrokenPipeError, ConnectionResetError):
-                pass  # client went away mid-stream
-            except Exception as exc:  # noqa: BLE001 - wire boundary
-                try:
-                    send(error_to_wire(exc))
-                except OSError:
-                    pass
+        try:
+            with conn, conn.makefile("rb") as rfile:
+                while True:
+                    try:
+                        line = rfile.readline(MAX_REQUEST_BYTES + 1)
+                    except OSError:
+                        return  # idle past IDLE_TIMEOUT_S, or reset
+                    if not line:
+                        return  # peer closed, or stop() shut the connection
+                    if len(line) > MAX_REQUEST_BYTES:
+                        send({
+                            "ok": False,
+                            "error": "FrameTooLarge",
+                            "message": f"request line exceeds {MAX_REQUEST_BYTES} bytes",
+                        })
+                        return
+                    if not line.strip():
+                        continue
+                    try:
+                        self._dispatch(json.loads(line), send)
+                    except (BrokenPipeError, ConnectionResetError):
+                        return  # client went away mid-response
+                    except Exception as exc:  # noqa: BLE001 - wire boundary
+                        send(error_to_wire(exc))
+        except OSError:
+            pass  # the error frame itself could not be sent
+        finally:
+            with self._conns_lock:
+                self._conns.pop(conn, None)
 
     def _dispatch(self, request: dict, send: Any) -> None:
         op = request.get("op")
@@ -220,7 +254,19 @@ class ServiceServer:
             self._sock.close()
         except OSError:  # pragma: no cover - already closed
             pass
+        deadline = time.monotonic() + 5.0
         self._accept_thread.join(timeout=5.0)
+        # Shutting a live connection down ends its handler's readline at
+        # once; a handler inside a results wait exits when it replies.
+        with self._conns_lock:
+            live = list(self._conns.items())
+        for conn, _ in live:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:  # closed by its handler meanwhile
+                pass
+        for _, handler in live:
+            handler.join(timeout=max(0.0, deadline - time.monotonic()))
 
     def __enter__(self) -> "ServiceServer":
         return self
@@ -240,9 +286,13 @@ class ServiceServer:
 class SocketServiceClient:
     """Line-JSON client; same verbs as the in-process ServiceClient.
 
-    Connection-per-request keeps the client trivially thread-safe and
-    lets a long ``results`` wait or a progress stream never block
-    other calls.
+    Calls reuse connections from a small idle pool (up to
+    :data:`POOL_SIZE`), so a call costs one round trip, not a TCP
+    handshake and a server thread.  Each call takes a connection of its
+    own, so the client is thread-safe and a long ``results`` wait never
+    blocks another call; a progress stream keeps a dedicated
+    connection.  :meth:`close` (or leaving a ``with`` block) closes the
+    idle connections.
     """
 
     #: Exceptions re-raised by error type name from the wire
@@ -255,6 +305,10 @@ class SocketServiceClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        #: idle (connection, reader, idle-since) triples, most recent last
+        self._idle: list[tuple[socket.socket, BinaryIO, float]] = []
+        self._idle_lock = instrumented_lock("service.client.pool")
+        self._closed = False
 
     def _connect(self) -> socket.socket:
         return socket.create_connection(
@@ -264,19 +318,65 @@ class SocketServiceClient:
     def _raise(self, response: dict) -> None:
         raise_from_wire(response, self._ERRORS)
 
+    def _checkout(self) -> tuple[socket.socket, BinaryIO]:
+        """An idle pooled connection the server still holds open, else a
+        new one.  A pooled connection that is readable before any request
+        was sent has been closed by the server (stopped, restarted, or
+        idle past its timeout): it is dropped, as is one near that age."""
+        while True:
+            with self._idle_lock:
+                if not self._idle:
+                    break
+                conn, rfile, since = self._idle.pop()
+            fresh = time.monotonic() - since < IDLE_TIMEOUT_S / 2
+            if fresh and not select.select([conn], [], [], 0)[0]:
+                return conn, rfile
+            _close(conn, rfile)
+        conn = self._connect()
+        return conn, conn.makefile("rb")
+
+    def _checkin(self, conn: socket.socket, rfile: BinaryIO) -> None:
+        with self._idle_lock:
+            if not self._closed and len(self._idle) < POOL_SIZE:
+                self._idle.append((conn, rfile, time.monotonic()))
+                return
+        _close(conn, rfile)
+
     def _call(self, request: dict) -> dict:
-        with self._connect() as conn:
-            wfile = conn.makefile("w", encoding="utf-8")
-            rfile = conn.makefile("r", encoding="utf-8")
-            wfile.write(json.dumps(request) + "\n")
-            wfile.flush()
+        conn, rfile = self._checkout()
+        try:
+            conn.sendall(json.dumps(request).encode() + b"\n")
             line = rfile.readline()
-        if not line:
-            raise ConnectionError("service closed the connection")
-        response = json.loads(line)
+            if not line:
+                raise ConnectionError("service closed the connection")
+            response = json.loads(line)
+        except BaseException:
+            _close(conn, rfile)
+            raise
         if not response.get("ok"):
+            _close(conn, rfile)  # the server may close after an error frame
             self._raise(response)
+        self._checkin(conn, rfile)
         return response
+
+    def close(self) -> None:
+        """Close the idle connections; later calls open new ones."""
+        with self._idle_lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for conn, rfile, _ in idle:
+            _close(conn, rfile)
+
+    def __enter__(self) -> "SocketServiceClient":
+        return self
+
+    def __exit__(
+        self,
+        exc_type: type[BaseException] | None,
+        exc: BaseException | None,
+        tb: TracebackType | None,
+    ) -> None:
+        self.close()
 
     # --------------------------------------------------------------- API
     def ping(self) -> bool:
@@ -327,11 +427,9 @@ class SocketServiceClient:
         return bool(self._call({"op": "cancel", "job_id": job_id})["cancelled"])
 
     def stream_progress(self, job_id: str) -> Iterator[dict]:
-        with self._connect() as conn:
-            wfile = conn.makefile("w", encoding="utf-8")
-            rfile = conn.makefile("r", encoding="utf-8")
-            wfile.write(json.dumps({"op": "stream", "job_id": job_id}) + "\n")
-            wfile.flush()
+        with self._connect() as conn, conn.makefile("rb") as rfile:
+            request = {"op": "stream", "job_id": job_id}
+            conn.sendall(json.dumps(request).encode() + b"\n")
             for line in rfile:
                 if not line.strip():
                     continue
@@ -342,6 +440,12 @@ class SocketServiceClient:
                 yield event
                 if event.get("final"):
                     return
+
+
+def _close(conn: socket.socket, rfile: BinaryIO) -> None:
+    """Close a client connection and its reader."""
+    rfile.close()
+    conn.close()
 
 
 # ---------------------------------------------------------------------------
@@ -443,30 +547,30 @@ def run_demo(
 
     def drive(i: int) -> None:
         kind = "lasso" if i % 2 == 0 else "var"
-        client = SocketServiceClient(*server.address)
         entry = workload[kind]
         try:
-            job_id = client.submit(
-                kind,
-                entry["data"],
-                config=entry["config"],
-                tenant=f"tenant{i % 3}",
-                backend=backend,
-                label=f"demo-{i}",
-            )
-            events = sum(1 for _ in client.stream_progress(job_id))
-            outputs = client.results(job_id, timeout=300.0)
-            identical = all(
-                np.array_equal(outputs[name], reference[kind][name])
-                for name in reference[kind]
-            )
-            results[i] = {
-                "job_id": job_id,
-                "kind": kind,
-                "state": client.status(job_id)["state"],
-                "events": events,
-                "identical": identical,
-            }
+            with SocketServiceClient(*server.address) as client:
+                job_id = client.submit(
+                    kind,
+                    entry["data"],
+                    config=entry["config"],
+                    tenant=f"tenant{i % 3}",
+                    backend=backend,
+                    label=f"demo-{i}",
+                )
+                events = sum(1 for _ in client.stream_progress(job_id))
+                outputs = client.results(job_id, timeout=300.0)
+                identical = all(
+                    np.array_equal(outputs[name], reference[kind][name])
+                    for name in reference[kind]
+                )
+                results[i] = {
+                    "job_id": job_id,
+                    "kind": kind,
+                    "state": client.status(job_id)["state"],
+                    "events": events,
+                    "identical": identical,
+                }
         except Exception as exc:  # noqa: BLE001 - demo must report, not die
             results[i] = {"kind": kind, "error": f"{type(exc).__name__}: {exc}"}
 

@@ -45,7 +45,6 @@ per replica — no file is created or renamed:
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -58,6 +57,7 @@ import numpy as np
 from repro.analysis.dynamic import instrumented_lock, instrumented_rlock
 from repro.resilience.checkpoint import (
     CheckpointCorruption,
+    decode_record,
     encode_record,
     write_json,
 )
@@ -73,7 +73,7 @@ __all__ = [
 REPLICA_STATE_NAME = "REPLICA.json"
 LOG_NAME = "REPLICA.log"
 TOPOLOGY_NAME = "STORE.json"
-STATE_FORMAT = 4
+STATE_FORMAT = 5
 #: Applies between REPLICA.json snapshots (reopen folds the frames after one).
 SNAPSHOT_EVERY = 64
 
@@ -131,7 +131,7 @@ class WriteOp:
     @cached_property
     def payload(self) -> bytes:
         """The arrays' encoded record, shared by every replica applying it."""
-        return encode_record(self.arrays or {})
+        return encode_record(self.arrays or {}, self.key)
 
 
 def _digest_arrays(arrays: Mapping[str, np.ndarray]) -> str:
@@ -234,7 +234,7 @@ class ReplicaNode:
             won = {f: entry[f] for f in ("ts", "deleted", "sha256", "offset", "size")}
             self._index[entry["key"]] = {"origin": origin, "seq": seq, **won}
 
-    def _read(self, entry: dict) -> dict[str, np.ndarray]:
+    def _read(self, key: str, entry: dict) -> dict[str, np.ndarray]:
         """One op's arrays, verified against its frame header's checksum."""
         offset, size = entry["offset"], entry["size"]
         try:
@@ -248,8 +248,7 @@ class ReplicaNode:
             raise CheckpointCorruption(f"{where}: {size - len(payload)} bytes missing")
         if hashlib.sha256(payload).hexdigest() != entry["sha256"]:
             raise CheckpointCorruption(f"{where} fails its checksum (torn or rotted)")
-        with np.load(io.BytesIO(payload)) as npz:
-            return {name: npz[name] for name in npz.files}
+        return decode_record(payload, key)
 
     def _state(self) -> dict:
         """Version vector, gap sets and winner index (dump sort_keys)."""
@@ -308,10 +307,12 @@ class ReplicaNode:
         anywhere — including here — is a suppressed duplicate.
         """
         with self._lock:
-            ts = self.clock.tick()
-            seq = self._next_seq
-            self._next_seq += 1
+            seq, ts = self._next_seq, self.clock.time + 1
             op = WriteOp(f"{self.name}:{seq}", key, ts, arrays)
+            if arrays is not None:
+                op.payload  # noqa: B018 - a refused record mints no seq, ticks no clock
+            self._next_seq = seq + 1
+            self.clock.tick()  # == ts: this clock only moves under the node lock
             self.apply(op)
             return op
 
@@ -359,7 +360,7 @@ class ReplicaNode:
         with self._lock:
             return [
                 WriteOp(e["op_id"], e["key"], e["ts"],
-                        None if e["deleted"] else self._read(e))
+                        None if e["deleted"] else self._read(e["key"], e))
                 for e in self._journal
             ]
 
@@ -369,7 +370,7 @@ class ReplicaNode:
             entry = self._index.get(key)
             if entry is None or entry["deleted"]:
                 return None
-            return self._read(entry)
+            return self._read(key, entry)
 
     def keys(self) -> list[str]:
         """Visible (non-tombstoned) keys, sorted."""
@@ -395,9 +396,9 @@ class ReplicaNode:
                 for k, e in self._index.items()
             }
             h = hashlib.sha256(json.dumps(state, sort_keys=True).encode())
-            for _, entry in sorted(self._index.items()):
+            for key, entry in sorted(self._index.items()):
                 if not entry["deleted"]:
-                    h.update(_digest_arrays(self._read(entry)).encode())
+                    h.update(_digest_arrays(self._read(key, entry)).encode())
             return h.hexdigest()
 
 

@@ -2,9 +2,12 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core import UoILasso, UoIVar
 from repro.datasets import make_sparse_regression, make_sparse_var
@@ -14,6 +17,7 @@ from repro.resilience import (
     CheckpointSession,
     CheckpointStore,
 )
+from repro.resilience.checkpoint import decode_record, encode_record
 
 
 @pytest.fixture
@@ -122,11 +126,130 @@ class TestCheckpointStore:
         # Keys both runs agree on are not dumped.
         assert "serial_uoi_lasso" not in message and "random_state" not in message
 
+    def test_object_arrays_are_refused_before_anything_is_written(self, store):
+        store.save("a", {"x": np.ones(2)})
+        manifest = (store.root / "MANIFEST.json").read_bytes()
+        files = sorted(os.listdir(store.root / "records"))
+        with pytest.raises(ValueError, match="'b'.*'ragged'"):
+            ragged = np.array([[1], [2, 3]], dtype=object)
+            store.save("b", {"x": np.ones(2), "ragged": ragged})
+        assert (store.root / "MANIFEST.json").read_bytes() == manifest
+        assert sorted(os.listdir(store.root / "records")) == files
+        assert store.keys() == ["a"] and store.load("b") is None
+
+    def test_old_format_manifest_is_refused(self, store):
+        store.save("a", {"x": np.ones(2)})
+        manifest = json.loads((store.root / "MANIFEST.json").read_text())
+        assert manifest["format"] == 2
+        manifest["format"] = 1  # npz records
+        (store.root / "MANIFEST.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="unsupported checkpoint format 1"):
+            CheckpointStore(store.root)
+
     def test_colliding_key_sanitizations_stay_distinct(self, store):
         store.save("sel/k0:j1", {"x": np.ones(1)})
         store.save("sel/k0!j1", {"x": np.zeros(1)})
         np.testing.assert_array_equal(store.load("sel/k0:j1")["x"], np.ones(1))
         np.testing.assert_array_equal(store.load("sel/k0!j1")["x"], np.zeros(1))
+
+
+#: Every dtype the record codec round-trips (explicit byte orders too).
+CODEC_DTYPES = ["<f8", "<f4", "<i8", "<i4", "|b1", ">f8", "<U3"]
+
+
+@st.composite
+def codec_arrays(draw):
+    """0-d, empty and general arrays, some Fortran-ordered or strided."""
+    dtype = np.dtype(draw(st.sampled_from(CODEC_DTYPES)))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5))
+    a = draw(hnp.arrays(dtype, shape))
+    layout = draw(st.sampled_from(["c", "fortran", "strided"]))
+    if layout == "fortran":
+        a = np.asfortranarray(a)
+    elif layout == "strided" and a.ndim:
+        a = np.repeat(a, 2, axis=0)[::2]
+    return a
+
+
+class TestRecordCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(
+            st.text(min_size=1, max_size=8), codec_arrays(), min_size=1, max_size=4
+        )
+    )
+    def test_roundtrip_is_bitwise_and_writable(self, arrays):
+        out = decode_record(encode_record(arrays, "k"), "k")
+        assert list(out) == list(arrays)
+        for name, a in arrays.items():
+            got = out[name]
+            assert got.dtype == a.dtype and got.shape == a.shape
+            assert got.tobytes() == a.tobytes()
+            assert got.flags.writeable and got.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.array(["a", None], dtype=object),
+            np.zeros(2, dtype=[("a", "<f8"), ("b", "<i4")]),
+            np.zeros(2, dtype="V0"),
+        ],
+        ids=["object", "structured", "zero-width"],
+    )
+    def test_dtype_without_raw_bytes_is_refused_naming_the_key(self, array):
+        with pytest.raises(ValueError, match="'job1/result'.*'labels'"):
+            encode_record({"labels": array}, "job1/result")
+
+    @staticmethod
+    def _payload(header, body: bytes) -> bytes:
+        head = json.dumps(header).encode()
+        return struct.pack("<I", len(head)) + head + body
+
+    @pytest.mark.parametrize(
+        "damage, match",
+        [
+            (lambda p: p[:3], "truncated"),
+            (lambda p: p[:-1], "describes 24 array bytes, payload holds 23"),
+            (lambda p: p + b"\0", "describes 24 array bytes, payload holds 25"),
+            (lambda p: struct.pack("<I", len(p)) + p[4:], "runs past"),
+            (lambda p: p[:4] + b"#" + p[5:], "header is damaged"),
+        ],
+        ids=["short-prefix", "truncated-body", "extra-bytes", "header-past-end",
+             "bad-json"],
+    )
+    def test_damaged_payload_raises_corruption_naming_the_key(self, damage, match):
+        payload = encode_record({"x": np.arange(3.0)}, "k")
+        with pytest.raises(CheckpointCorruption, match=f"record 'sel/k0'.*{match}"):
+            decode_record(damage(payload), "sel/k0")
+
+    @pytest.mark.parametrize(
+        "header, body",
+        [
+            ([["x", "<f8", [4]]], bytes(24)),  # shape says 32 bytes
+            ([["x", "<f8", [1 << 62, 1 << 62]]], bytes(8)),  # never allocated
+            ([["x", "|O", [1]]], bytes(8)),  # would need pickle
+            ([["x", "|V0", [1 << 62]]], b""),  # zero-width items
+            ([["x", "(2,)<f8", [1]]], bytes(16)),  # subarray dtype
+            ([["x", "<f8", [-1]]], b""),
+            ([["x", "no-such-dtype", [1]]], bytes(8)),
+            ([["x", "<f8"]], bytes(8)),
+            ({"x": 1}, b""),
+        ],
+        ids=["short-body", "huge-shape", "object", "zero-width", "subarray",
+             "negative-dim", "bad-dtype", "no-shape", "not-a-list"],
+    )
+    def test_header_and_byte_count_must_agree(self, header, body):
+        with pytest.raises(CheckpointCorruption, match="record 'k'"):
+            decode_record(self._payload(header, body), "k")
+
+    def test_unverified_load_still_rejects_a_truncated_record(self, store):
+        store.save("a", {"x": np.ones(8)})
+        path = store.root / "records" / json.loads(
+            (store.root / "MANIFEST.json").read_text()
+        )["records"]["a"]["file"]
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(CheckpointCorruption, match="record 'a'"):
+            store.load("a", verify=False)
 
 
 class TestCheckpointSession:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import socket
+import threading
 import time
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.service import (
     SocketServiceClient,
     UnknownJobError,
 )
+from repro.service import server as server_module
 from repro.service.server import decode_array, encode_array, run_demo
 from tests.test_service import LASSO_CFG
 
@@ -32,7 +34,8 @@ def lasso_problem():
 @pytest.fixture()
 def served():
     with Service(workers=2) as service, ServiceServer(service) as server:
-        yield service, SocketServiceClient(*server.address)
+        with SocketServiceClient(*server.address) as client:
+            yield service, client
 
 
 class TestWireEncoding:
@@ -107,10 +110,15 @@ class TestSocketRoundTrip:
         _, client = served
         with socket.create_connection((client.host, client.port)) as conn:
             conn.sendall(b"this is not json\n")
-            line = conn.makefile("r").readline()
+            rfile = conn.makefile("r")
+            line = rfile.readline()
+            # The connection survives the bad line and serves the next one.
+            conn.sendall(b'{"op": "ping"}\n')
+            second = json.loads(rfile.readline())
         response = json.loads(line)
         assert response["ok"] is False
         assert response["error"] == "JSONDecodeError"
+        assert second == {"ok": True, "pong": True}
 
     def test_cancel_over_the_wire(self, served, lasso_problem):
         _, client = served
@@ -133,7 +141,8 @@ class TestLifecycle:
         with Service(workers=1) as service:
             server = ServiceServer(service)
             host, port = server.address
-            assert SocketServiceClient(host, port).ping()
+            with SocketServiceClient(host, port) as client:
+                assert client.ping()
             start = time.perf_counter()
             server.stop()
             assert time.perf_counter() - start < 1.0
@@ -143,8 +152,153 @@ class TestLifecycle:
                 sock.bind((host, port))  # raises while the listener lives
 
 
+def count_connects(client: SocketServiceClient) -> list[int]:
+    """Count the TCP connections ``client`` opens from here on."""
+    opened = [0]
+    connect = client._connect
+
+    def counting():
+        opened[0] += 1
+        return connect()
+
+    client._connect = counting
+    return opened
+
+
+@pytest.fixture()
+def server_on_port():
+    """A service plus a factory for servers on one fixed port."""
+    with Service(workers=2) as service:
+        servers: list[ServiceServer] = []
+
+        def start(port: int = 0) -> ServiceServer:
+            servers.append(ServiceServer(service, port=port))
+            return servers[-1]
+
+        yield service, start
+        for server in servers:
+            server.stop()
+
+
+class TestConnectionReuse:
+    def test_sequential_calls_share_one_connection(self, served, lasso_problem):
+        _, client = served
+        opened = count_connects(client)
+        assert client.ping()
+        job_id = client.submit("lasso", lasso_problem, config=LASSO_CFG)
+        client.results(job_id, timeout=120.0)
+        for _ in range(5):
+            assert client.status(job_id)["state"] == "done"
+        assert client.jobs()
+        assert opened == [1]
+
+    def test_results_wait_does_not_block_status(self, served):
+        _, client = served
+        assert client.ping()  # one pooled connection, which the wait takes
+        # Three ~0.3 s fits on two workers: the last cannot finish before
+        # one of the others does, so its results call waits on the server.
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(300, 40))
+        heavy = {"X": X, "y": X[:, 0] + rng.normal(size=300)}
+        config = dataclasses.replace(
+            LASSO_CFG, n_lambdas=6, n_selection_bootstraps=6, max_iter=500
+        )
+        ids = [
+            client.submit("lasso", heavy, config=config, tenant=f"t{i}")
+            for i in range(3)
+        ]
+        got: dict = {}
+        waiter = threading.Thread(
+            target=lambda: got.update(client.results(ids[-1], timeout=120.0))
+        )
+        waiter.start()
+        while client._idle and waiter.is_alive():
+            time.sleep(0.001)
+        state = client.status(ids[-1])["state"]
+        assert waiter.is_alive() and state in ("queued", "running")
+        waiter.join(timeout=120.0)
+        assert not waiter.is_alive() and "coef" in got
+        assert client.status(ids[-1])["state"] == "done"
+
+    def test_stop_ends_an_idle_clients_handler(self, server_on_port):
+        _, start = server_on_port
+        server = start()
+        client = SocketServiceClient(*server.address)
+        assert client.ping()  # its connection now sits idle in the pool
+        handlers = list(server._conns.values())
+        assert len(handlers) == 1 and handlers[0].is_alive()
+        began = time.perf_counter()
+        server.stop()
+        handlers[0].join(timeout=1.0)
+        assert time.perf_counter() - began < 1.0
+        assert not handlers[0].is_alive()
+        client.close()
+
+    def test_dead_pooled_connection_is_replaced(self, server_on_port):
+        _, start = server_on_port
+        server = start()
+        host, port = server.address
+        with SocketServiceClient(host, port) as client:
+            opened = count_connects(client)
+            assert client.ping()
+            server.stop()
+            start(port)  # same port: the pooled connection is dead
+            assert client.ping()
+            assert client.ping()
+        assert opened == [2]
+
+    def test_client_close_and_context_manager(self, served):
+        _, client = served
+        with client:
+            assert client.ping()
+            assert len(client._idle) == 1
+        assert client._idle == []
+        assert client.ping()  # a closed client still calls, without pooling
+        assert client._idle == []
+
+
+class TestSocketBounds:
+    def test_oversized_request_line_gets_an_error_frame_then_eof(
+        self, served, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "MAX_REQUEST_BYTES", 64)
+        _, client = served
+        with socket.create_connection((client.host, client.port)) as conn:
+            rfile = conn.makefile("rb")
+            at_limit = b'{"op": "ping"}'.ljust(63) + b"\n"
+            conn.sendall(at_limit)
+            assert json.loads(rfile.readline()) == {"ok": True, "pong": True}
+            conn.sendall(b'{"op": "ping", "pad": "' + b"x" * 200 + b'"}\n')
+            response = json.loads(rfile.readline())
+            assert rfile.readline() == b""  # the server closed the connection
+        assert response["ok"] is False and response["error"] == "FrameTooLarge"
+        assert "64 bytes" in response["message"]
+        assert client.ping()  # other connections are unaffected
+
+    def test_idle_connection_is_closed_and_replaced(self, server_on_port, monkeypatch):
+        monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", 0.2)
+        _, start = server_on_port
+        server = start()
+        with SocketServiceClient(*server.address) as client:
+            opened = count_connects(client)
+            assert client.ping()
+            deadline = time.monotonic() + 5.0
+            while server._conns and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not server._conns  # the idle handler timed out and left
+            assert client.ping()
+        assert opened == [2]
+
+
 class TestRunDemo:
-    def test_eight_concurrent_mixed_jobs_bitwise_identical(self, tmp_path):
+    def test_eight_concurrent_mixed_jobs_bitwise_identical(
+        self, tmp_path, monkeypatch
+    ):
+        closed = []
+        close = SocketServiceClient.close
+        monkeypatch.setattr(
+            SocketServiceClient, "close", lambda self: closed.append(close(self))
+        )
         summary = run_demo(
             8,
             workers=2,
@@ -155,6 +309,7 @@ class TestRunDemo:
         assert summary["errors"] == []
         assert summary["done"] == 8
         assert summary["identical"] is True
+        assert len(closed) == 8  # every demo client closed its connections
         from repro.telemetry import read_manifest
 
         man = read_manifest(summary["manifest"])

@@ -420,16 +420,32 @@ class TestReplicatedResultsStore:
         for replica in (0, 1):
             assert len(frames(self._log(tmp_path / "s", replica))) == nputs
 
+    def test_object_arrays_are_refused_before_any_frame_is_appended(self, tmp_path):
+        store = ReplicatedResultsStore(tmp_path / "s", nshards=1, replication=2)
+        store.put("a", arrays(0))
+        logs = [self._log(tmp_path / "s", r).read_bytes() for r in (0, 1)]
+        digest = store.state_digest()
+        bad = {"coef": np.ones(3), "meta": np.array([{"x": 1}], dtype=object)}
+        with pytest.raises(ValueError, match="'b'.*'meta'"):
+            store.put("b", bad)
+        assert [self._log(tmp_path / "s", r).read_bytes() for r in (0, 1)] == logs
+        assert store.state_digest() == digest and store.keys() == ["a"]
+        # The refused write minted no op id: the next put is seq 2, no gap.
+        assert parse_op_id(store.put("c", arrays(1)))[1] == 2
+        assert store.converged()
+        reopened = ReplicatedResultsStore(tmp_path / "s", nshards=1, replication=2)
+        assert reopened.state_digest() == store.state_digest()
+
     def test_old_format_store_names_both_formats_and_the_fix(self, tmp_path):
         root = tmp_path / "s"
         root.mkdir()
         (root / "STORE.json").write_text(
-            json.dumps({"format": 3, "nshards": 2, "replication": 2})
+            json.dumps({"format": 4, "nshards": 2, "replication": 2})
         )
         with pytest.raises(ValueError) as info:
             ReplicatedResultsStore(root, nshards=2, replication=2)
         message = str(info.value)
-        assert "format 3" in message and "format 4" in message
+        assert "format 4" in message and "format 5" in message
         assert "fresh directory" in message
         assert "resharding" not in message
 
