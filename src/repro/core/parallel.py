@@ -730,7 +730,7 @@ class _DistVarPlan(_DistUoIPlan):
         of this bootstrap's ``X``, warm-started by ``seed`` (``(n_whole,
         kdim)`` or ``None``), with ``lcfg.solver``'s kernel."""
         from repro.linalg.admm import LassoADMM
-        from repro.linalg.cd import lasso_cd, precompute_gram
+        from repro.linalg.cd import lasso_cd_path
         from repro.perf.flops import charge_cholesky, charge_gemm
 
         if not groups.whole:
@@ -772,22 +772,23 @@ class _DistVarPlan(_DistUoIPlan):
 
             return admm_step
 
-        gram, _, col_sq = precompute_gram(X)
-        triples = [(gram, X.T @ Y[:, c], col_sq) for c in range(ncols)]
+        Xc = np.ascontiguousarray(X, dtype=float)
+        gram = Xc.T @ Xc
+        xtys = [X.T @ Y[:, c] for c in range(ncols)]
 
         def cd_step(lam, seed):
             # The rank clock charges one covariance sweep per column
             # (G beta for every column: one GEMM), not the solve's real
             # sweeps and exact steps, which only the cd.* counters see.
+            # The λ chain is driven per task: one λ per path call.
             charge_gemm(clock, machine, kdim, ncols, kdim)
+            starts = [None] * ncols if seed is None else list(seed)
             return [
-                lasso_cd(
-                    X, Y[:, c], lam,
-                    beta0=None if seed is None else seed[c],
+                lasso_cd_path(
+                    gram, xty, [lam], seed=lambda j, prev, s=s: s,
                     max_iter=cfg.max_iter, tol=cfg.cd_tol,
-                    precomputed=triples[c],
-                )
-                for c in range(ncols)
+                )[0]
+                for xty, s in zip(xtys, starts)
             ]
 
         return cd_step

@@ -14,6 +14,7 @@ before the engine refactor resume bitwise-identically.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -33,7 +34,7 @@ from repro.core.estimation import (
 from repro.core.selection import intersect_supports, support_family
 from repro.engine.plan import ESTIMATION, SELECTION, PlanOutputs, Subproblem, UoIPlan
 from repro.linalg.admm import LassoADMM
-from repro.linalg.cd import lasso_cd, precompute_gram
+from repro.linalg.cd import lasso_cd, lasso_cd_path
 from repro.linalg.homotopy import lasso_homotopy
 from repro.linalg.lambda_grid import lambda_grid, lambda_grid_from_max
 from repro.linalg.ols import ols_family_columns
@@ -157,7 +158,7 @@ def var_path_columns(
     out = np.empty((q, kdim * p))
 
     def seed(
-        j: int, beta: np.ndarray | None, col: slice
+        col: slice, j: int, beta: np.ndarray | None
     ) -> np.ndarray | None:
         if warm_paths is not None:
             if j == 0 or beta is None:
@@ -181,7 +182,7 @@ def var_path_columns(
         )
         vec = None
         for j, lam in enumerate(lambdas):
-            start = seed(j, vec, slice(None))
+            start = seed(slice(None), j, vec)
             if start is not None:
                 start = start.reshape((kdim, p), order="F")
             results = solver.solve_columns(Y, float(lam), beta0=start)
@@ -189,20 +190,16 @@ def var_path_columns(
         return out
 
     # Covariance-update CD: one X'X per bootstrap serves every column
-    # and penalty (the cd analogue of the shared ADMM factorization).
-    gram, _, col_sq = precompute_gram(X)
+    # and penalty (the cd analogue of the shared ADMM factorization),
+    # and one call per column runs its λ path.
+    Xc = np.ascontiguousarray(X, dtype=float)
+    gram = Xc.T @ Xc
     for c in range(p):
-        yc = Y[:, c]
         col = slice(c * kdim, (c + 1) * kdim)
-        beta = None
-        triple = (gram, X.T @ yc, col_sq)
-        for j, lam in enumerate(lambdas):
-            beta = lasso_cd(
-                X, yc, float(lam), beta0=seed(j, beta, col),
-                max_iter=config.max_iter, tol=config.cd_tol,
-                precomputed=triple,
-            )
-            out[j, col] = beta
+        out[:, col] = lasso_cd_path(
+            gram, X.T @ Y[:, c], lambdas, seed=functools.partial(seed, col),
+            max_iter=config.max_iter, tol=config.cd_tol,
+        )
     return out
 
 

@@ -13,9 +13,9 @@ relies on:
   (Boyd et al. 2011, §8.2) running over a :mod:`repro.simmpi`
   communicator; this is the distributed solver whose per-iteration
   ``Allreduce`` dominates the paper's communication time.
-* :mod:`repro.linalg.cd` — cyclic coordinate-descent LASSO, used as an
-  independent reference solver in tests and as the statistical
-  baseline ("plain LASSO") in the accuracy benchmarks.
+* :mod:`repro.linalg.cd` — coordinate-descent LASSO: the Gram-form
+  path kernel behind ``solver="cd"`` VAR fits and the stream, and the
+  residual form, the "plain LASSO" baseline.
 * :mod:`repro.linalg.homotopy` — the exact piecewise-linear LASSO path
   (homotopy / LARS-lasso), the serial selection solver of ``n < p``
   designs, with a KKT certificate per grid solution.
@@ -36,7 +36,7 @@ from repro.linalg.soft_threshold import (
     scad_threshold,
 )
 from repro.linalg.admm import ADMMResult, LassoADMM, lasso_admm
-from repro.linalg.cd import lasso_cd, precompute_gram
+from repro.linalg.cd import lasso_cd, lasso_cd_path
 from repro.linalg.ols import ols_family_columns, ols_from_gram, ols_on_support, ols
 from repro.linalg.ridge import ridge
 from repro.linalg.nonconvex import mcp_regression, scad_regression
@@ -58,7 +58,7 @@ __all__ = [
     "LassoADMM",
     "lasso_admm",
     "lasso_cd",
-    "precompute_gram",
+    "lasso_cd_path",
     "ols_on_support",
     "ols",
     "ols_from_gram",

@@ -33,6 +33,7 @@ of ``X``.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from dataclasses import dataclass, field
@@ -64,7 +65,7 @@ class ADMMResult:
     primal_residual, dual_residual:
         Final residual norms (Boyd et al. 2011, §3.3).
     objective:
-        Final value of ``||y - X beta||^2 + lam ||beta||_1``.
+        ``||y - X beta||^2 + lam ||beta||_1``, computed when first read.
     history:
         Per-iteration ``(primal_residual, dual_residual, objective)``
         triples, kept only when ``record_history=True`` was requested.
@@ -81,9 +82,17 @@ class ADMMResult:
     converged: bool
     primal_residual: float
     dual_residual: float
-    objective: float
     history: list[tuple[float, float, float]] = field(default_factory=list)
     dual: np.ndarray | None = None
+    _objective: functools.partial[float] | float = field(  # beta -> objective
+        default=math.nan, repr=False, compare=False
+    )
+
+    @property
+    def objective(self) -> float:
+        if callable(self._objective):
+            self._objective = self._objective(self.beta)
+        return self._objective
 
 
 def gram_extremes(gram: np.ndarray) -> tuple[float, float]:
@@ -478,9 +487,9 @@ class LassoADMM:
             converged=converged,
             primal_residual=r_norm,
             dual_residual=s_norm,
-            objective=self._objective(y, z, lam),
             history=history,
             dual=u,
+            _objective=functools.partial(self._objective, y, lam=lam),
         ), rho)
 
     def _solve_pooled(
@@ -583,9 +592,9 @@ class LassoADMM:
             converged=converged,
             primal_residual=r_norm,
             dual_residual=s_norm,
-            objective=self._objective(y, z, lam),
             history=history,
             dual=u.copy(),
+            _objective=functools.partial(self._objective, y, lam=lam),
         ), rho)
 
     def solve_columns(
@@ -762,7 +771,7 @@ class LassoADMM:
                 break
             for i in np.flatnonzero(done):
                 frozen[cols[i]] = self._column_result(
-                    Yt[cols[i]], z[i], u[i], lam, it, True, norms[:, i]
+                    Y[:, cols[i]], z[i], u[i], lam, it, True, norms[:, i]
                 )
             keep = np.flatnonzero(~done)
             k = len(keep)
@@ -772,7 +781,7 @@ class LassoADMM:
             cols = [cols[i] for i in keep]
         for i in range(k):
             frozen[cols[i]] = self._column_result(
-                Yt[cols[i]], Z[i], U[i], lam, it, False, Norms[:, i]
+                Y[:, cols[i]], Z[i], U[i], lam, it, False, Norms[:, i]
             )
         return [_count_solve(frozen[c], rho) for c in range(m)]
 
@@ -793,8 +802,8 @@ class LassoADMM:
             converged=converged,
             primal_residual=float(norms[0]),
             dual_residual=float(norms[1]),
-            objective=self._objective(y, z, lam),
             dual=u.copy(),
+            _objective=functools.partial(self._objective, y, lam=lam),
         )
 
     def solve_path(self, lams: np.ndarray) -> list[ADMMResult]:

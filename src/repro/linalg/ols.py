@@ -59,25 +59,11 @@ def _support_index(support: np.ndarray, p: int) -> np.ndarray:
 
 
 def ols_on_support(X: np.ndarray, y: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """OLS with coefficients outside ``support`` pinned to zero.
-
-    Parameters
-    ----------
-    X:
-        ``(n, p)`` design matrix.
-    y:
-        ``(n,)`` response.
-    support:
-        Either a boolean mask of length ``p`` or an array of distinct
-        integer indices selecting the free coefficients.
-
-    Returns
-    -------
-    numpy.ndarray
-        Full-length ``(p,)`` coefficient vector, dense in the support
-        and exactly zero elsewhere.  An empty support yields the zero
-        vector (the intercept-free null model).
-    """
+    """OLS of ``y`` on ``X`` (``(n, p)``) with coefficients outside
+    ``support`` — a boolean mask of length ``p`` or distinct integer
+    indices — pinned to zero: a ``(p,)`` vector, dense in the support.
+    An empty support gives the zero vector (the intercept-free null
+    model)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-D, got shape {X.shape}")
@@ -90,28 +76,40 @@ def ols_on_support(X: np.ndarray, y: np.ndarray, support: np.ndarray) -> np.ndar
     return beta
 
 
-def ols_from_gram(
-    G: np.ndarray, c: np.ndarray, support: np.ndarray, X: np.ndarray, y: np.ndarray
-) -> np.ndarray:
-    """:func:`ols_on_support` from ``G = X'X``, ``c = X'y`` by Cholesky.
-
-    A support wider than ``X`` has rows, a failed ``dpotrf`` or a
-    ``dpocon`` estimate below :data:`GRAM_RCOND_MIN` falls back to
-    :func:`ols` on ``X[:, S]`` (bitwise :func:`ols_on_support`),
-    counted as ``ols.gram_fallbacks``.
-    """
-    idx = _support_index(support, G.shape[0])
-    if 0 < idx.size <= X.shape[0]:
+def _solve_support(
+    G: np.ndarray, C: np.ndarray, idx: np.ndarray, X: np.ndarray, Y: np.ndarray,
+    cols: list[int],
+) -> list[np.ndarray] | np.ndarray:
+    """OLS on the non-empty support ``idx`` for columns ``cols`` of ``Y``
+    by one factor of ``G[S, S]`` (``G = X'X``, ``C = X'Y``) and one
+    multi-RHS ``dpotrs``, column-wise bitwise single solves.  ``|S|``
+    above the rows of ``X``, a failed ``dpotrf`` or a ``dpocon`` estimate
+    below :data:`GRAM_RCOND_MIN` falls back to :func:`ols` per column."""
+    if idx.size <= X.shape[0]:
         G_S = G[idx[:, None], idx]
         L, info = dpotrf(G_S, lower=1)
         if info == 0 and dpocon(L, np.linalg.norm(G_S, 1), "L")[0] >= GRAM_RCOND_MIN:
-            _tcount("ols.solves")
-            beta = np.zeros(G.shape[0])
-            beta[idx] = dpotrs(L, c[idx], lower=1)[0]
-            return beta
+            _tcount("ols.factorizations")
+            _tcount("ols.solves", len(cols))
+            if len(cols) == 1:  # the same solve, without a 2-D gather
+                return [dpotrs(L, C[idx, cols[0]], lower=1)[0]]
+            return dpotrs(L, C[idx[:, None], cols], lower=1)[0].T
+    _tcount("ols.gram_fallbacks", len(cols))
+    return [ols(X[:, idx], Y[:, c]) for c in cols]
+
+
+def ols_from_gram(
+    G: np.ndarray, c: np.ndarray, support: np.ndarray, X: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """:func:`ols_on_support` from ``G = X'X``, ``c = X'y`` by Cholesky,
+    with the SVD fallback of :func:`ols_family_columns`."""
+    idx = _support_index(support, G.shape[0])
+    beta = np.zeros(G.shape[0])
     if idx.size:
-        _tcount("ols.gram_fallbacks")
-    return ols_on_support(X, y, idx)
+        (beta[idx],) = _solve_support(G, c[:, None], idx, X, y[:, None], [0])
+    else:
+        _tcount("ols.empty_supports")
+    return beta
 
 
 def ols_family_columns(X: np.ndarray, Y: np.ndarray, family: np.ndarray) -> np.ndarray:
@@ -119,7 +117,9 @@ def ols_family_columns(X: np.ndarray, Y: np.ndarray, family: np.ndarray) -> np.n
 
     Slice ``c`` of row ``j`` fits ``Y[:, c]`` on that slice's support
     (UoI_LASSO is ``p = 1``).  One Gram over the union of all supports
-    serves every solve; a support repeated for a column is solved once.
+    serves every solve, and one factor of ``G[S, S]`` every column
+    whose slices hold support ``S``.  ``ols.solves`` counts one per
+    column and distinct support, ``ols.factorizations`` one per factor.
     """
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     family = np.asarray(family, dtype=bool)
@@ -130,11 +130,19 @@ def ols_family_columns(X: np.ndarray, Y: np.ndarray, family: np.ndarray) -> np.n
     XU = X[:, union]
     G, C = XU.T @ XU, XU.T @ Y
     out = np.zeros(masks.shape)
-    cache: dict[tuple[int, bytes], np.ndarray] = {}
-    for j, row in enumerate(masks):
+    cells: dict[bytes, dict[int, list[int]]] = {}  # support -> column -> rows
+    for j, row in enumerate(masks[:, :, union]):
         for c, mask in enumerate(row):
-            key = (c, mask.tobytes())
-            if key not in cache:
-                cache[key] = ols_from_gram(G, C[:, c], mask[union], XU, Y[:, c])
-            out[j, c, union] = cache[key]
+            cells.setdefault(mask.tobytes(), {}).setdefault(c, []).append(j)
+    columns = np.flatnonzero(union)
+    for key, by_col in cells.items():
+        idx = np.flatnonzero(np.frombuffer(key, dtype=bool))
+        if not idx.size:
+            _tcount("ols.empty_supports", len(by_col))
+            continue
+        fits = _solve_support(G, C, idx, XU, Y, list(by_col))
+        at = columns[idx]
+        for (c, rows), beta in zip(by_col.items(), fits):
+            for j in rows:
+                out[j, c, at] = beta
     return out.reshape(family.shape)

@@ -75,6 +75,9 @@ MAX_REQUEST_BYTES = 256 << 20
 IDLE_TIMEOUT_S = 300.0
 #: Idle connections a client keeps for reuse.
 POOL_SIZE = 4
+#: Seconds a client's blocking ``results(timeout=T)`` read waits past
+#: ``T`` for the reply: the outputs, or the service's own timeout error.
+RESULTS_GRACE_S = 5.0
 
 
 def config_from_wire(kind: str, cfg: Mapping[str, Any] | None) -> Any:
@@ -342,9 +345,15 @@ class SocketServiceClient:
                 return
         _close(conn, rfile)
 
-    def _call(self, request: dict) -> dict:
+    def _call(self, request: dict, wait: float | None = 0.0) -> dict:
+        """One exchange on a pooled connection.  The reply is read under
+        the socket timeout, or, for a request the server may hold for
+        ``wait`` seconds, ``wait`` plus :data:`RESULTS_GRACE_S` (no
+        deadline for ``None``)."""
         conn, rfile = self._checkout()
         try:
+            if wait != 0.0:
+                conn.settimeout(None if wait is None else wait + RESULTS_GRACE_S)
             conn.sendall(json.dumps(request).encode() + b"\n")
             line = rfile.readline()
             if not line:
@@ -356,6 +365,8 @@ class SocketServiceClient:
         if not response.get("ok"):
             _close(conn, rfile)  # the server may close after an error frame
             self._raise(response)
+        if wait != 0.0:
+            conn.settimeout(self.timeout)
         self._checkin(conn, rfile)
         return response
 
@@ -417,9 +428,11 @@ class SocketServiceClient:
         self, job_id: str, timeout: float | None = None
     ) -> dict[str, np.ndarray]:
         """Named result arrays (``coef``, ``supports``, ...), decoded
-        bitwise from the wire."""
+        bitwise from the wire.  Waits up to ``timeout`` seconds (``None``:
+        until the job ends), independent of the socket timeout, then
+        raises the service's :class:`TimeoutError`."""
         response = self._call(
-            {"op": "results", "job_id": job_id, "timeout": timeout}
+            {"op": "results", "job_id": job_id, "timeout": timeout}, timeout
         )
         return _decode_arrays(response["outputs"])
 

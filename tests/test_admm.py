@@ -62,6 +62,23 @@ class TestLassoADMM:
         res = solver.solve(4.0)
         assert res.objective == pytest.approx(solver.objective(res.beta, 4.0))
 
+    @pytest.mark.parametrize("pool", [True, False])
+    def test_objective_read_after_later_solves_is_bitwise(self, problem, pool):
+        """The objective is computed on first access; later solves, which
+        reuse the workspace, must not move it."""
+        X, y, _ = problem
+        Y = np.column_stack([y, -y, y + X[:, 0]])
+        solver = LassoADMM(X, y, pool=pool, max_iter=2000)
+        single = solver.solve(4.0)
+        columns = solver.solve_columns(Y, 3.0)
+        solver.solve(0.5)
+        solver.solve_columns(Y[:, ::-1].copy(), 1.0)
+        want = solver.objective(single.beta, 4.0)
+        assert np.float64(single.objective).tobytes() == np.float64(want).tobytes()
+        for c, res in enumerate(columns):
+            want = LassoADMM(X, Y[:, c]).objective(res.beta, 3.0)
+            assert np.float64(res.objective).tobytes() == np.float64(want).tobytes()
+
     def test_warm_start_converges_faster(self, problem):
         X, y, _ = problem
         solver = LassoADMM(X, y)

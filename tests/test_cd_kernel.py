@@ -1,30 +1,36 @@
-"""The Python-float coordinate-descent kernel against a frozen numpy one.
+"""The Python-float coordinate-descent kernels against frozen references.
 
-``repro.linalg.cd.lasso_cd`` runs its per-coordinate scalar work on
-Python floats held in lists.  The reference below is the numpy-scalar
-kernel it replaced, kept verbatim (with ``soft_threshold`` inlined) so
-the comparison cannot drift with the library.
+``repro.linalg.cd`` runs its per-coordinate scalar work on Python
+floats held in lists.  Two references are kept verbatim here, so the
+comparisons cannot drift with the library:
 
-The residual branch does the same IEEE operations in the same order,
-so every residual case asserts byte-equal ``beta`` — the sign of zero
-included — and equal ``cd.sweeps`` / ``cd.converged`` /
-``cd.nonconverged`` counts.
-
-The covariance branch (both row-update forms, either side of
-``LIST_ROW_MAX_KDIM``) replaces the reference's inner sweeps with one
-exact active-set step per outer iteration, so its bits differ.  Each
-of its cases asserts instead that a converged solution is
-KKT-certified (``corr = X'y - G beta``), that its support equals the
-reference's at ``tol=1e-12``, and that it took no more sweeps than the
-reference at the same ``tol`` and budget.
+* ``reference_lasso_cd`` is the numpy-scalar kernel the Python-float
+  one replaced (with ``soft_threshold`` inlined).  The residual
+  ``lasso_cd`` does the same IEEE operations in the same order, so
+  every residual case asserts byte-equal ``beta`` — the sign of zero
+  included — and equal ``cd.sweeps`` / ``cd.converged`` /
+  ``cd.nonconverged`` counts.  The covariance kernel replaces its
+  inner sweeps with one exact active-set step per outer iteration, so
+  its bits differ: each covariance case asserts instead that a
+  converged solution is KKT-certified (``corr = X'y - G beta``), that
+  its support equals the reference's at ``tol=1e-12``, and that it
+  took no more sweeps than the reference at the same ``tol`` and
+  budget.
+* ``reference_cov_cd`` is the per-λ covariance kernel that
+  ``lasso_cd_path`` replaced: one call per λ, its exact step's sign
+  back-off on numpy arrays.  The path kernel runs the λ chain inside
+  one call and the back-off on Python floats, with the same IEEE
+  operations in the same order, so it must match the chained
+  reference bit for bit, with equal ``cd.*`` totals.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from repro.core.config import UoILassoConfig, UoIVarConfig
-from repro.linalg import lasso_cd, precompute_gram
+from repro.linalg import lasso_cd, lasso_cd_path
 from repro.linalg.cd import LIST_ROW_MAX_KDIM
 from repro.linalg.homotopy import kkt_certified
 from repro.stream import RollingRefitter, SpikeRateSource, StreamConfig
@@ -110,6 +116,143 @@ def reference_lasso_cd(X, y, lam, *, beta0=None, max_iter=2000, tol=1e-9, precom
     return beta
 
 
+def reference_cov_cd(gram, Xty, lam, *, beta0=None, max_iter=2000, tol=1e-9):
+    """The per-λ covariance kernel with its numpy back-off, frozen: the
+    bitwise reference of ``lasso_cd_path``.  It also counts its sign
+    back-offs (``ref.backoffs``), so tests can show they ran."""
+    p = gram.shape[0]
+    col_sq = np.diag(gram).copy()
+    beta = np.zeros(p) if beta0 is None else np.asarray(beta0, dtype=float).copy()
+    half_lam = 0.5 * lam
+    b = beta.tolist()
+    all_indices = range(p)
+    xty = Xty.tolist()
+    cs = col_sq.tolist()
+    gram_beta = gram @ beta
+    if p <= LIST_ROW_MAX_KDIM:
+        rows = gram.tolist()
+        gb = gram_beta.tolist()
+    else:
+        rows = None
+        gb = memoryview(gram_beta)
+
+    def sweep(indices):
+        max_delta = 0.0
+        for j in indices:
+            cj = cs[j]
+            if cj == 0.0:
+                continue
+            old = b[j]
+            rho_j = xty[j] - gb[j] + cj * old
+            z = abs(rho_j) - half_lam
+            new = 0.0 if z <= 0.0 else (z if rho_j > 0 else -z) / cj
+            if new != old:
+                step = new - old
+                if rows is None:
+                    np.add(gram_beta, gram[j] * step, out=gram_beta)
+                else:
+                    row = rows[j]
+                    for i in all_indices:
+                        gb[i] += row[i] * step
+                b[j] = new
+                delta = abs(step)
+                if delta > max_delta:
+                    max_delta = delta
+        return max_delta
+
+    def exact_step():
+        active = [j for j in all_indices if b[j] != 0.0 and cs[j] != 0.0]
+        if not active:
+            return 0
+        idx = np.array(active)
+        L, info = dpotrf(gram[idx[:, None], idx], lower=1)
+        if info != 0:
+            return None
+        cur = np.array([b[j] for j in active])
+        sign = np.sign(cur)
+        keep = np.arange(idx.size)
+        while True:
+            s = sign[keep]
+            target = dpotrs(L, Xty[idx[keep]] - half_lam * s, lower=1)[0]
+            crossed = target * s <= 0.0
+            if not crossed.any():
+                cur[keep] = target
+                break
+            _tcount("ref.backoffs")
+            now = cur[keep]
+            step = target - now
+            t = now[crossed] / -step[crossed]
+            k = int(np.argmin(t))
+            first = np.flatnonzero(crossed)[k]
+            now += t[k] * step
+            now[first] = 0.0
+            now[now * s <= 0.0] = 0.0
+            cur[keep] = now
+            keep = keep[now != 0.0]
+            if not keep.size:
+                break
+            sub = idx[keep]
+            L, info = dpotrf(gram[sub[:, None], sub], lower=1)
+            if info != 0:
+                break
+        for j, v in zip(active, cur.tolist()):
+            b[j] = v
+        if rows is None:
+            np.matmul(gram, np.array(b), out=gram_beta)
+        else:
+            gb[:] = (gram @ np.array(b)).tolist()
+        return 1
+
+    sweeps_left = max_iter
+    converged = False
+    delta = np.inf
+    exact_steps = exact_fallbacks = 0
+    while sweeps_left > 0:
+        delta = sweep(all_indices)
+        sweeps_left -= 1
+        if delta < tol:
+            converged = True
+            break
+        if sweeps_left > 0:
+            taken = exact_step()
+            if taken is not None:
+                exact_steps += taken
+                continue
+            exact_fallbacks += 1
+        while sweeps_left > 0:
+            active = [j for j, v in enumerate(b) if v != 0.0]
+            if not active:
+                break
+            delta = sweep(active)
+            sweeps_left -= 1
+            if delta < tol:
+                break
+
+    _tcount("cd.solves")
+    _tcount("cd.sweeps", max_iter - sweeps_left)
+    if exact_steps:
+        _tcount("cd.exact_steps", exact_steps)
+    if exact_fallbacks:
+        _tcount("cd.exact_fallbacks", exact_fallbacks)
+    _tcount("cd.converged" if converged else "cd.nonconverged")
+    _tgauge("cd.last_delta", delta)
+    return np.array(b)
+
+
+def cov_cd(X, y, lam, *, precomputed, beta0=None, max_iter=2000, tol=1e-9):
+    """``lasso_cd_path`` for one λ, called as the reference kernels are."""
+    gram, xty, _ = precomputed
+    return lasso_cd_path(
+        gram, xty, [lam], seed=lambda j, prev: beta0, max_iter=max_iter, tol=tol
+    )[0]
+
+
+def kernel(X, y, lam, **kwargs):
+    """The library kernel a case exercises: the covariance path kernel
+    given a ``precomputed`` triple, else the residual ``lasso_cd``."""
+    return (cov_cd if "precomputed" in kwargs else lasso_cd)(X, y, lam, **kwargs)
+
+
 def _counted(solver, *args, **kwargs):
     rec = Recorder()
     with use_recorder(rec):
@@ -121,7 +264,7 @@ def _counted(solver, *args, **kwargs):
 def assert_same_solve(X, y, lam, **kwargs):
     """Byte-equal beta and equal counters; returns the solution."""
     ref, ref_counts = _counted(reference_lasso_cd, X, y, lam, **kwargs)
-    new, new_counts = _counted(lasso_cd, X, y, lam, **kwargs)
+    new, new_counts = _counted(kernel, X, y, lam, **kwargs)
     assert new.dtype == ref.dtype and new.shape == ref.shape
     assert new.tobytes() == ref.tobytes(), (new, ref)
     assert new_counts == ref_counts
@@ -137,7 +280,7 @@ def assert_certified_solve(X, y, lam, **kwargs):
     is the reference's at ``tol=EXACT_TOL``.  Zero-norm columns are
     frozen by both kernels and left out of the certificate."""
     ref, ref_counts = _counted(reference_lasso_cd, X, y, lam, **kwargs)
-    new, new_counts = _counted(lasso_cd, X, y, lam, **kwargs)
+    new, new_counts = _counted(kernel, X, y, lam, **kwargs)
     assert new.dtype == ref.dtype and new.shape == ref.shape
     assert new_counts["cd.sweeps"] <= ref_counts["cd.sweeps"]
     assert new_counts["cd.converged"] + new_counts["cd.nonconverged"] == 1
@@ -173,8 +316,8 @@ def _design(kdim, seed):
 
 
 def _triple(X, y):
-    gram, _, col_sq = precompute_gram(X)
-    return gram, X.T @ y, col_sq
+    gram = X.T @ X
+    return gram, X.T @ y, np.diag(gram).copy()
 
 
 def _lam_max(X, y):
@@ -311,7 +454,7 @@ def test_exact_steps_and_singular_fallbacks_are_counted(kdim):
     lam = 0.05 * _lam_max(X, y)
     rec = Recorder()
     with use_recorder(rec):
-        lasso_cd(X, y, lam, precomputed=_triple(X, y))
+        kernel(X, y, lam, precomputed=_triple(X, y))
     counts = rec.counter_values()
     assert counts["cd.exact_steps"] >= 1 and "cd.exact_fallbacks" not in counts
     X[:, 1] = X[:, 0]
@@ -319,9 +462,127 @@ def test_exact_steps_and_singular_fallbacks_are_counted(kdim):
     start[:2] = 0.5
     rec = Recorder()
     with use_recorder(rec):
-        lasso_cd(X, y, lam, beta0=start, precomputed=_triple(X, y))
+        kernel(X, y, lam, beta0=start, precomputed=_triple(X, y))
     counts = rec.counter_values()
     assert counts["cd.exact_fallbacks"] >= 1 and counts["cd.converged"] == 1
+
+CD_COUNTERS = (
+    "cd.solves", "cd.sweeps", "cd.exact_steps", "cd.exact_fallbacks",
+    "cd.converged", "cd.nonconverged",
+)
+
+
+def _chained_reference(gram, xty, lams, seed, **kwargs):
+    """The chain ``var_path_columns`` ran before the path kernel: one
+    reference solve per λ, seeded from the previous solution."""
+    out, beta = np.empty((len(lams), gram.shape[0])), None
+    for j, lam in enumerate(lams):
+        beta = reference_cov_cd(gram, xty, float(lam), beta0=seed(j, beta), **kwargs)
+        out[j] = beta
+    return out
+
+
+def assert_same_path(gram, xty, lams, seed, **kwargs):
+    """Byte-equal path, equal ``cd.*`` totals and ``cd.last_delta``;
+    returns the path, the totals and the reference's back-off count."""
+    runs = []
+    for path in (_chained_reference, None):
+        rec = Recorder()
+        with use_recorder(rec):
+            if path is None:
+                out = lasso_cd_path(gram, xty, lams, seed=seed, **kwargs)
+            else:
+                out = path(gram, xty, lams, seed, **kwargs)
+        counts = rec.counter_values()
+        runs.append((out, {k: counts.get(k, 0.0) for k in CD_COUNTERS},
+                     rec.gauge_values(), counts.get("ref.backoffs", 0.0)))
+    (ref, ref_counts, ref_gauges, backoffs), (new, new_counts, new_gauges, _) = runs
+    assert new.shape == ref.shape and new.tobytes() == ref.tobytes(), (new, ref)
+    assert new_counts == ref_counts
+    assert new_gauges == ref_gauges
+    return new, new_counts, backoffs
+
+
+def _seeding(mode, warm):
+    """cold / path / delta transport along ``warm``, as var_path_columns seeds."""
+    if mode == "cold":
+        return lambda j, prev: None
+    if mode == "path":
+        return lambda j, prev: prev
+    return lambda j, prev: (
+        warm[0] if j == 0 or prev is None else prev + (warm[j] - warm[j - 1])
+    )
+
+
+def _correlated(kdim, seed, rho, n=None):
+    rng = np.random.default_rng(seed)
+    n = n or max(2 * kdim, 40)
+    X = rng.standard_normal((n, kdim))
+    for j in range(1, kdim):
+        X[:, j] += rho * X[:, j - 1]
+    truth = np.where(rng.random(kdim) < 0.3, rng.standard_normal(kdim), 0.0)
+    y = X @ truth + 0.5 * rng.standard_normal(n)
+    return X, y
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kdim=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+    rho=st.floats(0.0, 0.9),
+    mode=st.sampled_from(["cold", "path", "transport"]),
+    duplicate=st.booleans(),
+    tol=st.sampled_from([1e-7, 1e-10, 0.0]),
+    max_iter=st.sampled_from([1, 2, 5, 300]),
+)
+def test_path_kernel_matches_per_lambda_reference(
+    kdim, seed, rho, mode, duplicate, tol, max_iter
+):
+    """One ``lasso_cd_path`` call is the per-λ reference chain, bit for
+    bit and count for count, on both sides of ``LIST_ROW_MAX_KDIM``."""
+    X, y = _correlated(kdim, seed, rho)
+    if duplicate and kdim > 1:
+        X[:, 1] = X[:, 0]  # singular active Gram: exact_fallbacks
+    gram, xty, _ = _triple(X, y)
+    lams = _lam_max(X, y) * np.logspace(0, -2.5, 6)
+    X2, y2 = _correlated(kdim, seed + 1, rho)
+    warm = lasso_cd_path(*_triple(X2, y2)[:2], lams, tol=1e-7)
+    assert_same_path(gram, xty, lams, _seeding(mode, warm), tol=tol, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("kdim", [4, 12, LIST_ROW_MAX_KDIM + 1, 48])
+def test_path_kernel_sign_backoffs_are_bitwise(kdim):
+    """Strongly correlated lags make the exact step cross sign
+    boundaries; the Python-float back-off lands where numpy's does."""
+    backoffs = 0
+    for seed in range(8):
+        X, y = _correlated(kdim, seed, 0.9, n=kdim + 8)
+        gram, xty, _ = _triple(X, y)
+        lams = _lam_max(X, y) * np.logspace(0, -3, 8)
+        for mode in ("cold", "path"):
+            _, _, n = assert_same_path(
+                gram, xty, lams, _seeding(mode, None), tol=1e-9, max_iter=5000
+            )
+            backoffs += n
+    assert backoffs > 0
+
+
+@pytest.mark.parametrize("kdim", [3, 6, LIST_ROW_MAX_KDIM + 2])
+def test_path_kernel_singular_fallbacks_are_bitwise(kdim):
+    """A start nonzero on duplicated columns makes the active Gram
+    singular: both kernels fall back to inner sweeps, identically."""
+    X, y = _correlated(kdim, 7 * kdim, 0.3)
+    X[:, 1] = X[:, 0]
+    X[:, -1] = X[:, 0]
+    gram, xty, _ = _triple(X, y)
+    lams = _lam_max(X, y) * np.logspace(-1, -2, 4)
+    start = np.zeros(kdim)
+    start[[0, 1, -1]] = 0.5
+    _, counts, _ = assert_same_path(
+        gram, xty, lams, lambda j, prev: start if prev is None else prev, tol=1e-7
+    )
+    assert counts["cd.exact_fallbacks"] >= 1 and counts["cd.converged"] == 4
+
 
 @settings(max_examples=25, deadline=None)
 @given(

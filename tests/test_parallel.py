@@ -21,6 +21,7 @@ from repro.resilience import (
     FaultPlan,
 )
 from repro.simmpi import LAPTOP, run_spmd, SpmdError
+from repro.telemetry import Recorder, use_recorder
 from repro.var import partition_coefficients
 
 CFG = UoILassoConfig(
@@ -541,6 +542,35 @@ class TestColumnGroups:
             counters = v.telemetry.recorder.counter_values()
             assert counters.get("consensus.solves", 0) == 0
             assert counters["admm.solves"] > 0
+
+    @pytest.mark.parametrize("p,world", [(4, 4), (10, 2)])
+    def test_no_cut_layout_cd_is_the_serial_fit(self, p, world):
+        """Whole columns under ``solver="cd"`` run the covariance path
+        kernel one λ per task, seeded along the owned chain: the serial
+        fit's selection, bit for bit."""
+        sv = make_sparse_var(p, 60, rng=np.random.default_rng(17))
+        vcfg = self.VCFG.with_(
+            lasso=self.VCFG.lasso.with_(solver="cd", max_iter=20000)
+        )
+        assert _n_cut(59, p, world) == 0
+        rec = Recorder()
+        with use_recorder(rec):
+            serial = UoIVar(vcfg).fit(sv.series)
+        res = self._run(sv.series, vcfg, world, pb=1, plam=1, telemetry=True)
+        out = res.values[0]
+        assert out.supports.tobytes() == serial.supports_.tobytes()
+        np.testing.assert_array_equal(out.winners, serial.winners_)
+        np.testing.assert_allclose(out.coef, serial.vec_coef_, rtol=0, atol=1e-10)
+        totals = {"cd.solves": 0.0, "cd.sweeps": 0.0}
+        for v in res.values:
+            counters = v.telemetry.recorder.counter_values()
+            assert counters.get("consensus.solves", 0) == 0
+            assert counters.get("cd.nonconverged", 0) == 0
+            for name in totals:
+                totals[name] += counters[name]
+        # the same warm-started chains: as many solves and sweeps
+        ref = rec.counter_values()
+        assert totals == {name: ref[name] for name in totals}
 
     def test_crash_on_cut_layout_resumes_bitwise(self, tmp_path):
         from repro.resilience import run_with_recovery

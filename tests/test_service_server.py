@@ -290,6 +290,49 @@ class TestSocketBounds:
         assert opened == [2]
 
 
+def slow_lasso():
+    """A UoI_LASSO job of ~0.8 s in the service (600 x 80, 20 λ x 64
+    selection bootstraps), four times a 0.2 s socket timeout."""
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(600, 80))
+    config = dataclasses.replace(
+        LASSO_CFG, n_lambdas=20, n_selection_bootstraps=64, max_iter=500
+    )
+    return {"X": X, "y": X[:, 0] + rng.normal(size=600)}, config
+
+
+class TestResultsWait:
+    """A blocking ``results`` wait follows its own ``timeout``, not the
+    client's socket timeout."""
+
+    def test_wait_longer_than_the_socket_timeout(self):
+        from repro.core.uoi_lasso import UoILasso
+
+        data, config = slow_lasso()
+        with Service(workers=2) as service, ServiceServer(service) as server:
+            with SocketServiceClient(*server.address, timeout=0.2) as client:
+                job_id = client.submit("lasso", data, config=config)
+                began = time.perf_counter()
+                outputs = client.results(job_id, timeout=5.0)
+                assert time.perf_counter() - began > 0.2
+                # the pooled connection is back on the socket timeout
+                assert [c.gettimeout() for c, _, _ in client._idle] == [0.2]
+        ref = UoILasso(config).fit(data["X"], data["y"])
+        assert outputs["coef"].tobytes() == ref.coef_.tobytes()
+        assert outputs["lambdas"].tobytes() == ref.lambdas_.tobytes()
+
+    def test_service_timeout_reaches_the_caller_and_the_pool_recovers(self):
+        data, config = slow_lasso()
+        with Service(workers=2) as service, ServiceServer(service) as server:
+            with SocketServiceClient(*server.address, timeout=0.2) as client:
+                job_id = client.submit("lasso", data, config=config)
+                with pytest.raises(TimeoutError, match="not finished within"):
+                    client.results(job_id, timeout=0.05)
+                assert client.status(job_id)["state"] in ("queued", "running")
+                assert "coef" in client.results(job_id, timeout=None)
+                assert client.ping()
+
+
 class TestRunDemo:
     def test_eight_concurrent_mixed_jobs_bitwise_identical(
         self, tmp_path, monkeypatch

@@ -8,6 +8,7 @@ from repro.linalg import (
     lambda_grid,
     lambda_max,
     lasso_cd,
+    lasso_cd_path,
     mcp_regression,
     ols,
     ols_family_columns,
@@ -275,6 +276,95 @@ class TestGramOls:
         assert est[1].tobytes() == ols_on_support(X, y, family[1]).tobytes()
 
 
+OLS_COUNTERS = ("ols.solves", "ols.gram_fallbacks", "ols.empty_supports", "ols.rows")
+
+
+def _per_cell_family(X, Y, family):
+    """``ols_family_columns`` as one ``ols_from_gram`` per distinct
+    (column, support): the ungrouped reference."""
+    kdim, p = X.shape[1], Y.shape[1]
+    masks = family.reshape(len(family), p, kdim)
+    union = masks.any(axis=(0, 1))
+    XU = X[:, union]
+    G, C = XU.T @ XU, XU.T @ Y
+    out = np.zeros(masks.shape)
+    cache = {}
+    for j, row in enumerate(masks):
+        for c, mask in enumerate(row):
+            key = (c, mask.tobytes())
+            if key not in cache:
+                cache[key] = ols_from_gram(G, C[:, c], mask[union], XU, Y[:, c])
+            out[j, c, union] = cache[key]
+    return out.reshape(family.shape)
+
+
+def _ols_counters(fn, *args):
+    rec = Recorder()
+    with use_recorder(rec):
+        out = fn(*args)
+    counts = rec.counter_values()
+    return out, {k: counts.get(k, 0.0) for k in OLS_COUNTERS}, counts
+
+
+class TestGroupedOls:
+    """One factor per distinct support, shared by every column holding
+    it: bitwise the per-(column, support) solves, same counts."""
+
+    @pytest.mark.parametrize("size", list(range(1, 65)))
+    def test_multi_rhs_potrs_is_columnwise_single_rhs(self, size):
+        from scipy.linalg.lapack import dpotrf, dpotrs
+
+        rng = np.random.default_rng(size)
+        A = rng.standard_normal((size + 3, size))
+        L, info = dpotrf(A.T @ A, lower=1)
+        assert info == 0
+        for nrhs in range(1, 9):
+            B = rng.standard_normal((size, nrhs))
+            multi = dpotrs(L, B, lower=1)[0]
+            for i in range(nrhs):
+                single = dpotrs(L, B[:, i].copy(), lower=1)[0]
+                assert multi[:, i].tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_cell_solves(self, seed):
+        rng = np.random.default_rng(seed)
+        n, kdim, p, q = 60, 7, 5, 6
+        X = rng.standard_normal((n, kdim))
+        X[:, 1:] += 0.5 * X[:, :-1]
+        Y = X @ rng.standard_normal((kdim, p)) + rng.standard_normal((n, p))
+        family = rng.random((q, kdim * p)) < 0.4
+        # a support several columns share, and an empty one
+        family[0] = np.tile(rng.random(kdim) < 0.5, p)
+        family[1, :kdim] = False
+        grouped, counts, raw = _ols_counters(ols_family_columns, X, Y, family)
+        ref, ref_counts, _ = _ols_counters(_per_cell_family, X, Y, family)
+        assert grouped.tobytes() == ref.tobytes()
+        assert counts == ref_counts
+        assert 0 < raw["ols.factorizations"] < counts["ols.solves"]
+
+    def test_shared_support_falls_back_for_every_column(self, problem):
+        X, y, _ = problem
+        X = np.column_stack([X, X[:, 0]])  # exact duplicate of column 0
+        rng = np.random.default_rng(9)
+        Y = np.column_stack([y, y + rng.standard_normal(len(y)), -y])
+        kdim, p = X.shape[1], Y.shape[1]
+        singular = np.zeros(kdim, dtype=bool)
+        singular[[0, 3, 10]] = True
+        fine = np.zeros(kdim, dtype=bool)
+        fine[[0, 3]] = True
+        family = np.stack([np.tile(singular, p), np.tile(fine, p)])
+        grouped, counts, raw = _ols_counters(ols_family_columns, X, Y, family)
+        ref, ref_counts, _ = _ols_counters(_per_cell_family, X, Y, family)
+        assert grouped.tobytes() == ref.tobytes()
+        assert counts == ref_counts
+        assert counts["ols.solves"] == 2 * p
+        assert counts["ols.gram_fallbacks"] == p
+        assert raw["ols.factorizations"] == 1
+        for c in range(p):
+            svd = ols_on_support(X, Y[:, c], singular)
+            assert grouped[0, c * kdim:(c + 1) * kdim].tobytes() == svd.tobytes()
+
+
 class TestRidge:
     def test_shrinks_toward_zero(self, problem):
         X, y, _ = problem
@@ -348,42 +438,32 @@ class TestCovarianceUpdates:
 
     def test_matches_naive_mode(self, problem):
         X, y, _ = problem
-        from repro.linalg import precompute_gram
-
-        gram, _, col_sq = precompute_gram(X)
+        gram, xty = X.T @ X, X.T @ y
         for lam in (0.0, 2.0, 10.0):
             naive = lasso_cd(X, y, lam, tol=1e-11)
-            cov = lasso_cd(
-                X, y, lam, tol=1e-11, precomputed=(gram, X.T @ y, col_sq)
-            )
+            (cov,) = lasso_cd_path(gram, xty, [lam], tol=1e-11)
             np.testing.assert_allclose(naive, cov, atol=1e-8)
 
     def test_warm_start_supported(self, problem):
         X, y, _ = problem
-        from repro.linalg import precompute_gram
-
-        gram, _, col_sq = precompute_gram(X)
-        triple = (gram, X.T @ y, col_sq)
-        cold = lasso_cd(X, y, 3.0, precomputed=triple)
-        warm = lasso_cd(X, y, 3.0, beta0=cold, precomputed=triple)
+        gram, xty = X.T @ X, X.T @ y
+        (cold,) = lasso_cd_path(gram, xty, [3.0])
+        (warm,) = lasso_cd_path(gram, xty, [3.0], seed=lambda j, prev: cold)
         np.testing.assert_allclose(cold, warm, atol=1e-8)
 
     def test_shape_validation(self, problem):
         X, y, _ = problem
-        from repro.linalg import precompute_gram
-
-        gram, _, col_sq = precompute_gram(X)
+        gram = X.T @ X
         with pytest.raises(ValueError, match="inconsistent"):
-            lasso_cd(X, y, 1.0, precomputed=(gram[:2], X.T @ y, col_sq))
+            lasso_cd_path(gram[:2], X.T @ y, [1.0])
+        with pytest.raises(ValueError, match="inconsistent"):
+            lasso_cd_path(gram, (X.T @ y)[:3], [1.0])
 
-    def test_precompute_gram_values(self):
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((20, 4))
-        from repro.linalg import precompute_gram
-
-        gram, zeros, col_sq = precompute_gram(X)
-        np.testing.assert_allclose(gram, X.T @ X)
-        np.testing.assert_allclose(col_sq, np.diag(X.T @ X))
-        np.testing.assert_array_equal(zeros, np.zeros(4))
-        with pytest.raises(ValueError, match="2-D"):
-            precompute_gram(np.ones(3))
+    def test_lambda_and_seed_validation(self, problem):
+        X, y, _ = problem
+        gram, xty = X.T @ X, X.T @ y
+        with pytest.raises(ValueError, match=">= 0"):
+            lasso_cd_path(gram, xty, [1.0, -1.0])
+        with pytest.raises(ValueError, match="seed shape"):
+            lasso_cd_path(gram, xty, [1.0], seed=lambda j, prev: np.zeros(3))
+        assert lasso_cd_path(gram, xty, []).shape == (0, 10)
