@@ -71,11 +71,7 @@ from repro.engine.transports import SerialTransport
 from repro.linalg.consensus import consensus_lasso_admm
 from repro.linalg.lambda_grid import lambda_grid_from_max
 from repro.pfs.hdf5 import SimH5File
-from repro.resilience.checkpoint import (
-    CheckpointHook,
-    CheckpointPlan,
-    CheckpointSession,
-)
+from repro.resilience.checkpoint import CheckpointHook, CheckpointPlan
 from repro.simmpi.clock import TimeCategory
 from repro.simmpi.comm import SimComm
 from repro.simmpi.reduce_ops import MIN, SUM
@@ -210,7 +206,7 @@ class DistributedUoIResult:
 
 
 def _reduce_progress(
-    comm: SimComm, grid: ProcessGrid, ckpt: CheckpointSession
+    comm: SimComm, grid: ProcessGrid, ckpt: CheckpointHook
 ) -> tuple[int, int]:
     """World totals of (recovered, computed) subproblems.
 
@@ -892,7 +888,7 @@ def _run_on_grid(
     hooks = [hook] if tel is None else [hook, tel]
     result = run_plan(plan, grid.executor(), hooks)
     result.recovered_subproblems, result.completed_subproblems = (
-        _reduce_progress(comm, grid, hook.session)
+        _reduce_progress(comm, grid, hook)
     )
     result.telemetry = tel
     return result

@@ -220,6 +220,7 @@ class WorkerHub:
         self.events: "queue.Queue[tuple[str, str, dict | None]]" = queue.Queue()
         self._lock = instrumented_lock("engine.elastic.hub")
         self._channels: dict[str, LineChannel] = {}
+        self._joining: set[str] = set()  # names reserved mid-handshake
         self._stage_frame: dict | None = None
         self._closed = False
         self._joined = 0
@@ -269,18 +270,31 @@ class WorkerHub:
             return
         with self._lock:
             name = str(first.get("worker") or f"w{self._joined}")
-            while name in self._channels:
+            while name in self._channels or name in self._joining:
                 name = f"{name}+"
-            self._channels[name] = chan
+            self._joining.add(name)
             self._joined += 1
-            stage_frame = self._stage_frame
+        # The worker must read ``welcome``, then the current stage frame,
+        # then whatever the coordinator sends, and a LineChannel takes one
+        # writer at a time.  So this thread stays the channel's only
+        # writer until it publishes the channel, which it does only while
+        # the stage frame it last sent is still current: a broadcast that
+        # lands mid-handshake is sent from here, not by broadcast_stage.
         try:
             chan.send({"op": "welcome", "worker": name})
-            if stage_frame is not None:
+            sent = None
+            while True:
+                with self._lock:
+                    stage_frame = self._stage_frame
+                    if stage_frame is None or stage_frame is sent:
+                        self._joining.discard(name)
+                        self._channels[name] = chan
+                        break
                 chan.send(stage_frame)
+                sent = stage_frame
         except OSError:
             with self._lock:
-                self._channels.pop(name, None)
+                self._joining.discard(name)
             chan.close()
             return
         self.events.put(("join", name, None))

@@ -14,12 +14,14 @@ so every behavior is testable deterministically:
    :class:`~repro.simmpi.comm.SimulatedRankFailure`; peers unwind, and
    the job reports the death on ``SpmdResult.failed_ranks`` instead of
    raising.
-2. **Checkpointing** (:mod:`repro.resilience.checkpoint`) — an atomic,
-   checksummed :class:`CheckpointStore` of completed (bootstrap, λ)
-   subproblems, buffered at a configurable cadence through
-   :class:`CheckpointPlan` / :class:`CheckpointSession` and attached
-   to every UoI driver as one execution-engine hook
-   (:class:`CheckpointHook` — see :mod:`repro.engine`).
+2. **Checkpointing** (:mod:`repro.resilience.checkpoint`) — a
+   :class:`CheckpointStore` of completed (bootstrap, λ) subproblems,
+   one checksummed frame per save in an append-only
+   :class:`~repro.resilience.checkpoint.RecordLog` (the log the
+   service's results store runs on too), buffered at a configurable
+   cadence through :class:`CheckpointPlan` and attached to every UoI
+   driver as one execution-engine hook (:class:`CheckpointHook` — see
+   :mod:`repro.engine`).
 3. **Recovery** (:mod:`repro.resilience.recovery`) —
    :func:`run_with_recovery` relaunches a killed job against the same
    store; bootstrap replay from the shared ``random_state`` plus
@@ -44,7 +46,6 @@ from repro.resilience.checkpoint import (
     CheckpointCorruption,
     CheckpointStore,
     CheckpointPlan,
-    CheckpointSession,
     CheckpointHook,
 )
 from repro.resilience.recovery import (
@@ -66,7 +67,6 @@ __all__ = [
     "CheckpointCorruption",
     "CheckpointStore",
     "CheckpointPlan",
-    "CheckpointSession",
     "CheckpointHook",
     "AttemptRecord",
     "RecoveryOutcome",

@@ -9,29 +9,34 @@ bootstrap indices from the shared ``random_state``, skipping every
 checkpointed subproblem, and re-entering the world collectives with
 bitwise-identical state.
 
-:class:`CheckpointStore` is the durable half: a directory of record
-files written with the classic atomic write-rename protocol (write to
-a temp file, ``os.replace`` into place) plus a versioned
-``MANIFEST.json`` carrying a sha256 checksum per record — a crashed
-writer can never leave a torn record behind, and a corrupted one is
-detected at load.  A record is raw arrays, not an archive: a 4-byte
-header length, a JSON header ``[[name, dtype, shape], ...]``, then each
+:class:`RecordLog` is the one on-disk record layout, shared with the
+service's results store (:mod:`repro.service.store`): an append-only
+file of frames, each a sorted-key JSON header line carrying its
+payload's sha256 and size, then the payload.  A frame commits when
+complete; reopening scans the headers (seeking past every payload) and
+cuts a torn tail frame, and every read re-hashes its payload against
+its header.  A payload is raw arrays, not an archive: a 4-byte header
+length, a JSON header ``[[name, dtype, shape], ...]``, then each
 array's C-order bytes (:func:`encode_record` / :func:`decode_record`,
-the one record codec; the service's results store appends the same
-payloads to one log per replica instead of writing record files).
-Modeled write time is charged to the virtual clocks through the
-:mod:`repro.pfs.lustre` cost model (checkpoints live on the same
-striped filesystem Tier-1 reads from), so checkpoint cadence shows up
-honestly in the paper-style DATA_IO bars —
+the one record codec).
+
+:class:`CheckpointStore` is the durable half: one ``CHECKPOINT.log``
+with a frame per save, plus a ``CHECKPOINT.json`` sidecar pinning the
+format and the run metadata (written at creation and on the first
+:meth:`~CheckpointStore.ensure_meta`, never per save).  A save is one
+append, so its cost does not grow with the keys already stored; a
+crash mid-save loses only that subproblem, which the resumed run
+recomputes bitwise.  Modeled write time is charged to the virtual
+clocks through the :mod:`repro.pfs.lustre` cost model (checkpoints
+live on the same striped filesystem Tier-1 reads from), so checkpoint
+cadence shows up honestly in the paper-style DATA_IO bars —
 ``benchmarks/bench_ablation_checkpoint.py`` measures exactly that.
 
-:class:`CheckpointSession` is the per-rank half: lookup / record /
-flush bookkeeping with a configurable cadence (flush every N completed
-subproblems).  Drivers no longer call it directly: checkpointing
-attaches to the execution engine as :class:`CheckpointHook`, one
-:class:`~repro.engine.hooks.EngineHook` that serves recovered payloads
-through ``lookup``, records each solved subproblem as it completes,
-and flushes at every stage boundary — before the stage's reduction
+:class:`CheckpointHook` is the per-rank half, attached to the execution
+engine as one :class:`~repro.engine.hooks.EngineHook`: it serves
+recovered payloads through ``lookup``, buffers each solved subproblem
+at a configurable cadence (flush every N completed subproblems), and
+flushes at every stage boundary — before the stage's reduction
 collectives, so solved state is durable when the run re-enters them.
 """
 
@@ -41,7 +46,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,38 +59,28 @@ from repro.simmpi.machine import MachineModel
 
 __all__ = [
     "CheckpointCorruption",
+    "RecordLog",
     "CheckpointStore",
     "CheckpointPlan",
-    "CheckpointSession",
     "CheckpointHook",
 ]
 
-MANIFEST_NAME = "MANIFEST.json"
-FORMAT_VERSION = 2
+SIDECAR_NAME = "CHECKPOINT.json"
+LOG_NAME = "CHECKPOINT.log"
+FORMAT_VERSION = 3
 
 
 class CheckpointCorruption(RuntimeError):
     """A record is missing or its bytes do not match its checksum."""
 
 
-def _safe_filename(key: str) -> str:
-    """Filesystem-safe, collision-free file name for a record key."""
-    stem = re.sub(r"[^A-Za-z0-9_.-]+", "_", key)[:80]
-    digest = hashlib.sha1(key.encode()).hexdigest()[:10]
-    return f"{stem}-{digest}.rec"
-
-
-def _replace_atomically(path: Path, data: bytes) -> None:
-    """Temp file + ``os.replace``: a crash never leaves ``path`` torn."""
+def write_json(path: Path, obj: object) -> None:
+    """Atomically replace ``path`` with ``obj`` as (sorted-key) JSON
+    (temp file + ``os.replace``: a crash never leaves ``path`` torn)."""
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
-        fh.write(data)
+        fh.write(json.dumps(obj, sort_keys=True).encode())
     os.replace(tmp, path)
-
-
-def write_json(path: Path, obj: object) -> None:
-    """Atomically replace ``path`` with ``obj`` as (sorted-key) JSON."""
-    _replace_atomically(path, json.dumps(obj, sort_keys=True).encode())
 
 
 def encode_record(arrays: dict[str, np.ndarray], key: str) -> bytes:
@@ -156,78 +150,131 @@ def decode_record(payload: bytes, key: str) -> dict[str, np.ndarray]:
     return out
 
 
-def write_record(records_dir: Path, key: str, payload: bytes) -> str:
-    """Atomically store an encoded record under ``key``; returns its sha256."""
-    _replace_atomically(records_dir / _safe_filename(key), payload)
-    return hashlib.sha256(payload).hexdigest()
+class RecordLog:
+    """One append-only file of checksummed frames.
+
+    A frame is a sorted-key JSON header line — the caller's fields plus
+    the payload's ``sha256`` (``None`` for an empty payload, such as a
+    replica tombstone) and ``size`` — followed by the payload bytes.
+    The log has no lock of its own: each store serializes its appends
+    and reads under its own lock.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        path.touch()  # up front, so no append ever creates a file
+
+    def append(self, fields: dict, payload: bytes) -> dict:
+        """Append one frame; returns its header plus the payload ``offset``."""
+        header = {
+            **fields,
+            "sha256": hashlib.sha256(payload).hexdigest() if payload else None,
+            "size": len(payload),
+        }
+        line = json.dumps(header, sort_keys=True).encode() + b"\n"
+        with open(self.path, "ab") as fh:
+            entry = {**header, "offset": fh.tell() + len(line)}
+            fh.write(line + payload)
+        return entry
+
+    def scan(self) -> list[dict]:
+        """Frame headers (plus payload offsets), seeking past every payload.
+        A crash mid-append leaves at most one torn trailing frame (partial
+        header or short payload): it is cut, so the next append starts
+        afresh.  A damaged header before the tail raises
+        :class:`CheckpointCorruption` naming its byte offset."""
+        entries, whole = [], 0
+        with open(self.path, "rb") as fh:
+            end = os.fstat(fh.fileno()).st_size
+            while (line := fh.readline()).endswith(b"\n"):
+                try:
+                    header = json.loads(line)
+                    offset, size = whole + len(line), header["size"]
+                    if not isinstance(size, int) or size < 0:
+                        raise ValueError(f"bad payload size {size!r}")
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise CheckpointCorruption(
+                        f"{self.path}: frame header at byte {whole} is damaged"
+                    ) from exc
+                if offset + size > end:
+                    break
+                entries.append({**header, "offset": offset})
+                whole = fh.seek(offset + size)
+        if whole < end:
+            os.truncate(self.path, whole)
+        return entries
+
+    def read(self, key: str, entry: dict) -> dict[str, np.ndarray]:
+        """The arrays of the frame ``entry`` describes, verified against its
+        header's checksum; a short read or a mismatch raises
+        :class:`CheckpointCorruption`."""
+        offset, size = entry["offset"], entry["size"]
+        try:
+            with open(self.path, "rb") as fh:
+                fh.seek(offset)
+                payload = fh.read(size)
+        except FileNotFoundError:
+            payload = b""
+        where = f"{self.path}: payload at byte {offset}"
+        if len(payload) < size:
+            raise CheckpointCorruption(f"{where}: {size - len(payload)} bytes missing")
+        if hashlib.sha256(payload).hexdigest() != entry["sha256"]:
+            raise CheckpointCorruption(f"{where} fails its checksum (torn or rotted)")
+        return decode_record(payload, key)
 
 
-def read_record(
-    records_dir: Path, key: str, sha256: str | None
-) -> dict[str, np.ndarray]:
-    """``key``'s arrays, re-hashed against ``sha256`` unless it is None; a
-    mismatch or a missing file raises :class:`CheckpointCorruption`."""
-    path = records_dir / _safe_filename(key)
-    try:
-        payload = path.read_bytes()
-    except FileNotFoundError as exc:
-        raise CheckpointCorruption(f"record {key!r}: {path} is missing") from exc
-    if sha256 is not None and hashlib.sha256(payload).hexdigest() != sha256:
-        raise CheckpointCorruption(f"record {key!r} fails its checksum (torn or rotted)")
-    return decode_record(payload, key)
+def _read_format(path: Path) -> dict:
+    """The JSON state pinned at ``path``, refused unless it is this format."""
+    with open(path, "r", encoding="utf-8") as fh:
+        state = json.load(fh)
+    if state.get("format") != FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported checkpoint format {state.get('format')!r} in {path}"
+        )
+    return state
 
 
 class CheckpointStore:
-    """Directory-backed, atomically-updated store of named array records.
+    """Log-backed store of named array records.
 
     Parameters
     ----------
     root:
-        Directory the store lives in (created if missing).  An existing
-        manifest is loaded, which is how a restarted job finds the
+        Directory the store lives in (created if missing).  Reopening
+        folds the log's frame headers into the key index — the last
+        frame for a key wins — which is how a restarted job finds the
         records of the crashed one.
 
-    Every mutation rewrites ``MANIFEST.json`` atomically with a
-    monotonically increasing ``version``; every record file is written
-    via temp-file + ``os.replace``.  All methods are thread-safe (the
-    simulated ranks are threads sharing one store).
+    A save appends one frame to ``CHECKPOINT.log``; the
+    ``CHECKPOINT.json`` sidecar is rewritten only when the run metadata
+    is first pinned.  All methods are thread-safe (the simulated ranks
+    are threads sharing one store).
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
-        self._records_dir = self.root / "records"
-        self._records_dir.mkdir(parents=True, exist_ok=True)
+        self.root.mkdir(parents=True, exist_ok=True)
         self._lock = instrumented_rlock("resilience.checkpoint.store")
-        manifest_path = self.root / MANIFEST_NAME
-        if manifest_path.exists():
-            with open(manifest_path, "r", encoding="utf-8") as fh:
-                self._manifest = json.load(fh)
-            if self._manifest.get("format") != FORMAT_VERSION:
-                raise ValueError(
-                    f"unsupported checkpoint format "
-                    f"{self._manifest.get('format')!r} in {manifest_path}"
-                )
-        else:
-            self._manifest = {
-                "format": FORMAT_VERSION,
-                "version": 0,
-                "meta": {},
-                "records": {},
-            }
+        sidecar = self.root / SIDECAR_NAME
+        if not sidecar.exists():
+            # An older layout pinned its format in a JSON file of another
+            # name (format 2: one manifest beside per-key record files):
+            # refuse that root rather than start a second store in it.
+            for pinned in self.root.glob("*.json"):
+                _read_format(pinned)
+            write_json(sidecar, {"format": FORMAT_VERSION, "meta": {}})
+        self._meta: dict = _read_format(sidecar)["meta"]
+        self._log = RecordLog(self.root / LOG_NAME)
+        #: key -> header of its last frame (sha256, size, payload offset).
+        self._index = {entry["key"]: entry for entry in self._log.scan()}
 
     # ------------------------------------------------------------------
     # metadata
     # ------------------------------------------------------------------
     @property
-    def version(self) -> int:
-        """Manifest version (increments on every mutation)."""
-        with self._lock:
-            return int(self._manifest["version"])
-
-    @property
     def meta(self) -> dict:
         with self._lock:
-            return dict(self._manifest["meta"])
+            return dict(self._meta)
 
     def ensure_meta(self, meta: dict) -> None:
         """Pin run metadata; reject a resume under different parameters.
@@ -239,11 +286,13 @@ class CheckpointStore:
         names each differing key with its stored and given value.
         """
         with self._lock:
-            current = self._manifest["meta"]
+            current = self._meta
             if not current:
-                self._manifest["meta"] = dict(meta)
-                self._manifest["version"] += 1
-                write_json(self.root / MANIFEST_NAME, self._manifest)
+                self._meta = dict(meta)
+                write_json(
+                    self.root / SIDECAR_NAME,
+                    {"format": FORMAT_VERSION, "meta": self._meta},
+                )
             elif current != dict(meta):
                 def shown(d: dict, k: str) -> str:
                     return repr(d[k]) if k in d else "(absent)"
@@ -263,70 +312,47 @@ class CheckpointStore:
     # records
     # ------------------------------------------------------------------
     def save(self, key: str, arrays: dict[str, np.ndarray]) -> int:
-        """Atomically persist one record; returns its payload bytes."""
+        """Append one record (it supersedes any earlier one under ``key``);
+        returns its payload bytes."""
         payload = encode_record(arrays, key)
         with self._lock:
-            self._manifest["records"][key] = {
-                "file": _safe_filename(key),
-                "sha256": write_record(self._records_dir, key, payload),
-                "nbytes": len(payload),
-                "arrays": sorted(arrays),
-            }
-            self._manifest["version"] += 1
-            write_json(self.root / MANIFEST_NAME, self._manifest)
+            self._index[key] = self._log.append({"key": key}, payload)
         return len(payload)
 
-    def load(self, key: str, *, verify: bool = True) -> dict[str, np.ndarray] | None:
-        """Record arrays, or ``None`` if absent.
-
-        With ``verify`` (default) the payload is re-hashed against the
-        manifest checksum (see :func:`read_record`).
-        """
+    def load(self, key: str) -> dict[str, np.ndarray] | None:
+        """Record arrays, checksum-verified, or ``None`` if absent."""
         with self._lock:
-            entry = self._manifest["records"].get(key)
+            entry = self._index.get(key)
             if entry is None:
                 return None
-            return read_record(
-                self._records_dir, key, entry["sha256"] if verify else None
-            )
+            return self._log.read(key, entry)
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
-            return key in self._manifest["records"]
+            return key in self._index
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._manifest["records"])
+            return len(self._index)
 
     def keys(self) -> list[str]:
         with self._lock:
-            return sorted(self._manifest["records"])
+            return sorted(self._index)
 
     def nbytes(self, key: str) -> int:
+        """Payload bytes of ``key``'s record."""
         with self._lock:
-            return int(self._manifest["records"][key]["nbytes"])
+            return int(self._index[key]["size"])
 
     def verify(self) -> list[str]:
         """Keys whose record is missing or fails its checksum."""
         bad = []
         for key in self.keys():
             try:
-                self.load(key, verify=True)
+                self.load(key)
             except CheckpointCorruption:
                 bad.append(key)
         return bad
-
-    def clear(self) -> None:
-        """Drop every record (the manifest survives, version bumped)."""
-        with self._lock:
-            for entry in self._manifest["records"].values():
-                try:
-                    os.unlink(self._records_dir / entry["file"])
-                except FileNotFoundError:
-                    pass
-            self._manifest["records"] = {}
-            self._manifest["version"] += 1
-            write_json(self.root / MANIFEST_NAME, self._manifest)
 
 
 @dataclass
@@ -336,119 +362,38 @@ class CheckpointPlan:
     Attributes
     ----------
     store:
-        The shared :class:`CheckpointStore`.
+        The shared :class:`CheckpointStore`; existing records are
+        served instead of re-solving their subproblems.
     cadence:
         Flush every N completed subproblems (per writing rank).  ``1``
         persists each subproblem as it completes; larger values batch
-        the manifest/filesystem traffic at the price of losing up to
+        the filesystem traffic at the price of losing up to
         ``cadence - 1`` subproblems in a crash; ``0`` disables writing
         (resume-only).
-    resume:
-        Consult existing records before solving (skip checkpointed
-        subproblems).
-    charge_io:
-        Charge the modeled write time of each flush to the writing
-        rank's virtual clock (DATA_IO), via the Lustre cost model.
     """
 
     store: CheckpointStore
     cadence: int = 1
-    resume: bool = True
-    charge_io: bool = True
 
     def __post_init__(self) -> None:
         if self.cadence < 0:
             raise ValueError("cadence must be >= 0")
 
 
-class CheckpointSession:
-    """Per-rank checkpoint bookkeeping inside one driver invocation.
-
-    ``plan=None`` makes every method a cheap no-op, so drivers call the
-    hooks unconditionally.  ``writer`` is True on the rank that owns a
-    subproblem's contribution (cell rank 0 in the distributed drivers);
-    non-writers still :meth:`lookup` — they need the recovered state —
-    but never touch the store's write path.
-
-    Counters (for recovery reports): ``recovered`` lookups that hit,
-    ``completed`` subproblems finished this run, ``saved`` records
-    actually flushed.
-    """
-
-    def __init__(
-        self,
-        plan: CheckpointPlan | None,
-        *,
-        clock: RankClock | None = None,
-        machine: MachineModel | None = None,
-        writer: bool = True,
-    ) -> None:
-        self.plan = plan
-        self.clock = clock
-        self.machine = machine
-        self.writer = writer
-        self.recovered = 0
-        self.completed = 0
-        self.saved = 0
-        self._buffer: list[tuple[str, dict[str, np.ndarray]]] = []
-
-    @property
-    def active(self) -> bool:
-        return self.plan is not None
-
-    def ensure_meta(self, meta: dict) -> None:
-        if self.active:
-            self.plan.store.ensure_meta(meta)
-
-    def lookup(self, key: str) -> dict[str, np.ndarray] | None:
-        """Recovered record for ``key``, or None (absent / resume off)."""
-        if not self.active or not self.plan.resume:
-            return None
-        rec = self.plan.store.load(key)
-        if rec is not None:
-            self.recovered += 1
-        return rec
-
-    def record(self, key: str, arrays: dict[str, np.ndarray]) -> None:
-        """Note one completed subproblem; flush at the plan's cadence."""
-        self.completed += 1
-        if not self.active or self.plan.cadence < 1 or not self.writer:
-            return
-        self._buffer.append((key, arrays))
-        if len(self._buffer) >= self.plan.cadence:
-            self.flush()
-
-    def flush(self) -> None:
-        """Persist buffered records and charge the modeled write time."""
-        if not self._buffer:
-            return
-        total_bytes = 0
-        for key, arrays in self._buffer:
-            total_bytes += self.plan.store.save(key, arrays)
-            self.saved += 1
-        self._buffer.clear()
-        if self.plan.charge_io and self.clock is not None and self.machine is not None:
-            self.clock.charge(
-                TimeCategory.DATA_IO,
-                lustre.parallel_read_time(
-                    self.machine, total_bytes, 1, stripe_count=1
-                ),
-            )
-
-
 class CheckpointHook:
-    """Checkpoint/restart as an engine hook.
+    """Checkpoint/restart as an engine hook, one per rank per run.
 
     One :class:`CheckpointHook` attached to
-    :func:`repro.engine.run_plan` replaces the lookup /
-    record / flush wiring the four legacy drivers each carried:
+    :func:`repro.engine.run_plan` does the lookup / record / flush
+    bookkeeping the four legacy drivers each carried:
 
     * ``on_run_start`` pins the plan's metadata into the store
       (rejecting resumes under different parameters);
     * ``lookup`` serves recovered payloads, which the engine counts as
       completed-without-solving;
-    * ``on_subproblem_done`` records each *solved* task at the
-      session's cadence (recovered tasks are never re-written);
+    * ``on_subproblem_done`` buffers each *solved* task and flushes at
+      the checkpoint plan's cadence (recovered tasks are never
+      re-written);
     * ``on_stage_end`` flushes, so every solved subproblem is durable
       before the stage's reduction collectives run.
 
@@ -458,9 +403,22 @@ class CheckpointHook:
     still counts completed subproblems — that is where the estimators'
     ``completed_subproblems_`` attribute comes from on plain runs.
 
-    Parameters mirror :class:`CheckpointSession`: ``clock`` /
-    ``machine`` charge modeled write time, ``writer`` marks the one
-    rank per cell that owns the write path.
+    Parameters
+    ----------
+    checkpoint:
+        The :class:`CheckpointPlan`, or ``None`` for a plain run.
+    clock, machine:
+        When both are given, each flush charges its modeled write time
+        to ``clock`` (DATA_IO) through the Lustre cost model.
+    writer:
+        True on the one rank per cell that owns a subproblem's write
+        path (cell rank 0 in the distributed drivers); other ranks
+        still look records up — they need the recovered state — but
+        never write.
+
+    Counters (for recovery reports): ``recovered`` lookups that hit,
+    ``completed`` subproblems solved this run, ``saved`` records
+    actually flushed.
     """
 
     def __init__(
@@ -471,34 +429,61 @@ class CheckpointHook:
         machine: MachineModel | None = None,
         writer: bool = True,
     ) -> None:
-        self.session = CheckpointSession(
-            checkpoint, clock=clock, machine=machine, writer=writer
-        )
+        self.checkpoint = checkpoint
+        self.clock = clock
+        self.machine = machine
+        self.writer = writer
+        self.recovered = 0
+        self.completed = 0
+        self.saved = 0
+        self._buffer: list[tuple[str, dict[str, np.ndarray]]] = []
+
+    @property
+    def active(self) -> bool:
+        return self.checkpoint is not None
 
     # ------------------------------------------------- hook protocol
     def on_run_start(self, plan, executor) -> None:
-        self.session.ensure_meta(plan.meta())
+        if self.checkpoint is not None:
+            self.checkpoint.store.ensure_meta(plan.meta())
 
     def lookup(self, task) -> dict[str, np.ndarray] | None:
-        return self.session.lookup(task.key)
+        if self.checkpoint is None:
+            return None
+        rec = self.checkpoint.store.load(task.key)
+        if rec is not None:
+            self.recovered += 1
+        return rec
 
     def on_subproblem_done(self, task, payload, *, recovered: bool) -> None:
-        if not recovered:
-            self.session.record(task.key, payload)
+        if recovered:
+            return
+        self.completed += 1
+        if self.checkpoint is None or self.checkpoint.cadence < 1 or not self.writer:
+            return
+        self._buffer.append((task.key, payload))
+        if len(self._buffer) >= self.checkpoint.cadence:
+            self._flush()
 
     def on_stage_end(self, stage, plan) -> None:
-        self.session.flush()
+        self._flush()
 
     def on_run_end(self, plan) -> None:
         pass
 
-    # ------------------------------------------------------ counters
-    @property
-    def recovered(self) -> int:
-        """Lookups served from the store."""
-        return self.session.recovered
-
-    @property
-    def completed(self) -> int:
-        """Subproblems solved by this run."""
-        return self.session.completed
+    def _flush(self) -> None:
+        """Persist buffered records and charge the modeled write time."""
+        if self.checkpoint is None or not self._buffer:
+            return
+        total_bytes = 0
+        for key, arrays in self._buffer:
+            total_bytes += self.checkpoint.store.save(key, arrays)
+            self.saved += 1
+        self._buffer.clear()
+        if self.clock is not None and self.machine is not None:
+            self.clock.charge(
+                TimeCategory.DATA_IO,
+                lustre.parallel_read_time(
+                    self.machine, total_bytes, 1, stripe_count=1
+                ),
+            )

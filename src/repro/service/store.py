@@ -28,13 +28,14 @@ where it stopped (crash-safe job resume in
 :mod:`repro.service.scheduler` leans on this), and a put is one append
 per replica — no file is created or renamed:
 
-* **Log** — ``REPLICA.log``, one frame per applied op: a JSON header
-  line ``{op_id, key, ts, deleted, sha256, size}``, then the op's
-  ``size``-byte encoded record (none for a tombstone).  A frame commits
-  when complete; every read re-hashes its payload against the header
-  (a mismatch or a short read raises ``CheckpointCorruption``).  The
-  log *is* the node's write stream, so anti-entropy replay works
-  across restarts.
+* **Log** — ``REPLICA.log``, a :class:`~repro.resilience.checkpoint.RecordLog`
+  (the record log the checkpoint store runs on too) with one frame per
+  applied op: a JSON header line ``{op_id, key, ts, deleted, sha256,
+  size}``, then the op's ``size``-byte encoded record (none for a
+  tombstone).  A frame commits when complete; every read re-hashes its
+  payload against the header (a mismatch or a short read raises
+  ``CheckpointCorruption``).  The log *is* the node's write stream, so
+  anti-entropy replay works across restarts.
 * **Snapshot** — the derived state (version vector, winner index with
   payload offsets, clock) goes atomically to ``REPLICA.json`` every
   :data:`SNAPSHOT_EVERY` applies, not per op (a full-index rewrite
@@ -57,7 +58,7 @@ import numpy as np
 from repro.analysis.dynamic import instrumented_lock, instrumented_rlock
 from repro.resilience.checkpoint import (
     CheckpointCorruption,
-    decode_record,
+    RecordLog,
     encode_record,
     write_json,
 )
@@ -159,8 +160,7 @@ class ReplicaNode:
         self.name = name
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._log = self.root / LOG_NAME
-        self._log.touch()  # up front, so no apply ever creates a file
+        self._log = RecordLog(self.root / LOG_NAME)
         self._lock = instrumented_rlock("service.store.replica")
         self._journal: list[dict] = []  # frame headers + payload offsets
         self._next_seq = 1
@@ -188,7 +188,7 @@ class ReplicaNode:
             self._index = dict(state["index"])
             self.clock = LamportClock(int(state["clock"]))
             covered = int(state.get("journal", 0))
-        self._journal = self._scan_log()
+        self._journal = self._log.scan()
         for entry in self._journal[covered:]:
             self._fold(entry)
         if not state_path.exists():
@@ -197,31 +197,6 @@ class ReplicaNode:
             self._save_state()
 
     # ------------------------------------------------------------ state
-    def _scan_log(self) -> list[dict]:
-        """Frame headers of the log, seeking past every payload.  A crash
-        mid-append leaves at most one torn trailing frame (partial header
-        or short payload): it is cut, so the next append starts afresh."""
-        entries, whole = [], 0
-        with open(self._log, "rb") as fh:
-            end = os.fstat(fh.fileno()).st_size
-            while (line := fh.readline()).endswith(b"\n"):
-                try:
-                    header = json.loads(line)
-                    offset, size = whole + len(line), header["size"]
-                    if not isinstance(size, int) or size < 0:
-                        raise ValueError(f"bad payload size {size!r}")
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise CheckpointCorruption(
-                        f"{self._log}: frame header at byte {whole} is damaged"
-                    ) from exc
-                if offset + size > end:
-                    break
-                entries.append({**header, "offset": offset})
-                whole = fh.seek(offset + size)
-        if whole < end:
-            os.truncate(self._log, whole)
-        return entries
-
     def _fold(self, entry: dict) -> None:
         """Derive state from one frame header (apply and reopen paths)."""
         origin, seq = parse_op_id(entry["op_id"])
@@ -233,22 +208,6 @@ class ReplicaNode:
         if cur is None or (entry["ts"], origin) > (cur["ts"], cur["origin"]):
             won = {f: entry[f] for f in ("ts", "deleted", "sha256", "offset", "size")}
             self._index[entry["key"]] = {"origin": origin, "seq": seq, **won}
-
-    def _read(self, key: str, entry: dict) -> dict[str, np.ndarray]:
-        """One op's arrays, verified against its frame header's checksum."""
-        offset, size = entry["offset"], entry["size"]
-        try:
-            with open(self._log, "rb") as fh:
-                fh.seek(offset)
-                payload = fh.read(size)
-        except FileNotFoundError:
-            payload = b""
-        where = f"{self._log}: payload at byte {offset}"
-        if len(payload) < size:
-            raise CheckpointCorruption(f"{where}: {size - len(payload)} bytes missing")
-        if hashlib.sha256(payload).hexdigest() != entry["sha256"]:
-            raise CheckpointCorruption(f"{where} fails its checksum (torn or rotted)")
-        return decode_record(payload, key)
 
     def _state(self) -> dict:
         """Version vector, gap sets and winner index (dump sort_keys)."""
@@ -331,16 +290,10 @@ class ReplicaNode:
             # The complete frame is the commit point: a torn one is cut on
             # reopen, the op was never applied, and replication redelivers.
             deleted = op.arrays is None
-            payload = b"" if deleted else op.payload
-            header = {
-                "op_id": op.op_id, "key": op.key, "ts": op.ts, "deleted": deleted,
-                "sha256": None if deleted else hashlib.sha256(payload).hexdigest(),
-                "size": len(payload),
-            }
-            line = json.dumps(header, sort_keys=True).encode() + b"\n"
-            with open(self._log, "ab") as fh:
-                entry = {**header, "offset": fh.tell() + len(line)}
-                fh.write(line + payload)
+            entry = self._log.append(
+                {"op_id": op.op_id, "key": op.key, "ts": op.ts, "deleted": deleted},
+                b"" if deleted else op.payload,
+            )
             self._journal.append(entry)
             self._fold(entry)
             self._since_snapshot += 1
@@ -360,7 +313,7 @@ class ReplicaNode:
         with self._lock:
             return [
                 WriteOp(e["op_id"], e["key"], e["ts"],
-                        None if e["deleted"] else self._read(e["key"], e))
+                        None if e["deleted"] else self._log.read(e["key"], e))
                 for e in self._journal
             ]
 
@@ -370,7 +323,7 @@ class ReplicaNode:
             entry = self._index.get(key)
             if entry is None or entry["deleted"]:
                 return None
-            return self._read(key, entry)
+            return self._log.read(key, entry)
 
     def keys(self) -> list[str]:
         """Visible (non-tombstoned) keys, sorted."""
@@ -398,7 +351,7 @@ class ReplicaNode:
             h = hashlib.sha256(json.dumps(state, sort_keys=True).encode())
             for key, entry in sorted(self._index.items()):
                 if not entry["deleted"]:
-                    h.update(_digest_arrays(self._read(key, entry)).encode())
+                    h.update(_digest_arrays(self._log.read(key, entry)).encode())
             return h.hexdigest()
 
 

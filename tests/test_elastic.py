@@ -198,6 +198,46 @@ class TestWorkerHub:
                 chan.close()
             hub.close()
 
+    def test_stage_broadcast_mid_join_reaches_the_worker_after_welcome(
+        self, monkeypatch
+    ):
+        """A stage broadcast that lands while a join sits between its
+        registration and its welcome must not overtake the welcome: the
+        worker reads welcome, then that stage frame, then later frames,
+        each intact (the hub's join thread and the coordinator never
+        write to one channel at once)."""
+        reached, release = threading.Event(), threading.Event()
+
+        class HeldChannel(LineChannel):
+            def send(self, obj):
+                if obj.get("op") == "welcome":
+                    reached.set()
+                    release.wait(5.0)
+                super().send(obj)
+
+        monkeypatch.setattr("repro.engine.elastic.LineChannel", HeldChannel)
+        hub = WorkerHub()
+        sock = socket.create_connection((hub.host, hub.port))
+        sock.settimeout(5.0)  # a lost frame fails the test, never hangs it
+        chan = LineChannel(sock)
+        try:
+            chan.send({"op": "join", "worker": "late"})
+            assert reached.wait(5.0)
+            stage = {"op": "stage", "blob": "x" * (1 << 16)}
+            hub.broadcast_stage(stage)
+            release.set()
+            got = [chan.recv(), chan.recv()]
+            assert [frame["op"] for frame in got] == ["welcome", "stage"]
+            assert got == [{"op": "welcome", "worker": "late"}, stage]
+            assert hub.events.get(timeout=5.0)[:2] == ("join", "late")
+            assert hub.workers() == ["late"]
+            hub.send("late", {"op": "run", "lease": 1})
+            assert chan.recv() == {"op": "run", "lease": 1}
+        finally:
+            release.set()
+            chan.close()
+            hub.close()
+
     def test_disconnect_posts_leave_event(self):
         hub = WorkerHub()
         try:

@@ -1,8 +1,9 @@
-"""Tests for the checkpoint store, sessions, and serial-estimator resume."""
+"""Tests for the checkpoint store, its engine hook, and serial-estimator resume."""
 
 import json
 import os
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,11 +14,19 @@ from repro.core import UoILasso, UoIVar
 from repro.datasets import make_sparse_regression, make_sparse_var
 from repro.resilience import (
     CheckpointCorruption,
+    CheckpointHook,
     CheckpointPlan,
-    CheckpointSession,
     CheckpointStore,
 )
 from repro.resilience.checkpoint import decode_record, encode_record
+from repro.simmpi.clock import RankClock, TimeCategory
+from repro.simmpi.machine import LAPTOP
+from tests.test_service_store import (
+    RecordLogContract,
+    flip_byte,
+    frames,
+    truncate_tail,
+)
 
 
 @pytest.fixture
@@ -25,7 +34,33 @@ def store(tmp_path):
     return CheckpointStore(tmp_path / "ckpt")
 
 
-class TestCheckpointStore:
+def _checkpoint_ops() -> list:
+    small = lambda i: {"x": np.array([float(i)])}  # noqa: E731
+    return [
+        lambda s: s.save("a", small(1)),
+        lambda s: s.save("b", small(2)),
+        lambda s: s.save("a", small(3)),  # the last frame for a key wins
+        lambda s: s.save("c", {"x": np.arange(3.0), "m": np.ones(3, bool)}),
+    ]
+
+
+class TestCheckpointStore(RecordLogContract):
+    LOG = "CHECKPOINT.log"
+    OPS = _checkpoint_ops()
+
+    def open_store(self, root):
+        return CheckpointStore(root)
+
+    def write(self, store, key, arrays):
+        store.save(key, arrays)
+
+    def fingerprint(self, store):
+        return store.meta, {
+            key: [(n, a.dtype.str, a.shape, a.tobytes())
+                  for n, a in store.load(key).items()]
+            for key in store.keys()
+        }
+
     def test_save_load_roundtrip_is_bitwise(self, store):
         beta = np.random.default_rng(0).normal(size=17)
         mask = beta > 0
@@ -47,52 +82,62 @@ class TestCheckpointStore:
         assert len(store) == 2
         assert store.nbytes("a/k0") > 0
 
-    def test_version_increments_on_every_mutation(self, store):
-        v0 = store.version
-        store.save("a", {"x": np.ones(1)})
-        v1 = store.version
-        store.save("a", {"x": np.zeros(1)})  # overwrite is a mutation too
-        v2 = store.version
-        assert v0 < v1 < v2
-
     def test_reopen_sees_existing_records(self, store):
-        store.save("a", {"x": np.arange(4.0)})
+        store.ensure_meta({"kind": "t"})
+        store.save("a", {"x": np.zeros(4)})
+        store.save("a", {"x": np.arange(4.0)})  # supersedes the first frame
         reopened = CheckpointStore(store.root)
-        assert "a" in reopened
+        assert "a" in reopened and len(reopened) == 1
         np.testing.assert_array_equal(reopened.load("a")["x"], np.arange(4.0))
-        assert reopened.version == store.version
+        assert reopened.nbytes("a") == store.nbytes("a")
+        assert reopened.meta == {"kind": "t"}
 
     def test_empty_record_rejected(self, store):
         with pytest.raises(ValueError):
             store.save("a", {})
 
     def test_corrupted_payload_detected(self, store):
+        store.save("b", {"x": np.zeros(8)})
         store.save("a", {"x": np.ones(8)})
-        fname = json.load(open(store.root / "MANIFEST.json"))["records"]["a"]["file"]
-        path = store.root / "records" / fname
-        payload = bytearray(path.read_bytes())
-        payload[-1] ^= 0xFF  # bit rot
-        path.write_bytes(bytes(payload))
+        flip_byte(store.root / "CHECKPOINT.log")  # bit rot in a's payload
         with pytest.raises(CheckpointCorruption, match="checksum"):
             store.load("a")
-        assert store.load("a", verify=False) is not None
         assert store.verify() == ["a"]
+        # A reopen reads headers only: the rot surfaces at load, not before.
+        assert CheckpointStore(store.root).verify() == ["a"]
 
     def test_missing_record_file_detected(self, store):
+        store.save("b", {"x": np.zeros(2)})
         store.save("a", {"x": np.ones(2)})
-        fname = json.load(open(store.root / "MANIFEST.json"))["records"]["a"]["file"]
-        os.unlink(store.root / "records" / fname)
+        log = store.root / "CHECKPOINT.log"
+        truncate_tail(log)  # the live index still points past the end
         with pytest.raises(CheckpointCorruption, match="missing"):
             store.load("a")
         assert store.verify() == ["a"]
+        log.unlink()
+        with pytest.raises(CheckpointCorruption, match="missing"):
+            store.load("b")
 
-    def test_clear_drops_records_keeps_meta(self, store):
+    def test_save_cost_does_not_grow_with_store_size(self, store, monkeypatch):
         store.ensure_meta({"kind": "t"})
-        store.save("a", {"x": np.ones(2)})
-        store.clear()
-        assert len(store) == 0
-        assert store.load("a") is None
-        assert store.meta == {"kind": "t"}
+        renamed: list[str] = []
+        real_replace = os.replace
+
+        def counting_replace(src, dst):
+            renamed.append(os.path.basename(dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", counting_replace)
+        entries = sorted(store.root.rglob("*"))
+        nsaves = 150
+        for i in range(nsaves):
+            store.save(f"sel/k{i}", {"x": np.full(4, float(i))})
+        # Per save: one frame appended to the log, and no file created or
+        # renamed — no index or manifest rewrite that scales with the
+        # number of keys already stored.
+        assert renamed == []
+        assert sorted(store.root.rglob("*")) == entries
+        assert len(frames(store.root / "CHECKPOINT.log")) == nsaves
 
     def test_ensure_meta_pins_and_rejects_mismatch(self, store):
         store.ensure_meta({"kind": "uoi_lasso", "n": 96})
@@ -128,22 +173,29 @@ class TestCheckpointStore:
 
     def test_object_arrays_are_refused_before_anything_is_written(self, store):
         store.save("a", {"x": np.ones(2)})
-        manifest = (store.root / "MANIFEST.json").read_bytes()
-        files = sorted(os.listdir(store.root / "records"))
+        contents = {p.name: p.read_bytes() for p in store.root.iterdir()}
         with pytest.raises(ValueError, match="'b'.*'ragged'"):
             ragged = np.array([[1], [2, 3]], dtype=object)
             store.save("b", {"x": np.ones(2), "ragged": ragged})
-        assert (store.root / "MANIFEST.json").read_bytes() == manifest
-        assert sorted(os.listdir(store.root / "records")) == files
+        assert {p.name: p.read_bytes() for p in store.root.iterdir()} == contents
         assert store.keys() == ["a"] and store.load("b") is None
 
-    def test_old_format_manifest_is_refused(self, store):
-        store.save("a", {"x": np.ones(2)})
-        manifest = json.loads((store.root / "MANIFEST.json").read_text())
-        assert manifest["format"] == 2
-        manifest["format"] = 1  # npz records
-        (store.root / "MANIFEST.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="unsupported checkpoint format 1"):
+    def test_old_format_manifest_is_refused(self, tmp_path):
+        # Format 2: a manifest rewritten per save beside per-key files.
+        old = tmp_path / "old"
+        (old / "records").mkdir(parents=True)
+        (old / "MANIFEST.json").write_text(json.dumps(
+            {"format": 2, "version": 1, "meta": {}, "records": {}}
+        ))
+        with pytest.raises(ValueError, match="unsupported checkpoint format 2"):
+            CheckpointStore(old)
+        assert sorted(os.listdir(old)) == ["MANIFEST.json", "records"]
+        store = CheckpointStore(tmp_path / "new")
+        sidecar = json.loads((store.root / "CHECKPOINT.json").read_text())
+        assert sidecar == {"format": 3, "meta": {}}
+        sidecar["format"] = 99
+        (store.root / "CHECKPOINT.json").write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError, match="unsupported checkpoint format 99"):
             CheckpointStore(store.root)
 
     def test_colliding_key_sanitizations_stay_distinct(self, store):
@@ -242,56 +294,58 @@ class TestRecordCodec:
         with pytest.raises(CheckpointCorruption, match="record 'k'"):
             decode_record(self._payload(header, body), "k")
 
-    def test_unverified_load_still_rejects_a_truncated_record(self, store):
-        store.save("a", {"x": np.ones(8)})
-        path = store.root / "records" / json.loads(
-            (store.root / "MANIFEST.json").read_text()
-        )["records"]["a"]["file"]
-        path.write_bytes(path.read_bytes()[:-5])
-        with pytest.raises(CheckpointCorruption, match="record 'a'"):
-            store.load("a", verify=False)
+
+def _task(key: str) -> SimpleNamespace:
+    return SimpleNamespace(key=key)
 
 
 class TestCheckpointSession:
+    """The per-rank, per-run bookkeeping a :class:`CheckpointHook` keeps."""
+
     def test_inactive_session_is_noop(self):
-        s = CheckpointSession(None)
-        assert not s.active
-        s.ensure_meta({"kind": "t"})
-        assert s.lookup("a") is None
-        s.record("a", {"x": np.ones(1)})
-        s.flush()
-        assert s.completed == 1 and s.saved == 0 and s.recovered == 0
+        hook = CheckpointHook(None)
+        assert not hook.active
+        hook.on_run_start(SimpleNamespace(meta=lambda: {"kind": "t"}), None)
+        assert hook.lookup(_task("a")) is None
+        hook.on_subproblem_done(_task("a"), {"x": np.ones(1)}, recovered=False)
+        hook.on_stage_end("selection", None)
+        assert hook.completed == 1 and hook.saved == 0 and hook.recovered == 0
 
     def test_cadence_buffers_flushes(self, store):
-        plan = CheckpointPlan(store, cadence=3)
-        s = CheckpointSession(plan)
+        hook = CheckpointHook(CheckpointPlan(store, cadence=3))
         for i in range(5):
-            s.record(f"k{i}", {"x": np.full(2, float(i))})
+            hook.on_subproblem_done(
+                _task(f"k{i}"), {"x": np.full(2, float(i))}, recovered=False
+            )
         assert len(store) == 3  # one full batch flushed, 2 buffered
-        s.flush()
+        hook.on_stage_end("selection", None)
         assert len(store) == 5
-        assert s.saved == 5 and s.completed == 5
+        assert hook.saved == 5 and hook.completed == 5
 
     def test_cadence_zero_never_writes(self, store):
-        s = CheckpointSession(CheckpointPlan(store, cadence=0))
-        s.record("a", {"x": np.ones(1)})
-        s.flush()
+        hook = CheckpointHook(CheckpointPlan(store, cadence=0))
+        hook.on_subproblem_done(_task("a"), {"x": np.ones(1)}, recovered=False)
+        hook.on_stage_end("selection", None)
         assert len(store) == 0
 
     def test_non_writer_never_writes_but_reads(self, store):
         store.save("a", {"x": np.ones(1)})
-        s = CheckpointSession(CheckpointPlan(store), writer=False)
-        assert s.lookup("a") is not None
-        assert s.recovered == 1
-        s.record("b", {"x": np.ones(1)})
-        s.flush()
+        hook = CheckpointHook(CheckpointPlan(store), writer=False)
+        assert hook.lookup(_task("a")) is not None
+        assert hook.recovered == 1
+        hook.on_subproblem_done(_task("b"), {"x": np.ones(1)}, recovered=False)
+        hook.on_stage_end("selection", None)
         assert "b" not in store
 
-    def test_resume_false_skips_lookup(self, store):
-        store.save("a", {"x": np.ones(1)})
-        s = CheckpointSession(CheckpointPlan(store, resume=False))
-        assert s.lookup("a") is None
-        assert s.recovered == 0
+    def test_flush_charges_modeled_write_time(self, store):
+        clock = RankClock()
+        hook = CheckpointHook(CheckpointPlan(store), clock=clock, machine=LAPTOP)
+        hook.on_subproblem_done(_task("a"), {"x": np.ones(4)}, recovered=False)
+        assert clock.breakdown[TimeCategory.DATA_IO] > 0
+        # Without a clock and a machine there is nothing to charge.
+        plain = CheckpointHook(CheckpointPlan(store))
+        plain.on_subproblem_done(_task("b"), {"x": np.ones(4)}, recovered=False)
+        assert plain.saved == 1
 
     def test_invalid_cadence_rejected(self, store):
         with pytest.raises(ValueError):
@@ -336,12 +390,13 @@ class TestSerialResume:
         dropped = [k for k in store.keys() if k in
                    ("serial-sel/k2", "serial-est/k1")]
         assert len(dropped) == 2
-        full = {k: store.load(k) for k in store.keys() if k not in dropped}
-        store.clear()
-        for k, rec in full.items():
-            store.save(k, rec)
+        kept = CheckpointStore(tmp_path / "kept")
+        kept.ensure_meta(store.meta)
+        for k in store.keys():
+            if k not in dropped:
+                kept.save(k, store.load(k))
         resumed = UoILasso(**kw).fit(
-            ds.X, ds.y, checkpoint=CheckpointPlan(store)
+            ds.X, ds.y, checkpoint=CheckpointPlan(kept)
         )
         assert resumed.recovered_subproblems_ == 5
         assert resumed.completed_subproblems_ == 2
@@ -413,7 +468,7 @@ class TestCheckpointStoreConcurrency:
     def test_racing_writers_never_leave_a_torn_entry(self, store):
         """Two writers race the same key behind a barrier: the surviving
         record must be exactly one writer's full payload — named arrays
-        from different writers never interleave — and its manifest
+        from different writers never interleave — and its frame
         checksum must verify (a torn write would fail ``load``)."""
         import threading
 

@@ -81,7 +81,143 @@ class TestLamportClock:
         assert clock.tick() == 11
 
 
-class TestReplicaNode:
+class RecordLogContract:
+    """Record-log behaviour both stores share, run once per store.
+
+    A subclass sets ``LOG`` (its log's file name) and ``OPS`` (a fixed
+    write sequence for the crash test), and defines ``open_store(root)``,
+    ``write(store, key, arrays)`` and ``fingerprint(store)`` — everything
+    a reopen must reproduce.
+    """
+
+    LOG: str
+    OPS: list
+
+    def test_reopen_reads_headers_only(self, tmp_path, monkeypatch):
+        store = self.open_store(tmp_path / "n")
+        big = {"x": np.arange(1 << 16, dtype=np.float64)}  # 512 KiB payloads
+        for i in range(3):
+            self.write(store, f"k{i}", big)
+        real_open = open
+
+        class Counting(io.BufferedReader):
+            consumed = 0
+
+            def read(self, *args):
+                data = super().read(*args)
+                Counting.consumed += len(data)
+                return data
+
+            def readline(self, *args):
+                line = super().readline(*args)
+                Counting.consumed += len(line)
+                return line
+
+        def counting_open(path, mode="r", *args, **kwargs):
+            if str(path).endswith(self.LOG) and mode == "rb":
+                return Counting(io.FileIO(path, "rb"))
+            return real_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        reopened = self.open_store(tmp_path / "n")
+        monkeypatch.undo()
+        # The reopen consumed three header lines and seeked past 1.5 MiB.
+        assert Counting.consumed == sum(
+            len(json.dumps(h, sort_keys=True)) + 1
+            for _, h, _ in frames(tmp_path / "n" / self.LOG)
+        )
+        assert self.fingerprint(reopened) == self.fingerprint(store)
+
+    def test_crash_after_any_byte_reopens_to_the_complete_prefix(self, tmp_path):
+        small = lambda i: {"x": np.array([float(i)])}  # noqa: E731
+        ref = self.open_store(tmp_path / "ref")
+        expected = [self.fingerprint(ref)]
+        for op in self.OPS:
+            op(ref)
+            expected.append(self.fingerprint(ref))
+        data = (tmp_path / "ref" / self.LOG).read_bytes()
+        ends = [pos + len(json.dumps(h, sort_keys=True)) + 1 + h["size"]
+                for pos, h, _ in frames(tmp_path / "ref" / self.LOG)]
+        assert ends[-1] == len(data) and len(ends) == len(self.OPS)
+        # Every file but the log (the replica snapshot, the checkpoint
+        # sidecar) is restored as it was; only the log is cut.
+        sidecars = {p.name: p.read_bytes() for p in (tmp_path / "ref").iterdir()
+                    if p.name != self.LOG}
+        crashed = tmp_path / "crashed"
+        crashed.mkdir()
+        for cut in range(len(data) + 1):
+            for name, content in sidecars.items():
+                (crashed / name).write_bytes(content)
+            (crashed / self.LOG).write_bytes(data[:cut])
+            store = self.open_store(crashed)
+            whole = sum(end <= cut for end in ends)
+            assert self.fingerprint(store) == expected[whole], cut
+            assert (crashed / self.LOG).stat().st_size == ([0] + ends)[whole]
+            self.write(store, "late", small(9))
+            reopened = self.open_store(crashed)
+            assert self.fingerprint(reopened) == self.fingerprint(store)
+            assert self.fingerprint(reopened) != expected[whole]
+
+    def test_damaged_header_mid_log_names_its_offset(self, tmp_path):
+        store = self.open_store(tmp_path / "n")
+        for i in range(3):
+            self.write(store, f"k{i}", arrays(i))
+        log = tmp_path / "n" / self.LOG
+        (_, _, _), (second, _, _), _ = frames(log)
+        data = bytearray(log.read_bytes())
+        data[second + 1] = ord("#")  # '{"deleted"...' -> '{#deleted"...', say
+        log.write_bytes(bytes(data))
+        with pytest.raises(CheckpointCorruption, match=f"at byte {second} "):
+            self.open_store(tmp_path / "n")
+        assert log.read_bytes() == bytes(data)  # damage is not cut away
+
+
+def _replica_ops() -> list:
+    small = lambda i: {"x": np.array([float(i)])}  # noqa: E731
+    ops = [
+        WriteOp("n:1", "a", 1, small(1)),
+        WriteOp("n:2", "b", 2, small(2)),
+        WriteOp("n:3", "a", 3, None),
+        WriteOp("peer:4", "b", 5, small(3)),
+        WriteOp("n:4", "a", 6, small(4)),
+    ]
+    return [lambda node, op=op: node.apply(op) for op in ops]
+
+
+class TestReplicaNode(RecordLogContract):
+    LOG = "REPLICA.log"
+    OPS = _replica_ops()
+
+    def open_store(self, root):
+        return ReplicaNode(root, "n")
+
+    def write(self, node, key, arrays):
+        node.local_write(key, arrays)
+
+    def fingerprint(self, node):
+        return node.state_digest(), node.last_seen
+
+    def test_log_bytes_are_pinned_for_a_fixed_op_sequence(self, tmp_path):
+        """The log layout is an on-disk format: a fixed op sequence writes
+        these exact bytes, and they reopen to this exact state."""
+        def rec(i):
+            return {"coef": np.arange(7, dtype="<f8") * (i + 0.5),
+                    "mask": np.arange(7, dtype="<i8") % (i + 2) == 0}
+
+        node = ReplicaNode(tmp_path / "n", "n")
+        node.local_write("k0", rec(0))
+        node.local_write("k1", rec(1))
+        node.local_write("k0", None)
+        node.apply(WriteOp("peer:1", "k2", 5, rec(2)))
+        node.local_write("k1", rec(3))
+        data = (tmp_path / "n" / "REPLICA.log").read_bytes()
+        assert len(data) == 1122
+        assert hashlib.sha256(data).hexdigest() == (
+            "5dd5cd724a53fa429729e3e1d133d9b88af2644abeca415fc9a755d004b0848a"
+        )
+        digest = "8bf6e62334bef10eb1dfac6ae7a46183fc3ce1f90a92f2fd0f04418de70c89fd"
+        assert ReplicaNode(tmp_path / "n", "n").state_digest() == digest
+
     def test_local_write_roundtrip_bitwise(self, tmp_path):
         node = ReplicaNode(tmp_path / "n", "n")
         payload = arrays(0)
@@ -232,89 +368,6 @@ class TestReplicaNode:
         log.unlink()
         with pytest.raises(CheckpointCorruption, match="missing"):
             node.get("k")
-
-    def test_reopen_reads_headers_only(self, tmp_path, monkeypatch):
-        node = ReplicaNode(tmp_path / "n", "n")
-        big = {"x": np.arange(1 << 16, dtype=np.float64)}  # 512 KiB payloads
-        for i in range(3):
-            node.local_write(f"k{i}", big)
-        real_open = open
-
-        class Counting(io.BufferedReader):
-            consumed = 0
-
-            def read(self, *args):
-                data = super().read(*args)
-                Counting.consumed += len(data)
-                return data
-
-            def readline(self, *args):
-                line = super().readline(*args)
-                Counting.consumed += len(line)
-                return line
-
-        def counting_open(path, mode="r", *args, **kwargs):
-            if str(path).endswith("REPLICA.log") and mode == "rb":
-                return Counting(io.FileIO(path, "rb"))
-            return real_open(path, mode, *args, **kwargs)
-
-        monkeypatch.setattr("builtins.open", counting_open)
-        reopened = ReplicaNode(tmp_path / "n", "n")
-        monkeypatch.undo()
-        # The reopen consumed three header lines and seeked past 1.5 MiB.
-        assert Counting.consumed == sum(
-            len(json.dumps(h, sort_keys=True)) + 1
-            for _, h, _ in frames(tmp_path / "n" / "REPLICA.log")
-        )
-        assert reopened.state_digest() == node.state_digest()
-
-    def test_crash_after_any_byte_reopens_to_the_complete_prefix(self, tmp_path):
-        small = lambda i: {"x": np.array([float(i)])}  # noqa: E731
-        ops = [
-            WriteOp("n:1", "a", 1, small(1)),
-            WriteOp("n:2", "b", 2, small(2)),
-            WriteOp("n:3", "a", 3, None),
-            WriteOp("peer:4", "b", 5, small(3)),
-            WriteOp("n:4", "a", 6, small(4)),
-        ]
-        ref = ReplicaNode(tmp_path / "ref", "n")
-        expected = [(ref.state_digest(), ref.last_seen)]
-        for op in ops:
-            ref.apply(op)
-            expected.append((ref.state_digest(), ref.last_seen))
-        data = (tmp_path / "ref" / "REPLICA.log").read_bytes()
-        ends = [pos + len(json.dumps(h, sort_keys=True)) + 1 + h["size"]
-                for pos, h, _ in frames(tmp_path / "ref" / "REPLICA.log")]
-        assert ends[-1] == len(data) and len(ends) == len(ops)
-        snapshot = json.loads((tmp_path / "ref" / "REPLICA.json").read_text())
-        assert snapshot["journal"] == 0  # every frame is folded on reopen
-        crashed = tmp_path / "crashed"
-        crashed.mkdir()
-        for cut in range(len(data) + 1):
-            (crashed / "REPLICA.json").write_text(json.dumps(snapshot))
-            (crashed / "REPLICA.log").write_bytes(data[:cut])
-            node = ReplicaNode(crashed, "n")
-            whole = sum(end <= cut for end in ends)
-            assert (node.state_digest(), node.last_seen) == expected[whole], cut
-            assert (crashed / "REPLICA.log").stat().st_size == ([0] + ends)[whole]
-            op = node.local_write("late", small(9))
-            reopened = ReplicaNode(crashed, "n")
-            assert reopened.get("late")["x"].tobytes() == small(9)["x"].tobytes()
-            assert reopened.last_seen["n"] == op.seq
-            assert reopened.state_digest() == node.state_digest()
-
-    def test_damaged_header_mid_log_names_its_offset(self, tmp_path):
-        node = ReplicaNode(tmp_path / "n", "n")
-        for i in range(3):
-            node.local_write(f"k{i}", arrays(i))
-        log = tmp_path / "n" / "REPLICA.log"
-        (_, _, _), (second, _, _), _ = frames(log)
-        data = bytearray(log.read_bytes())
-        data[second + 1] = ord("#")  # '{"deleted"...' -> '{#deleted"...'
-        log.write_bytes(bytes(data))
-        with pytest.raises(CheckpointCorruption, match=f"at byte {second} "):
-            ReplicaNode(tmp_path / "n", "n")
-        assert log.read_bytes() == bytes(data)  # damage is not cut away
 
     def test_corrupt_state_format_rejected(self, tmp_path):
         node = ReplicaNode(tmp_path / "n", "n")
