@@ -15,8 +15,8 @@ rules in :mod:`repro.analysis.rules`):
   code reachable from ``UoIPlan.run_chain``/``reduce``;
 * :mod:`repro.analysis.planver` — a **pre-run plan verifier**
   (rules ``PLAN401``-``PLAN404``): :func:`verify_plan` over
-  constructed plans (opt-in at run time via ``REPRO_PLAN_VERIFY=1``
-  or ``make_executor(..., verify=True)``) plus an AST side;
+  constructed plans (opt-in at run time via ``run_plan(...,
+  verify=True)`` or a ``verify``-marked executor) plus an AST side;
 * :mod:`repro.analysis.threads` — a **lock-order / shared-state
   pass** over the threaded layers (rules ``LOCK501``-``LOCK504``);
 * :mod:`repro.analysis.alloc` — an **allocation/copy pass** over the

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.analysis.determinism import reachable
 from repro.analysis.findings import Finding
@@ -62,8 +62,6 @@ __all__ = [
     "HOT_MODULE_SUFFIXES",
     "ALLOC_FAMILY",
     "AllocScan",
-    "alloc_check_source",
-    "alloc_check_paths",
     "alloc_scan",
     "default_alloc_paths",
 ]
@@ -643,25 +641,3 @@ def alloc_scan(index: SourceIndex) -> AllocScan:
 def default_alloc_paths() -> list[str]:
     """The whole ``repro`` package."""
     return [package_root()]
-
-
-def alloc_check_source(
-    source: str, filename: str = "<string>"
-) -> list[Finding]:
-    """Run the ALLOC pass over one standalone source string.
-
-    Single-file mode assumes the file *is* a hot region: every function
-    it defines is scanned (fixtures and targeted CLI runs point the
-    pass at code already known to be hot).
-    """
-    return alloc_scan(SourceIndex.from_source(source, filename)).findings
-
-
-def alloc_check_paths(paths: Sequence[str] | None = None) -> list[Finding]:
-    """Run the ALLOC pass over ``.py`` files under ``paths``.
-
-    Directories get hot-region inference (plan reachability + the
-    named hot modules); explicitly listed files are forced hot.
-    """
-    index = SourceIndex.from_paths(paths or default_alloc_paths())
-    return alloc_scan(index).findings

@@ -41,7 +41,7 @@ arithmetic.  Suppress per line with ``# repro: ignore[DET30x]``.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.analysis.findings import Finding
 from repro.analysis.rules import get_rule
@@ -60,8 +60,6 @@ __all__ = [
     "PLAN_BASE",
     "ROOT_METHODS",
     "determinism_check_index",
-    "determinism_check_source",
-    "determinism_check_paths",
     "default_determinism_paths",
 ]
 
@@ -81,10 +79,9 @@ __all__ = [
 #: reach plan arithmetic.  ``transports`` (the in-process
 #: serial/multiprocess/simmpi worker shims) and ``plan`` (the
 #: ``run_plan`` driver loop) deliberately stay scanned: they call
-#: straight into plan code.  ``stream`` is the
-#: live-data layer: ingestion timestamps, buffer timeouts, socket
-#: reads and per-window wall-clock seconds are its *job* — they pace
-#: and annotate the rolling loop, while every number in a window's
+#: straight into plan code.  ``stream`` is the live-data layer:
+#: socket reads and per-window wall-clock seconds are its *job* — they
+#: pace and annotate the rolling loop, while every number in a window's
 #: result comes out of the ``VarPlan`` it builds, which stays inside
 #: the taint pass (and is asserted bitwise-equal to a cold batch fit
 #: under ``StreamConfig(verify=True)``) — except its two pure-compute
@@ -410,27 +407,6 @@ def determinism_check_index(index: SourceIndex) -> list[Finding]:
     return index.suppress(findings, ("DET",))
 
 
-def determinism_check_source(
-    source: str, filename: str = "<string>"
-) -> list[Finding]:
-    """Run the DET pass over one standalone source string.
-
-    The file is indexed in isolation: classes subclassing a base
-    *named* ``UoIPlan`` root the traversal even though the engine base
-    itself is not indexed.
-    """
-    return determinism_check_index(SourceIndex.from_source(source, filename))
-
-
 def default_determinism_paths() -> list[str]:
     """The whole ``repro`` package (exclusions applied per module)."""
     return [package_root()]
-
-
-def determinism_check_paths(
-    paths: Sequence[str] | None = None,
-) -> list[Finding]:
-    """Run the DET pass over ``.py`` files under ``paths``."""
-    return determinism_check_index(
-        SourceIndex.from_paths(paths or default_determinism_paths())
-    )

@@ -20,7 +20,6 @@ __all__ = [
     "SEVERITIES",
     "Finding",
     "findings_to_json",
-    "findings_from_json",
     "format_findings",
 ]
 
@@ -115,14 +114,6 @@ def findings_to_json(findings: list[Finding], *, indent: int | None = 2) -> str:
         "findings": [f.to_dict() for f in sorted(findings, key=_severity_key)],
     }
     return json.dumps(doc, indent=indent, sort_keys=False)
-
-
-def findings_from_json(text: str) -> list[Finding]:
-    """Inverse of :func:`findings_to_json`."""
-    doc = json.loads(text)
-    if doc.get("schema") != 1:
-        raise ValueError(f"unsupported findings schema {doc.get('schema')!r}")
-    return [Finding.from_dict(d) for d in doc["findings"]]
 
 
 def format_findings(findings: list[Finding], *, title: str = "findings") -> str:

@@ -34,7 +34,7 @@ collective when called on something named like a communicator).
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.analysis.findings import Finding
 from repro.analysis.rules import get_rule
@@ -43,8 +43,6 @@ from repro.analysis.source import SourceIndex, package_root, scope_bodies, termi
 __all__ = [
     "COLLECTIVE_METHODS",
     "lint_index",
-    "lint_source",
-    "lint_paths",
     "default_lint_paths",
 ]
 
@@ -340,16 +338,6 @@ def lint_index(index: SourceIndex) -> list[Finding]:
     return index.suppress(findings, ("SPMD",))
 
 
-def lint_source(source: str, filename: str = "<string>") -> list[Finding]:
-    """Lint one source string."""
-    return lint_index(SourceIndex.from_source(source, filename))
-
-
 def default_lint_paths() -> list[str]:
     """The tree ``repro check lint`` covers by default: ``src/repro``."""
     return [package_root()]
-
-
-def lint_paths(paths: Sequence[str] | None = None) -> list[Finding]:
-    """Lint every ``.py`` file under ``paths`` (files or directories)."""
-    return lint_index(SourceIndex.from_paths(paths or default_lint_paths()))

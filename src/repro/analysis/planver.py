@@ -19,10 +19,10 @@ This module proves the assumptions *before* the run:
   (every cell owns a disjoint, exhaustive slice, so each rank's
   collective sequence is congruent — the static twin of DYN201/202).
   It returns findings; :func:`assert_valid_plan` raises
-  :class:`PlanVerificationError` instead.  The engine calls it when
-  ``REPRO_PLAN_VERIFY=1`` (see :func:`repro.engine.run_plan`) or via
-  ``make_executor(..., verify=True)``.
-* :func:`plan_lint_source` is the AST side for ``repro check plan``:
+  :class:`PlanVerificationError` instead.  The engine calls it on
+  ``run_plan(..., verify=True)`` or under a ``verify``-marked executor
+  (see :func:`repro.engine.run_plan`).
+* :func:`plan_lint_index` is the AST side for ``repro check plan``:
   ``PLAN401`` statically (a constant checkpoint key built inside a
   task loop is a duplicate in waiting) and ``PLAN404`` statically
   (``run_chain`` posting world-communicator collectives, ``reduce``
@@ -50,8 +50,6 @@ __all__ = [
     "verify_lease_disjointness",
     "assert_disjoint_leases",
     "plan_lint_index",
-    "plan_lint_source",
-    "plan_lint_paths",
     "default_plan_paths",
 ]
 
@@ -595,17 +593,7 @@ def plan_lint_index(index: SourceIndex) -> list[Finding]:
     return index.suppress(findings, ("PLAN",))
 
 
-def plan_lint_source(source: str, filename: str = "<string>") -> list[Finding]:
-    """Run the static PLAN checks over one source string."""
-    return plan_lint_index(SourceIndex.from_source(source, filename))
-
-
 def default_plan_paths() -> list[str]:
     """Where plans live: the engine and the distributed core."""
     here = package_root()
     return [os.path.join(here, "engine"), os.path.join(here, "core")]
-
-
-def plan_lint_paths(paths: Sequence[str] | None = None) -> list[Finding]:
-    """Run the static PLAN checks over ``.py`` files under ``paths``."""
-    return plan_lint_index(SourceIndex.from_paths(paths or default_plan_paths()))

@@ -236,9 +236,9 @@ SHAPE_RULES = (
             "The lifted design I_p ⊗ X of eq. (9) is ≈ p³ the size of the "
             "data: materializing it densely on one rank (np.kron(np.eye(p), "
             "X), identity_kron(..., sparse=False), .toarray() on a lifted "
-            "operator) silently exhausts node memory at paper scale. All "
+            "result) silently exhausts node memory at paper scale. All "
             "materialization must flow through repro.linalg.kron's "
-            "sanctioned sparse/lazy representations."
+            "sanctioned sparse representation."
         ),
     ),
     Rule(

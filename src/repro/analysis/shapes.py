@@ -35,7 +35,7 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.analysis.findings import Finding
 from repro.analysis.rules import get_rule
@@ -55,8 +55,6 @@ __all__ = [
     "SANCTIONED_KRON_MODULES",
     "SOLVER_BOUNDARIES",
     "shape_check_index",
-    "shape_check_source",
-    "shape_check_paths",
     "default_shape_paths",
 ]
 
@@ -163,7 +161,7 @@ class ArrayInfo:
 
     shape: tuple[Dim, ...] | None = None
     dtype: str | None = None
-    lifted: bool = False  # result of identity_kron / IdentityKronOperator
+    lifted: bool = False  # result of identity_kron
 
 
 @dataclass
@@ -342,8 +340,8 @@ class _ScopeInterpreter:
                     "SHAPE101",
                     lineno,
                     "dense materialization of I ⊗ X via np.kron(np.eye(p), "
-                    "X): ≈ p³ blow-up — use repro.linalg.kron "
-                    "(identity_kron sparse / IdentityKronOperator) instead",
+                    "X): ≈ p³ blow-up — use the sparse "
+                    "repro.linalg.kron.identity_kron instead",
                     pattern="np.kron(np.eye, .)",
                 )
             linfo = self._eval_expr(left)
@@ -365,7 +363,7 @@ class _ScopeInterpreter:
                 return ArrayInfo(shape=shape, dtype=rinfo.dtype)
             return ArrayInfo()
 
-        # identity_kron(...) / IdentityKronOperator(...): lifted objects.
+        # identity_kron(...): a lifted object.
         callee = terminal(func)
         if callee == "identity_kron":
             sparse_kw = _kwarg(call, "sparse")
@@ -377,12 +375,9 @@ class _ScopeInterpreter:
                     "SHAPE101",
                     lineno,
                     "identity_kron(..., sparse=False) materializes the "
-                    "dense lifted design (≈ p³): keep the sparse default "
-                    "or use IdentityKronOperator",
+                    "dense lifted design (≈ p³): keep the sparse default",
                     pattern="identity_kron(sparse=False)",
                 )
-            return ArrayInfo(lifted=True)
-        if callee == "IdentityKronOperator":
             return ArrayInfo(lifted=True)
 
         if _is_np_attr(func, ("asarray", "ascontiguousarray", "array")) and call.args:
@@ -595,21 +590,6 @@ def shape_check_index(
     return index.suppress(findings, ("SHAPE",))
 
 
-def shape_check_source(
-    source: str,
-    filename: str = "<string>",
-    *,
-    budget: MemoryBudget | None = None,
-    sanctioned: tuple[str, ...] = SANCTIONED_KRON_MODULES,
-) -> list[Finding]:
-    """Run the SHAPE pass over one source string."""
-    return shape_check_index(
-        SourceIndex.from_source(source, filename),
-        budget=budget,
-        sanctioned=sanctioned,
-    )
-
-
 def default_shape_paths() -> list[str]:
     """The tree ``repro check shapes`` covers by default: the numeric
     kernels (``repro.linalg``) and the data-distribution layer
@@ -617,14 +597,3 @@ def default_shape_paths() -> list[str]:
     flows through."""
     here = package_root()
     return [os.path.join(here, "linalg"), os.path.join(here, "distribution")]
-
-
-def shape_check_paths(
-    paths: Sequence[str] | None = None,
-    *,
-    budget: MemoryBudget | None = None,
-) -> list[Finding]:
-    """Run the SHAPE pass over ``.py`` files under ``paths``."""
-    return shape_check_index(
-        SourceIndex.from_paths(paths or default_shape_paths()), budget=budget
-    )

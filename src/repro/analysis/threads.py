@@ -1,10 +1,10 @@
 """LOCK5xx: lock-order and shared-state analysis for threaded layers.
 
 PRs 6-8 moved the repo into heavily threaded territory — the
-multi-tenant scheduler, the socket :class:`~repro.engine.elastic.WorkerHub`,
-the replicated results store and double-buffered stream ingestion all
-coordinate via ``threading.Lock``/``RLock``/``Condition`` — and none
-of the existing passes look at any of it.  This pass is the
+multi-tenant scheduler, the socket :class:`~repro.engine.elastic.WorkerHub`
+and the replicated results store all coordinate via
+``threading.Lock``/``RLock``/``Condition`` — and none of the existing
+passes look at any of it.  This pass is the
 ThreadSanitizer-shaped rung of the verification ladder (in the
 lock-set spirit of Eraser): over the shared
 :class:`~repro.analysis.source.SourceIndex` it identifies every lock
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.analysis.findings import Finding
 from repro.analysis.rules import get_rule
@@ -65,8 +65,6 @@ __all__ = [
     "LOCK_FACTORIES",
     "CONDITION_FACTORIES",
     "threads_check_index",
-    "threads_check_source",
-    "threads_check_paths",
     "default_threads_paths",
 ]
 
@@ -901,26 +899,12 @@ def threads_check_index(index: SourceIndex) -> list[Finding]:
     return index.suppress(_Analysis(index).run(), ("LOCK",))
 
 
-def threads_check_source(
-    source: str, filename: str = "<string>"
-) -> list[Finding]:
-    """Run the LOCK pass over one standalone source string."""
-    return threads_check_index(SourceIndex.from_source(source, filename))
-
-
 def default_threads_paths() -> list[str]:
     """The whole ``repro`` package.
 
     Unlike the DET pass there is no exclusion list: the threaded
-    layers (service, elastic, stream) are precisely the point, and the
+    layers (service, elastic engine) are precisely the point, and the
     lock-free numeric subsystems contribute nothing to index but also
     nothing to flag.
     """
     return [package_root()]
-
-
-def threads_check_paths(paths: Sequence[str] | None = None) -> list[Finding]:
-    """Run the LOCK pass over ``.py`` files under ``paths``."""
-    return threads_check_index(
-        SourceIndex.from_paths(paths or default_threads_paths())
-    )

@@ -26,8 +26,8 @@ from repro.core.bootstrap import (
     circular_block_bootstrap,
     block_train_eval,
 )
-from repro.core.selection import intersect_supports, support_family, unique_supports
-from repro.core.estimation import fit_support_ols, best_support_per_bootstrap, union_average
+from repro.core.selection import intersect_supports, support_family
+from repro.core.estimation import best_support_per_bootstrap, union_average
 from repro.core.uoi_lasso import UoILasso
 from repro.core.uoi_var import UoIVar
 
@@ -40,8 +40,6 @@ __all__ = [
     "block_train_eval",
     "intersect_supports",
     "support_family",
-    "unique_supports",
-    "fit_support_ols",
     "best_support_per_bootstrap",
     "union_average",
     "UoILasso",

@@ -13,12 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.linalg.ols import ols_family_columns
-
 __all__ = [
     "prediction_loss",
-    "fit_support_ols",
-    "merge_loss_tables",
     "best_support_per_bootstrap",
     "union_average",
 ]
@@ -30,39 +26,6 @@ def prediction_loss(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
     y = np.asarray(y, dtype=float)
     resid = y - X @ beta
     return float(resid @ resid / max(len(y), 1))
-
-
-def fit_support_ols(
-    X_train: np.ndarray,
-    y_train: np.ndarray,
-    family: np.ndarray,
-) -> np.ndarray:
-    """OLS estimates for every support in a ``(q, p)`` family.
-
-    Returns a ``(q, p)`` array whose row ``j`` is dense on ``S_j`` and
-    exactly zero elsewhere (one-response ``ols_family_columns``).
-    """
-    return ols_family_columns(X_train, np.asarray(y_train)[:, None], family)
-
-
-def merge_loss_tables(*tables: np.ndarray) -> np.ndarray:
-    """Element-wise MIN merge of partial ``(B2, q)`` loss tables.
-
-    Each table holds a rank's (or a recovered checkpoint's) held-out
-    losses with ``inf`` in the cells it did not evaluate — ``inf`` is
-    the neutral element, so merging is exactly the MIN-Allreduce the
-    distributed estimation step performs, usable host-side when
-    assembling a table from checkpoints
-    (:func:`repro.resilience.recovery.recovered_loss_table`).
-    """
-    if not tables:
-        raise ValueError("need at least one loss table")
-    arrays = [np.asarray(t, dtype=float) for t in tables]
-    shape = arrays[0].shape
-    for t in arrays[1:]:
-        if t.shape != shape:
-            raise ValueError(f"shape mismatch: {t.shape} vs {shape}")
-    return np.minimum.reduce(arrays)
 
 
 def best_support_per_bootstrap(losses: np.ndarray, *, rule: str = "min") -> np.ndarray:

@@ -84,7 +84,6 @@ __all__ = [
     "DistributedUoIResult",
     "distributed_uoi_lasso",
     "distributed_uoi_var",
-    "distributed_cv_lasso",
 ]
 
 
@@ -1069,81 +1068,3 @@ def distributed_uoi_var(
     return _run_on_grid(plan, checkpoint, telemetry)
 
 
-def distributed_cv_lasso(
-    comm: SimComm,
-    file: SimH5File,
-    dataset: str,
-    *,
-    n_lambdas: int = 16,
-    lambda_min_ratio: float = 1e-3,
-    k: int = 5,
-    rule: str = "min",
-    random_state: int = 0,
-    rho: float | None = None,
-    max_iter: int = 500,
-    adapt_rho: bool = True,
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """Distributed K-fold cross-validated LASSO (the paper's Fig. 1c).
-
-    The paper reuses the Tier-2 randomized distribution for "data
-    randomization for cross validation": fold membership is derived
-    from the shared seed, each fold's training rows are delivered by
-    one-sided shuffling against the resident Tier-1 blocks, and every
-    (fold, λ) problem is solved with consensus ADMM over the whole
-    communicator.  Returns ``(beta, lam_star, cv_losses)`` — identical
-    on every rank — where ``beta`` is the full-data refit at the
-    chosen penalty.
-
-    Parameters mirror :func:`repro.linalg.cv.cv_lasso`; the dataset is
-    the paper's ``(n, 1 + p)`` InputData layout (response in column 0).
-    """
-    from repro.core.bootstrap import iid_bootstrap  # noqa: F401 (doc aid)
-    from repro.linalg.cv import kfold_indices
-
-    if rule not in ("min", "1se"):
-        raise ValueError(f"rule must be 'min' or '1se', got {rule!r}")
-    dist = RandomizedDistributor(comm, file, dataset)
-    n, p = dist.n_rows, dist.n_cols - 1
-    rng = np.random.default_rng(random_state)
-    folds = kfold_indices(n, k, rng)
-
-    y_loc = dist.tier1[:, 0]
-    X_loc = dist.tier1[:, 1:]
-    corr = comm.allreduce(X_loc.T @ y_loc, SUM)
-    lambdas = lambda_grid_from_max(
-        2.0 * float(np.max(np.abs(corr))), num=n_lambdas, eps=lambda_min_ratio
-    )
-
-    losses = np.empty((k, n_lambdas))
-    for f, (train, test) in enumerate(folds):
-        train_rows = dist.sample(train)
-        test_rows = dist.sample(test)
-        X_tr, y_tr = train_rows[:, 1:], train_rows[:, 0]
-        X_te, y_te = test_rows[:, 1:], test_rows[:, 0]
-        beta = None
-        for j, lam in enumerate(lambdas):
-            res = consensus_lasso_admm(
-                comm, X_tr, y_tr, float(lam),
-                rho=rho, max_iter=max_iter, adapt_rho=adapt_rho, beta0=beta,
-            )
-            beta = res.beta
-            resid = y_te - X_te @ beta
-            sse = comm.allreduce(float(resid @ resid), SUM)
-            losses[f, j] = sse / max(len(test), 1)
-
-    cv_loss = losses.mean(axis=0)
-    jmin = int(np.argmin(cv_loss))
-    if rule == "1se" and k >= 2:
-        se = losses.std(axis=0, ddof=1) / np.sqrt(k)
-        j_star = int(np.argmax(cv_loss <= cv_loss[jmin] + se[jmin]))
-    else:
-        j_star = jmin
-    lam_star = float(lambdas[j_star])
-
-    # Full-data refit at the chosen penalty, straight off Tier-1.
-    res = consensus_lasso_admm(
-        comm, X_loc, y_loc, lam_star,
-        rho=rho, max_iter=max_iter, adapt_rho=adapt_rho,
-    )
-    dist.close()
-    return res.beta, lam_star, cv_loss

@@ -18,20 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "support_of",
     "intersect_supports",
     "family_from_counts",
     "support_family",
-    "unique_supports",
 ]
-
-
-def support_of(beta: np.ndarray, *, tol: float = 0.0) -> np.ndarray:
-    """Boolean support mask ``{i : |beta_i| > tol}``."""
-    beta = np.asarray(beta)
-    if beta.ndim != 1:
-        raise ValueError(f"beta must be 1-D, got shape {beta.shape}")
-    return np.abs(beta) > tol
 
 
 def intersect_supports(masks: np.ndarray, *, frac: float = 1.0) -> np.ndarray:
@@ -127,22 +117,3 @@ def support_family(
     return intersect_supports(np.abs(betas) > tol, frac=frac)
 
 
-def unique_supports(family: np.ndarray) -> np.ndarray:
-    """Drop duplicate supports from a ``(q, p)`` family, preserving order.
-
-    Nested λ grids frequently repeat supports; estimating each distinct
-    support once is an exact optimization (the OLS fit depends only on
-    the support).  The all-false support is kept if present — the null
-    model is a legitimate candidate.
-    """
-    family = np.asarray(family, dtype=bool)
-    if family.ndim != 2:
-        raise ValueError(f"family must be (q, p), got {family.shape}")
-    seen: set[bytes] = set()
-    keep: list[int] = []
-    for j, mask in enumerate(family):
-        key = np.packbits(mask).tobytes()
-        if key not in seen:
-            seen.add(key)
-            keep.append(j)
-    return family[keep]

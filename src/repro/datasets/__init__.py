@@ -18,17 +18,13 @@ from repro.datasets.finance import (
     make_stock_panel,
     weekly_closes,
     first_differences,
-    sp50_tickers,
     synthetic_tickers,
 )
 from repro.datasets.neuro import make_spike_counts
 from repro.datasets.io import (
     make_regression_file,
-    make_var_file,
     write_regression_file,
-    write_var_file,
     INPUT_DATASET,
-    SERIES_DATASET,
     TRUTH_DATASET,
 )
 
@@ -39,14 +35,10 @@ __all__ = [
     "make_stock_panel",
     "weekly_closes",
     "first_differences",
-    "sp50_tickers",
     "synthetic_tickers",
     "make_spike_counts",
     "make_regression_file",
-    "make_var_file",
     "write_regression_file",
-    "write_var_file",
     "INPUT_DATASET",
-    "SERIES_DATASET",
     "TRUTH_DATASET",
 ]

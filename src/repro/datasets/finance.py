@@ -29,7 +29,6 @@ __all__ = [
     "weekly_closes",
     "first_differences",
     "iter_ticks",
-    "sp50_tickers",
     "synthetic_tickers",
 ]
 
@@ -42,11 +41,6 @@ _SP50 = [
     "GE", "GS", "AXP", "MS", "C", "WFC", "USB", "MO", "COST", "SBUX",
     "TXN", "QCOM", "AMGN", "GILD", "UPS", "FDX", "LMT", "HON", "DE", "F",
 ]
-
-
-def sp50_tickers() -> list[str]:
-    """The 50 ticker labels used by the Fig.-11-style example."""
-    return list(_SP50)
 
 
 def synthetic_tickers(n: int) -> list[str]:

@@ -2,11 +2,10 @@
 
 The paper's pipeline starts from HDF5 files: UoI_LASSO reads one
 ``InputData ∈ R^{n x (p+1)}`` matrix (response in column 0, "Samples"
-in rows, "Features" in columns), and UoI_VAR reads a small
-``(N, p)`` time-series matrix.  These helpers generate those files on
+in rows, "Features" in columns).  These helpers generate that file on
 the simulated filesystem — including ground truth stored as side
 datasets, which examples and tests use to score inference — and are
-the canonical way to feed the distributed drivers.
+the canonical way to feed the distributed UoI_LASSO driver.
 """
 
 from __future__ import annotations
@@ -14,24 +13,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.datasets.regression import SparseRegression, make_sparse_regression
-from repro.datasets.var_synthetic import SparseVAR, make_sparse_var
 from repro.pfs.hdf5 import SimH5File
 from repro.pfs.lustre import STRIPE_THRESHOLD_BYTES
 
 __all__ = [
     "write_regression_file",
-    "write_var_file",
     "make_regression_file",
-    "make_var_file",
     "INPUT_DATASET",
     "TRUTH_DATASET",
-    "SERIES_DATASET",
 ]
 
 #: Dataset names used throughout the repository.
 INPUT_DATASET = "data"
 TRUTH_DATASET = "truth/beta"
-SERIES_DATASET = "series"
 
 
 def _pick_stripes(nbytes: int, stripe_count: int | None) -> int | None:
@@ -60,26 +54,6 @@ def write_regression_file(
     return file
 
 
-def write_var_file(
-    sv: SparseVAR,
-    path: str = "/series.h5",
-    *,
-    stripe_count: int | None = None,
-) -> SimH5File:
-    """Write a generated VAR problem: the raw series + true coefficients.
-
-    The series goes under ``"series"``; each true ``A_j`` is stored
-    under ``"truth/A1"``, ``"truth/A2"``, ...
-    """
-    file = SimH5File(
-        path, stripe_count=_pick_stripes(sv.series.nbytes, stripe_count)
-    )
-    file.create_dataset(SERIES_DATASET, sv.series)
-    for j, A in enumerate(sv.process.coefs, start=1):
-        file.create_dataset(f"truth/A{j}", A)
-    return file
-
-
 def make_regression_file(
     n_samples: int,
     n_features: int,
@@ -97,18 +71,3 @@ def make_regression_file(
     return write_regression_file(ds, path), ds
 
 
-def make_var_file(
-    p: int,
-    n_samples: int | None = None,
-    *,
-    path: str = "/series.h5",
-    rng: np.random.Generator | None = None,
-    **kwargs,
-) -> tuple[SimH5File, SparseVAR]:
-    """Generate + write a VAR problem; returns ``(file, truth)``.
-
-    Keyword arguments are forwarded to
-    :func:`repro.datasets.make_sparse_var`.
-    """
-    sv = make_sparse_var(p, n_samples, rng=rng, **kwargs)
-    return write_var_file(sv, path), sv

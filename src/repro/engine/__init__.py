@@ -45,17 +45,15 @@ from repro.engine.plan import (
     Subproblem,
     UoIPlan,
     annotate_failure,
-    plan_verification_enabled,
     run_plan,
 )
-from repro.engine.hooks import EngineHook, HookList, ProgressHook, RecordingHook
+from repro.engine.hooks import EngineHook, HookList
 from repro.engine.coordinator import (
     Coordinator,
     Lease,
     SpeculationPolicy,
     TransportEvent,
     WorkerTransport,
-    worker_utilization,
 )
 from repro.engine.transports import (
     MultiprocessExecutor,
@@ -72,18 +70,14 @@ __all__ = [
     "UoIPlan",
     "EngineHook",
     "HookList",
-    "RecordingHook",
-    "ProgressHook",
     "Coordinator",
     "Lease",
     "TransportEvent",
     "WorkerTransport",
     "SpeculationPolicy",
-    "worker_utilization",
     "SerialExecutor",
     "MultiprocessExecutor",
     "SimMpiExecutor",
-    "plan_verification_enabled",
     "LassoPlan",
     "VarPlan",
     "run_plan",
@@ -124,15 +118,8 @@ BACKENDS = {
 BACKEND_ALIASES = {"processpool-elastic": "elastic"}
 
 
-def make_executor(
-    name: str, verify: bool = False, **kwargs: object
-) -> Coordinator:
-    """A fresh executor for a backend name (see :data:`BACKENDS`).
-
-    ``verify=True`` marks it so :func:`run_plan` runs
-    :func:`repro.analysis.planver.verify_plan` on every plan it is
-    handed (process-wide opt-in: ``REPRO_PLAN_VERIFY=1``).
-    """
+def make_executor(name: str, **kwargs: object) -> Coordinator:
+    """A fresh executor for a backend name (see :data:`BACKENDS`)."""
     name = BACKEND_ALIASES.get(name, name)
     try:
         factory, _ = BACKENDS[name]
@@ -140,9 +127,7 @@ def make_executor(
         raise ValueError(
             f"unknown engine backend {name!r}; choose from {sorted(BACKENDS)}"
         ) from None
-    executor = factory(**kwargs)
-    executor.verify = verify
-    return executor
+    return factory(**kwargs)
 
 
 def named_executor(name: str) -> Coordinator:

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -75,8 +75,6 @@ __all__ = [
     "SpeculationPolicy",
     "Coordinator",
     "lookup_chain",
-    "worker_utilization",
-    "WorkerUtilization",
 ]
 
 #: Telemetry span/counter category for lease accounting.
@@ -274,7 +272,7 @@ class Coordinator:
     """
 
     #: Verify each plan before its first stage; read by ``run_plan``
-    #: and set by ``make_executor(name, verify=True)``.
+    #: and set by ``Scheduler(verify=True)``.
     verify = False
 
     def __init__(
@@ -827,52 +825,3 @@ class Coordinator:
         return results
 
 
-@dataclass
-class WorkerUtilization:
-    """Per-worker busy-time summary derived from lease spans."""
-
-    worker: str
-    leases: int = 0
-    speculative: int = 0
-    busy_seconds: float = 0.0
-    outcomes: dict[str, int] = field(default_factory=dict)
-
-
-def worker_utilization(recorder: "Recorder") -> dict[str, object]:
-    """Summarize ``lease:*`` spans into a per-worker utilization table.
-
-    Returns ``{"workers": {worker: {...}}, "wall_seconds", "busy_seconds",
-    "utilization"}`` where utilization is aggregate busy time over
-    ``wall window x workers`` — the fleet-level health view the
-    elastic CLI and tests read.
-    """
-    spans = recorder.spans_named("lease:")
-    per: dict[str, WorkerUtilization] = {}
-    t0 = min((s.start for s in spans), default=0.0)
-    t1 = max((s.end for s in spans), default=0.0)
-    for span in spans:
-        worker = str(span.attrs.get("worker", "?"))
-        util = per.setdefault(worker, WorkerUtilization(worker=worker))
-        util.leases += 1
-        if span.attrs.get("speculative"):
-            util.speculative += 1
-        util.busy_seconds += span.duration
-        outcome = str(span.attrs.get("outcome", "unknown"))
-        util.outcomes[outcome] = util.outcomes.get(outcome, 0) + 1
-    wall = max(t1 - t0, 0.0)
-    busy = sum(u.busy_seconds for u in per.values())
-    denominator = wall * len(per)
-    return {
-        "workers": {
-            worker: {
-                "leases": u.leases,
-                "speculative": u.speculative,
-                "busy_seconds": round(u.busy_seconds, 6),
-                "outcomes": dict(sorted(u.outcomes.items())),
-            }
-            for worker, u in sorted(per.items())
-        },
-        "wall_seconds": round(wall, 6),
-        "busy_seconds": round(busy, 6),
-        "utilization": round(busy / denominator, 6) if denominator else 0.0,
-    }

@@ -27,7 +27,7 @@ wins, and the engine treats the task as already solved.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.engine.coordinator import Coordinator
     from repro.engine.plan import Subproblem, UoIPlan
 
-__all__ = ["EngineHook", "HookList", "RecordingHook", "ProgressHook"]
+__all__ = ["EngineHook", "HookList"]
 
 
 class EngineHook:
@@ -104,66 +104,3 @@ class HookList(EngineHook):
             h.on_run_end(plan)
 
 
-class RecordingHook(EngineHook):
-    """Test/diagnostic hook: records every callback as an event tuple.
-
-    Events are ``("run_start", kind)``, ``("done", key, recovered)``,
-    ``("stage_end", stage)``, ``("run_end", kind)`` — enough to assert
-    the engine's dispatch contract without depending on payloads.
-    """
-
-    def __init__(self) -> None:
-        self.events: list[tuple] = []
-
-    def on_run_start(self, plan: "UoIPlan", executor: "Coordinator") -> None:
-        self.events.append(("run_start", plan.kind))
-
-    def on_subproblem_done(
-        self,
-        task: "Subproblem",
-        payload: dict[str, np.ndarray],
-        *,
-        recovered: bool,
-    ) -> None:
-        self.events.append(("done", task.key, recovered))
-
-    def on_stage_end(self, stage: str, plan: "UoIPlan") -> None:
-        self.events.append(("stage_end", stage))
-
-    def on_run_end(self, plan: "UoIPlan") -> None:
-        self.events.append(("run_end", plan.kind))
-
-
-class ProgressHook(EngineHook):
-    """Counts per-stage completions; optionally reports via callback.
-
-    ``callback(stage, done, total)`` fires after every completed task
-    (total comes from the plan's own enumeration at run start).
-    """
-
-    def __init__(
-        self, callback: Callable[[str, int, int], None] | None = None
-    ) -> None:
-        self.callback = callback
-        self.totals: dict[str, int] = {}
-        self.done: dict[str, int] = {}
-
-    def on_run_start(self, plan: "UoIPlan", executor: "Coordinator") -> None:
-        desc = plan.describe()
-        self.totals = {
-            stage: info["subproblems"] for stage, info in desc["stages"].items()
-        }
-        self.done = {stage: 0 for stage in self.totals}
-
-    def on_subproblem_done(
-        self,
-        task: "Subproblem",
-        payload: dict[str, np.ndarray],
-        *,
-        recovered: bool,
-    ) -> None:
-        self.done[task.stage] = self.done.get(task.stage, 0) + 1
-        if self.callback is not None:
-            self.callback(
-                task.stage, self.done[task.stage], self.totals.get(task.stage, 0)
-            )

@@ -34,7 +34,6 @@ backend.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
@@ -49,7 +48,6 @@ __all__ = [
     "PlanOutputs",
     "UoIPlan",
     "annotate_failure",
-    "plan_verification_enabled",
     "run_plan",
 ]
 
@@ -221,13 +219,6 @@ def annotate_failure(
     return exc
 
 
-def plan_verification_enabled() -> bool:
-    """Whether ``REPRO_PLAN_VERIFY`` opts this process into pre-run
-    plan verification (any value but empty/``0``/``false``/``no``)."""
-    value = os.environ.get("REPRO_PLAN_VERIFY", "").strip().lower()
-    return value not in ("", "0", "false", "no")
-
-
 def run_plan(
     plan: UoIPlan,
     executor: Any,
@@ -250,15 +241,14 @@ def run_plan(
     ``verify`` opts into pre-run plan verification
     (:func:`repro.analysis.planver.verify_plan`): ``True``/``False``
     explicitly, or ``None`` (default) to follow the executor's
-    ``verify`` mark (``make_executor(name, verify=True)``,
-    ``Scheduler(verify=True)``) and the ``REPRO_PLAN_VERIFY``
-    environment variable.  Every entry point funnels through this
+    ``verify`` mark (set by ``Scheduler(verify=True)``, or by
+    ``executor.verify = True``).  Every entry point funnels through this
     loop, so this is the only place a plan is verified — each plan
     object once, per-window stream plans included.  Verification is
     read-only — verified runs are bitwise identical to unverified ones.
     """
     if verify is None:
-        verify = getattr(executor, "verify", False) or plan_verification_enabled()
+        verify = getattr(executor, "verify", False)
     if verify:
         from repro.analysis.planver import assert_valid_plan
 

@@ -44,9 +44,7 @@ from repro.linalg.lambda_grid import lambda_max, lambda_grid
 from repro.linalg.cv import CVResult, cv_lasso, kfold_indices
 from repro.linalg.kron import (
     vec,
-    unvec,
     identity_kron,
-    IdentityKronOperator,
     kron_lasso_columnwise,
 )
 
@@ -72,8 +70,6 @@ __all__ = [
     "cv_lasso",
     "kfold_indices",
     "vec",
-    "unvec",
     "identity_kron",
-    "IdentityKronOperator",
     "kron_lasso_columnwise",
 ]

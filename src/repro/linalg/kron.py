@@ -11,14 +11,12 @@ explosion" (≈ p³) that motivates the paper's distributed Kronecker
 product: an ``(N-d) x (d p)`` data matrix becomes a
 ``p(N-d) x d p^2`` lifted design.
 
-Three representations are provided:
+Two representations are provided:
 
 * :func:`identity_kron` — explicit materialization (dense or
   ``scipy.sparse``), faithful to the paper's implementation, used by
   the distributed-Kronecker code path and the sparsity analysis
   (sparsity of the lifted design is ``1 - 1/p`` for dense input).
-* :class:`IdentityKronOperator` — a lazy LinearOperator-style object
-  computing ``(I ⊗ X) v`` and ``(I ⊗ X)' v`` without materialization.
 * :func:`kron_lasso_columnwise` — the algebraic observation that the
   LASSO on ``(I ⊗ X)`` separates into ``p`` independent column
   problems; this is the "communication-avoiding" alternative the
@@ -35,10 +33,8 @@ import scipy.sparse
 
 __all__ = [
     "vec",
-    "unvec",
     "identity_kron",
     "kron_sparsity",
-    "IdentityKronOperator",
     "kron_lasso_columnwise",
 ]
 
@@ -66,15 +62,6 @@ def vec(Y: np.ndarray) -> np.ndarray:
     if Y.ndim != 2:
         raise ValueError(f"vec expects a 2-D matrix, got shape {Y.shape}")
     return Y.reshape(-1, order="F").copy()
-
-
-def unvec(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Inverse of :func:`vec`: reshape a stacked vector back to ``shape``."""
-    v = np.asarray(v)
-    m, p = shape
-    if v.shape != (m * p,):
-        raise ValueError(f"unvec: vector length {v.shape} != {m}*{p}")
-    return v.reshape((m, p), order="F").copy()
 
 
 def identity_kron(X: np.ndarray, p: int, *, sparse: bool = True):
@@ -105,45 +92,6 @@ def kron_sparsity(p: int) -> float:
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     return 1.0 - 1.0 / p
-
-
-class IdentityKronOperator:
-    """Lazy ``I_p ⊗ X`` supporting matvec / rmatvec without materialization.
-
-    For ``v`` of length ``p*k`` arranged as ``vec(B)`` with ``B`` of
-    shape ``(k, p)``, ``(I ⊗ X) v = vec(X @ B)``.
-    """
-
-    def __init__(self, X: np.ndarray, p: int) -> None:
-        X = _as_float(X)
-        if X.ndim != 2:
-            raise ValueError(f"X must be 2-D, got shape {X.shape}")
-        if p < 1:
-            raise ValueError(f"p must be >= 1, got {p}")
-        self.X = X
-        self.p = int(p)
-        m, k = X.shape
-        self.shape = (m * p, k * p)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Compute ``(I ⊗ X) v`` (in ``X``'s dtype)."""
-        v = np.asarray(v, dtype=self.X.dtype)
-        if v.shape != (self.shape[1],):
-            raise ValueError(f"matvec: length {v.shape} != {self.shape[1]}")
-        B = unvec(v, (self.X.shape[1], self.p))
-        return vec(self.X @ B)
-
-    def rmatvec(self, w: np.ndarray) -> np.ndarray:
-        """Compute ``(I ⊗ X)' w`` (in ``X``'s dtype)."""
-        w = np.asarray(w, dtype=self.X.dtype)
-        if w.shape != (self.shape[0],):
-            raise ValueError(f"rmatvec: length {w.shape} != {self.shape[0]}")
-        W = unvec(w, (self.X.shape[0], self.p))
-        return vec(self.X.T @ W)
-
-    def toarray(self) -> np.ndarray:
-        """Dense materialization (for tests on tiny problems)."""
-        return identity_kron(self.X, self.p, sparse=False)
 
 
 def kron_lasso_columnwise(

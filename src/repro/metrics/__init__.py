@@ -10,18 +10,13 @@ reproduce the paper's claims against LASSO / Ridge / MCP / SCAD.
 from repro.metrics.selection import (
     SelectionReport,
     selection_report,
-    false_positive_rate,
-    false_negative_rate,
 )
 from repro.metrics.graph import (
-    adjacency_hamming,
-    degree_profile_distance,
     edge_jaccard,
 )
 from repro.metrics.estimation import (
     mean_squared_error,
     coefficient_bias,
-    r_squared,
     estimation_report,
     EstimationReport,
 )
@@ -29,14 +24,9 @@ from repro.metrics.estimation import (
 __all__ = [
     "SelectionReport",
     "selection_report",
-    "false_positive_rate",
-    "false_negative_rate",
     "edge_jaccard",
-    "adjacency_hamming",
-    "degree_profile_distance",
     "mean_squared_error",
     "coefficient_bias",
-    "r_squared",
     "estimation_report",
     "EstimationReport",
 ]

@@ -9,7 +9,6 @@ import numpy as np
 __all__ = [
     "mean_squared_error",
     "coefficient_bias",
-    "r_squared",
     "EstimationReport",
     "estimation_report",
 ]
@@ -36,18 +35,6 @@ def coefficient_bias(true: np.ndarray, estimated: np.ndarray) -> float:
         return 0.0
     # Signed toward zero: positive bias means magnitudes are shrunk.
     return float(np.mean((np.abs(true) - np.abs(estimated))[mask]))
-
-
-def r_squared(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Coefficient of determination; 0.0 for a constant truth."""
-    y_true = np.asarray(y_true, dtype=float).reshape(-1)
-    y_pred = np.asarray(y_pred, dtype=float).reshape(-1)
-    if y_true.shape != y_pred.shape:
-        raise ValueError(f"shape mismatch: {y_true.shape} vs {y_pred.shape}")
-    denom = float(np.sum((y_true - y_true.mean()) ** 2))
-    if denom == 0.0:
-        return 0.0
-    return 1.0 - float(np.sum((y_true - y_pred) ** 2)) / denom
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,16 @@
 
 Beyond per-edge confusion counts
 (:mod:`repro.metrics.selection`), network inference is judged on
-graph-level structure: edge-set overlap, degree-profile similarity,
-and raw adjacency disagreement.  Used by the application examples to
-score recovered networks against the planted ground truth.
+graph-level structure: edge-set overlap.  Used by the application
+examples to score recovered networks against the planted ground
+truth.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["edge_jaccard", "adjacency_hamming", "degree_profile_distance"]
+__all__ = ["edge_jaccard"]
 
 
 def _as_adjacency(W: np.ndarray) -> np.ndarray:
@@ -45,29 +45,3 @@ def edge_jaccard(
     return float(np.sum(a & b)) / union
 
 
-def adjacency_hamming(true: np.ndarray, estimated: np.ndarray) -> int:
-    """Number of entries where the two adjacency patterns disagree."""
-    a = _as_adjacency(true)
-    b = _as_adjacency(estimated)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return int(np.sum(a != b))
-
-
-def degree_profile_distance(true: np.ndarray, estimated: np.ndarray) -> float:
-    """L1 distance between sorted (in+out)-degree sequences, normalized.
-
-    Insensitive to node relabeling; 0.0 for identical degree profiles.
-    Normalized by the total true degree (falls back to the estimated
-    total, then to 1).
-    """
-    a = _as_adjacency(true)
-    b = _as_adjacency(estimated)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    off = ~np.eye(a.shape[0], dtype=bool)
-    a, b = a & off, b & off
-    deg_a = np.sort(a.sum(axis=0) + a.sum(axis=1))
-    deg_b = np.sort(b.sum(axis=0) + b.sum(axis=1))
-    denom = max(int(deg_a.sum()), int(deg_b.sum()), 1)
-    return float(np.abs(deg_a - deg_b).sum()) / denom

@@ -14,8 +14,6 @@ import numpy as np
 __all__ = [
     "SelectionReport",
     "selection_report",
-    "false_positive_rate",
-    "false_negative_rate",
 ]
 
 
@@ -84,15 +82,3 @@ def selection_report(true: np.ndarray, estimated: np.ndarray) -> SelectionReport
     )
 
 
-def false_positive_rate(true: np.ndarray, estimated: np.ndarray) -> float:
-    """FP / (FP + TN): fraction of true zeros wrongly selected."""
-    r = selection_report(true, estimated)
-    denom = r.fp + r.tn
-    return r.fp / denom if denom else 0.0
-
-
-def false_negative_rate(true: np.ndarray, estimated: np.ndarray) -> float:
-    """FN / (FN + TP): fraction of true features missed."""
-    r = selection_report(true, estimated)
-    denom = r.fn + r.tp
-    return r.fn / denom if denom else 0.0

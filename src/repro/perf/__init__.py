@@ -2,7 +2,7 @@
 
 * :mod:`repro.perf.flops` — flop/byte counts for the kernels the
   paper's roofline analysis covers (gemm, gemv, triangular solve,
-  Cholesky, sparse products) and helpers that charge their modeled
+  Cholesky) and helpers that charge their modeled
   time to a rank's virtual clock.
 * :mod:`repro.perf.roofline` — the roofline model itself: arithmetic
   intensity, attainable GFLOPS, memory- vs compute-bound
@@ -19,13 +19,10 @@ from repro.perf.flops import (
     gemv_flops,
     cholesky_flops,
     trsv_flops,
-    spmm_flops,
-    spmv_flops,
     charge_gemm,
     charge_gemv,
     charge_cholesky,
     charge_trsv,
-    charge_sparse_solve,
 )
 from repro.perf.roofline import RooflinePoint, roofline_attainable, classify
 from repro.perf.report import BreakdownRow, format_breakdown_table
@@ -36,13 +33,10 @@ __all__ = [
     "gemv_flops",
     "cholesky_flops",
     "trsv_flops",
-    "spmm_flops",
-    "spmv_flops",
     "charge_gemm",
     "charge_gemv",
     "charge_cholesky",
     "charge_trsv",
-    "charge_sparse_solve",
     "RooflinePoint",
     "roofline_attainable",
     "classify",

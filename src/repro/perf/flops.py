@@ -19,14 +19,10 @@ __all__ = [
     "gemv_flops",
     "cholesky_flops",
     "trsv_flops",
-    "spmm_flops",
-    "spmv_flops",
     "charge_gemm",
     "charge_gemv",
     "charge_cholesky",
     "charge_trsv",
-    "charge_sparse_solve",
-    "charge_axpy",
 ]
 
 
@@ -60,18 +56,6 @@ def trsv_flops(n: int) -> float:
     return float(n) ** 2
 
 
-def spmm_flops(nnz: int, n: int) -> float:
-    """Flops of sparse(m,k; nnz) @ dense(k,n): ``2 nnz n``."""
-    _check_dims(nnz, n)
-    return 2.0 * nnz * n
-
-
-def spmv_flops(nnz: int) -> float:
-    """Flops of a sparse mat-vec with ``nnz`` stored entries: ``2 nnz``."""
-    _check_dims(nnz)
-    return 2.0 * nnz
-
-
 def _charge(clock: RankClock, flops: float, gflops_rate: float) -> float:
     seconds = flops / (gflops_rate * 1e9)
     clock.charge(TimeCategory.COMPUTE, seconds)
@@ -99,18 +83,3 @@ def charge_trsv(clock: RankClock, machine: MachineModel, n: int) -> float:
     return _charge(clock, trsv_flops(n), machine.trsv_gflops)
 
 
-def charge_sparse_solve(
-    clock: RankClock, machine: MachineModel, nnz: int, ncols: int = 1
-) -> float:
-    """Charge a sparse product with ``nnz`` entries against ``ncols`` vectors."""
-    rate = machine.sp_gemv_gflops if ncols == 1 else machine.sp_gemm_gflops
-    return _charge(clock, spmm_flops(nnz, ncols), rate)
-
-
-def charge_axpy(clock: RankClock, machine: MachineModel, n: int) -> float:
-    """Charge a vector update (axpy / soft-threshold sweep): memory bound,
-    costed at the machine's memory bandwidth (3 x 8 bytes per element)."""
-    _check_dims(n)
-    seconds = 24.0 * n / (machine.mem_bw_gbs * 1e9)
-    clock.charge(TimeCategory.COMPUTE, seconds)
-    return seconds

@@ -32,7 +32,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
-__all__ = ["Workspace", "take", "give", "cache_stats", "clear_cache"]
+__all__ = ["Workspace", "take", "give", "clear_cache"]
 
 #: (shape, dtype-str) -> retained free buffers (LIFO for locality).
 _CACHE: dict[tuple[tuple[int, ...], str], list[np.ndarray]] = {}
@@ -40,9 +40,6 @@ _CACHE_LOCK = threading.Lock()
 #: Per-key retention bound: a runaway geometry mix cannot pin
 #: unbounded memory (beyond it, give() drops the buffer to the GC).
 MAX_RETAINED_PER_KEY = 8
-
-_HITS = 0
-_MISSES = 0
 
 
 def _key(
@@ -56,14 +53,11 @@ def _key(
 def take(shape: int | tuple[int, ...], dtype: Any = float) -> np.ndarray:
     """A buffer of the requested geometry: cached if one is free,
     freshly allocated otherwise.  Contents are arbitrary."""
-    global _HITS, _MISSES
     key = _key(shape, dtype)
     with _CACHE_LOCK:
         free = _CACHE.get(key)
         if free:
-            _HITS += 1
             return free.pop()
-        _MISSES += 1
     return np.empty(key[0], dtype=np.dtype(key[1]))
 
 
@@ -83,20 +77,10 @@ def give(array: np.ndarray) -> None:
             free.append(array)
 
 
-def cache_stats() -> dict[str, int]:
-    """Hit/miss/retained counters (observability + tests)."""
-    with _CACHE_LOCK:
-        retained = sum(len(v) for v in _CACHE.values())
-        return {"hits": _HITS, "misses": _MISSES, "retained": retained}
-
-
 def clear_cache() -> None:
-    """Drop every retained buffer and reset counters (tests)."""
-    global _HITS, _MISSES
+    """Drop every retained buffer (tests start from an empty cache)."""
     with _CACHE_LOCK:
         _CACHE.clear()
-        _HITS = 0
-        _MISSES = 0
 
 
 class Workspace:

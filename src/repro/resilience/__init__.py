@@ -53,7 +53,6 @@ from repro.resilience.recovery import (
     RecoveryOutcome,
     run_with_recovery,
     store_progress,
-    recovered_loss_table,
 )
 
 __all__ = [
@@ -72,5 +71,4 @@ __all__ = [
     "RecoveryOutcome",
     "run_with_recovery",
     "store_progress",
-    "recovered_loss_table",
 ]

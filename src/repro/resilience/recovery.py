@@ -23,11 +23,8 @@ report.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Any, Callable
-
-import numpy as np
 
 from repro.resilience.checkpoint import CheckpointPlan, CheckpointStore
 from repro.resilience.faults import FaultPlan
@@ -39,7 +36,6 @@ __all__ = [
     "RecoveryOutcome",
     "run_with_recovery",
     "store_progress",
-    "recovered_loss_table",
 ]
 
 
@@ -234,38 +230,4 @@ def store_progress(store: CheckpointStore) -> dict[str, int]:
     return out
 
 
-_EST_KEY = re.compile(r"^(?P<prefix>[\w-]+)/k(?P<k>\d+)/j(?P<j>\d+)$")
 
-
-def recovered_loss_table(
-    store: CheckpointStore,
-    n_bootstraps: int,
-    n_lambdas: int,
-    *,
-    prefix: str = "est",
-) -> np.ndarray:
-    """Reassemble a ``(B2, q)`` held-out loss table from checkpoints.
-
-    Cells with no record stay ``inf`` (the MIN-allreduce neutral
-    element), so tables from several stores — or a partial table from a
-    live run — combine with
-    :func:`repro.core.estimation.merge_loss_tables`.
-    """
-    # Imported here: repro.core's estimators import the checkpoint layer,
-    # so a module-level import would close a package cycle.
-    from repro.core.estimation import merge_loss_tables
-
-    table = np.full((n_bootstraps, n_lambdas), np.inf)
-    for key in store.keys():
-        m = _EST_KEY.match(key)
-        if m is None or m.group("prefix") != prefix:
-            continue
-        k, j = int(m.group("k")), int(m.group("j"))
-        if not (0 <= k < n_bootstraps and 0 <= j < n_lambdas):
-            continue
-        rec = store.load(key)
-        if rec is not None and "loss" in rec:
-            partial = np.full_like(table, np.inf)
-            partial[k, j] = float(rec["loss"])
-            table = merge_loss_tables(table, partial)
-    return table

@@ -15,12 +15,9 @@ same window produces.  See ``docs/streaming.md``.
 from repro.stream.window import SlidingLagWindow
 from repro.stream.diff import NetworkDiff, DiffLog, diff_networks, edge_set
 from repro.stream.ingest import (
-    DoubleBuffer,
-    Ingestor,
     SpikeRateSource,
     FinanceReplaySource,
     SocketSource,
-    serve_ticks,
 )
 from repro.stream.refit import (
     StreamConfig,
@@ -37,12 +34,9 @@ __all__ = [
     "DiffLog",
     "diff_networks",
     "edge_set",
-    "DoubleBuffer",
-    "Ingestor",
     "SpikeRateSource",
     "FinanceReplaySource",
     "SocketSource",
-    "serve_ticks",
     "StreamConfig",
     "WindowFit",
     "StreamOutputs",

@@ -1,19 +1,10 @@
-"""Tick sources and the bounded exchange between them and the solver.
+"""Tick sources for the rolling re-fit loop.
 
-Ingestion and solving run at wildly different rates: a tick is
-microseconds, a UoI_VAR re-fit is seconds.  :class:`DoubleBuffer`
-decouples them with a classic double-buffered exchange — the producer
-appends to a *back* buffer while the consumer owns the *front*;
-:meth:`DoubleBuffer.swap` exchanges the two in O(1) under the lock, so
-the consumer takes a whole batch of pending ticks without ever holding
-the producer's lock for more than a pointer swap.  The back buffer is
-bounded: when it fills, the ``"block"`` policy exerts backpressure on
-the producer (losslessness for replay sources) and the ``"drop"``
-policy sheds the oldest pending tick (boundedness for live sources);
-either way ingestion never blocks *solving*.
-
-Three tick sources cover the paper's two data regimes plus a network
-path:
+A source is any iterable of ``(p,)`` tick rows;
+:class:`~repro.stream.refit.RollingRefitter` iterates it on the calling
+thread, so a tick is appended to the window and, on cadence, re-fit
+before the next one is read.  Three sources cover the paper's two data
+regimes plus a network path:
 
 * :class:`SpikeRateSource` — the neuro regime: a latent sparse stable
   VAR (:func:`repro.datasets.var_synthetic.iter_ticks`) driving
@@ -24,155 +15,26 @@ path:
   (:func:`repro.datasets.finance.iter_ticks`).
 * :class:`SocketSource` — line-JSON ticks over a socket speaking the
   :mod:`repro.wire` codec (``{"tick": <encoded array>}`` frames,
-  ``{"end": true}`` terminator); :func:`serve_ticks` is the matching
-  one-shot server.
+  ``{"end": true}`` terminator).
 """
 
 from __future__ import annotations
 
 import socket
-import threading
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from repro.analysis.dynamic import instrumented_lock
 from repro.datasets import finance, var_synthetic
-from repro.telemetry.recorder import count as _tcount
-from repro.wire import LineChannel, decode_array, encode_array
+from repro.wire import LineChannel, decode_array
 
 __all__ = [
-    "DoubleBuffer",
-    "Ingestor",
     "SpikeRateSource",
     "FinanceReplaySource",
     "SocketSource",
-    "serve_ticks",
 ]
 
 
-class DoubleBuffer:
-    """Bounded double-buffered tick exchange (one producer, one consumer).
-
-    Parameters
-    ----------
-    capacity:
-        Maximum ticks pending in the back buffer.
-    policy:
-        ``"block"`` — a full back buffer blocks :meth:`put` until the
-        consumer swaps (lossless backpressure); ``"drop"`` — a full
-        back buffer sheds its *oldest* pending tick to admit the new
-        one (bounded loss for live sources; counted in ``dropped`` and
-        the ``stream.dropped_ticks`` telemetry counter).
-    """
-
-    def __init__(self, capacity: int = 1024, *, policy: str = "block") -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if policy not in ("block", "drop"):
-            raise ValueError(f"policy must be 'block' or 'drop', got {policy!r}")
-        self.capacity = capacity
-        self.policy = policy
-        self._back: list[np.ndarray] = []
-        self._lock = instrumented_lock("stream.ingest.buffer")
-        self._not_full = threading.Condition(self._lock)
-        self._closed = False
-        self.produced = 0
-        self.dropped = 0
-
-    # --------------------------------------------------------- producer
-    def put(self, row: np.ndarray) -> None:
-        """Add one tick (blocks or sheds per the policy when full)."""
-        with self._not_full:
-            if self._closed:
-                raise ValueError("buffer is closed")
-            if self.policy == "block":
-                while len(self._back) >= self.capacity and not self._closed:
-                    self._not_full.wait()
-                if self._closed:
-                    raise ValueError("buffer is closed")
-            elif len(self._back) >= self.capacity:
-                self._back.pop(0)
-                self.dropped += 1
-                _tcount("stream.dropped_ticks")
-            self._back.append(row)
-            self.produced += 1
-
-    def close(self) -> None:
-        """Mark the stream ended; wakes any blocked producer."""
-        with self._not_full:
-            self._closed = True
-            self._not_full.notify_all()
-
-    # --------------------------------------------------------- consumer
-    def swap(self) -> list[np.ndarray]:
-        """Take every pending tick in O(1); the producer never waits on
-        the consumer *processing* them, only on the next swap."""
-        with self._not_full:
-            front, self._back = self._back, []
-            if front:
-                self._not_full.notify_all()
-            return front
-
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed
-
-    def pending(self) -> int:
-        with self._lock:
-            return len(self._back)
-
-    def drain(self, poll_interval: float = 0.002) -> Iterator[np.ndarray]:
-        """Yield ticks in order until the buffer is closed and empty."""
-        while True:
-            batch = self.swap()
-            if batch:
-                yield from batch
-                continue
-            if self.closed:
-                # One final swap closes the close/put race: a tick
-                # admitted just before close() must still come out.
-                yield from self.swap()
-                return
-            ended = threading.Event()
-            ended.wait(poll_interval)
-
-
-class Ingestor(threading.Thread):
-    """Daemon thread pumping a tick source into a :class:`DoubleBuffer`.
-
-    Ends (and closes the buffer) when the source is exhausted; a
-    source exception is captured in ``error`` and re-raised by
-    :meth:`check`.
-    """
-
-    def __init__(
-        self, source: Iterable[np.ndarray], buffer: DoubleBuffer
-    ) -> None:
-        super().__init__(daemon=True, name="repro-stream-ingest")
-        self.source = source
-        self.buffer = buffer
-        self.error: BaseException | None = None
-
-    def run(self) -> None:
-        try:
-            for row in self.source:
-                self.buffer.put(np.asarray(row, dtype=float))
-        except BaseException as exc:  # noqa: BLE001 - reported via check()
-            self.error = exc
-        finally:
-            self.buffer.close()
-
-    def check(self) -> None:
-        """Re-raise the ingest thread's exception, if it died on one."""
-        if self.error is not None:
-            raise RuntimeError("stream ingestion failed") from self.error
-
-
-# ---------------------------------------------------------------------------
-# tick sources
-# ---------------------------------------------------------------------------
 class SpikeRateSource:
     """Synthetic neuro regime: latent sparse VAR -> firing rates.
 
@@ -291,40 +153,3 @@ class SocketSource:
                 yield row
         finally:
             self.channel.close()
-
-
-def serve_ticks(
-    source: Iterable[np.ndarray],
-    *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-) -> tuple[tuple[str, int], threading.Thread]:
-    """Serve ``source`` to one :class:`SocketSource` client.
-
-    Binds, returns ``((host, port), server_thread)`` immediately; the
-    daemon thread accepts a single client, streams every tick as a
-    ``{"tick": ...}`` frame, sends the ``{"end": true}`` terminator and
-    closes.  Enough server for demos and tests; a production feed
-    would sit behind the same frame protocol.
-    """
-    listener = socket.create_server((host, port))
-    addr = listener.getsockname()[:2]
-
-    def _serve() -> None:
-        try:
-            conn, _ = listener.accept()
-            channel = LineChannel(conn)
-            try:
-                for row in source:
-                    channel.send({"tick": encode_array(np.asarray(row, dtype=float))})
-                channel.send({"end": True})
-            except BrokenPipeError:
-                pass  # client went away; nothing to tell it
-            finally:
-                channel.close()
-        finally:
-            listener.close()
-
-    thread = threading.Thread(target=_serve, daemon=True, name="repro-stream-serve")
-    thread.start()
-    return (addr[0], int(addr[1])), thread

@@ -502,9 +502,9 @@ def run_rolling(
     """Drive a rolling fit over ``source`` and return its windows.
 
     ``source`` is any iterable of ``(p,)`` samples — a dataset
-    ``iter_ticks`` generator, an :class:`~repro.stream.ingest.Ingestor`
-    drain, or a plain array's rows.  ``p`` is inferred from the first
-    tick when omitted.  Stops at ``config.max_windows`` fitted windows
+    ``iter_ticks`` generator, a :mod:`repro.stream.ingest` source, or a
+    plain array's rows, iterated on the calling thread.  ``p`` is
+    inferred from the first tick when omitted.  Stops at ``config.max_windows`` fitted windows
     or when the source ends, whichever is first.
     """
     it = iter(source)

@@ -64,7 +64,6 @@ __all__ = [
     "TelemetryHook",
     "StageStats",
     "chrome_trace",
-    "tracer_to_chrome",
     "validate_chrome_trace",
     "write_manifest",
     "read_manifest",
@@ -80,7 +79,6 @@ _LAZY = {
     "TelemetryHook": "repro.telemetry.hook",
     "StageStats": "repro.telemetry.hook",
     "chrome_trace": "repro.telemetry.export",
-    "tracer_to_chrome": "repro.telemetry.export",
     "validate_chrome_trace": "repro.telemetry.export",
     "write_manifest": "repro.telemetry.export",
     "read_manifest": "repro.telemetry.export",

@@ -15,11 +15,6 @@ Two durable artifacts per telemetry-enabled run:
   events with microsecond timestamps, one row (``tid``) per
   rank/thread.
 
-:func:`tracer_to_chrome` bridges the *simulated* timelines — the
-:class:`repro.simmpi.trace.Tracer` events recorded on virtual clocks —
-into the same trace-event format, so simulated and real runs are
-inspected with the same tooling.
-
 :func:`validate_chrome_trace` is the structural schema check CI runs
 on every exported trace: phase keys present, timestamps finite,
 non-negative and per-row monotone.
@@ -43,7 +38,6 @@ __all__ = [
     "MANIFEST_SCHEMA",
     "git_revision",
     "chrome_trace",
-    "tracer_to_chrome",
     "validate_chrome_trace",
     "write_manifest",
     "read_manifest",
@@ -109,38 +103,6 @@ def chrome_trace(
     }
     if meta:
         other["meta"] = meta
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": other,
-    }
-
-
-def tracer_to_chrome(
-    tracer: Any, *, pid: int = 0, meta: dict[str, Any] | None = None
-) -> dict[str, Any]:
-    """Simulated :class:`~repro.simmpi.trace.Tracer` events as Chrome JSON.
-
-    Virtual-time intervals map to microsecond complete events, one
-    ``tid`` per simulated rank, category names matching the real
-    exporter — the same tooling reads both timelines.
-    """
-    events: list[dict[str, Any]] = []
-    for e in tracer.events():
-        events.append(
-            {
-                "name": e.category.value,
-                "cat": e.category.value,
-                "ph": "X",
-                "ts": e.start * _S_TO_US,
-                "dur": e.duration * _S_TO_US,
-                "pid": pid,
-                "tid": int(e.rank),
-                "args": {"rank": int(e.rank), "virtual": True},
-            }
-        )
-    other: dict[str, Any] = {"meta": meta} if meta else {}
-    other["virtual_time"] = True
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",

@@ -239,10 +239,10 @@ class TelemetryHook(EngineHook):
         time.
         """
         cats = self.recorder.category_seconds()
-        # Worker-lease spans (streaming backends' fleet accounting,
-        # consumed by worker_utilization) *cover* the tasks they
-        # schedule rather than nesting inside them — counting them
-        # here would swallow the whole computation bucket.
+        # Worker-lease spans (streaming backends' fleet accounting)
+        # *cover* the tasks they schedule rather than nesting inside
+        # them — counting them here would swallow the whole
+        # computation bucket.
         lease = sum(s.duration for s in self.recorder.spans_named("lease:"))
         cats[DISTRIBUTION] = max(0.0, cats[DISTRIBUTION] - lease)
         task_total = sum(s.seconds for s in self.stages.values())

@@ -21,7 +21,7 @@ from repro.var.lag import (
     stack_coefficients,
 )
 from repro.var.order import OrderSelection, information_criterion, select_order
-from repro.var.forecast import Forecast, forecast, forecast_intervals, forecast_mse
+from repro.var.forecast import Forecast, forecast, forecast_intervals
 from repro.var.diagnostics import Diagnosis, LjungBoxResult, diagnose, ljung_box, residuals
 from repro.var.granger import (
     granger_adjacency,
@@ -42,7 +42,6 @@ __all__ = [
     "Forecast",
     "forecast",
     "forecast_intervals",
-    "forecast_mse",
     "Diagnosis",
     "LjungBoxResult",
     "diagnose",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Forecast", "forecast", "forecast_intervals", "forecast_mse"]
+__all__ = ["Forecast", "forecast", "forecast_intervals"]
 
 
 def _check_inputs(coefs, intercept, history):
@@ -142,31 +142,3 @@ def forecast_intervals(
     return Forecast(mean=mean, lower=lower, upper=upper, level=level)
 
 
-def forecast_mse(
-    coefs: list[np.ndarray],
-    series: np.ndarray,
-    *,
-    intercept: np.ndarray | None = None,
-    steps: int = 1,
-) -> float:
-    """Rolling out-of-sample h-step forecast MSE over a series.
-
-    For every time ``t`` with enough history, the ``steps``-ahead
-    forecast is compared with the realized value; the mean squared
-    error over all such origins is returned.
-    """
-    coefs_list = [np.asarray(A, dtype=float) for A in coefs]
-    d = len(coefs_list)
-    series = np.asarray(series, dtype=float)
-    if series.ndim != 2:
-        raise ValueError("series must be 2-D")
-    n = series.shape[0]
-    if n < d + steps + 1:
-        raise ValueError("series too short for the requested horizon")
-    errors = []
-    for t in range(d, n - steps + 1):
-        pred = forecast(
-            coefs_list, series[:t], steps, intercept=intercept
-        )[-1]
-        errors.append(series[t + steps - 1] - pred)
-    return float(np.mean(np.square(errors)))

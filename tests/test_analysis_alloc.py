@@ -16,12 +16,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis.alloc import (
-    alloc_check_paths,
-    alloc_check_source,
-    alloc_scan,
-    default_alloc_paths,
-)
+from repro.analysis.alloc import alloc_scan, default_alloc_paths
 from repro.analysis.rules import ALLOC_RULES, RULES
 from repro.analysis.source import SourceIndex
 
@@ -34,7 +29,8 @@ SRC = os.path.join(
 
 
 def check(source: str) -> list:
-    return alloc_check_source(textwrap.dedent(source), "<test>")
+    index = SourceIndex.from_source(textwrap.dedent(source), "<test>")
+    return alloc_scan(index).findings
 
 
 class TestRuleRegistry:
@@ -56,7 +52,7 @@ class TestRuleRegistry:
 class TestSeededFixtures:
     def test_loop_allocation_fixture_exact(self):
         path = os.path.join(FIXTURES, "alloc_loop_allocation.py")
-        findings = alloc_check_paths([path])
+        findings = alloc_scan(SourceIndex.from_paths([path])).findings
         assert [(f.rule, f.line) for f in findings] == [
             ("ALLOC601", 16),
             ("ALLOC604", 25),
@@ -65,7 +61,7 @@ class TestSeededFixtures:
 
     def test_avoidable_copy_fixture_exact(self):
         path = os.path.join(FIXTURES, "alloc_avoidable_copy.py")
-        findings = alloc_check_paths([path])
+        findings = alloc_scan(SourceIndex.from_paths([path])).findings
         assert [(f.rule, f.line) for f in findings] == [
             ("ALLOC602", 16),
             ("ALLOC602", 17),
@@ -74,7 +70,7 @@ class TestSeededFixtures:
 
     def test_missed_inplace_fixture_exact(self):
         path = os.path.join(FIXTURES, "alloc_missed_inplace.py")
-        findings = alloc_check_paths([path])
+        findings = alloc_scan(SourceIndex.from_paths([path])).findings
         assert [(f.rule, f.line) for f in findings] == [("ALLOC603", 17)]
 
 
@@ -357,7 +353,7 @@ class TestHotRegionScoping:
                 """
             )
         )
-        findings = alloc_check_paths([str(tmp_path)])
+        findings = alloc_scan(SourceIndex.from_paths([str(tmp_path)])).findings
         assert [f.rule for f in findings] == ["ALLOC601"]
         assert findings[0].file.endswith("plan.py")
 
@@ -386,7 +382,7 @@ class TestHotRegionScoping:
                 """
             )
         )
-        findings = alloc_check_paths([str(tmp_path)])
+        findings = alloc_scan(SourceIndex.from_paths([str(tmp_path)])).findings
         assert [f.rule for f in findings] == ["ALLOC601"]
         assert findings[0].file.endswith("helper.py")
 
@@ -405,7 +401,7 @@ class TestHotRegionScoping:
                 """
             )
         )
-        findings = alloc_check_paths([str(tmp_path)])
+        findings = alloc_scan(SourceIndex.from_paths([str(tmp_path)])).findings
         assert [f.rule for f in findings] == ["ALLOC601"]
 
     def test_explicit_file_is_forced_hot(self, tmp_path):
@@ -422,7 +418,7 @@ class TestHotRegionScoping:
                 """
             )
         )
-        findings = alloc_check_paths([str(target)])
+        findings = alloc_scan(SourceIndex.from_paths([str(target)])).findings
         assert [f.rule for f in findings] == ["ALLOC601"]
 
 
@@ -466,7 +462,8 @@ class TestSuppressions:
 
 class TestShippedTree:
     def test_src_repro_is_clean(self):
-        assert alloc_check_paths() == []
+        index = SourceIndex.from_paths(default_alloc_paths())
+        assert alloc_scan(index).findings == []
 
     def test_default_paths_cover_the_package(self):
         (root,) = default_alloc_paths()

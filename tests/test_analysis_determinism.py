@@ -4,9 +4,10 @@ import os
 import textwrap
 
 from repro.analysis.determinism import (
-    determinism_check_paths,
-    determinism_check_source,
+    default_determinism_paths,
+    determinism_check_index,
 )
+from repro.analysis.source import SourceIndex
 
 FIXTURE = os.path.join(
     os.path.dirname(__file__), "fixtures", "det_time_in_run_chain.py"
@@ -21,9 +22,8 @@ class UoIPlan:
 
 
 def check(code: str):
-    return determinism_check_source(
-        PLAN_HEADER + textwrap.dedent(code), "prog.py"
-    )
+    index = SourceIndex.from_source(PLAN_HEADER + textwrap.dedent(code), "prog.py")
+    return determinism_check_index(index)
 
 
 class TestWallClock:
@@ -224,7 +224,7 @@ class TestReachability:
 
 class TestSeededFixture:
     def test_fixture_yields_exact_rules_and_lines(self):
-        findings = determinism_check_paths([FIXTURE])
+        findings = determinism_check_index(SourceIndex.from_paths([FIXTURE]))
         assert [(f.rule, f.line) for f in findings] == [
             ("DET301", 27),
             ("DET302", 32),
@@ -244,7 +244,8 @@ class TestRepoGate:
     def test_installed_package_checks_clean(self):
         # The acceptance gate: nothing reachable from any shipped
         # plan's run_chain/reduce reads clocks, fs order, or entropy.
-        assert determinism_check_paths() == []
+        index = SourceIndex.from_paths(default_determinism_paths())
+        assert determinism_check_index(index) == []
 
 
 class TestExclusionList:
@@ -323,7 +324,7 @@ class TestExclusionList:
         assert any(p.endswith("transports.py") for p in kept)
         assert not any(p.endswith("coordinator.py") for p in kept)
         assert not any(p.endswith("elastic.py") for p in kept)
-        assert determinism_check_paths(kept) == []
+        assert determinism_check_index(SourceIndex.from_paths(kept)) == []
 
     def test_service_modules_are_excluded(self):
         """repro.service uses wall clocks, threads and sockets by design
@@ -336,7 +337,7 @@ class TestExclusionList:
         )
         paths = sorted(glob.glob(os.path.join(service_dir, "*.py")))
         assert paths, "service package not found"
-        assert determinism_check_paths(paths) == []
+        assert determinism_check_index(SourceIndex.from_paths(paths)) == []
 
     def test_stream_modules_are_excluded(self):
         """repro.stream reads clocks and sockets by design (ingestion
@@ -367,7 +368,7 @@ class TestExclusionList:
             assert os.path.exists(path), path
             with open(path, "r", encoding="utf-8") as fh:
                 assert "repro: ignore" not in fh.read()
-        assert determinism_check_paths(paths) == []
+        assert determinism_check_index(SourceIndex.from_paths(paths)) == []
 
     def test_default_paths_skip_excluded_packages(self):
         from repro.analysis.determinism import (

@@ -1,21 +1,22 @@
 """Tests for the static SPMD linter (``repro.analysis.linter``)."""
 
+import json
 import textwrap
 
 from repro.analysis.findings import (
     ERROR,
     WARNING,
     Finding,
-    findings_from_json,
     findings_to_json,
     format_findings,
 )
-from repro.analysis.linter import lint_paths, lint_source
+from repro.analysis.linter import default_lint_paths, lint_index
 from repro.analysis.rules import RULES, get_rule
+from repro.analysis.source import SourceIndex
 
 
 def lint(code: str, filename: str = "prog.py"):
-    return lint_source(textwrap.dedent(code), filename)
+    return lint_index(SourceIndex.from_source(textwrap.dedent(code), filename))
 
 
 class TestRankConditionalCollective:
@@ -373,7 +374,7 @@ class TestRulesAndSerialization:
             """
         )
         doc = findings_to_json(findings)
-        back = findings_from_json(doc)
+        back = [Finding.from_dict(d) for d in json.loads(doc)["findings"]]
         assert back == findings
         assert isinstance(back[0], Finding)
 
@@ -395,4 +396,4 @@ class TestRepoGate:
     def test_installed_package_lints_clean(self):
         # The acceptance gate: the shipped library must have zero
         # static findings.
-        assert lint_paths() == []
+        assert lint_index(SourceIndex.from_paths(default_lint_paths())) == []

@@ -179,8 +179,8 @@ class TestStallDetection:
         assert observer.findings() == []
 
     def test_plain_lock_condition_wait_is_clean(self):
-        """The DoubleBuffer shape: Condition over an instrumented
-        plain Lock routes wait through the wrapper's release/acquire."""
+        """A Condition over an instrumented plain Lock routes wait
+        through the wrapper's release/acquire."""
         observer = LockOrderObserver(stall_threshold=0.15)
         lock = instrumented_lock("L", observer=observer)
         cond = threading.Condition(lock)
@@ -224,34 +224,41 @@ class TestCheckerIntegration:
 
 
 class TestInstrumentedProduction:
-    def test_double_buffer_backpressure_under_observer(self):
+    def test_progress_stream_under_observer(self):
+        """Condition producer/consumer: a client blocks in
+        ``stream_progress`` on the job's condition while the scheduler's
+        worker notifies it once per solved subproblem."""
         import numpy as np
 
-        from repro.stream.ingest import DoubleBuffer
+        from repro.core.config import UoILassoConfig
+        from repro.service.jobs import JobSpec
+        from repro.service.service import Service
 
         observer = LockOrderObserver()
         with use_lock_observer(observer):
-            buffer = DoubleBuffer(capacity=2)
-
-            def producer() -> None:
-                for i in range(16):
-                    buffer.put(np.full(2, float(i)))
-                buffer.close()
-
-            rows: list[np.ndarray] = []
-
-            def consumer() -> None:
-                rows.extend(buffer.drain(poll_interval=0.001))
-
-            threads = [
-                threading.Thread(target=producer),
-                threading.Thread(target=consumer),
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        assert len(rows) == 16
+            rng = np.random.default_rng(4)
+            X = rng.standard_normal((30, 4))
+            y = X @ rng.standard_normal(4)
+            config = UoILassoConfig(
+                n_lambdas=3,
+                n_selection_bootstraps=2,
+                n_estimation_bootstraps=2,
+                random_state=6,
+            )
+            with Service(workers=1) as service:
+                job_id = service.submit(
+                    JobSpec(
+                        tenant="t",
+                        kind="lasso",
+                        data={"X": X, "y": y},
+                        config=config,
+                    )
+                )
+                events = list(service.stream_progress(job_id, poll=0.01))
+        assert events[-1]["final"] and events[-1]["state"] == "done"
+        last = {e["stage"]: e for e in events[:-1]}
+        assert set(last) == {"selection", "estimation"}
+        assert all(e["done"] == e["total"] for e in last.values())
         assert observer.findings() == []
 
     def test_scheduler_job_lifecycle_under_observer(self):

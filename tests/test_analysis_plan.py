@@ -12,17 +12,12 @@ from repro.analysis.check import run_plan_checks
 from repro.analysis.planver import (
     PlanVerificationError,
     assert_valid_plan,
-    plan_lint_paths,
-    plan_lint_source,
+    plan_lint_index,
     verify_plan,
 )
+from repro.analysis.source import SourceIndex
 from repro.core.config import UoILassoConfig, UoIVarConfig
-from repro.engine import (
-    SerialExecutor,
-    make_executor,
-    plan_verification_enabled,
-    run_plan,
-)
+from repro.engine import SerialExecutor, make_executor, run_plan
 from repro.engine.plan import Subproblem
 from repro.engine.plans import LassoPlan, VarPlan
 
@@ -39,7 +34,7 @@ def _load_fixture_module():
 
 
 def plan_lint(code: str):
-    return plan_lint_source(textwrap.dedent(code), "prog.py")
+    return plan_lint_index(SourceIndex.from_source(textwrap.dedent(code), "prog.py"))
 
 
 class StubPlan:
@@ -215,7 +210,7 @@ class TestDriverPlansVerify:
 
 class TestSeededFixture:
     def test_static_lint_yields_exact_rule_and_line(self):
-        findings = plan_lint_paths([FIXTURE])
+        findings = plan_lint_index(SourceIndex.from_paths([FIXTURE]))
         assert [(f.rule, f.line) for f in findings] == [("PLAN401", 29)]
         assert findings[0].file == FIXTURE
 
@@ -297,14 +292,15 @@ class TestStaticCongruence:
         assert findings == []
 
 
-class TestEngineWiring:
-    def test_make_executor_verify_marks(self):
-        """verify=True marks the backend itself — no wrapper object."""
-        ex = make_executor("serial", verify=True)
-        assert isinstance(ex, SerialExecutor)
-        assert ex.name == "serial"
-        assert ex.verify is True
+def _marked_executor():
+    """A serial executor carrying the ``verify`` mark that
+    ``Scheduler(verify=True)`` sets on the executors it builds."""
+    executor = SerialExecutor()
+    executor.verify = True
+    return executor
 
+
+class TestEngineWiring:
     def test_make_executor_default_unmarked(self):
         assert make_executor("serial").verify is False
         assert SerialExecutor.verify is False  # the mark is per instance
@@ -312,7 +308,7 @@ class TestEngineWiring:
     def test_verifying_executor_rejects_bad_plan(self):
         mod = _load_fixture_module()
         with pytest.raises(PlanVerificationError):
-            run_plan(mod.DuplicateKeyPlan(), make_executor("serial", verify=True))
+            run_plan(mod.DuplicateKeyPlan(), _marked_executor())
 
     def test_marked_executor_verifies_every_plan_object(self):
         """The old wrapper cached verified plans by ``id(plan)``, so a
@@ -320,7 +316,7 @@ class TestEngineWiring:
         run_plan verifies each plan it is handed: a second, freshly
         built bad plan on the same executor is rejected too."""
         mod = _load_fixture_module()
-        ex = make_executor("serial", verify=True)
+        ex = _marked_executor()
         run_plan(_make_lasso_plan(), ex)
         for _ in range(2):
             with pytest.raises(PlanVerificationError):
@@ -328,24 +324,11 @@ class TestEngineWiring:
 
     def test_explicit_verify_false_beats_the_mark(self):
         mod = _load_fixture_module()
-        ex = make_executor("serial", verify=True)
+        ex = _marked_executor()
         # The fixture has no run_chain: reaching it means the verifier
         # (which would have raised PlanVerificationError) was skipped.
         with pytest.raises(NotImplementedError):
             run_plan(mod.DuplicateKeyPlan(), ex, verify=False)
-
-    def test_env_gate_rejects_bad_plan(self, monkeypatch):
-        mod = _load_fixture_module()
-        monkeypatch.setenv("REPRO_PLAN_VERIFY", "1")
-        with pytest.raises(PlanVerificationError):
-            run_plan(mod.DuplicateKeyPlan(), SerialExecutor())
-
-    def test_env_gate_falsy_values_disable(self, monkeypatch):
-        for value in ("", "0", "false", "no"):
-            monkeypatch.setenv("REPRO_PLAN_VERIFY", value)
-            assert plan_verification_enabled() is False
-        monkeypatch.setenv("REPRO_PLAN_VERIFY", "1")
-        assert plan_verification_enabled() is True
 
     def test_verified_run_bitwise_identical(self):
         base = run_plan(_make_lasso_plan(), SerialExecutor(), verify=False)
@@ -355,10 +338,8 @@ class TestEngineWiring:
 
     def test_verified_run_through_wrapper_identical(self):
         base = run_plan(_make_lasso_plan(), SerialExecutor(), verify=False)
-        wrapped = run_plan(
-            _make_lasso_plan(), make_executor("serial", verify=True)
-        )
-        assert base.coef.tobytes() == wrapped.coef.tobytes()
+        marked = run_plan(_make_lasso_plan(), _marked_executor())
+        assert base.coef.tobytes() == marked.coef.tobytes()
 
 
 class TestRepoGate:

@@ -3,7 +3,8 @@
 import json
 
 from repro.analysis.findings import Finding
-from repro.analysis.linter import lint_source
+from repro.analysis.linter import lint_index
+from repro.analysis.source import SourceIndex
 from repro.analysis.sarif import SARIF_VERSION, findings_to_sarif
 
 
@@ -12,12 +13,13 @@ def _sarif(findings):
 
 
 def _lint_findings():
-    return lint_source(
+    index = SourceIndex.from_source(
         "def prog(comm):\n"
         "    if comm.rank == 0:\n"
         "        comm.allreduce(1.0)\n",
         "prog.py",
     )
+    return lint_index(index)
 
 
 class TestDocumentShape:

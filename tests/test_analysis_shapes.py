@@ -7,9 +7,10 @@ from repro.analysis.shapes import (
     DEFAULT_BINDINGS,
     Dim,
     MemoryBudget,
-    shape_check_paths,
-    shape_check_source,
+    default_shape_paths,
+    shape_check_index,
 )
+from repro.analysis.source import SourceIndex
 
 FIXTURE = os.path.join(
     os.path.dirname(__file__), "fixtures", "shape_dense_kron.py"
@@ -17,7 +18,8 @@ FIXTURE = os.path.join(
 
 
 def check(code: str, filename: str = "prog.py", **kwargs):
-    return shape_check_source(textwrap.dedent(code), filename, **kwargs)
+    index = SourceIndex.from_source(textwrap.dedent(code), filename)
+    return shape_check_index(index, **kwargs)
 
 
 class TestDimAlgebra:
@@ -79,10 +81,10 @@ class TestDenseKron:
     def test_toarray_on_lifted_flagged(self):
         findings = check(
             """\
-            from repro.linalg import IdentityKronOperator
+            from repro.linalg import identity_kron
 
             def lift(X, p):
-                op = IdentityKronOperator(X, p)
+                op = identity_kron(X, p)
                 return op.toarray()
             """
         )
@@ -234,7 +236,7 @@ class TestDtypeDrift:
 
 class TestSeededFixture:
     def test_fixture_yields_exact_rules_and_lines(self):
-        findings = shape_check_paths([FIXTURE])
+        findings = shape_check_index(SourceIndex.from_paths([FIXTURE]))
         assert [(f.rule, f.line) for f in findings] == [
             ("SHAPE101", 16),
             ("SHAPE102", 21),
@@ -247,4 +249,5 @@ class TestRepoGate:
     def test_numeric_subsystems_check_clean(self):
         # The acceptance gate: repro.linalg + repro.distribution carry
         # zero SHAPE findings at the default 4 GiB budget.
-        assert shape_check_paths() == []
+        index = SourceIndex.from_paths(default_shape_paths())
+        assert shape_check_index(index) == []

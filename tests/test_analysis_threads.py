@@ -15,17 +15,15 @@ import textwrap
 import pytest
 
 from repro.analysis.rules import RULES, THREAD_RULES
-from repro.analysis.threads import (
-    default_threads_paths,
-    threads_check_paths,
-    threads_check_source,
-)
+from repro.analysis.source import SourceIndex
+from repro.analysis.threads import default_threads_paths, threads_check_index
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def check(source: str) -> list:
-    return threads_check_source(textwrap.dedent(source), "<test>")
+    index = SourceIndex.from_source(textwrap.dedent(source), "<test>")
+    return threads_check_index(index)
 
 
 class TestRuleRegistry:
@@ -47,7 +45,7 @@ class TestRuleRegistry:
 class TestSeededFixtures:
     def test_lock_order_inversion_fixture_exact(self):
         path = os.path.join(FIXTURES, "lock_order_inversion.py")
-        findings = threads_check_paths([path])
+        findings = threads_check_index(SourceIndex.from_paths([path]))
         assert [(f.rule, f.line) for f in findings] == [
             ("LOCK501", 22),
             ("LOCK501", 28),
@@ -60,7 +58,7 @@ class TestSeededFixtures:
 
     def test_bare_wait_fixture_exact(self):
         path = os.path.join(FIXTURES, "lock_bare_wait.py")
-        findings = threads_check_paths([path])
+        findings = threads_check_index(SourceIndex.from_paths([path]))
         assert [(f.rule, f.line) for f in findings] == [("LOCK502", 24)]
         assert findings[0].context["lock"] == "Mailbox.cond"
 
@@ -485,7 +483,8 @@ class TestSuppressions:
 class TestShippedTree:
     def test_src_repro_is_clean(self):
         """The gate: zero LOCK findings over the whole package."""
-        assert threads_check_paths() == []
+        index = SourceIndex.from_paths(default_threads_paths())
+        assert threads_check_index(index) == []
 
     def test_default_paths_is_package_root(self):
         (root,) = default_threads_paths()
@@ -522,7 +521,8 @@ class TestShippedTree:
             + broken
             + "        self._procs.clear()\n"
         )
-        findings = threads_check_source(module, "<broken-shutdown>")
+        index = SourceIndex.from_source(module, "<broken-shutdown>")
+        findings = threads_check_index(index)
         assert any(
             f.rule == "LOCK503" and f.context["attribute"] == "_procs"
             for f in findings
@@ -538,7 +538,7 @@ class TestShippedTree:
         with open(path, "r", encoding="utf-8") as fh:
             source = fh.read()
         assert source.count("repro: ignore[LOCK504]") == 1
-        assert threads_check_paths([path]) == []
+        assert threads_check_index(SourceIndex.from_paths([path])) == []
 
 
 class TestCheckWiring:
@@ -556,12 +556,13 @@ class TestCheckWiring:
         from repro.analysis.rules import get_rule
         from repro.analysis.sarif import findings_to_sarif
 
-        findings = threads_check_paths(
+        index = SourceIndex.from_paths(
             [
                 os.path.join(FIXTURES, "lock_order_inversion.py"),
                 os.path.join(FIXTURES, "lock_bare_wait.py"),
             ]
         )
+        findings = threads_check_index(index)
         dyn = get_rule("DYN206")
         findings.append(
             Finding(

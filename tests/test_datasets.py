@@ -11,7 +11,6 @@ from repro.datasets import (
     make_spike_counts,
     make_stock_panel,
     random_sparse_coefs,
-    sp50_tickers,
     synthetic_tickers,
     weekly_closes,
 )
@@ -142,7 +141,6 @@ class TestStockPanel:
         assert diffs.shape == (103, 50)
 
     def test_tickers(self):
-        assert len(sp50_tickers()) == 50
         assert synthetic_tickers(3) == ["AAPL", "MSFT", "GOOG"]
         t470 = synthetic_tickers(470)
         assert len(t470) == len(set(t470)) == 470
@@ -212,22 +210,6 @@ class TestDatasetIO:
         np.testing.assert_array_equal(data[:, 1:], ds.X)
         np.testing.assert_array_equal(
             file.dataset(TRUTH_DATASET).data[0], ds.beta
-        )
-
-    def test_var_file_layout(self):
-        from repro.datasets import SERIES_DATASET, make_var_file
-
-        file, sv = make_var_file(
-            4, 30, order=2, rng=np.random.default_rng(1), path="/t2.h5"
-        )
-        np.testing.assert_array_equal(
-            file.dataset(SERIES_DATASET).data, sv.series
-        )
-        np.testing.assert_array_equal(
-            file.dataset("truth/A1").data, sv.process.coefs[0]
-        )
-        np.testing.assert_array_equal(
-            file.dataset("truth/A2").data, sv.process.coefs[1]
         )
 
     def test_small_files_unstriped(self):

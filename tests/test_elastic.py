@@ -338,7 +338,7 @@ class TestCli:
 # ---------------------------------------------------------------------------
 class TestSchedulerFairShareUnderDrain:
     def test_four_tenants_mixed_sizes_fleet_2_4_1(self):
-        from tests.test_service import GatedPlan, make_stub_job
+        from tests.test_service import make_stub_job
 
         from repro.service import DONE, Job, JobSpec, Scheduler
 

@@ -13,8 +13,6 @@ from repro.engine import (
     HookList,
     LassoPlan,
     MultiprocessExecutor,
-    ProgressHook,
-    RecordingHook,
     SerialExecutor,
     SimMpiExecutor,
     VarPlan,
@@ -123,37 +121,6 @@ class TestPlanEnumeration:
             LassoPlan(LASSO_CFG, np.zeros((4, 2)), np.zeros(5))
 
 
-class TestHookDispatch:
-    def test_recording_hook_order(self, lasso_data):
-        hook = RecordingHook()
-        plan = LassoPlan(LASSO_CFG, lasso_data.X, lasso_data.y)
-        run_plan(plan, SerialExecutor(), [hook])
-        kinds = [e[0] for e in hook.events]
-        assert kinds[0] == "run_start"
-        assert kinds[-1] == "run_end"
-        # every subproblem reported exactly once, none recovered
-        done = [e for e in hook.events if e[0] == "done"]
-        assert len(done) == plan.describe()["subproblems"]
-        assert all(not e[2] for e in done)
-        # stage_end fires after that stage's last done event
-        stage_ends = [i for i, e in enumerate(hook.events) if e[0] == "stage_end"]
-        assert len(stage_ends) == 2
-        sel_done = [
-            i
-            for i, e in enumerate(hook.events)
-            if e[0] == "done" and e[1].startswith("serial-sel/")
-        ]
-        assert max(sel_done) < stage_ends[0]
-
-    def test_progress_hook_counts(self, var_series):
-        seen = []
-        hook = ProgressHook(lambda stage, done, total: seen.append((stage, done, total)))
-        plan = VarPlan(VAR_CFG, var_series)
-        run_plan(plan, SerialExecutor(), [hook])
-        assert hook.done == hook.totals == {SELECTION: 2, ESTIMATION: 2}
-        assert (SELECTION, 2, 2) in seen and (ESTIMATION, 2, 2) in seen
-
-
 class _TaggedHook(EngineHook):
     """Appends (tag, event, detail) to a shared log for order assertions."""
 
@@ -161,6 +128,9 @@ class _TaggedHook(EngineHook):
         self.tag = tag
         self.log = log
         self.serves = dict(serves)
+
+    def on_run_start(self, plan, executor):
+        self.log.append((self.tag, "run_start"))
 
     def lookup(self, task):
         self.log.append((self.tag, "lookup", task.key))
@@ -171,6 +141,33 @@ class _TaggedHook(EngineHook):
 
     def on_stage_end(self, stage, plan):
         self.log.append((self.tag, "stage_end", stage))
+
+    def on_run_end(self, plan):
+        self.log.append((self.tag, "run_end"))
+
+
+class TestHookDispatch:
+    def test_recording_hook_order(self, lasso_data):
+        log = []
+        plan = LassoPlan(LASSO_CFG, lasso_data.X, lasso_data.y)
+        run_plan(plan, SerialExecutor(), [_TaggedHook("h", log)])
+        events = [e[1:] for e in log if e[1] != "lookup"]
+        kinds = [e[0] for e in events]
+        assert kinds[0] == "run_start"
+        assert kinds[-1] == "run_end"
+        # every subproblem reported exactly once, none recovered
+        done = [e for e in events if e[0] == "done"]
+        assert len(done) == plan.describe()["subproblems"]
+        assert all(not e[2] for e in done)
+        # stage_end fires after that stage's last done event
+        stage_ends = [i for i, e in enumerate(events) if e[0] == "stage_end"]
+        assert len(stage_ends) == 2
+        sel_done = [
+            i
+            for i, e in enumerate(events)
+            if e[0] == "done" and e[1].startswith("serial-sel/")
+        ]
+        assert max(sel_done) < stage_ends[0]
 
 
 class TestHookListOrdering:

@@ -8,7 +8,6 @@ from repro.var import (
     diagnose,
     forecast,
     forecast_intervals,
-    forecast_mse,
     ljung_box,
     residuals,
 )
@@ -103,24 +102,6 @@ class TestForecastIntervals:
             forecast_intervals([A], series, 1, level=1.5)
         with pytest.raises(ValueError, match="n_paths"):
             forecast_intervals([A], series, 1, n_paths=1)
-
-
-class TestForecastMse:
-    def test_true_model_near_noise_floor(self, fitted):
-        A, series = fitted
-        mse = forecast_mse([A], series)
-        assert mse == pytest.approx(1.0, rel=0.15)  # unit noise variance
-
-    def test_null_model_worse(self, fitted):
-        A, series = fitted
-        good = forecast_mse([A], series)
-        null = forecast_mse([np.zeros((2, 2))], series)
-        assert null > good
-
-    def test_validation(self, fitted):
-        A, _ = fitted
-        with pytest.raises(ValueError, match="too short"):
-            forecast_mse([A], np.ones((2, 2)), steps=5)
 
 
 class TestDiagnostics:

@@ -3,17 +3,10 @@
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.linalg import (
-    IdentityKronOperator,
-    identity_kron,
-    kron_lasso_columnwise,
-    lasso_cd,
-    unvec,
-    vec,
-)
+from repro.linalg import identity_kron, kron_lasso_columnwise, lasso_cd, vec
 from repro.linalg.kron import kron_sparsity
 
 matrices = hnp.arrays(
@@ -29,20 +22,12 @@ class TestVec:
         np.testing.assert_array_equal(vec(Y), [1.0, 2.0, 3.0, 4.0])
 
     @given(Y=matrices)
-    def test_roundtrip(self, Y):
-        np.testing.assert_array_equal(unvec(vec(Y), Y.shape), Y)
-
-    @given(Y=matrices)
     def test_matches_numpy_fortran_flatten(self, Y):
         np.testing.assert_array_equal(vec(Y), Y.flatten(order="F"))
 
     def test_vec_rejects_1d(self):
         with pytest.raises(ValueError, match="2-D"):
             vec(np.ones(3))
-
-    def test_unvec_rejects_bad_length(self):
-        with pytest.raises(ValueError, match="length"):
-            unvec(np.ones(5), (2, 3))
 
 
 class TestIdentityKron:
@@ -76,47 +61,6 @@ class TestIdentityKron:
     def test_validation(self):
         with pytest.raises(ValueError, match="p"):
             identity_kron(np.ones((2, 2)), 0)
-
-
-class TestIdentityKronOperator:
-    @given(
-        seed=st.integers(0, 1000),
-        m=st.integers(1, 5),
-        k=st.integers(1, 5),
-        p=st.integers(1, 5),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_matvec_matches_materialized(self, seed, m, k, p):
-        rng = np.random.default_rng(seed)
-        X = rng.standard_normal((m, k))
-        op = IdentityKronOperator(X, p)
-        v = rng.standard_normal(k * p)
-        np.testing.assert_allclose(op.matvec(v), op.toarray() @ v, atol=1e-10)
-
-    @given(
-        seed=st.integers(0, 1000),
-        m=st.integers(1, 5),
-        k=st.integers(1, 5),
-        p=st.integers(1, 5),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_rmatvec_matches_materialized(self, seed, m, k, p):
-        rng = np.random.default_rng(seed)
-        X = rng.standard_normal((m, k))
-        op = IdentityKronOperator(X, p)
-        w = rng.standard_normal(m * p)
-        np.testing.assert_allclose(op.rmatvec(w), op.toarray().T @ w, atol=1e-10)
-
-    def test_shape(self):
-        op = IdentityKronOperator(np.ones((3, 2)), 5)
-        assert op.shape == (15, 10)
-
-    def test_dim_validation(self):
-        op = IdentityKronOperator(np.ones((3, 2)), 2)
-        with pytest.raises(ValueError, match="matvec"):
-            op.matvec(np.ones(5))
-        with pytest.raises(ValueError, match="rmatvec"):
-            op.rmatvec(np.ones(5))
 
 
 class TestColumnwiseEquivalence:
@@ -155,15 +99,6 @@ class TestDtypePreservation:
     def test_identity_kron_defaults_to_float64(self):
         assert identity_kron(np.ones((3, 2), dtype=np.int64), 2).dtype == np.float64
         assert identity_kron(np.ones((3, 2)), 2, sparse=False).dtype == np.float64
-
-    def test_operator_matvec_and_rmatvec_preserve_float32(self):
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((4, 3)).astype(np.float32)
-        op = IdentityKronOperator(X, 2)
-        assert op.X.dtype == np.float32
-        assert op.matvec(np.ones(6)).dtype == np.float32
-        assert op.rmatvec(np.ones(8)).dtype == np.float32
-        assert op.toarray().dtype == np.float32
 
     def test_columnwise_preserves_float32(self):
         rng = np.random.default_rng(1)

@@ -8,10 +8,7 @@ from hypothesis.extra import numpy as hnp
 from repro.metrics import (
     coefficient_bias,
     estimation_report,
-    false_negative_rate,
-    false_positive_rate,
     mean_squared_error,
-    r_squared,
     selection_report,
 )
 
@@ -57,10 +54,9 @@ class TestSelectionReport:
     def test_rates_complementary(self, m):
         rng = np.random.default_rng(1)
         est = rng.random(m.shape) < 0.5
-        fpr = false_positive_rate(m, est)
-        fnr = false_negative_rate(m, est)
-        assert 0.0 <= fpr <= 1.0
-        assert 0.0 <= fnr <= 1.0
+        r = selection_report(m, est)
+        assert 0.0 <= r.precision <= 1.0
+        assert 0.0 <= r.recall <= 1.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -81,12 +77,6 @@ class TestEstimationMetrics:
         true = np.array([0.0, 0.0])
         est = np.array([5.0, -5.0])
         assert coefficient_bias(true, est) == 0.0
-
-    def test_r_squared(self):
-        y = np.array([1.0, 2.0, 3.0, 4.0])
-        assert r_squared(y, y) == 1.0
-        assert r_squared(y, np.full(4, y.mean())) == 0.0
-        assert r_squared(np.ones(3), np.zeros(3)) == 0.0  # constant truth
 
     def test_report_bundle(self):
         true = np.array([1.0, 0.0, -2.0])
@@ -111,5 +101,3 @@ class TestEstimationMetrics:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             mean_squared_error(np.ones(2), np.ones(3))
-        with pytest.raises(ValueError):
-            r_squared(np.ones(2), np.ones(3))

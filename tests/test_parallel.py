@@ -598,84 +598,6 @@ class TestColumnGroups:
                 assert getattr(out, name).tobytes() == getattr(want, name).tobytes()
 
 
-class TestDistributedCvLasso:
-    """Fig. 1c: Tier-2 randomized distribution reused for cross-validation."""
-
-    @pytest.fixture(scope="class")
-    def setup(self):
-        from repro.datasets import INPUT_DATASET, make_regression_file
-
-        file, ds = make_regression_file(
-            100, 12, n_informative=3, rng=np.random.default_rng(9),
-            path="/cvtest.h5",
-        )
-        return file, ds, INPUT_DATASET
-
-    def test_matches_serial_cv(self, setup):
-        from repro.core.parallel import distributed_cv_lasso
-        from repro.linalg import cv_lasso
-
-        file, ds, name = setup
-        res = run_spmd(
-            4,
-            lambda comm: distributed_cv_lasso(
-                comm, file, name, n_lambdas=10, k=4, random_state=9
-            ),
-            machine=LAPTOP,
-        )
-        beta, lam, cv_loss = res.values[0]
-        serial = cv_lasso(
-            ds.X, ds.y, n_lambdas=10, k=4, rng=np.random.default_rng(9)
-        )
-        assert lam == pytest.approx(serial.lam)
-        np.testing.assert_allclose(cv_loss, serial.cv_loss, rtol=0.02)
-        np.testing.assert_array_equal(beta != 0, serial.beta != 0)
-        np.testing.assert_allclose(beta, serial.beta, atol=5e-3)
-
-    def test_identical_across_ranks(self, setup):
-        from repro.core.parallel import distributed_cv_lasso
-
-        file, _, name = setup
-        res = run_spmd(
-            3,
-            lambda comm: distributed_cv_lasso(
-                comm, file, name, n_lambdas=6, k=3, random_state=2
-            ),
-            machine=LAPTOP,
-        )
-        ref = res.values[0]
-        for v in res.values[1:]:
-            np.testing.assert_array_equal(v[0], ref[0])
-            assert v[1] == ref[1]
-
-    def test_1se_rule_sparser(self, setup):
-        from repro.core.parallel import distributed_cv_lasso
-
-        file, _, name = setup
-        run = lambda rule: run_spmd(  # noqa: E731
-            2,
-            lambda comm: distributed_cv_lasso(
-                comm, file, name, n_lambdas=10, k=4, rule=rule, random_state=9
-            ),
-            machine=LAPTOP,
-        ).values[0]
-        beta_min, lam_min, _ = run("min")
-        beta_1se, lam_1se, _ = run("1se")
-        assert lam_1se >= lam_min
-        assert (beta_1se != 0).sum() <= (beta_min != 0).sum()
-
-    def test_bad_rule(self, setup):
-        from repro.core.parallel import distributed_cv_lasso
-
-        file, _, name = setup
-
-        def prog(comm):
-            distributed_cv_lasso(comm, file, name, rule="magic")
-
-        with pytest.raises(SpmdError, match="rule"):
-            run_spmd(2, prog, machine=LAPTOP)
-
-
 class TestDistributedUoIVarGrids:
     """Fig. 8's P_B x P_lambda parallelism, functionally."""
 

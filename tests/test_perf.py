@@ -10,18 +10,14 @@ from repro.perf import (
     charge_gemm,
     charge_gemv,
     charge_trsv,
-    charge_sparse_solve,
     cholesky_flops,
     classify,
     format_breakdown_table,
     gemm_flops,
     gemv_flops,
     roofline_attainable,
-    spmm_flops,
-    spmv_flops,
     trsv_flops,
 )
-from repro.perf.flops import charge_axpy
 from repro.perf.roofline import paper_kernel_points, KNL_PEAK_GFLOPS
 from repro.simmpi import CORI_KNL, RankClock, TimeCategory
 
@@ -32,8 +28,6 @@ class TestFlopCounts:
         assert gemv_flops(5, 6) == 60
         assert cholesky_flops(6) == pytest.approx(72)
         assert trsv_flops(7) == 49
-        assert spmm_flops(100, 3) == 600
-        assert spmv_flops(100) == 200
 
     @given(m=st.integers(0, 100), n=st.integers(0, 100), k=st.integers(0, 100))
     def test_gemm_nonnegative_and_symmetric_in_mn(self, m, n, k):
@@ -43,7 +37,7 @@ class TestFlopCounts:
         with pytest.raises(ValueError):
             gemm_flops(-1, 2, 3)
         with pytest.raises(ValueError):
-            spmv_flops(-1)
+            trsv_flops(-1)
 
 
 class TestCharging:
@@ -63,9 +57,7 @@ class TestCharging:
         clock = RankClock()
         charge_gemv(clock, CORI_KNL, 10, 10)
         charge_cholesky(clock, CORI_KNL, 10)
-        charge_sparse_solve(clock, CORI_KNL, 100, 2)
-        charge_sparse_solve(clock, CORI_KNL, 100)
-        charge_axpy(clock, CORI_KNL, 1000)
+        charge_trsv(clock, CORI_KNL, 10)
         assert clock.breakdown[TimeCategory.COMPUTE] > 0
         assert clock.now == clock.breakdown[TimeCategory.COMPUTE]
 

@@ -21,7 +21,6 @@ from repro.resilience import (
     CheckpointPlan,
     CheckpointStore,
     FaultPlan,
-    recovered_loss_table,
     run_with_recovery,
     store_progress,
 )
@@ -97,8 +96,14 @@ class TestGoldenDeterminismLasso:
             4, lasso_job, machine=LAPTOP, checkpoint=CheckpointPlan(store)
         )
         out = res.values[0]
-        table = recovered_loss_table(
-            store, CFG.n_estimation_bootstraps, CFG.n_lambdas
+        table = np.array(
+            [
+                [
+                    float(store.load(f"est/k{k}/j{j}")["loss"])
+                    for j in range(CFG.n_lambdas)
+                ]
+                for k in range(CFG.n_estimation_bootstraps)
+            ]
         )
         assert np.isfinite(table).all()
         np.testing.assert_array_equal(table, out.losses)

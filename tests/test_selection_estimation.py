@@ -7,36 +7,13 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.estimation import (
     best_support_per_bootstrap,
-    fit_support_ols,
     prediction_loss,
     union_average,
 )
-from repro.core.selection import (
-    intersect_supports,
-    support_family,
-    support_of,
-    unique_supports,
-)
+from repro.core.selection import intersect_supports, support_family
+from repro.linalg.ols import ols_family_columns
 
 bool_masks = hnp.arrays(np.bool_, st.tuples(st.integers(1, 8), st.integers(1, 10)))
-
-
-class TestSupportOf:
-    def test_strict_nonzero(self):
-        beta = np.array([0.0, 1e-30, -2.0, 0.0])
-        np.testing.assert_array_equal(
-            support_of(beta), [False, True, True, False]
-        )
-
-    def test_tolerance(self):
-        beta = np.array([0.0, 1e-9, -2.0])
-        np.testing.assert_array_equal(
-            support_of(beta, tol=1e-8), [False, False, True]
-        )
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError):
-            support_of(np.ones((2, 2)))
 
 
 class TestIntersectSupports:
@@ -89,26 +66,6 @@ class TestSupportFamily:
             support_family(np.zeros((2, 3)))
 
 
-class TestUniqueSupports:
-    def test_dedupes_preserving_order(self):
-        fam = np.array(
-            [[True, False], [True, False], [False, True], [True, False]]
-        )
-        out = unique_supports(fam)
-        np.testing.assert_array_equal(out, [[True, False], [False, True]])
-
-    def test_keeps_null_model(self):
-        fam = np.array([[False, False], [True, True], [False, False]])
-        out = unique_supports(fam)
-        assert out.shape == (2, 2)
-
-    @given(masks=bool_masks)
-    def test_output_has_no_duplicates(self, masks):
-        out = unique_supports(masks)
-        seen = {row.tobytes() for row in out}
-        assert len(seen) == out.shape[0]
-
-
 class TestEstimationStage:
     @pytest.fixture
     def problem(self):
@@ -122,7 +79,7 @@ class TestEstimationStage:
         X, y, beta = problem
         assert prediction_loss(X, X @ beta, beta) == 0.0
 
-    def test_fit_support_ols_respects_masks(self, problem):
+    def test_ols_family_respects_masks(self, problem):
         X, y, _ = problem
         family = np.array(
             [
@@ -131,7 +88,7 @@ class TestEstimationStage:
                 [False, False, False, False, False, False],
             ]
         )
-        est = fit_support_ols(X, y, family)
+        est = ols_family_columns(X, y[:, None], family)
         assert est.shape == (3, 6)
         assert np.all(est[0][~family[0]] == 0.0)
         np.testing.assert_array_equal(est[2], np.zeros(6))
@@ -140,7 +97,7 @@ class TestEstimationStage:
         X, y, beta = problem
         true_mask = beta != 0
         family = np.stack([true_mask, np.ones(6, dtype=bool)])
-        est_tr = fit_support_ols(X[:40], y[:40], family)
+        est_tr = ols_family_columns(X[:40], y[:40, None], family)
         losses = np.array(
             [[prediction_loss(X[40:], y[40:], est_tr[j]) for j in range(2)]]
         )
@@ -173,7 +130,9 @@ class TestEstimationStage:
         with pytest.raises(ValueError):
             union_average(np.ones(3))
         with pytest.raises(ValueError):
-            fit_support_ols(np.ones((4, 2)), np.ones(4), np.ones(2, dtype=bool))
+            ols_family_columns(
+                np.ones((4, 2)), np.ones((4, 1)), np.ones(2, dtype=bool)
+            )
 
 
 class TestSoftIntersection:

@@ -1,124 +1,42 @@
-"""Ingestion layer: double buffer, ingest thread, tick sources.
+"""Tick sources.
 
-The contract under test: the exchange is bounded (backpressure or
-bounded shedding, never unbounded growth), lossless under the
-``"block"`` policy, and the socket/replay sources deliver ticks
+The contract under test: the socket/replay sources deliver ticks
 bitwise equal to their batch counterparts.
 """
 
+import socket
 import threading
-import time
 
 import numpy as np
 import pytest
 
 from repro.datasets import finance, var_synthetic
-from repro.stream import (
-    DoubleBuffer,
-    FinanceReplaySource,
-    Ingestor,
-    SocketSource,
-    SpikeRateSource,
-    serve_ticks,
-)
+from repro.stream import FinanceReplaySource, SocketSource, SpikeRateSource
+from repro.wire import LineChannel, encode_array
 
 
-# ---------------------------------------------------------------------------
-# double buffer
-# ---------------------------------------------------------------------------
-class TestDoubleBuffer:
-    def test_block_policy_is_lossless_in_order(self):
-        buf = DoubleBuffer(capacity=4, policy="block")
-        rows = [np.array([float(i)]) for i in range(50)]
-        ing = Ingestor(iter(rows), buf)
-        ing.start()
-        out = list(buf.drain())
-        ing.join()
-        ing.check()
-        assert [r[0] for r in out] == [float(i) for i in range(50)]
-        assert buf.produced == 50 and buf.dropped == 0
+def serve_ticks(rows):
+    """Serve ``rows`` to one :class:`SocketSource` client on a daemon
+    thread; returns ``((host, port), thread)``."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    addr = listener.getsockname()[:2]
 
-    def test_block_policy_exerts_backpressure(self):
-        buf = DoubleBuffer(capacity=2, policy="block")
-        buf.put(np.zeros(1))
-        buf.put(np.zeros(1))
-        blocked = threading.Event()
-        passed = threading.Event()
-
-        def producer():
-            blocked.set()
-            buf.put(np.ones(1))  # must wait for the consumer's swap
-            passed.set()
-
-        t = threading.Thread(target=producer, daemon=True)
-        t.start()
-        assert blocked.wait(1.0)
-        assert not passed.wait(0.05), "put returned despite a full buffer"
-        assert len(buf.swap()) == 2
-        assert passed.wait(1.0), "put still blocked after the swap"
-        t.join()
-
-    def test_drop_policy_sheds_oldest_and_counts(self):
-        buf = DoubleBuffer(capacity=3, policy="drop")
-        for i in range(10):
-            buf.put(np.array([float(i)]))
-        buf.close()
-        kept = [r[0] for r in buf.drain()]
-        assert kept == [7.0, 8.0, 9.0]
-        assert buf.dropped == 7 and buf.produced == 10
-
-    def test_close_wakes_blocked_producer(self):
-        buf = DoubleBuffer(capacity=1, policy="block")
-        buf.put(np.zeros(1))
-        errors = []
-
-        def producer():
+    def _serve():
+        with listener:
+            conn, _ = listener.accept()
+            channel = LineChannel(conn)
             try:
-                buf.put(np.ones(1))
-            except ValueError as exc:
-                errors.append(exc)
+                for row in rows:
+                    channel.send({"tick": encode_array(np.asarray(row, dtype=float))})
+                channel.send({"end": True})
+            except BrokenPipeError:
+                pass  # the client hung up on a rejected tick
+            finally:
+                channel.close()
 
-        t = threading.Thread(target=producer, daemon=True)
-        t.start()
-        time.sleep(0.05)
-        buf.close()
-        t.join(1.0)
-        assert not t.is_alive()
-        assert errors and "closed" in str(errors[0])
-
-    def test_put_after_close_raises(self):
-        buf = DoubleBuffer()
-        buf.close()
-        with pytest.raises(ValueError, match="closed"):
-            buf.put(np.zeros(1))
-
-    def test_drain_delivers_tick_racing_close(self):
-        buf = DoubleBuffer(capacity=8)
-        buf.put(np.array([1.0]))
-        buf.close()
-        assert [r[0] for r in buf.drain()] == [1.0]
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="capacity"):
-            DoubleBuffer(capacity=0)
-        with pytest.raises(ValueError, match="policy"):
-            DoubleBuffer(policy="spill")
-
-
-class TestIngestor:
-    def test_source_error_is_captured_and_reraised(self):
-        def bad_source():
-            yield np.zeros(2)
-            raise RuntimeError("feed died")
-
-        buf = DoubleBuffer()
-        ing = Ingestor(bad_source(), buf)
-        ing.start()
-        rows = list(buf.drain())
-        ing.join()
-        assert len(rows) == 1
-        with pytest.raises(RuntimeError, match="ingestion failed"):
-            ing.check()
+    thread = threading.Thread(target=_serve, daemon=True)
+    thread.start()
+    return addr, thread
 
 
 # ---------------------------------------------------------------------------
@@ -186,18 +104,6 @@ class TestSocketSource:
         got = list(src)
         server.join(5.0)
         assert src.p == 3 and src.received == len(rows)
-        assert all(np.array_equal(a, b) for a, b in zip(got, rows))
-
-    def test_feeds_ingestor_end_to_end(self):
-        rows = [np.full(2, float(i)) for i in range(12)]
-        addr, server = serve_ticks(iter(rows))
-        buf = DoubleBuffer(capacity=4)
-        ing = Ingestor(SocketSource.connect(*addr), buf)
-        ing.start()
-        got = list(buf.drain())
-        ing.join()
-        ing.check()
-        server.join(5.0)
         assert all(np.array_equal(a, b) for a, b in zip(got, rows))
 
     def test_shape_mismatch_rejected(self):

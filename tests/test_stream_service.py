@@ -104,7 +104,6 @@ class TestLifecycle:
         from repro.analysis import planver
         from repro.engine import VarPlan
 
-        monkeypatch.delenv("REPRO_PLAN_VERIFY", raising=False)
         verified = []
         real = planver.assert_valid_plan
 

@@ -30,7 +30,6 @@ from repro.telemetry import (
     read_manifest,
     resolve_telemetry,
     span,
-    tracer_to_chrome,
     use_recorder,
     validate_chrome_trace,
 )
@@ -375,21 +374,6 @@ class TestExport:
         assert "breakdown (s)" in text
         for cat in CATEGORY_ORDER:
             assert cat in text
-
-    def test_simmpi_tracer_bridge(self):
-        from repro.simmpi.clock import TimeCategory
-        from repro.simmpi.trace import Tracer
-
-        tracer = Tracer()
-        tracer.record(0, TimeCategory.COMPUTE, 0.0, 1.0)
-        tracer.record(1, TimeCategory.COMMUNICATION, 0.5, 2.0)
-        doc = tracer_to_chrome(tracer)
-        assert validate_chrome_trace(doc) == []
-        assert doc["otherData"]["virtual_time"] is True
-        cats = {ev["cat"] for ev in doc["traceEvents"]}
-        assert cats == {"computation", "communication"}
-        tids = {ev["tid"] for ev in doc["traceEvents"]}
-        assert tids == {0, 1}
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import random_sparse_coefs
-from repro.metrics import (
-    adjacency_hamming,
-    degree_profile_distance,
-    edge_jaccard,
-)
+from repro.metrics import edge_jaccard
 from repro.var import (
     OrderSelection,
     VARProcess,
@@ -91,29 +87,8 @@ class TestGraphMetrics:
         assert edge_jaccard(a, b) == 1.0  # only self-loops differ
         assert edge_jaccard(a, b, include_diagonal=True) == 0.0
 
-    def test_hamming(self):
-        a = np.array([[0, 1.0], [0, 0]])
-        b = np.array([[0, 0], [1.0, 0]])
-        assert adjacency_hamming(a, b) == 2
-        assert adjacency_hamming(a, a) == 0
-
-    def test_degree_profile_invariant_to_relabeling(self):
-        rng = np.random.default_rng(3)
-        W = (rng.random((6, 6)) < 0.3).astype(float)
-        np.fill_diagonal(W, 0.0)
-        perm = rng.permutation(6)
-        W2 = W[np.ix_(perm, perm)]
-        assert degree_profile_distance(W, W2) == 0.0
-
-    def test_degree_profile_detects_extra_edges(self):
-        a = np.zeros((4, 4))
-        b = np.zeros((4, 4)); b[0, 1] = b[0, 2] = 1.0
-        assert degree_profile_distance(a, b) > 0.0
-
     def test_validation(self):
         with pytest.raises(ValueError, match="square"):
             edge_jaccard(np.ones((2, 3)), np.ones((2, 3)))
         with pytest.raises(ValueError, match="mismatch"):
-            adjacency_hamming(np.ones((2, 2)), np.ones((3, 3)))
-        with pytest.raises(ValueError, match="mismatch"):
-            degree_profile_distance(np.ones((2, 2)), np.ones((3, 3)))
+            edge_jaccard(np.ones((2, 2)), np.ones((3, 3)))
