@@ -89,18 +89,6 @@ class Finding:
             "context": dict(self.context),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Finding":
-        return cls(
-            rule=d["rule"],
-            severity=d["severity"],
-            message=d["message"],
-            file=d["file"],
-            line=int(d.get("line", 0)),
-            source=d.get("source", "lint"),
-            context=dict(d.get("context", {})),
-        )
-
 
 def _severity_key(f: Finding) -> tuple:
     return (SEVERITIES.index(f.severity), f.file, f.line, f.rule)

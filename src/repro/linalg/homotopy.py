@@ -24,9 +24,16 @@ Numerics:
 
 * ``G_A`` is held as an upper Cholesky factor in LAPACK packed storage,
   whose first ``k`` columns are a prefix of the buffer: a join appends
-  one column with one triangular solve (``dtpsv``), a drop re-appends
-  only the columns after the dropped one, and the direction is one
-  two-RHS ``dpptrs``.
+  one column with one triangular solve (``dtpsv``), and the direction
+  is one two-RHS ``dpptrs``.  A drop keeps the columns before the
+  dropped one and the rows above it; the upper-Hessenberg block the
+  later columns leave below it is re-triangularised by one QR
+  (``dgeqrf``), so a drop costs a fixed number of calls however many
+  columns follow it.  Every new pivot passes the test a joining column
+  does (:data:`PIVOT_MIN`).
+* The join times of both sides are one pass over ``(2, p)`` buffers,
+  and the first drop is an ``argmax`` over the active set, with no
+  per-step allocation.
 * ``b_A`` is re-solved from ``(w, d)`` and ``c`` recomputed from the
   residual at every step, so neither drifts along the path.
 * A join rate ``1 ∓ a_j`` at or below :data:`RATE_MIN` (``a = X'X_A d``)
@@ -36,7 +43,7 @@ Numerics:
   moved, which rules out LARS's drop/rejoin cycle at a kink.
 
 Every grid solution is certified against the KKT conditions
-(:func:`kkt_certified`).  A failed certificate, a failed Cholesky
+(:func:`kkt_certified`).  A failed certificate, a failed factor
 pivot or a path longer than its step bound makes
 :func:`lasso_homotopy` return ``None``; the caller re-solves on ADMM.
 """
@@ -47,7 +54,7 @@ import math
 
 import numpy as np
 from scipy.linalg.blas import dtpsv
-from scipy.linalg.lapack import dpptrs
+from scipy.linalg.lapack import dgeqrf, dpptrs, dtpttr, dtrttp
 
 from repro.telemetry.recorder import count as _tcount
 
@@ -66,6 +73,10 @@ RATE_MIN = 1e-9
 
 #: Step bound per unit of ``min(n, p)`` (plus one step per grid point).
 STEPS_PER_RANK = 8
+
+#: Row ``0`` of the join-time pass is side ``+``, row ``1`` side ``-``:
+#: ``∓c`` and ``∓a`` are ``c`` and ``a`` times these.
+_SIDES = np.array([[-1.0], [1.0]])
 
 
 def kkt_certified(corr: np.ndarray, beta: np.ndarray, lam: float) -> bool:
@@ -107,11 +118,16 @@ class _Path:
         self.bd = np.empty(2 * size)  # [b_A(gamma), d]
         self.U = np.empty((n, 2), order="F")  # [r, X_A d]
         self.CA = np.empty((p, 2), order="F")  # [c, a] = X' [r, X_A d]
-        self.num = np.empty(p)
-        self.den = np.empty(p)
-        self.tp = np.empty(p)
-        self.tm = np.empty(p)
-        self.ok = np.empty(p, dtype=bool)
+        self.num = np.empty((2, p))  # per side (+, -): gamma ∓ c, clipped at 0
+        self.den = np.empty((2, p))  # per side: the join rate 1 ∓ a
+        self.ok = np.empty((2, p), dtype=bool)
+        self.times = np.empty((2, p))  # per side: steps to the join, inf for never
+        self.first = np.empty(p)  # the earlier side's join time
+        self.sq = np.empty(size)  # squared norms of the active columns
+        self.sd = np.empty(size)  # s_A * d, negative where |b_i| shrinks
+        self.sb = np.empty(size)  # s_A * b_A, clipped at 0
+        self.shrink = np.empty(size, dtype=bool)
+        self.neg = np.empty(size)  # minus the steps to each drop, -inf for never
 
     # ------------------------------------------------------- factor
     def _factor_column(self, i: int) -> bool:
@@ -122,7 +138,7 @@ class _Path:
         np.matmul(self.XA[:, :i].T, col, out=g)
         if i:  # in place when f2py can; the assignment covers a copy
             g[:] = dtpsv(i, self.R[:off], g, lower=0, trans=1, overwrite_x=1)
-        sq = float(col @ col)
+        sq = self.sq[i] = float(col @ col)
         pivot = sq - float(g @ g)
         if not pivot > PIVOT_MIN * sq:
             return False
@@ -139,13 +155,29 @@ class _Path:
         return self._factor_column(k)
 
     def drop(self, i: int) -> bool:
-        """Remove active position ``i``; refactor the columns after it."""
+        """Remove active position ``i``; one QR re-triangularises the rest.
+
+        The later columns keep their rows above ``i``.  Below it they
+        form an upper-Hessenberg block whose R factor, with its rows'
+        signs fixed so the diagonal is positive, is the new trailing
+        factor: ``R'R`` is ``XA'XA`` without row and column ``i``.
+        """
         k = self.k - 1
-        for buf in (self.idx, self.sgn, self.xty):
+        for buf in (self.idx, self.sgn, self.xty, self.sq):
             buf[i:k] = buf[i + 1:k + 1]
         self.XA[:, i:k] = self.XA[:, i + 1:k + 1]
         self.k = k
-        return all(self._factor_column(col) for col in range(i, k))
+        if i == k:  # the last column: the prefix is the factor
+            return True
+        full, _ = dtpttr(k + 1, self.R[:(k + 1) * (k + 2) // 2])
+        qr, _, _, _ = dgeqrf(full[i:, i + 1:])
+        full[:i, i:k] = full[:i, i + 1:]
+        diag = qr.diagonal()
+        np.multiply(qr[:k - i], np.sign(diag)[:, None], out=full[i:k, i:k])
+        if not np.all(diag * diag > PIVOT_MIN * self.sq[i:k]):
+            return False
+        self.R[:k * (k + 1) // 2], _ = dtrttp(full[:k, :k])
+        return True
 
     # ------------------------------------------------------ segment
     def solve(self) -> None:
@@ -174,40 +206,47 @@ class _Path:
         np.subtract(self.y, r, out=r)
         np.matmul(self.X.T, self.U, out=self.CA)
 
-    def _join_times(self, gamma: float, side: float, out: np.ndarray) -> None:
-        """Steps until ``side * c_j`` meets ``gamma``, ``inf`` for never."""
-        c, a = self.CA[:, 0], self.CA[:, 1]
-        np.multiply(c, -side, out=self.num)
-        np.add(self.num, gamma, out=self.num)
-        np.maximum(self.num, 0.0, out=self.num)
-        np.multiply(a, -side, out=self.den)
-        np.add(self.den, 1.0, out=self.den)
-        np.greater(self.den, RATE_MIN, out=self.ok)
-        out.fill(np.inf)
-        np.divide(self.num, self.den, out=out, where=self.ok)
-
     def next_event(self, gamma: float, barred: int) -> tuple[float, int, float]:
         """``(t, j, sign)``: the step to the next join (``j >= 0``, with
-        its sign) or drop (``j = -1 - position``); ``t = inf`` if none."""
+        its sign) or drop (``j = -1 - position``); ``t = inf`` if none.
+
+        A join of ``j`` on side ``±`` is ``max(gamma ∓ c_j, 0) / (1 ∓ a_j)``
+        steps away, or never at a rate at or below :data:`RATE_MIN`.  Both
+        sides are one pass over ``(2, p)`` rows; a tie goes to the lower
+        index, then to ``+``.
+        """
         k = self.k
-        self._join_times(gamma, 1.0, self.tp)
-        self._join_times(gamma, -1.0, self.tm)
-        np.minimum(self.tp, self.tm, out=self.num)
-        self.num[self.idx[:k]] = np.inf
+        num, den, times = self.num, self.den, self.times
+        np.multiply(self.CA[:, 0], _SIDES, out=num)
+        np.add(num, gamma, out=num)
+        np.maximum(num, 0.0, out=num)
+        np.multiply(self.CA[:, 1], _SIDES, out=den)
+        np.add(den, 1.0, out=den)
+        np.greater(den, RATE_MIN, out=self.ok)
+        times.fill(np.inf)
+        np.divide(num, den, out=times, where=self.ok)
+        first = self.first
+        np.minimum(times[0], times[1], out=first)
+        first[self.idx[:k]] = np.inf
         if barred >= 0:
-            self.num[barred] = np.inf
-        j = int(np.argmin(self.num))
-        t = float(self.num[j])
-        sign = 1.0 if self.tp[j] <= self.tm[j] else -1.0
+            first[barred] = np.inf
+        j = int(np.argmin(first))
+        t = float(first[j])
+        sign = 1.0 if times[0, j] <= times[1, j] else -1.0
         if k:
-            s, b, d = self.sgn[:k], self.bd[:k], self.bd[k:2 * k]
-            rate = -s * d  # > 0 where |b_i| shrinks as gamma falls
-            shrink = rate > 0.0
-            if shrink.any():
-                times = np.maximum(s[shrink] * b[shrink], 0.0) / rate[shrink]
-                pos = int(np.argmin(times))
-                if times[pos] < t:
-                    return float(times[pos]), -1 - int(np.flatnonzero(shrink)[pos]), 0.0
+            # b_i reaches 0 after max(s_i b_i, 0) / -(s_i d_i) steps where
+            # s_i d_i < 0; argmax of minus that takes the first earliest.
+            sd, sb, neg = self.sd[:k], self.sb[:k], self.neg[:k]
+            s = self.sgn[:k]
+            np.multiply(s, self.bd[k:2 * k], out=sd)
+            np.multiply(s, self.bd[:k], out=sb)
+            np.maximum(sb, 0.0, out=sb)
+            np.less(sd, 0.0, out=self.shrink[:k])
+            neg.fill(-np.inf)
+            np.divide(sb, sd, out=neg, where=self.shrink[:k])
+            pos = int(np.argmax(neg))
+            if -neg[pos] < t:
+                return -float(neg[pos]), -1 - pos, 0.0
         return t, j, sign
 
     def follow(self, lambdas: np.ndarray, out: np.ndarray, max_steps: int) -> bool:

@@ -1,7 +1,11 @@
 """Exact homotopy LASSO path: the ``n < p`` selection solver."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dtpttr
 
 from repro.core import UoILasso, UoILassoConfig
 from repro.datasets import make_sparse_regression
@@ -13,8 +17,9 @@ from repro.engine import (
     SimMpiExecutor,
 )
 from repro.engine.plans import lasso_path
+from repro.linalg import homotopy
 from repro.linalg.admm import LassoADMM
-from repro.linalg.homotopy import kkt_certified, lasso_homotopy
+from repro.linalg.homotopy import _Path, kkt_certified, lasso_homotopy
 from repro.linalg.lambda_grid import lambda_grid
 from repro.resilience import CheckpointPlan, CheckpointStore
 from repro.telemetry.recorder import Recorder, use_recorder
@@ -67,9 +72,19 @@ class TestPath:
             np.testing.assert_array_equal(row != 0, beta != 0)
             np.testing.assert_allclose(row, beta, atol=1e-8)
 
-    def test_uncertified_path_falls_back_to_admm_and_is_counted(self, monkeypatch):
-        from repro.linalg import homotopy
+    def test_path_with_drops_is_certified_and_matches_tight_cd(self):
+        from repro.linalg.cd import lasso_cd
 
+        X, y = _wide(40, 120, seed=2)
+        lambdas = lambda_grid(X, y, num=10)
+        out, counters = _assert_certified(X, y, lambdas)
+        assert counters["homotopy.drops"] >= 5
+        beta = None
+        for row, lam in zip(out, lambdas):
+            beta = lasso_cd(X, y, float(lam), beta0=beta, max_iter=100000, tol=1e-12)
+            np.testing.assert_array_equal(row != 0, beta != 0)
+
+    def test_uncertified_path_falls_back_to_admm_and_is_counted(self, monkeypatch):
         X, y = _wide()
         lambdas = lambda_grid(X, y, num=8)
         monkeypatch.setattr(homotopy, "STEPS_PER_RANK", 0)  # bound: q steps
@@ -156,6 +171,174 @@ class TestDegenerateInputs:
         lambdas = lambda_grid(Xb, yb, num=12, eps=1e-6)
         out, _ = _assert_certified(Xb, yb, lambdas)
         assert np.count_nonzero(out[-1]) == rank
+
+
+def _assert_factor(path):
+    """``R'R`` equals ``XA'XA`` of the active columns, with positive pivots."""
+    k = path.k
+    XA = path.XA[:, :k]
+    np.testing.assert_array_equal(XA, path.X[:, path.idx[:k]])
+    if not k:
+        return
+    R = np.triu(dtpttr(k, path.R[:k * (k + 1) // 2])[0])
+    assert (np.diag(R) > 0).all()
+    G = XA.T @ XA
+    np.testing.assert_allclose(R.T @ R, G, rtol=0, atol=1e-10 * np.abs(G).max())
+
+
+class TestFactor:
+    """The packed factor through arbitrary join/drop sequences."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 24),
+        extra=st.integers(1, 30),
+        bootstrap=st.booleans(),
+        events=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 10**6)), min_size=1, max_size=60
+        ),
+    )
+    def test_invariant_after_every_join_and_drop(self, seed, n, extra, bootstrap, events):
+        rng = np.random.default_rng(seed)
+        p = n + extra
+        X = rng.standard_normal((n, p))
+        X[:, 1] = X[:, 0]  # a duplicated column: never active beside its twin
+        if bootstrap:  # rows drawn from fewer distinct ones: rank(X) < n
+            X = X[rng.choice(max(2, n // 2), size=n)]
+        rank = np.linalg.matrix_rank(X)
+        path = _Path(np.ascontiguousarray(X), rng.standard_normal(n))
+        for join, pick in events:
+            k = path.k
+            active = set(path.idx[:k].tolist())
+            if k and (not join or k == rank):
+                assert path.drop(pick % k)
+            else:
+                twins = {0, 1} if active & {0, 1} else set()
+                free = [j for j in range(p) if j not in active | twins]
+                assert path.join(free[pick % len(free)], 1.0 if pick % 2 else -1.0)
+            _assert_factor(path)
+
+
+def _parent_next_event(c, a, gamma, idx, barred, s, b, d):
+    """The event search as two per-side join-time passes and a drop search
+    by boolean compression: the reference ``_Path.next_event`` must match."""
+
+    def join_times(side):
+        num = np.maximum(c * -side + gamma, 0.0)
+        den = a * -side + 1.0
+        out = np.full(len(c), np.inf)
+        np.divide(num, den, out=out, where=den > homotopy.RATE_MIN)
+        return out
+
+    tp, tm = join_times(1.0), join_times(-1.0)
+    first = np.minimum(tp, tm)
+    first[idx] = np.inf
+    if barred >= 0:
+        first[barred] = np.inf
+    j = int(np.argmin(first))
+    t = float(first[j])
+    sign = 1.0 if tp[j] <= tm[j] else -1.0
+    if len(idx):
+        rate = -s * d
+        shrink = rate > 0.0
+        if shrink.any():
+            times = np.maximum(s[shrink] * b[shrink], 0.0) / rate[shrink]
+            pos = int(np.argmin(times))
+            if times[pos] < t:
+                return float(times[pos]), -1 - int(np.flatnonzero(shrink)[pos]), 0.0
+    return t, j, sign
+
+
+#: ``1 ∓ a`` cannot land on ``1e-9`` itself; the event tests move
+#: ``RATE_MIN`` to the nearest rate it can land on.
+_RATE_EDGE = 1.0 - (1.0 - homotopy.RATE_MIN)
+_EDGE_A = 1.0 - homotopy.RATE_MIN
+_SPECIAL_A = [0.0, -0.0, 1.0, -1.0, 0.5, _EDGE_A, -_EDGE_A,
+              math.nextafter(_EDGE_A, 2.0), math.nextafter(_EDGE_A, 0.0)]
+_SPECIAL_C = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0]
+
+
+def _event_state(c, a, gamma, active, barred, s, b, d):
+    """A ``_Path`` whose buffers hold the given correlations and segment."""
+    p, k = len(c), len(active)
+    path = _Path(np.zeros((p, p)), np.zeros(p))
+    path.CA[:, 0], path.CA[:, 1] = c, a
+    path.k = k
+    path.idx[:k], path.sgn[:k] = active, s
+    path.bd[:k], path.bd[k:2 * k] = b, d
+    return path
+
+
+def _bits(event):
+    t, j, sign = event
+    return np.float64(t).tobytes(), j, np.float64(sign).tobytes()
+
+
+@st.composite
+def _events(draw):
+    p = draw(st.integers(1, 12))
+    floats = st.floats(-4.0, 4.0, allow_nan=False)
+    c = np.array(draw(st.lists(st.one_of(st.sampled_from(_SPECIAL_C), floats),
+                               min_size=p, max_size=p)))
+    a = np.array(draw(st.lists(st.one_of(st.sampled_from(_SPECIAL_A), floats),
+                               min_size=p, max_size=p)))
+    gamma = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 4.0)))
+    order = draw(st.permutations(range(p)))
+    k = draw(st.integers(0, p))
+    active = np.array(order[:k], dtype=np.intp)
+    barred = draw(st.sampled_from([-1, *order[k:]]))
+    s = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=k, max_size=k)))
+    segment = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), floats)
+    b = np.array(draw(st.lists(segment, min_size=k, max_size=k)))
+    d = np.array(draw(st.lists(segment, min_size=k, max_size=k)))
+    return c, a, gamma, active, barred, s, b, d
+
+
+class TestEventSearch:
+    """``next_event`` returns the per-side formula's ``(t, j, sign)`` bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(state=_events())
+    def test_matches_the_per_side_formula(self, state):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(homotopy, "RATE_MIN", _RATE_EDGE)
+            got = _event_state(*state).next_event(state[2], state[4])
+            assert _bits(got) == _bits(_parent_next_event(*state))
+
+    def test_rate_at_the_threshold_is_never(self, monkeypatch):
+        monkeypatch.setattr(homotopy, "RATE_MIN", _RATE_EDGE)
+        c = np.array([0.5, 0.5, -0.5, -0.5, 0.5])
+        a = np.array([_EDGE_A, math.nextafter(_EDGE_A, 0.0), -_EDGE_A, 0.0, 0.0])
+        assert 1.0 - a[0] == _RATE_EDGE  # exactly at the threshold
+        state = (c, a, 1.0, np.empty(0, np.intp), -1, *[np.empty(0)] * 3)
+        path = _event_state(*state)
+        assert _bits(path.next_event(1.0, -1)) == _bits(_parent_next_event(*state))
+        times = path.times
+        assert times[0, 0] == np.inf and times[1, 2] == np.inf  # at: never
+        assert np.isfinite(times[0, 1])  # one ulp above: reached
+
+    def test_ties_go_to_the_lower_index_then_to_plus(self):
+        # c = a = 0: both sides of every index join after gamma steps.
+        c, a = np.zeros(4), np.zeros(4)
+        state = (c, a, 1.0, np.array([0], np.intp), 2, *[np.zeros(1)] * 3)
+        got = _event_state(*state).next_event(1.0, 2)
+        assert got == (1.0, 1, 1.0)
+        assert _bits(got) == _bits(_parent_next_event(*state))
+
+    @pytest.mark.parametrize("barred", [-1, 3])
+    def test_all_masked_is_inf(self, barred):
+        # Every index active (or barred); index 0's unmasked times favour
+        # "-", which the sign still reports, as the per-side formula did.
+        c = np.array([-0.5, 0.1, 0.2, 0.3])
+        a = np.zeros(4)
+        active = np.array([0, 1, 2] if barred >= 0 else [0, 1, 2, 3], np.intp)
+        k = len(active)
+        s, b, d = np.ones(k), np.ones(k), np.ones(k)  # every |b_i| grows
+        state = (c, a, 1.0, active, barred, s, b, d)
+        got = _event_state(*state).next_event(1.0, barred)
+        assert got == (math.inf, 0, -1.0)
+        assert _bits(got) == _bits(_parent_next_event(*state))
 
 
 class TestSelectionIsExact:
