@@ -1,41 +1,34 @@
 """Correctness tooling for the SPMD substrate (``repro.analysis``).
 
-Seven checkers, one findings currency (:mod:`repro.analysis.findings`,
-rules in :mod:`repro.analysis.rules`):
+One findings currency (:mod:`~repro.analysis.findings`; rules and
+:func:`~repro.analysis.rules.finding` in :mod:`~repro.analysis.rules`)
+and one parse of the tree, :class:`~repro.analysis.source.SourceIndex`,
+which owns the call resolver and call graph, the per-function visitor
+base and the ``# repro: ignore[RULE]`` suppressions.  Six static
+passes read it:
 
-* :mod:`repro.analysis.linter` — an AST-based **static SPMD linter**
-  enforcing the communication discipline the paper's implementation
-  depends on (rules ``SPMD001``-``SPMD004``);
-* :mod:`repro.analysis.shapes` — a **symbolic shape/dtype/memory
-  abstract interpreter** (rules ``SHAPE101``-``SHAPE103``) proving
-  the Kronecker lifting is never densely materialized and no
-  allocation exceeds the per-rank budget at paper scale;
-* :mod:`repro.analysis.determinism` — a **determinism-taint pass**
-  (rules ``DET301``-``DET304``) tracing nondeterminism sources into
-  code reachable from ``UoIPlan.run_chain``/``reduce``;
-* :mod:`repro.analysis.planver` — a **pre-run plan verifier**
-  (rules ``PLAN401``-``PLAN404``): :func:`verify_plan` over
-  constructed plans (opt-in at run time via ``run_plan(...,
-  verify=True)`` or a ``verify``-marked executor) plus an AST side;
-* :mod:`repro.analysis.threads` — a **lock-order / shared-state
-  pass** over the threaded layers (rules ``LOCK501``-``LOCK504``);
-* :mod:`repro.analysis.alloc` — an **allocation/copy pass** over the
-  hot regions (rules ``ALLOC601``-``ALLOC604``), each finding carrying
-  a byte estimate at paper scale;
-* :mod:`repro.analysis.dynamic` — **runtime checkers** wired into
-  :mod:`repro.simmpi` via ``run_spmd(checker=...)`` (rules
-  ``DYN201``-``DYN205``), plus the ``LockOrderObserver`` (``DYN206``)
-  behind the ``instrumented_lock`` factories and
-  ``REPRO_THREAD_CHECK=1``; its allocation twin ``DYN207`` lives in
-  :mod:`repro.analysis.allocobs`.
+* :mod:`~repro.analysis.linter` — SPMD discipline (``SPMD001``-``004``);
+* :mod:`~repro.analysis.shapes` — symbolic shape/dtype/memory
+  interpretation (``SHAPE101``-``103``), whose evaluation ALLOC reuses;
+* :mod:`~repro.analysis.determinism` — taint from nondeterminism
+  sources into plan-reachable code (``DET301``-``304``);
+* :mod:`~repro.analysis.planver` — the AST side of the plan verifier
+  (``PLAN401``, ``PLAN404``), beside the runtime :func:`verify_plan`
+  and lease check (``PLAN401``-``405``);
+* :mod:`~repro.analysis.threads` — lock order and shared state
+  (``LOCK501``-``504``);
+* :mod:`~repro.analysis.alloc` — allocation churn in the hot regions
+  (``ALLOC601``-``604``).
 
-The six static passes read one parse of the tree,
-:class:`repro.analysis.source.SourceIndex`, which also owns the
-``# repro: ignore[RULE]`` suppressions.  ``repro check
-lint|shapes|determinism|plan|threads|alloc|static|dynamic|all`` (see
-:mod:`repro.analysis.check`) runs them and gates CI on zero findings;
-``--format sarif`` exports SARIF 2.1.0 (:mod:`repro.analysis.sarif`).
-Every rule is documented in ``docs/static-analysis.md``.
+The runtime side: :mod:`~repro.analysis.dynamic` holds the simmpi
+:class:`DynamicChecker` (``DYN201``-``205``) and the one observer base
+under the ``LockOrderObserver`` (``DYN206``, behind the
+``instrumented_lock`` factories and ``REPRO_THREAD_CHECK=1``) and
+:mod:`~repro.analysis.allocobs`'s ``AllocationObserver`` (``DYN207``).
+``repro check`` (:mod:`~repro.analysis.check`) runs them all and gates
+CI on zero findings; ``--format sarif`` exports SARIF 2.1.0
+(:mod:`~repro.analysis.sarif`).  Every rule is documented in
+``docs/static-analysis.md``.
 
 This package module imports nothing: production code imports the
 runtime pieces (``dynamic``, ``planver``) from their defining modules

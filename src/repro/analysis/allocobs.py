@@ -5,14 +5,10 @@ this module *measures* it on a real engine run and attributes it to
 each (stage, bootstrap, λ) subproblem, exactly the static↔runtime
 pairing the DYN206 lock observer gives the LOCK5xx pass:
 
-* an :class:`AllocationObserver`, while installed, (a) runs
-  ``tracemalloc`` so every interval gets *net* retained bytes and the
-  *peak* above its entry point — numpy data buffers are tracked, and
-  per-iteration temporaries that never survive an interval still show
-  up in the peak — and (b) wraps the numpy constructor family
-  (``zeros``/``empty``/``ones``/``full``/``eye``/``kron``/``*_like`` +
-  ``ascontiguousarray``) so each fresh buffer is attributed to the
-  calling ``file:line``;
+* an :class:`AllocationObserver`, while installed, runs
+  ``tracemalloc`` (net retained bytes and the peak per interval) and
+  wraps the numpy constructors in :data:`PATCHED_CONSTRUCTORS` so
+  each fresh buffer is attributed to the calling ``file:line``;
 * an :class:`AllocationHook` attached to
   :func:`repro.engine.run_plan` slices the observation into
   per-subproblem intervals using the same between-consecutive-events
@@ -39,14 +35,13 @@ from __future__ import annotations
 import json
 import os
 import sys
-import threading
 import tracemalloc
 from typing import Any
 
 import numpy as np
 
+from repro.analysis.dynamic import Observer
 from repro.analysis.findings import Finding
-from repro.analysis.rules import get_rule
 from repro.engine.hooks import EngineHook
 
 __all__ = [
@@ -107,57 +102,46 @@ class _SiteStats:
         return {"calls": self.calls, "bytes": self.nbytes}
 
 
-class AllocationObserver:
+class AllocationObserver(Observer):
     """Measures ndarray allocation behaviour while installed.
 
+    Installing starts tracemalloc and wraps the constructor family;
+    :func:`cross_check` reports its ``DYN207`` findings.
     Thread-safety: constructor wrappers may fire from worker threads
     (elastic backend); site accounting takes a plain lock.  Interval
     slicing (:meth:`begin_interval`/:meth:`end_interval`) happens on
     the engine's dispatching thread only, same as every engine hook.
     """
 
+    rule = "DYN207"
+
     def __init__(self) -> None:
+        super().__init__()
         #: closed interval records, in dispatch order.
         self.records: list[dict[str, Any]] = []
         #: cumulative (file, line) -> stats across the whole install.
         self.sites: dict[tuple[str, int], _SiteStats] = {}
-        self._lock = threading.Lock()
-        self._installed = 0
         self._originals: dict[str, Any] = {}
         self._started_tracemalloc = False
         self._interval_sites: dict[tuple[str, int], _SiteStats] = {}
         self._net0: int = 0
         self._open = False
 
-    # -------------------------------------------------------- install
-    def install(self) -> None:
-        """Start tracemalloc and wrap the constructor family
-        (idempotent, reference-counted)."""
-        with self._lock:
-            self._installed += 1
-            if self._installed > 1:
-                return
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-                self._started_tracemalloc = True
-            for name in PATCHED_CONSTRUCTORS:
-                original = getattr(np, name)
-                self._originals[name] = original
-                setattr(np, name, self._wrap(name, original))
+    def _attach(self) -> None:
+        if not tracemalloc.is_tracing():
+            tracemalloc.start()
+            self._started_tracemalloc = True
+        for name in PATCHED_CONSTRUCTORS:
+            original = self._originals[name] = getattr(np, name)
+            setattr(np, name, self._wrap(name, original))
 
-    def uninstall(self) -> None:
-        with self._lock:
-            if self._installed == 0:
-                return
-            self._installed -= 1
-            if self._installed:
-                return
-            for name, original in self._originals.items():
-                setattr(np, name, original)
-            self._originals.clear()
-            if self._started_tracemalloc:
-                tracemalloc.stop()
-                self._started_tracemalloc = False
+    def _detach(self) -> None:
+        for name, original in self._originals.items():
+            setattr(np, name, original)
+        self._originals.clear()
+        if self._started_tracemalloc:
+            tracemalloc.stop()
+            self._started_tracemalloc = False
 
     def _wrap(self, name: str, original: Any) -> Any:
         def wrapper(*args: Any, **kwargs: Any) -> Any:
@@ -321,35 +305,25 @@ def cross_check(
     threshold_calls = HOT_MIN_CALLS_PER_TASK * tasks
     findings: list[Finding] = []
     observed: set[tuple[str, int]] = set()
-    rule = get_rule("DYN207")
     for (path, line), stats in sorted(observer.site_totals().items()):
         observed.add((path, line))
-        if path not in scanned_files:
-            continue
-        if (path, line) in static_sites:
-            continue
-        if stats["calls"] < threshold_calls or stats["bytes"] < HOT_MIN_BYTES:
-            continue
-        findings.append(
-            Finding(
-                rule=rule.id,
-                severity=rule.severity,
-                message=(
-                    "runtime allocation hotspot with no static ALLOC "
-                    f"finding or suppression: {stats['calls']} constructor "
-                    f"calls / {stats['bytes']} bytes across {tasks} "
-                    "subproblems — the static pass missed this site"
-                ),
-                file=path,
-                line=line,
-                source="dynamic",
-                context={
-                    "calls": stats["calls"],
-                    "bytes": stats["bytes"],
-                    "subproblems": tasks,
-                },
-            )
-        )
+        if (
+            path in scanned_files
+            and (path, line) not in static_sites
+            and stats["calls"] >= threshold_calls
+            and stats["bytes"] >= HOT_MIN_BYTES
+        ):
+            findings.append(observer.checker._emit(
+                "DYN207",
+                "runtime allocation hotspot with no static ALLOC "
+                f"finding or suppression: {stats['calls']} constructor "
+                f"calls / {stats['bytes']} bytes across {tasks} "
+                "subproblems — the static pass missed this site",
+                (path, line),
+                calls=stats["calls"],
+                bytes=stats["bytes"],
+                subproblems=tasks,
+            ))
     downgrades = sorted(
         site
         for site in static_sites

@@ -1,37 +1,21 @@
 """The ``repro check`` gate: run the static and dynamic checkers.
 
-Seven checkers share one findings currency and one gate (**zero
-findings**: CI fails on any):
-
-* ``repro check lint`` — the SPMD AST linter over ``src/repro``;
-* ``repro check shapes`` — the SHAPE1xx symbolic shape/dtype/memory
-  interpreter over ``repro.linalg`` and ``repro.distribution``;
-* ``repro check determinism`` — the DET3xx taint pass from
-  nondeterminism sources into plan-reachable code;
-* ``repro check plan`` — the PLAN4xx verifier: static AST checks over
-  the engine and distributed core, plus :func:`verify_plan` replayed
-  over reference plans built from each driver family;
-* ``repro check threads`` — the LOCK5xx lock-order / shared-state
-  pass over the threaded layers (service, elastic engine), plus a
-  short checked concurrency workload (a two-writer replicated store)
-  under a :class:`~repro.analysis.dynamic.LockOrderObserver`
-  (``DYN206``);
-* ``repro check alloc`` — the ALLOC6xx allocation/copy pass over the
-  hot regions, plus its runtime twin: the reference plans run once
-  under an :class:`~repro.analysis.allocobs.AllocationObserver`
-  (asserted bitwise identical to an unobserved run) and the
-  observation is cross-checked against the static findings
-  (``DYN207``);
-* ``repro check dynamic`` — a battery of real communication
-  workloads (a distributed UoI_LASSO fit, an all-collectives
-  exerciser, the two RMA-heavy distribution paths) under a
-  :class:`~repro.analysis.dynamic.DynamicChecker`.
-
-``repro check static`` runs the six static passes; ``repro check
-all`` runs everything.  The static passes share one
-:class:`~repro.analysis.source.SourceIndex`: every file is parsed and
-tokenized once, and each pass sees its default scope as a module
-filter over that index.
+One findings currency, one gate (**zero findings**: CI fails on any).
+Each static mode (``lint``, ``shapes``, ``determinism``, ``plan``,
+``threads``, ``alloc``) runs its pass over its default scope, a module
+filter over one shared :class:`~repro.analysis.source.SourceIndex`
+(every file parsed and tokenized once).  Three modes add runtime
+work: ``plan`` replays :func:`verify_plan` over reference plans of
+each driver family; ``threads`` runs a two-writer replicated store
+under a :class:`~repro.analysis.dynamic.LockOrderObserver`
+(``DYN206``); ``alloc`` runs the reference plans under an
+:class:`~repro.analysis.allocobs.AllocationObserver` (bitwise
+identical to an unobserved run) and cross-checks the static findings
+(``DYN207``).  ``dynamic`` is the simmpi battery (a distributed
+UoI_LASSO fit, an all-collectives exerciser, the two RMA-heavy
+distribution paths) under a
+:class:`~repro.analysis.dynamic.DynamicChecker`; ``static`` runs the
+six static passes, ``all`` everything.
 """
 
 from __future__ import annotations
@@ -194,15 +178,12 @@ def _exercise_alloc_observer(
         raise RuntimeError("allocation observer recorded no subproblems")
     if profile_out is not None:
         observer.export_jsonl(profile_out)
-    findings, _downgrades = cross_check(scan.sites, observer, scan.files)
-    return findings
+    return cross_check(scan.sites, observer, scan.files)[0]
 
 
-def _exercise_collectives(nranks: int) -> DynamicChecker:
+def _exercise_collectives(nranks: int, checker: DynamicChecker) -> None:
     """Every collective kind once, checked, on ``nranks`` ranks."""
     from repro.simmpi import LAPTOP, MIN, SUM, run_spmd
-
-    checker = DynamicChecker()
 
     def program(comm: SimComm) -> None:
         v = np.arange(4.0) + comm.rank
@@ -225,17 +206,15 @@ def _exercise_collectives(nranks: int) -> DynamicChecker:
         return None
 
     run_spmd(nranks, program, machine=LAPTOP, checker=checker)
-    return checker
 
 
-def _exercise_rma(nranks: int) -> DynamicChecker:
+def _exercise_rma(nranks: int, checker: DynamicChecker) -> None:
     """Fenced one-sided traffic on both distribution paths, checked."""
     from repro.distribution.kron_dist import DistributedKron
     from repro.distribution.randomized import RandomizedDistributor
     from repro.pfs import SimH5File
     from repro.simmpi import LAPTOP, run_spmd
 
-    checker = DynamicChecker()
     rng = np.random.default_rng(7)
     data = rng.standard_normal((32, 5))
     file = SimH5File("/check.h5")
@@ -262,23 +241,22 @@ def _exercise_rma(nranks: int) -> DynamicChecker:
         return None
 
     run_spmd(nranks, program, machine=LAPTOP, checker=checker)
-    return checker
 
 
-def _exercise_fit(nranks: int) -> DynamicChecker:
+def _exercise_fit(nranks: int, checker: DynamicChecker) -> None:
     """A checked end-to-end distributed UoI_LASSO fit."""
     from repro.experiments._functional import mini_uoi_lasso_run
 
-    checker = DynamicChecker()
     mini_uoi_lasso_run(nranks=nranks, n=64, p=8, checker=checker)
-    return checker
 
 
 def run_dynamic(*, nranks: int = 4) -> list[Finding]:
-    """Run the checked workload battery; returns every finding."""
+    """Run the checked workload battery (a fresh checker per workload:
+    comm and window ids restart with each run); returns every finding."""
     findings: list[Finding] = []
     for exercise in (_exercise_collectives, _exercise_rma, _exercise_fit):
-        checker = exercise(nranks)
+        checker = DynamicChecker()
+        exercise(nranks, checker)
         findings.extend(checker.findings)
     return findings
 

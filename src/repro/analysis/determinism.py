@@ -10,11 +10,11 @@ the contract statically by answering one question: *can a
 nondeterminism source flow into code reachable from
 ``UoIPlan.run_chain`` or ``reduce``?*
 
-The pass reads the whole-package symbol index
-(:class:`~repro.analysis.source.SourceIndex`), roots the call graph at
-every ``run_chain``/``reduce`` method of a
-:class:`~repro.engine.plan.UoIPlan` subclass, and walks the reachable
-closure looking for:
+The pass roots the call graph of the shared
+:class:`~repro.analysis.source.SourceIndex` at every
+``run_chain``/``reduce`` method of a
+:class:`~repro.engine.plan.UoIPlan` subclass (:func:`plan_roots`, which
+the ALLOC pass shares) and scans the reachable closure for:
 
 * ``DET301`` — wall-clock reads (``time.time``, ``perf_counter``,
   ``datetime.now``, ...);
@@ -27,7 +27,7 @@ closure looking for:
   seed, or stdlib ``random.*`` global-state calls (extending SPMD002,
   which covers the global numpy RNG everywhere).
 
-Call resolution is deliberately conservative (precision-first, like
+Call resolution is the index's strict mode (precision-first, like
 the SPMD linter): names resolve through the module's own defs, its
 ``from``-imports, local ``var = ClassName(...)`` instantiations, and
 ``self.``-methods up the base-class chain; an attribute call on an
@@ -41,14 +41,12 @@ arithmetic.  Suppress per line with ``# repro: ignore[DET30x]``.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
 
 from repro.analysis.findings import Finding
-from repro.analysis.rules import get_rule
 from repro.analysis.source import (
     ClassInfo,
     FuncInfo,
-    ModuleInfo,
+    FunctionVisitor,
     SourceIndex,
     dotted,
     package_root,
@@ -59,33 +57,21 @@ __all__ = [
     "SCANNED_EXCEPTIONS",
     "PLAN_BASE",
     "ROOT_METHODS",
+    "plan_roots",
     "determinism_check_index",
     "default_determinism_paths",
 ]
 
 #: Observational substrate never traversed or scanned: these packages
-#: read clocks and walk directories *by design* (telemetry, tracing,
-#: performance reporting, this very tooling) and feed nothing back
-#: into plan arithmetic.  ``service`` is orchestration above the
-#: engine: its wall clocks, thread scheduling, socket I/O and Lamport
-#: timestamps order *jobs and replica writes*, never floats — every
-#: numeric result is produced by the member plans it wraps, which
-#: stay inside the taint pass.  ``coordinator`` and ``elastic`` are
-#: the PR-7 orchestration layer: lease issue/expiry, straggler
-#: percentiles and worker join/leave all read the monotonic clock *by
-#: design*, but they only decide *where and when* a chain runs —
-#: every payload comes out of ``UoIPlan.run_chain`` and is replayed
-#: through hooks in deterministic chain order, so no clock value can
-#: reach plan arithmetic.  ``transports`` (the in-process
-#: serial/multiprocess/simmpi worker shims) and ``plan`` (the
-#: ``run_plan`` driver loop) deliberately stay scanned: they call
-#: straight into plan code.  ``stream`` is the live-data layer:
-#: socket reads and per-window wall-clock seconds are its *job* — they
-#: pace and annotate the rolling loop, while every number in a window's
-#: result comes out of the ``VarPlan`` it builds, which stays inside
-#: the taint pass (and is asserted bitwise-equal to a cold batch fit
-#: under ``StreamConfig(verify=True)``) — except its two pure-compute
-#: modules, listed in :data:`SCANNED_EXCEPTIONS` below.
+#: read clocks, sockets and directories *by design* (telemetry,
+#: tracing, performance reporting, this tooling; the service, lease
+#: coordinator, elastic fleet and live-stream layers, which decide
+#: *where and when* a chain runs or a window refits) and feed nothing
+#: back into plan arithmetic: every number comes out of the member
+#: plans they drive, which stay inside the taint pass.  ``transports``
+#: and ``plan`` (the ``run_plan`` loop) call straight into plan code
+#: and stay scanned, as do the pure-compute stream modules in
+#: :data:`SCANNED_EXCEPTIONS`.
 EXCLUDED_SUBPACKAGES: tuple[str, ...] = (
     "telemetry",
     "simmpi",
@@ -97,13 +83,9 @@ EXCLUDED_SUBPACKAGES: tuple[str, ...] = (
     "stream",
 )
 
-#: Modules scanned *despite* living in an excluded subpackage.
-#: ``repro.stream.window`` (incremental lag matrices)
-#: and ``repro.stream.diff`` (network-diff arithmetic) are pure
-#: computation — no sockets, no clocks, no thread scheduling — and
-#: their numbers feed window fits directly, so they stay under the
-#: taint pass even though the rest of ``repro.stream`` is
-#: observational pacing.
+#: Modules scanned *despite* living in an excluded subpackage: the
+#: incremental lag matrices and the network-diff arithmetic are pure
+#: computation whose numbers feed window fits directly.
 SCANNED_EXCEPTIONS: tuple[str, ...] = (
     "repro.stream.window",
     "repro.stream.diff",
@@ -158,9 +140,7 @@ _RANDOM_MODULE_FUNCS = frozenset(
 )
 
 
-def _is_plan_class(
-    index: SourceIndex, site: tuple[ModuleInfo, ClassInfo]
-) -> bool:
+def _is_plan_class(index: SourceIndex, cls: ClassInfo) -> bool:
     """Whether the class transitively derives from ``UoIPlan``.
 
     An *unresolvable* base named ``UoIPlan`` still counts: a
@@ -169,121 +149,96 @@ def _is_plan_class(
     """
     return any(
         info.name == PLAN_BASE or PLAN_BASE in info.bases
-        for _mod, info in index.lineage(site)
+        for info in index.lineage(cls)
     )
 
 
-class _FunctionScanner:
-    """Scan one reachable function for sources and outgoing calls."""
+def plan_roots(index: SourceIndex) -> list[FuncInfo]:
+    """Every ``run_chain``/``reduce`` of a plan class, in source order."""
+    out = [
+        cls.methods[meth]
+        for mod in index.modules
+        for cls in mod.classes.values()
+        if _is_plan_class(index, cls)
+        for meth in ROOT_METHODS
+        if meth in cls.methods
+    ]
+    return sorted(out, key=lambda f: (f.module.path, f.node.lineno))
+
+
+class _TaintScan(FunctionVisitor):
+    """Scan one reachable function for nondeterminism sources."""
 
     def __init__(self, index: SourceIndex, info: FuncInfo, path: list[str]) -> None:
-        self.index = index
-        self.info = info
+        super().__init__(index, info)
         self.path = path  # display names, root first
-        self.findings: list[Finding] = []
-        self.callees: list[FuncInfo] = []
-        #: local name -> class site, from ``x = ClassName(...)``.
-        self._local_types: dict[str, tuple[ModuleInfo, ClassInfo]] = {}
-        #: local names provably bound to sets.
-        self._local_sets: set[str] = set()
 
-    # ------------------------------------------------------------ emit
-    def _emit(self, rule_id: str, lineno: int, message: str) -> None:
-        rule = get_rule(rule_id)
+    def emit(self, rule_id: str, lineno: int, message: str, **context: object) -> None:
         via = " -> ".join(self.path)
-        self.findings.append(
-            Finding(
-                rule=rule.id,
-                severity=rule.severity,
-                message=f"{message} [reachable via {via}]",
-                file=self.info.module.path,
-                line=lineno,
-                source="lint",
-                context={"path": list(self.path)},
-            )
-        )
+        super().emit(rule_id, lineno, f"{message} [reachable via {via}]", path=list(self.path))
 
-    # ------------------------------------------------------------ scan
-    def scan(self) -> None:
-        body = self.info.node.body
-        self._prepass(body)
-        for stmt in body:
+    def scan(self) -> list[Finding]:
+        #: local names provably bound to sets.
+        sets = {
+            node.targets[0].id
+            for stmt in self.info.node.body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and _is_set(node.value)
+        }
+        for stmt in self.info.node.body:
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Call):
                     self._check_call(node)
-                    self._resolve_call(node)
-                elif isinstance(node, ast.For):
-                    self._check_set_iteration(node.iter)
-                elif isinstance(node, ast.comprehension):
-                    self._check_set_iteration(node.iter)
-
-    def _prepass(self, body: list[ast.stmt]) -> None:
-        for stmt in body:
-            for node in ast.walk(stmt):
-                if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-                    continue
-                target = node.targets[0]
-                if not isinstance(target, ast.Name):
-                    continue
-                value = node.value
-                if isinstance(value, (ast.Set, ast.SetComp)):
-                    self._local_sets.add(target.id)
-                elif (
-                    isinstance(value, ast.Call)
-                    and isinstance(value.func, ast.Name)
+                elif isinstance(node, (ast.For, ast.comprehension)) and (
+                    _is_set(node.iter)
+                    or (isinstance(node.iter, ast.Name) and node.iter.id in sets)
                 ):
-                    if value.func.id in ("set", "frozenset"):
-                        self._local_sets.add(target.id)
-                    else:
-                        site = self.index.resolve_class(
-                            value.func.id, self.info.module
-                        )
-                        if site is not None:
-                            self._local_types[target.id] = site
+                    self.emit(
+                        "DET303",
+                        node.iter.lineno,
+                        "iteration over a set in plan-reachable code: order "
+                        "depends on hash randomization and insertion history — "
+                        "iterate sorted(...) instead",
+                    )
+        return self.findings
 
-    # ----------------------------------------------------- taint rules
     def _check_call(self, call: ast.Call) -> None:
         name = dotted(call.func)
         if name is None:
             return
         if name in _WALL_CLOCK_CALLS:
-            self._emit(
+            self.emit(
                 "DET301",
                 call.lineno,
                 f"wall-clock read `{name}()` in plan-reachable code: "
                 "results would depend on when the run started, breaking "
                 "same-seed bitwise replay",
             )
-            return
-        if (
+        elif (
             name in _OS_ORDER_CALLS or name.endswith(".iterdir")
         ) and not self._wrapped_in_sorted(call):
-            self._emit(
+            self.emit(
                 "DET302",
                 call.lineno,
                 f"os-ordered listing `{name}()` feeds plan-reachable "
                 "code without sorted(...): filesystem order differs "
                 "across nodes and runs",
             )
-            return
-        # DET304: unseeded RNG.
-        terminal = name.rsplit(".", 1)[-1]
-        if terminal == "default_rng" and not call.args and not call.keywords:
-            self._emit(
+        elif name.rsplit(".", 1)[-1] == "default_rng" and not (
+            call.args or call.keywords
+        ):
+            self.emit(
                 "DET304",
                 call.lineno,
                 "unseeded default_rng() in plan-reachable code: draws OS "
                 "entropy and cannot replay — pre-draw in __init__ from "
                 "the run's random_state",
             )
-            return
-        parts = name.split(".")
-        if (
-            len(parts) == 2
-            and parts[0] == "random"
-            and parts[1] in _RANDOM_MODULE_FUNCS
-        ):
-            self._emit(
+        elif name.startswith("random.") and name[7:] in _RANDOM_MODULE_FUNCS:
+            self.emit(
                 "DET304",
                 call.lineno,
                 f"stdlib global-state RNG `{name}()` in plan-reachable "
@@ -299,61 +254,14 @@ class _FunctionScanner:
             and parent.func.id in ("sorted", "len", "any", "all")
         )
 
-    def _check_set_iteration(self, it: ast.expr) -> None:
-        is_set = isinstance(it, (ast.Set, ast.SetComp))
-        if (
-            isinstance(it, ast.Call)
-            and isinstance(it.func, ast.Name)
-            and it.func.id in ("set", "frozenset")
-        ):
-            is_set = True
-        if isinstance(it, ast.Name) and it.id in self._local_sets:
-            is_set = True
-        if is_set:
-            self._emit(
-                "DET303",
-                it.lineno,
-                "iteration over a set in plan-reachable code: order "
-                "depends on hash randomization and insertion history — "
-                "iterate sorted(...) instead",
-            )
 
-    # ------------------------------------------------- call resolution
-    def _resolve_call(self, call: ast.Call) -> None:
-        func = call.func
-        mod = self.info.module
-        if isinstance(func, ast.Name):
-            site = self.index.resolve_class(func.id, mod)
-            if site is not None:
-                init = self.index.resolve_method(site, "__init__")
-                if init is not None:
-                    self.callees.append(init)
-                return
-            fn = self.index.resolve_function(func.id, mod)
-            if fn is not None:
-                self.callees.append(fn)
-            return
-        if not isinstance(func, ast.Attribute):
-            return
-        value = func.value
-        if isinstance(value, ast.Name):
-            if value.id == "self" and self.info.cls is not None:
-                cls = mod.classes.get(self.info.cls)
-                if cls is not None:
-                    meth = self.index.resolve_method((mod, cls), func.attr)
-                    if meth is not None:
-                        self.callees.append(meth)
-                return
-            if value.id in self._local_types:
-                meth = self.index.resolve_method(
-                    self._local_types[value.id], func.attr
-                )
-                if meth is not None:
-                    self.callees.append(meth)
-                return
-            other = self.index.by_name.get(mod.imports.get(value.id, ""))
-            if other is not None and func.attr in other.functions:
-                self.callees.append(other.functions[func.attr])
+def _is_set(node: ast.expr) -> bool:
+    """A set display, comprehension, or ``set()``/``frozenset()`` call."""
+    return isinstance(node, (ast.Set, ast.SetComp)) or (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("set", "frozenset")
+    )
 
 
 def _excluded(modname: str) -> bool:
@@ -363,39 +271,6 @@ def _excluded(modname: str) -> bool:
     return any(sub in parts for sub in EXCLUDED_SUBPACKAGES)
 
 
-def _roots(index: SourceIndex) -> list[FuncInfo]:
-    out: list[FuncInfo] = []
-    for mod in index.modules:
-        for cls in mod.classes.values():
-            if not _is_plan_class(index, (mod, cls)):
-                continue
-            for meth in ROOT_METHODS:
-                if meth in cls.methods:
-                    out.append(cls.methods[meth])
-    out.sort(key=lambda f: (f.module.path, f.node.lineno))
-    return out
-
-
-def reachable(index: SourceIndex) -> Iterator[_FunctionScanner]:
-    """BFS the call graph from every plan root, yielding each reached
-    function's finished scan once (the ALLOC pass reuses the closure)."""
-    visited: set[str] = set()
-    queue: list[tuple[FuncInfo, list[str]]] = [
-        (root, [root.display]) for root in _roots(index)
-    ]
-    while queue:
-        info, path = queue.pop(0)
-        if info.qualname in visited:
-            continue
-        visited.add(info.qualname)
-        scanner = _FunctionScanner(index, info, path)
-        scanner.scan()
-        yield scanner
-        for callee in scanner.callees:
-            if callee.qualname not in visited:
-                queue.append((callee, path + [callee.display]))
-
-
 def determinism_check_index(index: SourceIndex) -> list[Finding]:
     """Run the DET pass over ``index`` minus the excluded subpackages.
 
@@ -403,7 +278,11 @@ def determinism_check_index(index: SourceIndex) -> list[Finding]:
     boundaries (``run_chain`` → ``lasso_path`` → solver internals).
     """
     index = index.select(lambda mod: not _excluded(mod.name))
-    findings = [f for scanner in reachable(index) for f in scanner.findings]
+    findings = [
+        f
+        for info, path in index.reachable(plan_roots(index))
+        for f in _TaintScan(index, info, path).scan()
+    ]
     return index.suppress(findings, ("DET",))
 
 

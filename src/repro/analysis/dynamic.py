@@ -19,17 +19,13 @@ runs:
   abort fires, the checker records a finding naming every blocked
   rank and the call each was waiting in.
 * **Lock-order observation** (``DYN206``) — a
-  :class:`LockOrderObserver` wraps the service/elastic/stream lock
-  objects (production code creates them through the
-  :func:`instrumented_lock` / :func:`instrumented_rlock` /
-  :func:`instrumented_condition` factories, which return *plain*
-  ``threading`` primitives whenever no observer is active), records
-  each thread's acquisition stack, and reports observed order
-  inversions and long-held-lock stalls — the runtime twin of the
-  static ``LOCK501``/``LOCK504`` pass in
-  :mod:`repro.analysis.threads`.  Enable globally with
-  ``REPRO_THREAD_CHECK=1`` or per-scope with
-  :func:`use_lock_observer`.
+  :class:`LockOrderObserver`, the runtime twin of the ``LOCK5xx``
+  pass, wraps the locks production code creates through the
+  ``instrumented_*`` factories (plain ``threading`` primitives when no
+  observer is active) and reports observed order inversions and
+  long-held-lock stalls.  Enable globally with ``REPRO_THREAD_CHECK=1``
+  or per scope with :func:`use_lock_observer`.  It and the DYN207
+  allocation observer share the :class:`Observer` base.
 
 The checker is pure observation: it never touches payloads, so runs
 with a checker attached are bitwise identical to runs without
@@ -50,10 +46,11 @@ from typing import Any, Iterator
 import numpy as np
 
 from repro.analysis.findings import Finding
-from repro.analysis.rules import get_rule
+from repro.analysis.rules import finding
 
 __all__ = [
     "DynamicChecker",
+    "Observer",
     "CollectiveMismatchError",
     "call_site",
     "LockOrderObserver",
@@ -174,19 +171,10 @@ class DynamicChecker:
         site: tuple[str, int],
         **context: object,
     ) -> Finding:
-        rule = get_rule(rule_id)
-        finding = Finding(
-            rule=rule.id,
-            severity=rule.severity,
-            message=message,
-            file=site[0],
-            line=site[1],
-            source="dynamic",
-            context=context,
-        )
+        found = finding(rule_id, site[0], site[1], message, source="dynamic", **context)
         with self._lock:
-            self.findings.append(finding)
-        return finding
+            self.findings.append(found)
+        return found
 
     def findings_for(self, rule_id: str) -> list[Finding]:
         with self._lock:
@@ -234,7 +222,7 @@ class DynamicChecker:
         if len(kinds) > 1:
             per_rank = {r: m["kind"] for r, m in by_rank}
             sites = {r: f"{m['site'][0]}:{m['site'][1]}" for r, m in by_rank}
-            finding = self._emit(
+            found = self._emit(
                 "DYN201",
                 f"collective sequence mismatch at seq {seq}: ranks called "
                 + ", ".join(f"rank {r}: {k}" for r, k in per_rank.items()),
@@ -245,7 +233,7 @@ class DynamicChecker:
             )
             if self.raise_on_mismatch:
                 raise CollectiveMismatchError(
-                    f"[{finding.rule}] {finding.message} "
+                    f"[{found.rule}] {found.message} "
                     f"(sites: {', '.join(f'{r}={s}' for r, s in sites.items())})"
                 )
             return
@@ -409,10 +397,55 @@ class DynamicChecker:
         )
 
 
+class Observer:
+    """Base of the runtime observers (``DYN206`` locks, ``DYN207``
+    allocations): a reference-counted :meth:`install` /
+    :meth:`uninstall` around the subclass's ``_attach`` / ``_detach``,
+    ``with observer:`` as the scope, and a :class:`DynamicChecker`
+    collecting what it reports under :attr:`rule`."""
+
+    rule = ""
+
+    def __init__(self, checker: DynamicChecker | None = None) -> None:
+        self.checker = checker if checker is not None else DynamicChecker()
+        self._lock = threading.Lock()
+        self._installed = 0
+
+    def install(self) -> None:
+        with self._lock:
+            self._installed += 1
+            if self._installed == 1:
+                self._attach()
+
+    def uninstall(self) -> None:
+        with self._lock:
+            if self._installed == 0:
+                return
+            self._installed -= 1
+            if self._installed == 0:
+                self._detach()
+
+    def _attach(self) -> None:
+        raise NotImplementedError
+
+    def _detach(self) -> None:
+        raise NotImplementedError
+
+    def __enter__(self) -> "Observer":
+        self.install()
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.uninstall()
+
+    def findings(self) -> list[Finding]:
+        return self.checker.findings_for(self.rule)
+
+
 # ---------------------------------------------------------------------------
 # DYN206: runtime lock-order observation
 # ---------------------------------------------------------------------------
-class LockOrderObserver:
+class LockOrderObserver(Observer):
     """Observe the order in which threads take instrumented locks.
 
     The runtime twin of the static ``LOCK501``/``LOCK504`` pass: every
@@ -434,8 +467,11 @@ class LockOrderObserver:
     a run with the observer attached is bitwise identical to one
     without (asserted in ``tests/test_analysis_lock_observer.py``).
     Reentrant re-acquisition of the same object and same-name pairs
-    (two replicas of one class) never produce edges.
+    (two replicas of one class) never produce edges.  Installed, it is
+    the target of instrumented locks created while installed.
     """
+
+    rule = "DYN206"
 
     def __init__(
         self,
@@ -443,9 +479,9 @@ class LockOrderObserver:
         *,
         stall_threshold: float = 5.0,
     ) -> None:
-        self.checker = checker if checker is not None else DynamicChecker()
+        super().__init__(checker)
         self.stall_threshold = stall_threshold
-        self._lock = threading.Lock()
+        self._previous: LockOrderObserver | None = None
         self._local = threading.local()
         #: (holder name, acquired name) -> first site observed.
         self._edges: dict[tuple[str, str], tuple[str, int]] = {}
@@ -459,8 +495,13 @@ class LockOrderObserver:
             state = self._local.state = {"held": [], "depth": {}, "t0": {}}
         return state
 
-    def findings(self) -> list[Finding]:
-        return self.checker.findings_for("DYN206")
+    def _attach(self) -> None:
+        global _ACTIVE_OBSERVER
+        self._previous, _ACTIVE_OBSERVER = _ACTIVE_OBSERVER, self
+
+    def _detach(self) -> None:
+        global _ACTIVE_OBSERVER
+        _ACTIVE_OBSERVER = self._previous
 
     # ------------------------------------------------------ transitions
     def on_acquired(self, lock: "_ObservedLock") -> None:
@@ -642,13 +683,20 @@ def use_lock_observer(
     """Make ``observer`` the target of instrumented locks created in
     this scope (locks snapshot the observer at construction, so only
     objects *built* inside the scope are observed)."""
-    global _ACTIVE_OBSERVER
-    previous = _ACTIVE_OBSERVER
-    _ACTIVE_OBSERVER = observer
-    try:
+    with observer:
         yield observer
-    finally:
-        _ACTIVE_OBSERVER = previous
+
+
+def _instrumented(
+    wrapper: type[_ObservedLock],
+    name: str,
+    observer: LockOrderObserver | None,
+    stall_exempt: bool,
+) -> Any:
+    target = observer if observer is not None else current_lock_observer()
+    if target is None:
+        return wrapper._factory()
+    return wrapper(target, name, stall_exempt)
 
 
 def instrumented_lock(
@@ -661,10 +709,7 @@ def instrumented_lock(
     is active (explicitly passed, scoped via :func:`use_lock_observer`,
     or the ``REPRO_THREAD_CHECK`` global) — a *plain* lock otherwise,
     so the disabled path costs nothing."""
-    target = observer if observer is not None else current_lock_observer()
-    if target is None:
-        return threading.Lock()
-    return _ObservedLock(target, name, stall_exempt)
+    return _instrumented(_ObservedLock, name, observer, stall_exempt)
 
 
 def instrumented_rlock(
@@ -674,10 +719,7 @@ def instrumented_rlock(
     stall_exempt: bool = False,
 ) -> Any:
     """Reentrant variant of :func:`instrumented_lock`."""
-    target = observer if observer is not None else current_lock_observer()
-    if target is None:
-        return threading.RLock()
-    return _ObservedRLock(target, name, stall_exempt)
+    return _instrumented(_ObservedRLock, name, observer, stall_exempt)
 
 
 def instrumented_condition(

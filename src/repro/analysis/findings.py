@@ -11,7 +11,7 @@ tests assert on them directly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = [
     "ERROR",
@@ -79,15 +79,7 @@ class Finding:
         return f"{self.file}:{self.line}" if self.line else self.file
 
     def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "severity": self.severity,
-            "message": self.message,
-            "file": self.file,
-            "line": self.line,
-            "source": self.source,
-            "context": dict(self.context),
-        }
+        return asdict(self)
 
 
 def _severity_key(f: Finding) -> tuple:

@@ -1,44 +1,25 @@
-"""AST-based SPMD correctness linter over the repro sources.
+"""SPMD0xx: AST lint of the communication discipline.
 
-The linter encodes the communication discipline the paper's
-implementation depends on (one ``MPI_Allreduce`` per ADMM iteration,
-fenced one-sided epochs for the Tier-2 shuffle and the distributed
-Kronecker build) as mechanical rules over the syntax tree:
-
-``SPMD001``
-    A collective method (``allreduce``, ``bcast``, ``barrier``,
-    ``fence``, ...) called on a communicator/window inside an ``if``
-    whose test depends on the rank — the canonical rank-divergence
-    bug.
-``SPMD002``
-    ``np.random.*`` global-state RNG use (anything except the
-    ``default_rng`` / ``Generator`` family) — process-global state is
-    poison when ranks are threads.
-``SPMD003``
-    A telemetry ``span(...)`` opened as a bare expression statement
-    instead of a ``with`` block (the interval is never closed).
-``SPMD004``
-    A buffer returned by ``Window.get`` mutated in place without an
-    intervening ``.copy()`` (not portable to real RMA semantics).
-
-Findings can be suppressed per line with ``# repro: ignore[RULE]``
-(comma-separate multiple ids; bare ``# repro: ignore`` suppresses
-every rule on that line).
-
-Precision is deliberately favoured over recall: ``repro check`` gates
-CI on zero findings, so each rule only fires on patterns it can
-identify with receiver-name evidence (e.g. ``reduce`` is only a
-collective when called on something named like a communicator).
+The paper's implementation depends on one ``MPI_Allreduce`` per ADMM
+iteration and fenced one-sided epochs for the Tier-2 shuffle and the
+distributed Kronecker build.  This pass checks that discipline as
+syntax: a collective under a rank-dependent ``if`` (``SPMD001``),
+global-state ``np.random`` use (``SPMD002``), a telemetry ``span``
+opened as a bare statement (``SPMD003``), and a ``Window.get`` buffer
+mutated in place without a copy (``SPMD004``).  Precision is favoured
+over recall: ``repro check`` gates CI on zero findings, so each rule
+fires only on receiver-name evidence (``reduce`` is a collective only
+on something named like a communicator).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable
 
 from repro.analysis.findings import Finding
-from repro.analysis.rules import get_rule
-from repro.analysis.source import SourceIndex, package_root, scope_bodies, terminal
+from repro.analysis.planver import COLLECTIVES
+from repro.analysis.rules import finding
+from repro.analysis.source import SourceIndex, package_root, scope_bodies, terminal, walk
 
 __all__ = [
     "COLLECTIVE_METHODS",
@@ -47,27 +28,9 @@ __all__ = [
 ]
 
 #: Method names treated as collectives when called on a comm-like or
-#: window-like receiver (see :func:`_receiver_is_commlike`).
-COLLECTIVE_METHODS = frozenset(
-    {
-        "allreduce",
-        "bcast",
-        "barrier",
-        "reduce",
-        "gather",
-        "allgather",
-        "scatter",
-        "alltoall",
-        "reduce_scatter",
-        "scan",
-        "iallreduce",
-        "iallgather",
-        "ibarrier",
-        "fence",
-        "free",
-        "split",
-    }
-)
+#: window-like receiver (see :func:`_is_collective_call`): the PLAN
+#: verifier's set plus the communicator-lifecycle ``free``/``split``.
+COLLECTIVE_METHODS = COLLECTIVES | {"free", "split"}
 
 #: ``np.random`` attributes that are *not* global-state RNG use.
 _SAFE_NP_RANDOM = frozenset(
@@ -91,31 +54,20 @@ _COMM_NAME_HINTS = ("comm", "world", "cell", "bgroup", "lgroup", "stripe")
 _WIN_NAME_HINTS = ("win", "window")
 
 
-def _receiver_is_commlike(node: ast.expr) -> bool:
+def _named_like(node: ast.expr, hints: tuple[str, ...]) -> bool:
     name = (terminal(node) or "").lower()
-    return any(h in name for h in _COMM_NAME_HINTS)
-
-
-def _receiver_is_windowlike(node: ast.expr) -> bool:
-    name = (terminal(node) or "").lower()
-    return any(h in name for h in _WIN_NAME_HINTS)
+    return any(h in name for h in hints)
 
 
 def _is_collective_call(call: ast.Call) -> str | None:
     """Return the collective's name when ``call`` is one, else ``None``."""
     func = call.func
-    if not isinstance(func, ast.Attribute):
+    if not isinstance(func, ast.Attribute) or func.attr not in COLLECTIVE_METHODS:
         return None
-    if func.attr not in COLLECTIVE_METHODS:
-        return None
-    recv = func.value
+    hints = _COMM_NAME_HINTS
     if func.attr in ("fence", "free"):
-        if _receiver_is_windowlike(recv) or _receiver_is_commlike(recv):
-            return func.attr
-        return None
-    if _receiver_is_commlike(recv):
-        return func.attr
-    return None
+        hints += _WIN_NAME_HINTS
+    return func.attr if _named_like(func.value, hints) else None
 
 
 def _mentions_rank(node: ast.expr) -> bool:
@@ -153,26 +105,15 @@ def _is_span_call(call: ast.Call) -> bool:
 class _SpmdVisitor(ast.NodeVisitor):
     """One pass collecting SPMD001/SPMD002/SPMD003 findings."""
 
-    def __init__(self, filename: str) -> None:
+    def __init__(self, filename: str, findings: list[Finding]) -> None:
         self.filename = filename
-        self.findings: list[Finding] = []
+        self.findings = findings
         self._rank_if_depth = 0
 
     def _emit(
         self, rule_id: str, lineno: int, message: str, **context: object
     ) -> None:
-        rule = get_rule(rule_id)
-        self.findings.append(
-            Finding(
-                rule=rule.id,
-                severity=rule.severity,
-                message=message,
-                file=self.filename,
-                line=lineno,
-                source="lint",
-                context=context,
-            )
-        )
+        self.findings.append(finding(rule_id, self.filename, lineno, message, **context))
 
     # -- SPMD001: rank-conditional collectives ------------------------
     def visit_If(self, node: ast.If) -> None:
@@ -235,104 +176,64 @@ class _SpmdVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _get_from_window(node: ast.expr) -> bool:
-    """Whether ``node`` is a ``<window>.get(...)`` call (no ``.copy()``)."""
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "get"
-        and _receiver_is_windowlike(node.func.value)
-    )
-
-
-def _walk_scope(stmt: ast.stmt) -> Iterable[ast.AST]:
-    """Walk ``stmt`` without descending into nested function scopes
-    (each function body is analyzed as its own SPMD004 scope)."""
-    stack: list[ast.AST] = [stmt]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # A nested (or module-level) def is its own scope; its body
-            # is yielded separately by scope_bodies.
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
+def _subscripted(node: ast.expr) -> str | None:
+    """``x`` for ``x`` or ``x[...]``."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
 
 
 def _check_rma_mutations(
     scope: list[ast.stmt], filename: str, findings: list[Finding]
 ) -> None:
-    """SPMD004 within one scope, in source order."""
-    events: list[tuple[int, str, str, ast.AST]] = []  # (line, kind, var, node)
-    for stmt in scope:
-        for node in _walk_scope(stmt):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name):
-                    if _get_from_window(node.value):
-                        events.append((node.lineno, "get", target.id, node))
-                    else:
-                        events.append((node.lineno, "rebind", target.id, node))
-                elif isinstance(target, ast.Subscript) and isinstance(
-                    target.value, ast.Name
-                ):
-                    events.append(
-                        (node.lineno, "mutate", target.value.id, node)
-                    )
-            elif isinstance(node, ast.AugAssign):
-                t = node.target
-                var = None
-                if isinstance(t, ast.Name):
-                    var = t.id
-                elif isinstance(t, ast.Subscript) and isinstance(
-                    t.value, ast.Name
-                ):
-                    var = t.value.id
-                if var is not None:
-                    events.append((node.lineno, "mutate", var, node))
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("fill", "sort", "resize", "partition")
-                and isinstance(node.func.value, ast.Name)
-            ):
-                events.append(
-                    (node.lineno, "mutate", node.func.value.id, node)
+    """SPMD004 within one scope (each function body is its own), in
+    source order."""
+    events: list[tuple[int, str, str]] = []  # (line, kind, var)
+    for node in (n for stmt in scope for n in walk(stmt)):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+            if isinstance(target, ast.Name):
+                is_get = (
+                    isinstance(value, ast.Call)
+                    and isinstance(value.func, ast.Attribute)
+                    and value.func.attr == "get"
+                    and _named_like(value.func.value, _WIN_NAME_HINTS)
                 )
+                events.append((node.lineno, "get" if is_get else "rebind", target.id))
+            elif isinstance(target, ast.Subscript) and (var := _subscripted(target)):
+                events.append((node.lineno, "mutate", var))
+        elif isinstance(node, ast.AugAssign) and (var := _subscripted(node.target)):
+            events.append((node.lineno, "mutate", var))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("fill", "sort", "resize", "partition")
+            and isinstance(node.func.value, ast.Name)
+        ):
+            events.append((node.lineno, "mutate", node.func.value.id))
 
     events.sort(key=lambda e: e[0])
     tracked: dict[str, int] = {}  # var -> line of the Window.get
-    rule = get_rule("SPMD004")
-    for lineno, kind, var, _node in events:
+    for lineno, kind, var in events:
         if kind == "get":
             tracked[var] = lineno
         elif kind == "rebind":
             tracked.pop(var, None)
-        elif kind == "mutate" and var in tracked:
-            findings.append(
-                Finding(
-                    rule=rule.id,
-                    severity=rule.severity,
-                    message=(
-                        f"`{var}` (from Window.get at line {tracked[var]}) "
-                        "mutated in place: take an explicit .copy() first "
-                        "(RMA origin buffers belong to the epoch)"
-                    ),
-                    file=filename,
-                    line=lineno,
-                    source="lint",
-                    context={"variable": var, "get_line": tracked[var]},
-                )
-            )
+        elif var in tracked:
+            findings.append(finding(
+                "SPMD004", filename, lineno,
+                f"`{var}` (from Window.get at line {tracked[var]}) "
+                "mutated in place: take an explicit .copy() first "
+                "(RMA origin buffers belong to the epoch)",
+                variable=var, get_line=tracked[var],
+            ))
 
 
 def lint_index(index: SourceIndex) -> list[Finding]:
     """SPMD lint over every module of ``index``; suppression-filtered."""
     findings: list[Finding] = []
     for mod in index.modules:
-        visitor = _SpmdVisitor(mod.path)
-        visitor.visit(mod.tree)
-        findings.extend(visitor.findings)
+        _SpmdVisitor(mod.path, findings).visit(mod.tree)
         for body in scope_bodies(mod.tree):
             _check_rma_mutations(body, mod.path, findings)
     return index.suppress(findings, ("SPMD",))

@@ -37,11 +37,11 @@ from __future__ import annotations
 import ast
 import os
 from types import SimpleNamespace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.analysis.findings import Finding, format_findings
-from repro.analysis.rules import get_rule
-from repro.analysis.source import ModuleInfo, SourceIndex, package_root
+from repro.analysis.rules import finding
+from repro.analysis.source import ClassInfo, ModuleInfo, SourceIndex, package_root, terminal
 
 __all__ = [
     "PlanVerificationError",
@@ -53,26 +53,13 @@ __all__ = [
     "default_plan_paths",
 ]
 
-#: Collective methods a communicator exposes (mirrors the SPMD
-#: linter's receiver set).
-_COLLECTIVE_METHODS = frozenset(
-    {
-        "allreduce",
-        "bcast",
-        "barrier",
-        "reduce",
-        "gather",
-        "allgather",
-        "scatter",
-        "alltoall",
-        "reduce_scatter",
-        "scan",
-        "iallreduce",
-        "iallgather",
-        "ibarrier",
-        "fence",
-    }
-)
+#: Collective methods a communicator exposes (the SPMD linter adds the
+#: communicator-lifecycle calls to this set).
+COLLECTIVES = frozenset({
+    "allreduce", "bcast", "barrier", "reduce", "gather", "allgather",
+    "scatter", "alltoall", "reduce_scatter", "scan", "iallreduce",
+    "iallgather", "ibarrier", "fence",
+})
 
 
 class PlanVerificationError(ValueError):
@@ -96,74 +83,47 @@ class PlanVerificationError(ValueError):
 def _plan_finding(
     plan: object, rule_id: str, message: str, **context: object
 ) -> Finding:
-    rule = get_rule(rule_id)
-    return Finding(
-        rule=rule.id,
-        severity=rule.severity,
-        message=message,
-        file=f"<plan:{type(plan).__name__}>",
-        line=0,
-        source="plan",
-        context=context,
-    )
+    where = f"<plan:{type(plan).__name__}>"
+    return finding(rule_id, where, 0, message, source="plan", **context)
 
 
 def _check_chain_order(
     plan: object, stage: str, chains: list, findings: list[Finding]
 ) -> None:
     """PLAN402: each chain is one bootstrap, positions 0..len-1, λ monotone."""
+    def bad(ci: int, message: str, **context: object) -> None:
+        findings.append(_plan_finding(
+            plan, "PLAN402", f"stage {stage!r} chain {ci} {message}",
+            stage=stage, chain=ci, **context,
+        ))
+
     for ci, chain in enumerate(chains):
         if not chain:
-            findings.append(
-                _plan_finding(
-                    plan,
-                    "PLAN402",
-                    f"stage {stage!r} chain {ci} is empty",
-                    stage=stage,
-                    chain=ci,
-                )
-            )
+            bad(ci, "is empty")
             continue
         stages = {t.stage for t in chain}
         boots = {t.bootstrap for t in chain}
         if len(stages) > 1 or len(boots) > 1:
-            findings.append(
-                _plan_finding(
-                    plan,
-                    "PLAN402",
-                    f"stage {stage!r} chain {ci} mixes "
-                    f"stages {sorted(stages)!r} / bootstraps {sorted(boots)}: "
-                    "a chain shares one bootstrap's data and warm starts",
-                    stage=stage,
-                    chain=ci,
-                )
+            bad(
+                ci,
+                f"mixes stages {sorted(stages)!r} / bootstraps {sorted(boots)}: "
+                "a chain shares one bootstrap's data and warm starts"
             )
         positions = [t.pos for t in chain]
         if positions != sorted(positions):
-            findings.append(
-                _plan_finding(
-                    plan,
-                    "PLAN402",
-                    f"stage {stage!r} chain {ci} positions {positions} are "
-                    "not monotone: tasks would warm-start from the wrong β",
-                    stage=stage,
-                    chain=ci,
-                    positions=positions,
-                )
+            bad(
+                ci,
+                f"positions {positions} are not monotone: tasks would "
+                "warm-start from the wrong β",
+                positions=positions,
             )
         lams = [t.lam_index for t in chain if t.lam_index is not None]
         if lams != sorted(lams):
-            findings.append(
-                _plan_finding(
-                    plan,
-                    "PLAN402",
-                    f"stage {stage!r} chain {ci} λ indices {lams} are not "
-                    "monotone: the λ-path warm start runs large-to-small "
-                    "penalties in index order",
-                    stage=stage,
-                    chain=ci,
-                    lam_indices=lams,
-                )
+            bad(
+                ci,
+                f"λ indices {lams} are not monotone: the λ-path warm start "
+                "runs large-to-small penalties in index order",
+                lam_indices=lams,
             )
 
 
@@ -318,7 +278,6 @@ def verify_lease_disjointness(leases: Sequence[object]) -> list[Finding]:
     result is kept — but a speculative lease overlapping a *different*
     chain's keys is still a violation.
     """
-    rule = get_rule("PLAN405")
     findings: list[Finding] = []
     primary_by_key: dict[str, object] = {}
     chain_by_key: dict[str, object] = {}
@@ -329,44 +288,32 @@ def verify_lease_disjointness(leases: Sequence[object]) -> list[Finding]:
             if other is not None and getattr(
                 other, "chain_index", None
             ) != getattr(lease, "chain_index", None):
-                findings.append(
-                    _lease_finding(rule, key, lease, other, "cross-chain")
-                )
+                findings.append(_lease_finding(key, lease, other, "cross-chain"))
             if speculative:
                 chain_by_key.setdefault(key, lease)
                 continue
             prev = primary_by_key.get(key)
             if prev is not None:
-                findings.append(
-                    _lease_finding(rule, key, lease, prev, "double-primary")
-                )
+                findings.append(_lease_finding(key, lease, prev, "double-primary"))
             else:
                 primary_by_key[key] = lease
             chain_by_key.setdefault(key, lease)
     return findings
 
 
-def _lease_finding(
-    rule: object, key: str, lease: object, other: object, shape: str
-) -> Finding:
+def _lease_finding(key: str, lease: object, other: object, shape: str) -> Finding:
     def _describe(obj: object) -> str:
         worker = getattr(obj, "worker", "?")
         chain = getattr(obj, "chain_index", "?")
         spec = " (speculative)" if getattr(obj, "speculative", False) else ""
         return f"chain {chain} on {worker}{spec}"
 
-    return Finding(
-        rule=rule.id,  # type: ignore[attr-defined]
-        severity=rule.severity,  # type: ignore[attr-defined]
-        message=(
-            f"subproblem {key!r} is covered by two active leases "
-            f"({_describe(lease)} and {_describe(other)}, {shape}): leases "
-            "must partition outstanding work like PLAN404 ownership"
-        ),
-        file="<coordinator>",
-        line=0,
-        source="plan",
-        context={"key": key, "overlap": shape},
+    return finding(
+        "PLAN405", "<coordinator>", 0,
+        f"subproblem {key!r} is covered by two active leases "
+        f"({_describe(lease)} and {_describe(other)}, {shape}): leases "
+        "must partition outstanding work like PLAN404 ownership",
+        source="plan", key=key, overlap=shape,
     )
 
 
@@ -380,47 +327,13 @@ def assert_disjoint_leases(leases: Sequence[object]) -> None:
 # ---------------------------------------------------------------------------
 # static side: AST lint for `repro check plan`
 # ---------------------------------------------------------------------------
-def _plan_classes(tree: ast.Module) -> Iterable[ast.ClassDef]:
-    """Classes whose base-name chain (within this file) reaches UoIPlan."""
-    classes = {
-        node.name: node
-        for node in tree.body
-        if isinstance(node, ast.ClassDef)
-    }
-
-    def base_names(node: ast.ClassDef) -> list[str]:
-        out = []
-        for base in node.bases:
-            if isinstance(base, ast.Name):
-                out.append(base.id)
-            elif isinstance(base, ast.Attribute):
-                out.append(base.attr)
-        return out
-
-    def is_plan(node: ast.ClassDef, seen: set[str]) -> bool:
-        for base in base_names(node):
-            if base == "UoIPlan":
-                return True
-            if base in classes and base not in seen:
-                if is_plan(classes[base], seen | {node.name}):
-                    return True
-        return False
-
-    for node in classes.values():
-        if is_plan(node, set()):
-            yield node
-
-
-def _enclosing_loops(
-    node: ast.AST, parents: dict[ast.AST, ast.AST]
-) -> list[ast.For]:
-    out = []
-    cur = parents.get(node)
-    while cur is not None:
-        if isinstance(cur, ast.For):
-            out.append(cur)
-        cur = parents.get(cur)
-    return out
+def _plan_classes(index: SourceIndex, mod: ModuleInfo) -> list[ClassInfo]:
+    """Classes whose base-name chain within the module reaches UoIPlan."""
+    return [
+        cls
+        for cls in mod.classes.values()
+        if any("UoIPlan" in info.bases for info in index.lineage(cls) if info.module is mod)
+    ]
 
 
 def _key_argument(call: ast.Call) -> ast.expr | None:
@@ -428,16 +341,11 @@ def _key_argument(call: ast.Call) -> ast.expr | None:
     for kw in call.keywords:
         if kw.arg == "key":
             return kw.value
-    if len(call.args) >= 4:
-        return call.args[3]
-    return None
+    return call.args[3] if len(call.args) >= 4 else None
 
 
-def _check_static_duplicate_keys(
-    mod: ModuleInfo, findings: list[Finding]
-) -> None:
+def _check_static_duplicate_keys(mod: ModuleInfo, findings: list[Finding]) -> None:
     """PLAN401 static: constant Subproblem key built inside a loop."""
-    parents = mod.parents
     for node in ast.walk(mod.tree):
         if not (
             isinstance(node, ast.Call)
@@ -446,40 +354,25 @@ def _check_static_duplicate_keys(
         ):
             continue
         key = _key_argument(node)
-        if key is None or not _enclosing_loops(node, parents):
+        if key is None or not any(isinstance(a, ast.For) for a in mod.ancestors(node)):
             continue
-        constant = isinstance(key, ast.Constant) or (
+        if isinstance(key, ast.Constant) or (
             isinstance(key, ast.JoinedStr)
-            and not any(
-                isinstance(part, ast.FormattedValue) for part in key.values
-            )
-        )
-        if constant:
-            rule = get_rule("PLAN401")
-            findings.append(
-                Finding(
-                    rule=rule.id,
-                    severity=rule.severity,
-                    message=(
-                        "Subproblem key is a constant built inside a task "
-                        "loop: every iteration produces the same checkpoint "
-                        "key, so records clobber each other — interpolate "
-                        "the loop indices into the key"
-                    ),
-                    file=mod.path,
-                    line=node.lineno,
-                    source="lint",
-                    context={},
-                )
-            )
+            and not any(isinstance(part, ast.FormattedValue) for part in key.values)
+        ):
+            findings.append(finding(
+                "PLAN401", mod.path, node.lineno,
+                "Subproblem key is a constant built inside a task "
+                "loop: every iteration produces the same checkpoint "
+                "key, so records clobber each other — interpolate "
+                "the loop indices into the key",
+            ))
 
 
-def _comm_receiver(call: ast.Call) -> str | None:
+def _comm_receiver(call: ast.AST) -> str | None:
     """Dotted receiver of a collective call, or None."""
-    func = call.func
-    if not isinstance(func, ast.Attribute):
-        return None
-    if func.attr not in _COLLECTIVE_METHODS:
+    func = call.func if isinstance(call, ast.Call) else None
+    if not isinstance(func, ast.Attribute) or func.attr not in COLLECTIVES:
         return None
     parts: list[str] = []
     cur: ast.expr = func.value
@@ -492,19 +385,18 @@ def _comm_receiver(call: ast.Call) -> str | None:
 
 
 def _mentions_rank_or_ownership(test: ast.expr) -> bool:
-    for node in ast.walk(test):
-        if isinstance(node, ast.Attribute) and node.attr == "rank":
-            return True
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("owns", "owns_bootstrap", "owns_lambda")
-        ):
-            return True
-    return False
+    return any(
+        isinstance(node, ast.Attribute) and node.attr == "rank"
+        or isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("owns", "owns_bootstrap", "owns_lambda")
+        for node in ast.walk(test)
+    )
 
 
-def _check_static_congruence(mod: ModuleInfo, findings: list[Finding]) -> None:
+def _check_static_congruence(
+    index: SourceIndex, mod: ModuleInfo, findings: list[Finding]
+) -> None:
     """PLAN404 static: collective discipline inside plan classes.
 
     ``run_chain`` runs only on the owning cell's ranks, so a
@@ -513,75 +405,45 @@ def _check_static_congruence(mod: ModuleInfo, findings: list[Finding]) -> None:
     must be unconditional (not nested under a rank or ownership
     check).
     """
-    rule = get_rule("PLAN404")
-    for cls in _plan_classes(mod.tree):
-        for meth in cls.body:
-            if not isinstance(meth, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    for cls in _plan_classes(index, mod):
+        for meth in cls.node.body:
+            if not isinstance(meth, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                meth.name not in ("run_chain", "reduce")
+            ):
                 continue
-            if meth.name == "run_chain":
-                for node in ast.walk(meth):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    receiver = _comm_receiver(node)
-                    if receiver is None:
-                        continue
-                    terminal = receiver.split(".")[-1]
-                    if receiver == "self.comm" or terminal == "world":
-                        findings.append(
-                            Finding(
-                                rule=rule.id,
-                                severity=rule.severity,
-                                message=(
-                                    f"world-communicator collective "
-                                    f"`{receiver}.{node.func.attr}` inside "  # type: ignore[union-attr]
-                                    "run_chain: ownership filtering means "
-                                    "only the owning cell reaches it — "
-                                    "other ranks block forever; use the "
-                                    "cell/solver communicator"
-                                ),
-                                file=mod.path,
-                                line=node.lineno,
-                                source="lint",
-                                context={"receiver": receiver},
-                            )
-                        )
-            elif meth.name == "reduce":
-                parents = mod.parents
-                for node in ast.walk(meth):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    receiver = _comm_receiver(node)
-                    if receiver is None:
-                        continue
-                    cur = parents.get(node)
-                    guarded = None
-                    while cur is not None and cur is not meth:
-                        if isinstance(
-                            cur, ast.If
-                        ) and _mentions_rank_or_ownership(cur.test):
-                            guarded = cur
-                            break
-                        cur = parents.get(cur)
-                    if guarded is not None:
-                        findings.append(
-                            Finding(
-                                rule=rule.id,
-                                severity=rule.severity,
-                                message=(
-                                    f"collective `{receiver}."
-                                    f"{node.func.attr}` in reduce is "  # type: ignore[union-attr]
-                                    "guarded by a rank/ownership "
-                                    "conditional: reduce runs on every "
-                                    "rank and its collectives must be "
-                                    "unconditional (accumulate under the "
-                                    "guard, reduce outside it)"
-                                ),
-                                file=mod.path,
-                                line=node.lineno,
-                                source="lint",
-                                context={"receiver": receiver},
-                            )
-                        )
+            for node in ast.walk(meth):
+                receiver = _comm_receiver(node)
+                if receiver is None or not isinstance(node, ast.Call):
+                    continue
+                call = f"{receiver}.{terminal(node.func)}"
+                if meth.name == "run_chain" and (
+                    receiver == "self.comm" or receiver.split(".")[-1] == "world"
+                ):
+                    findings.append(finding(
+                        "PLAN404", mod.path, node.lineno,
+                        f"world-communicator collective `{call}` inside "
+                        "run_chain: ownership filtering means only the owning "
+                        "cell reaches it — other ranks block forever; use the "
+                        "cell/solver communicator",
+                        receiver=receiver,
+                    ))
+                guard = next(
+                    (
+                        a for a in mod.ancestors(node)
+                        if a is meth
+                        or isinstance(a, ast.If) and _mentions_rank_or_ownership(a.test)
+                    ),
+                    meth,
+                )
+                if meth.name == "reduce" and guard is not meth:
+                    findings.append(finding(
+                        "PLAN404", mod.path, node.lineno,
+                        f"collective `{call}` in reduce is guarded by a "
+                        "rank/ownership conditional: reduce runs on every "
+                        "rank and its collectives must be unconditional "
+                        "(accumulate under the guard, reduce outside it)",
+                        receiver=receiver,
+                    ))
 
 
 def plan_lint_index(index: SourceIndex) -> list[Finding]:
@@ -589,7 +451,7 @@ def plan_lint_index(index: SourceIndex) -> list[Finding]:
     findings: list[Finding] = []
     for mod in index.modules:
         _check_static_duplicate_keys(mod, findings)
-        _check_static_congruence(mod, findings)
+        _check_static_congruence(index, mod, findings)
     return index.suppress(findings, ("PLAN",))
 
 

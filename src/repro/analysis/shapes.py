@@ -35,10 +35,10 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.analysis.findings import Finding
-from repro.analysis.rules import get_rule
+from repro.analysis.rules import finding
 from repro.analysis.source import (
     SourceIndex,
     dotted,
@@ -123,8 +123,8 @@ _DTYPE_SIZES = {
     "bool": 1,
 }
 
-_ALLOC_FUNCS = frozenset({"zeros", "empty", "ones", "full"})
-_UNKNOWN = "?"
+_ALLOC_FUNCS = frozenset({"zeros", "empty", "ones", "full", "eye", "identity"})
+UNKNOWN = "?"
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ class MemoryBudget:
     bindings: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_BINDINGS))
 
 
-def _is_np_attr(node: ast.expr, names: Iterable[str]) -> str | None:
+def np_attr(node: ast.expr, names: Iterable[str]) -> str | None:
     """``fn`` when ``node`` is ``np.fn`` / ``numpy.fn`` with fn in names."""
     if (
         isinstance(node, ast.Attribute)
@@ -190,22 +190,14 @@ def _is_np_attr(node: ast.expr, names: Iterable[str]) -> str | None:
     return None
 
 
-def _dtype_of_node(node: ast.expr | None) -> str | None:
+def dtype_of(node: ast.expr | None) -> str | None:
     """Dtype string for a ``dtype=`` argument node, if recognizable."""
-    if node is None:
-        return None
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
     if isinstance(node, ast.Name):
-        if node.id == "float":
-            return "float64"
-        if node.id in ("int", "bool"):
-            return "int64" if node.id == "int" else "bool"
-        return None
-    if isinstance(node, ast.Attribute):
-        # np.float32, np.float64, np.intp, ...
-        if node.attr in _DTYPE_SIZES:
-            return node.attr
+        return {"float": "float64", "int": "int64", "bool": "bool"}.get(node.id)
+    if isinstance(node, ast.Attribute) and node.attr in _DTYPE_SIZES:
+        return node.attr  # np.float32, np.float64, np.intp, ...
     return None
 
 
@@ -216,8 +208,53 @@ def _kwarg(call: ast.Call, name: str) -> ast.expr | None:
     return None
 
 
-def _itemsize(dtype: str | None) -> int:
+def itemsize(dtype: str | None) -> int:
     return _DTYPE_SIZES.get(dtype or "float64", 8)
+
+
+def _len_symbol(node: ast.expr) -> str | None:
+    inner = dotted(node)
+    return f"len({inner})" if inner else None
+
+
+def dim(node: ast.expr, len_symbol: Callable = _len_symbol) -> Dim:
+    """Symbolic dim of one shape component (``"?"`` when unknown).
+
+    ``len(x)`` becomes the symbol ``len_symbol(x)``: ``len(x)`` here,
+    the bare name ``x`` in the ALLOC pass's byte estimates.
+    """
+    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        return Dim(float(node.value))
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        return Dim(1.0, (terminal(node) or UNKNOWN,))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return dim(node.left, len_symbol) * dim(node.right, len_symbol)
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "len"
+        and node.args
+    ):
+        return Dim(1.0, (len_symbol(node.args[0]) or UNKNOWN,))
+    return Dim(1.0, (UNKNOWN,))
+
+
+def allocation(
+    call: ast.Call, len_symbol: Callable = _len_symbol
+) -> tuple[str, tuple[Dim, ...], str | None] | None:
+    """``(constructor, symbolic shape, dtype)`` of an ``np.zeros`` /
+    ``empty`` / ``ones`` / ``full`` / ``eye`` / ``identity`` call."""
+    fn = np_attr(call.func, _ALLOC_FUNCS)
+    if fn is None or not call.args:
+        return None
+    shape_arg = call.args[0]
+    if fn in ("eye", "identity"):
+        shape = (dim(shape_arg, len_symbol),) * 2
+    elif isinstance(shape_arg, (ast.Tuple, ast.List)):
+        shape = tuple(dim(el, len_symbol) for el in shape_arg.elts)
+    else:
+        shape = (dim(shape_arg, len_symbol),)
+    return fn, shape, dtype_of(_kwarg(call, "dtype"))
 
 
 class _ScopeInterpreter:
@@ -236,46 +273,9 @@ class _ScopeInterpreter:
         self.sanctioned = sanctioned
         self.env: dict[str, ArrayInfo] = {}
 
-    # ------------------------------------------------------------ emit
     def _emit(self, rule_id: str, lineno: int, message: str, **context: object) -> None:
-        rule = get_rule(rule_id)
-        self.findings.append(
-            Finding(
-                rule=rule.id,
-                severity=rule.severity,
-                message=message,
-                file=self.filename,
-                line=lineno,
-                source="lint",
-                context=context,
-            )
-        )
+        self.findings.append(finding(rule_id, self.filename, lineno, message, **context))
 
-    # ----------------------------------------------------- dim algebra
-    def _dim(self, node: ast.expr) -> Dim:
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            return Dim(float(node.value))
-        if isinstance(node, (ast.Name, ast.Attribute)):
-            name = terminal(node)
-            return Dim(1.0, (name,)) if name else Dim(1.0, (_UNKNOWN,))
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
-            return self._dim(node.left) * self._dim(node.right)
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "len"
-            and node.args
-        ):
-            inner = dotted(node.args[0])
-            return Dim(1.0, (f"len({inner})" if inner else _UNKNOWN,))
-        return Dim(1.0, (_UNKNOWN,))
-
-    def _shape_from_tuple(self, node: ast.expr) -> tuple[Dim, ...]:
-        if isinstance(node, (ast.Tuple, ast.List)):
-            return tuple(self._dim(el) for el in node.elts)
-        return (self._dim(node),)
-
-    # ----------------------------------------------------- allocations
     def _record_allocation(
         self,
         lineno: int,
@@ -284,9 +284,9 @@ class _ScopeInterpreter:
         what: str,
     ) -> None:
         """SHAPE102: evaluate the allocation at reference scale."""
-        total = Dim(float(_itemsize(dtype)))
-        for dim in shape:
-            total = total * dim
+        total = Dim(float(itemsize(dtype)))
+        for d in shape:
+            total = total * d
         nbytes = total.evaluate(self.budget.bindings)
         if nbytes > self.budget.per_rank_bytes:
             shape_str = " x ".join(str(d) for d in shape)
@@ -312,29 +312,21 @@ class _ScopeInterpreter:
         func = call.func
         lineno = call.lineno
 
-        fn = _is_np_attr(func, _ALLOC_FUNCS)
-        if fn is not None and call.args:
-            shape = self._shape_from_tuple(call.args[0])
-            dtype = _dtype_of_node(_kwarg(call, "dtype"))
+        found = allocation(call)
+        if found is not None:
+            fn, shape, dtype = found
             self._record_allocation(lineno, shape, dtype, f"np.{fn} allocation")
             return ArrayInfo(shape=shape, dtype=dtype or "float64")
 
-        fn = _is_np_attr(func, ("eye", "identity"))
-        if fn is not None and call.args:
-            d = self._dim(call.args[0])
-            dtype = _dtype_of_node(_kwarg(call, "dtype"))
-            self._record_allocation(lineno, (d, d), dtype, f"np.{fn} allocation")
-            return ArrayInfo(shape=(d, d), dtype=dtype or "float64")
-
-        if _is_np_attr(func, ("arange",)) is not None and call.args:
-            d = self._dim(call.args[-1] if len(call.args) <= 1 else call.args[1])
-            dtype = _dtype_of_node(_kwarg(call, "dtype"))
+        if np_attr(func, ("arange",)) is not None and call.args:
+            d = dim(call.args[-1] if len(call.args) <= 1 else call.args[1])
+            dtype = dtype_of(_kwarg(call, "dtype"))
             return ArrayInfo(shape=(d,), dtype=dtype)
 
-        if _is_np_attr(func, ("kron",)) is not None and len(call.args) == 2:
+        if np_attr(func, ("kron",)) is not None and len(call.args) == 2:
             left, right = call.args
             if not self.sanctioned and isinstance(left, ast.Call) and (
-                _is_np_attr(left.func, ("eye", "identity")) is not None
+                np_attr(left.func, ("eye", "identity")) is not None
             ):
                 self._emit(
                     "SHAPE101",
@@ -344,19 +336,12 @@ class _ScopeInterpreter:
                     "repro.linalg.kron.identity_kron instead",
                     pattern="np.kron(np.eye, .)",
                 )
-            linfo = self._eval_expr(left)
-            rinfo = self._eval_expr(right)
+            linfo, rinfo = self._eval_expr(left), self._eval_expr(right)
             if (
-                linfo is not None
-                and rinfo is not None
-                and linfo.shape is not None
-                and rinfo.shape is not None
+                linfo and rinfo and linfo.shape and rinfo.shape
                 and len(linfo.shape) == len(rinfo.shape) == 2
             ):
-                shape = (
-                    linfo.shape[0] * rinfo.shape[0],
-                    linfo.shape[1] * rinfo.shape[1],
-                )
+                shape = tuple(a * b for a, b in zip(linfo.shape, rinfo.shape))
                 self._record_allocation(
                     lineno, shape, rinfo.dtype, "np.kron materialization"
                 )
@@ -367,10 +352,11 @@ class _ScopeInterpreter:
         callee = terminal(func)
         if callee == "identity_kron":
             sparse_kw = _kwarg(call, "sparse")
-            dense = (
-                isinstance(sparse_kw, ast.Constant) and sparse_kw.value is False
-            )
-            if dense and not self.sanctioned:
+            if (
+                isinstance(sparse_kw, ast.Constant)
+                and sparse_kw.value is False
+                and not self.sanctioned
+            ):
                 self._emit(
                     "SHAPE101",
                     lineno,
@@ -380,23 +366,19 @@ class _ScopeInterpreter:
                 )
             return ArrayInfo(lifted=True)
 
-        if _is_np_attr(func, ("asarray", "ascontiguousarray", "array")) and call.args:
+        if np_attr(func, ("asarray", "ascontiguousarray", "array")) and call.args:
             inner = self._eval_expr(call.args[0])
-            dtype = _dtype_of_node(_kwarg(call, "dtype"))
+            dtype = dtype_of(_kwarg(call, "dtype"))
             if inner is not None:
-                return ArrayInfo(
-                    shape=inner.shape,
-                    dtype=dtype or inner.dtype,
-                    lifted=inner.lifted,
-                )
+                return ArrayInfo(inner.shape, dtype or inner.dtype, inner.lifted)
             return ArrayInfo(dtype=dtype)
 
         # x.astype(dt): dtype change, shape preserved.
         if isinstance(func, ast.Attribute) and func.attr == "astype" and call.args:
             inner = self._eval_expr(func.value)
-            dtype = _dtype_of_node(call.args[0])
+            dtype = dtype_of(call.args[0])
             if inner is not None:
-                return ArrayInfo(shape=inner.shape, dtype=dtype, lifted=inner.lifted)
+                return ArrayInfo(inner.shape, dtype, inner.lifted)
             return ArrayInfo(dtype=dtype)
 
         # .toarray() on a lifted object: dense materialization.
@@ -438,34 +420,21 @@ class _ScopeInterpreter:
         if isinstance(node, ast.Attribute) and node.attr == "T":
             inner = self._eval_expr(node.value)
             if inner is not None and inner.shape is not None:
-                return ArrayInfo(
-                    shape=tuple(reversed(inner.shape)), dtype=inner.dtype
-                )
+                return ArrayInfo(tuple(reversed(inner.shape)), inner.dtype)
             return None
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
-            left = self._eval_expr(node.left)
-            right = self._eval_expr(node.right)
-            self._check_mixed_dtype(node, left, right)
-            if (
-                left is not None
-                and right is not None
-                and left.shape is not None
-                and right.shape is not None
-                and len(left.shape) == 2
-                and len(right.shape) == 2
-            ):
-                return ArrayInfo(
-                    shape=(left.shape[0], right.shape[1]),
-                    dtype=left.dtype if left.dtype == right.dtype else None,
-                )
+        if not isinstance(node, ast.BinOp):
             return None
-        if isinstance(node, ast.BinOp):
-            left = self._eval_expr(node.left)
-            right = self._eval_expr(node.right)
-            self._check_mixed_dtype(node, left, right)
-            if left is not None and left.shape is not None:
-                return ArrayInfo(shape=left.shape, dtype=left.dtype)
+        left, right = self._eval_expr(node.left), self._eval_expr(node.right)
+        self._check_mixed_dtype(node, left, right)
+        if left is None or left.shape is None:
             return None
+        if not isinstance(node.op, ast.MatMult):
+            return ArrayInfo(left.shape, left.dtype)
+        if right is not None and right.shape is not None and (
+            len(left.shape) == len(right.shape) == 2
+        ):
+            dtype = left.dtype if left.dtype == right.dtype else None
+            return ArrayInfo((left.shape[0], right.shape[1]), dtype)
         return None
 
     def _check_mixed_dtype(
@@ -500,15 +469,9 @@ class _ScopeInterpreter:
             self._assign(stmt.target, stmt.value)
         else:
             self._visit_exprs(stmt)
-        for child in ast.iter_child_nodes(stmt):
+        for child in ast.iter_child_nodes(stmt):  # for/if/while/with bodies
             if isinstance(child, ast.stmt):
                 self._stmt(child)
-            elif isinstance(child, (ast.expr,)) and not isinstance(
-                stmt, (ast.Assign, ast.AnnAssign)
-            ):
-                pass  # already visited via _visit_exprs
-        # Statement bodies (for/if/while/with) are statements and are
-        # handled by the iter_child_nodes walk above.
 
     def _visit_exprs(self, stmt: ast.stmt) -> None:
         """Evaluate every call/binop in a non-assignment statement."""
@@ -532,16 +495,15 @@ class _ScopeInterpreter:
             and value.attr == "shape"
         ):
             src = dotted(value.value)
-            dims = []
-            for el in target.elts:
-                name = el.id if isinstance(el, ast.Name) else _UNKNOWN
-                dims.append(Dim(1.0, (name,)))
             if src is not None:
-                existing = self.env.get(src)
+                existing = self.env.get(src) or ArrayInfo()
                 self.env[src] = ArrayInfo(
-                    shape=tuple(dims),
-                    dtype=existing.dtype if existing else None,
-                    lifted=existing.lifted if existing else False,
+                    tuple(
+                        Dim(1.0, (el.id if isinstance(el, ast.Name) else UNKNOWN,))
+                        for el in target.elts
+                    ),
+                    existing.dtype,
+                    existing.lifted,
                 )
             return
         # Parallel assignment of calls: evaluate for side effects.
@@ -550,11 +512,9 @@ class _ScopeInterpreter:
             return
         info = self._eval_expr(value)
         key = dotted(target)
-        if key is None:
-            return
-        if info is not None:
+        if key is not None and info is not None:
             self.env[key] = info
-        else:
+        elif key is not None:
             self.env.pop(key, None)  # rebound to something unknown
 
 
@@ -578,15 +538,12 @@ def shape_check_index(
         for body in scope_bodies(mod.tree):
             interp = _ScopeInterpreter(mod.path, raw, budget, in_sanctioned)
             interp.run(body)
-        # One finding per (rule, line): the expression evaluator may
-        # visit a call twice (once as a value, once inside an enclosing
-        # binop).
-        seen: set[tuple[str, int, str]] = set()
+        # One finding per (rule, line, message): the expression evaluator
+        # may visit a call twice (as a value, then inside a binop).
+        unique: dict[tuple[str, int, str], Finding] = {}
         for f in raw:
-            sig = (f.rule, f.line, f.message)
-            if sig not in seen:
-                seen.add(sig)
-                findings.append(f)
+            unique.setdefault((f.rule, f.line, f.message), f)
+        findings.extend(unique.values())
     return index.suppress(findings, ("SHAPE",))
 
 
