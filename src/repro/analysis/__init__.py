@@ -21,10 +21,11 @@ passes read it:
   (``ALLOC601``-``604``).
 
 The runtime side: :mod:`~repro.analysis.dynamic` holds the simmpi
-:class:`DynamicChecker` (``DYN201``-``205``) and the one observer base
-under the ``LockOrderObserver`` (``DYN206``, behind the
-``instrumented_lock`` factories and ``REPRO_THREAD_CHECK=1``) and
-:mod:`~repro.analysis.allocobs`'s ``AllocationObserver`` (``DYN207``).
+:class:`DynamicChecker` (``DYN201``-``205``) and the
+``LockOrderObserver`` (``DYN206``, behind the ``instrumented_lock``
+factories and ``REPRO_THREAD_CHECK=1``);
+:mod:`~repro.analysis.allocobs` holds the ``AllocationObserver``
+(``DYN207``).
 ``repro check`` (:mod:`~repro.analysis.check`) runs them all and gates
 CI on zero findings; ``--format sarif`` exports SARIF 2.1.0
 (:mod:`~repro.analysis.sarif`).  Every rule is documented in

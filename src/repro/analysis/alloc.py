@@ -36,12 +36,13 @@ from repro.analysis.source import (
     FuncInfo,
     FunctionVisitor,
     SourceIndex,
-    package_root,
     terminal,
     walk,
+    whole_package,
 )
 
 __all__ = [
+    "CONSTRUCTORS",
     "HOT_MODULE_SUFFIXES",
     "ALLOC_FAMILY",
     "AllocScan",
@@ -67,22 +68,22 @@ HOT_MODULE_SUFFIXES: tuple[str, ...] = (
 #: Rule-id prefix this pass owns for suppression accounting.
 ALLOC_FAMILY: tuple[str, ...] = ("ALLOC",)
 
-#: numpy constructors that always return a fresh buffer.
-_CONSTRUCTORS = frozenset(
-    {
-        "zeros",
-        "empty",
-        "ones",
-        "full",
-        "eye",
-        "identity",
-        "kron",
-        "zeros_like",
-        "empty_like",
-        "ones_like",
-        "full_like",
-    }
+#: numpy constructors that always return a fresh buffer (the family
+#: the DYN207 observer wraps, with ``ascontiguousarray``).
+CONSTRUCTORS: tuple[str, ...] = (
+    "zeros",
+    "empty",
+    "ones",
+    "full",
+    "eye",
+    "identity",
+    "kron",
+    "zeros_like",
+    "empty_like",
+    "ones_like",
+    "full_like",
 )
+_CONSTRUCTORS = frozenset(CONSTRUCTORS)
 
 #: Constructors whose result is a fresh buffer, making a following
 #: ``.copy()`` a provable double copy.  ``asarray`` is deliberately
@@ -447,6 +448,4 @@ def alloc_scan(index: SourceIndex) -> AllocScan:
     return AllocScan(findings, sites, files)
 
 
-def default_alloc_paths() -> list[str]:
-    """The whole ``repro`` package."""
-    return [package_root()]
+default_alloc_paths = whole_package

@@ -1,33 +1,22 @@
 """DYN207: runtime allocation observer — the ALLOC6xx twin.
 
 Where :mod:`repro.analysis.alloc` predicts ndarray churn from the AST,
-this module *measures* it on a real engine run and attributes it to
-each (stage, bootstrap, λ) subproblem, exactly the static↔runtime
-pairing the DYN206 lock observer gives the LOCK5xx pass:
-
-* an :class:`AllocationObserver`, while installed, runs
-  ``tracemalloc`` (net retained bytes and the peak per interval) and
-  wraps the numpy constructors in :data:`PATCHED_CONSTRUCTORS` so
-  each fresh buffer is attributed to the calling ``file:line``;
-* an :class:`AllocationHook` attached to
-  :func:`repro.engine.run_plan` slices the observation into
-  per-subproblem intervals using the same between-consecutive-events
-  timing model as :class:`repro.telemetry.hook.TelemetryHook`
-  (``on_stage_end`` rebases, so reduction allocations land in a
-  ``stage:`` record, never in the next task's);
-* :func:`cross_check` closes the loop: a constructor site that is hot
-  at runtime (called every subproblem, ≥ 1 MiB total) in a statically
-  scanned module but carries neither a static finding nor an
-  ``ALLOC`` suppression is a *precision bug* in the static pass and
-  becomes a ``DYN207`` finding; a static site that never allocated at
-  runtime is reported back as a downgrade candidate.
-
-The observer is pure observation: wrapped constructors delegate to
-the originals and return their results unchanged, so observed fits
-are bitwise identical to unobserved ones (asserted in
-``tests/test_analysis_allocobs.py``).  It is attached per run, as
-``run_plan(..., hooks=(AllocationHook(observer),))`` — ``repro check
-alloc`` does exactly that; with no hook installed nothing is patched.
+this module measures it on a real engine run, per (stage, bootstrap,
+λ) subproblem.  An :class:`AllocationObserver`, while installed, runs
+``tracemalloc`` (net and peak bytes per interval) and wraps the numpy
+constructors in :data:`PATCHED_CONSTRUCTORS` so each fresh buffer is
+attributed to its calling ``file:line``.  An :class:`AllocationHook`
+on :func:`repro.engine.run_plan` slices the observation into
+per-subproblem intervals (the timing model of
+:class:`repro.telemetry.hook.TelemetryHook`: ``on_stage_end`` rebases,
+so reduction allocations land in a ``stage:`` record).
+:func:`cross_check` closes the loop: a runtime-hot constructor site in
+a statically scanned module with neither a static finding nor an
+``ALLOC`` suppression is a ``DYN207`` finding, and a static site that
+never allocated is a downgrade candidate.  Wrapped constructors return
+the originals' results unchanged, so observed fits are bitwise
+identical to unobserved ones; with no hook installed nothing is
+patched.
 """
 
 from __future__ import annotations
@@ -35,13 +24,15 @@ from __future__ import annotations
 import json
 import os
 import sys
+import threading
 import tracemalloc
 from typing import Any
 
 import numpy as np
 
-from repro.analysis.dynamic import Observer
+from repro.analysis.alloc import CONSTRUCTORS
 from repro.analysis.findings import Finding
+from repro.analysis.rules import finding
 from repro.engine.hooks import EngineHook
 
 __all__ = [
@@ -52,20 +43,7 @@ __all__ = [
 ]
 
 #: numpy module-level callables wrapped while an observer is installed.
-PATCHED_CONSTRUCTORS: tuple[str, ...] = (
-    "zeros",
-    "empty",
-    "ones",
-    "full",
-    "eye",
-    "identity",
-    "kron",
-    "zeros_like",
-    "empty_like",
-    "ones_like",
-    "full_like",
-    "ascontiguousarray",
-)
+PATCHED_CONSTRUCTORS: tuple[str, ...] = (*CONSTRUCTORS, "ascontiguousarray")
 
 _THIS_FILE = os.path.abspath(__file__)
 
@@ -102,46 +80,55 @@ class _SiteStats:
         return {"calls": self.calls, "bytes": self.nbytes}
 
 
-class AllocationObserver(Observer):
+class AllocationObserver:
     """Measures ndarray allocation behaviour while installed.
 
-    Installing starts tracemalloc and wraps the constructor family;
-    :func:`cross_check` reports its ``DYN207`` findings.
     Thread-safety: constructor wrappers may fire from worker threads
     (elastic backend); site accounting takes a plain lock.  Interval
     slicing (:meth:`begin_interval`/:meth:`end_interval`) happens on
     the engine's dispatching thread only, same as every engine hook.
     """
 
-    rule = "DYN207"
-
     def __init__(self) -> None:
-        super().__init__()
         #: closed interval records, in dispatch order.
         self.records: list[dict[str, Any]] = []
         #: cumulative (file, line) -> stats across the whole install.
         self.sites: dict[tuple[str, int], _SiteStats] = {}
+        self._lock = threading.Lock()
+        self._installed = 0
         self._originals: dict[str, Any] = {}
         self._started_tracemalloc = False
         self._interval_sites: dict[tuple[str, int], _SiteStats] = {}
         self._net0: int = 0
         self._open = False
 
-    def _attach(self) -> None:
-        if not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._started_tracemalloc = True
-        for name in PATCHED_CONSTRUCTORS:
-            original = self._originals[name] = getattr(np, name)
-            setattr(np, name, self._wrap(name, original))
+    def install(self) -> None:
+        """Start tracemalloc and wrap the constructor family
+        (idempotent, reference-counted)."""
+        with self._lock:
+            self._installed += 1
+            if self._installed > 1:
+                return
+            if not tracemalloc.is_tracing():
+                tracemalloc.start()
+                self._started_tracemalloc = True
+            for name in PATCHED_CONSTRUCTORS:
+                original = self._originals[name] = getattr(np, name)
+                setattr(np, name, self._wrap(name, original))
 
-    def _detach(self) -> None:
-        for name, original in self._originals.items():
-            setattr(np, name, original)
-        self._originals.clear()
-        if self._started_tracemalloc:
-            tracemalloc.stop()
-            self._started_tracemalloc = False
+    def uninstall(self) -> None:
+        with self._lock:
+            if self._installed == 0:
+                return
+            self._installed -= 1
+            if self._installed:
+                return
+            for name, original in self._originals.items():
+                setattr(np, name, original)
+            self._originals.clear()
+            if self._started_tracemalloc:
+                tracemalloc.stop()
+                self._started_tracemalloc = False
 
     def _wrap(self, name: str, original: Any) -> Any:
         def wrapper(*args: Any, **kwargs: Any) -> Any:
@@ -313,13 +300,13 @@ def cross_check(
             and stats["calls"] >= threshold_calls
             and stats["bytes"] >= HOT_MIN_BYTES
         ):
-            findings.append(observer.checker._emit(
-                "DYN207",
+            findings.append(finding(
+                "DYN207", path, line,
                 "runtime allocation hotspot with no static ALLOC "
                 f"finding or suppression: {stats['calls']} constructor "
                 f"calls / {stats['bytes']} bytes across {tasks} "
                 "subproblems — the static pass missed this site",
-                (path, line),
+                source="dynamic",
                 calls=stats["calls"],
                 bytes=stats["bytes"],
                 subproblems=tasks,

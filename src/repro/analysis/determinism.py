@@ -1,41 +1,19 @@
 """DET3xx: determinism taint from nondeterminism sources into plans.
 
 The engine's headline invariant — same seed → bitwise-identical
-coefficients on every backend — is stated as a contract in
+coefficients on every backend — rests on the contract in
 :mod:`repro.engine.plan`: all random draws happen in ``__init__``,
 ``run_chain`` is a pure function of plan state, and ``reduce``
-consumes results in a fixed order.  PR 4's runtime checkers can only
-catch violations on schedules that actually execute; this pass proves
-the contract statically by answering one question: *can a
-nondeterminism source flow into code reachable from
-``UoIPlan.run_chain`` or ``reduce``?*
-
-The pass roots the call graph of the shared
-:class:`~repro.analysis.source.SourceIndex` at every
-``run_chain``/``reduce`` method of a
-:class:`~repro.engine.plan.UoIPlan` subclass (:func:`plan_roots`, which
-the ALLOC pass shares) and scans the reachable closure for:
-
-* ``DET301`` — wall-clock reads (``time.time``, ``perf_counter``,
-  ``datetime.now``, ...);
-* ``DET302`` — os-ordered listings (``glob``, ``os.listdir``,
-  ``os.scandir``, ``Path.iterdir``) not wrapped in ``sorted(...)``;
-* ``DET303`` — iteration over a ``set`` (literal, ``set()`` /
-  ``frozenset()`` call, or a local provably bound to one), whose
-  order depends on hash randomization;
-* ``DET304`` — unseeded RNGs: ``np.random.default_rng()`` with no
-  seed, or stdlib ``random.*`` global-state calls (extending SPMD002,
-  which covers the global numpy RNG everywhere).
-
-Call resolution is the index's strict mode (precision-first, like
-the SPMD linter): names resolve through the module's own defs, its
-``from``-imports, local ``var = ClassName(...)`` instantiations, and
-``self.``-methods up the base-class chain; an attribute call on an
-object of unknown type is *not* traversed.  Observational substrate —
-``repro.telemetry``, ``repro.simmpi``, ``repro.perf``,
-``repro.analysis`` — is excluded from the index by design: it may
-read clocks (that is its job) but never feeds values back into plan
-arithmetic.  Suppress per line with ``# repro: ignore[DET30x]``.
+consumes results in a fixed order.  This pass proves it statically:
+from every ``run_chain``/``reduce`` of a
+:class:`~repro.engine.plan.UoIPlan` subclass (:func:`plan_roots`,
+which ALLOC shares) it follows the shared index's call graph, in its
+strict, precision-first mode, and flags wall-clock reads
+(``DET301``), unsorted os-ordered listings (``DET302``), set
+iteration (``DET303``) and unseeded RNGs (``DET304``) in the reachable
+closure; ``docs/static-analysis.md`` has each rule's exact shape.
+Observational substrate (:data:`EXCLUDED_SUBPACKAGES`) is left out of
+the index by design.
 """
 
 from __future__ import annotations
@@ -49,7 +27,7 @@ from repro.analysis.source import (
     FunctionVisitor,
     SourceIndex,
     dotted,
-    package_root,
+    whole_package,
 )
 
 __all__ = [
@@ -217,9 +195,11 @@ class _TaintScan(FunctionVisitor):
                 "results would depend on when the run started, breaking "
                 "same-seed bitwise replay",
             )
-        elif (
-            name in _OS_ORDER_CALLS or name.endswith(".iterdir")
-        ) and not self._wrapped_in_sorted(call):
+        elif (name in _OS_ORDER_CALLS or name.endswith(".iterdir")) and not (
+            isinstance(wrapper := self.info.module.parents.get(call), ast.Call)
+            and isinstance(wrapper.func, ast.Name)
+            and wrapper.func.id in ("sorted", "len", "any", "all")
+        ):
             self.emit(
                 "DET302",
                 call.lineno,
@@ -245,14 +225,6 @@ class _TaintScan(FunctionVisitor):
                 "code: process-wide state interleaves across simulated "
                 "ranks and cannot replay from the run's seed",
             )
-
-    def _wrapped_in_sorted(self, call: ast.Call) -> bool:
-        parent = self.info.module.parents.get(call)
-        return (
-            isinstance(parent, ast.Call)
-            and isinstance(parent.func, ast.Name)
-            and parent.func.id in ("sorted", "len", "any", "all")
-        )
 
 
 def _is_set(node: ast.expr) -> bool:
@@ -286,6 +258,4 @@ def determinism_check_index(index: SourceIndex) -> list[Finding]:
     return index.suppress(findings, ("DET",))
 
 
-def default_determinism_paths() -> list[str]:
-    """The whole ``repro`` package (exclusions applied per module)."""
-    return [package_root()]
+default_determinism_paths = whole_package

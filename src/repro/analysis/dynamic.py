@@ -5,27 +5,21 @@ A :class:`DynamicChecker` is handed to
 receives callbacks from the communication layer while the program
 runs:
 
-* **Collective matching** (``DYN201``/``DYN202``) — every collective
-  contribution carries a little metadata record (operation kind,
-  reduce op, root, payload dtype/shape, call site); when the last rank
-  arrives the checker validates that all ranks agree *before* the
-  payloads are combined, catching rank-divergent call sequences and
-  silently rank-dependent reductions.
-* **RMA epoch races** (``DYN203``) — every ``Window.get``/``put``/
-  ``accumulate`` is recorded against its fence epoch; at each fence
-  (and at job end) the epoch's accesses are checked pairwise for
-  conflicting overlap on the same target rows.
-* **Deadlock reporting** (``DYN204``) — when the runtime's timeout
-  abort fires, the checker records a finding naming every blocked
-  rank and the call each was waiting in.
+* **Collective matching** (``DYN201``/``DYN202``) — each rank's
+  contribution carries its operation kind, reduce op, root, payload
+  dtype/shape and call site, validated across ranks *before* the
+  payloads are combined.
+* **RMA epoch races** (``DYN203``) — one-sided accesses are checked
+  pairwise for conflicting overlap at each fence (and at job end).
+* **Deadlock reporting** (``DYN204``) — the runtime's timeout abort
+  records every blocked rank and the call it waits in.
 * **Lock-order observation** (``DYN206``) — a
   :class:`LockOrderObserver`, the runtime twin of the ``LOCK5xx``
   pass, wraps the locks production code creates through the
   ``instrumented_*`` factories (plain ``threading`` primitives when no
   observer is active) and reports observed order inversions and
   long-held-lock stalls.  Enable globally with ``REPRO_THREAD_CHECK=1``
-  or per scope with :func:`use_lock_observer`.  It and the DYN207
-  allocation observer share the :class:`Observer` base.
+  or per scope with :func:`use_lock_observer`.
 
 The checker is pure observation: it never touches payloads, so runs
 with a checker attached are bitwise identical to runs without
@@ -50,7 +44,6 @@ from repro.analysis.rules import finding
 
 __all__ = [
     "DynamicChecker",
-    "Observer",
     "CollectiveMismatchError",
     "call_site",
     "LockOrderObserver",
@@ -308,17 +301,10 @@ class DynamicChecker:
 
     def finalize(self) -> None:
         """Analyze every epoch never closed by a fence (job end)."""
+        for win_id, epoch in list(self._epochs):
+            self.end_epoch(win_id, epoch)
         with self._lock:
-            pending = [
-                (key, accesses)
-                for key, accesses in self._epochs.items()
-                if key not in self._analyzed
-            ]
-            for key, _ in pending:
-                self._analyzed.add(key)
             self._epochs.clear()
-        for (win_id, epoch), accesses in pending:
-            self._analyze_epoch(epoch, accesses)
 
     def _analyze_epoch(self, epoch: int, accesses: list[dict]) -> None:
         writes = [a for a in accesses if a["op"] in ("put", "accumulate")]
@@ -397,81 +383,23 @@ class DynamicChecker:
         )
 
 
-class Observer:
-    """Base of the runtime observers (``DYN206`` locks, ``DYN207``
-    allocations): a reference-counted :meth:`install` /
-    :meth:`uninstall` around the subclass's ``_attach`` / ``_detach``,
-    ``with observer:`` as the scope, and a :class:`DynamicChecker`
-    collecting what it reports under :attr:`rule`."""
-
-    rule = ""
-
-    def __init__(self, checker: DynamicChecker | None = None) -> None:
-        self.checker = checker if checker is not None else DynamicChecker()
-        self._lock = threading.Lock()
-        self._installed = 0
-
-    def install(self) -> None:
-        with self._lock:
-            self._installed += 1
-            if self._installed == 1:
-                self._attach()
-
-    def uninstall(self) -> None:
-        with self._lock:
-            if self._installed == 0:
-                return
-            self._installed -= 1
-            if self._installed == 0:
-                self._detach()
-
-    def _attach(self) -> None:
-        raise NotImplementedError
-
-    def _detach(self) -> None:
-        raise NotImplementedError
-
-    def __enter__(self) -> "Observer":
-        self.install()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.uninstall()
-
-    def findings(self) -> list[Finding]:
-        return self.checker.findings_for(self.rule)
-
-
 # ---------------------------------------------------------------------------
 # DYN206: runtime lock-order observation
 # ---------------------------------------------------------------------------
-class LockOrderObserver(Observer):
+class LockOrderObserver:
     """Observe the order in which threads take instrumented locks.
 
-    The runtime twin of the static ``LOCK501``/``LOCK504`` pass: every
-    :func:`instrumented_lock`/:func:`instrumented_rlock` acquisition is
-    pushed onto a per-thread stack, and
-
-    * taking lock ``B`` while holding ``A`` records the directed edge
-      ``A -> B``; the first time the *reverse* edge is also observed —
-      from any thread, at any point in the run — a ``DYN206`` finding
-      is emitted naming both sites (one finding per unordered pair);
-    * a lock held longer than ``stall_threshold`` seconds (checked
-      when the outermost hold is released, and when a ``Condition``
-      wait releases it) emits a ``DYN206`` stall finding (once per
-      lock name; locks created with ``stall_exempt=True`` — the
-      elastic executor's intentional whole-stage serialization — are
-      skipped).
-
-    Pure observation: acquisition metadata only, payloads untouched —
-    a run with the observer attached is bitwise identical to one
-    without (asserted in ``tests/test_analysis_lock_observer.py``).
-    Reentrant re-acquisition of the same object and same-name pairs
-    (two replicas of one class) never produce edges.  Installed, it is
-    the target of instrumented locks created while installed.
+    Every :func:`instrumented_lock`/:func:`instrumented_rlock`
+    acquisition is pushed onto a per-thread stack.  Taking ``B`` while
+    holding ``A`` records the edge ``A -> B``; the first time the
+    reverse edge is also observed, from any thread, a ``DYN206``
+    finding names both sites (once per unordered pair).  A lock held
+    longer than ``stall_threshold`` seconds emits a ``DYN206`` stall
+    finding (once per lock name; ``stall_exempt=True`` locks are
+    skipped).  Reentrant re-acquisition and same-name pairs (two
+    replicas of one class) make no edges.  Pure observation: a run
+    with the observer attached is bitwise identical to one without.
     """
-
-    rule = "DYN206"
 
     def __init__(
         self,
@@ -479,9 +407,9 @@ class LockOrderObserver(Observer):
         *,
         stall_threshold: float = 5.0,
     ) -> None:
-        super().__init__(checker)
+        self.checker = checker if checker is not None else DynamicChecker()
         self.stall_threshold = stall_threshold
-        self._previous: LockOrderObserver | None = None
+        self._lock = threading.Lock()
         self._local = threading.local()
         #: (holder name, acquired name) -> first site observed.
         self._edges: dict[tuple[str, str], tuple[str, int]] = {}
@@ -495,13 +423,8 @@ class LockOrderObserver(Observer):
             state = self._local.state = {"held": [], "depth": {}, "t0": {}}
         return state
 
-    def _attach(self) -> None:
-        global _ACTIVE_OBSERVER
-        self._previous, _ACTIVE_OBSERVER = _ACTIVE_OBSERVER, self
-
-    def _detach(self) -> None:
-        global _ACTIVE_OBSERVER
-        _ACTIVE_OBSERVER = self._previous
+    def findings(self) -> list[Finding]:
+        return self.checker.findings_for("DYN206")
 
     # ------------------------------------------------------ transitions
     def on_acquired(self, lock: "_ObservedLock") -> None:
@@ -683,8 +606,13 @@ def use_lock_observer(
     """Make ``observer`` the target of instrumented locks created in
     this scope (locks snapshot the observer at construction, so only
     objects *built* inside the scope are observed)."""
-    with observer:
+    global _ACTIVE_OBSERVER
+    previous = _ACTIVE_OBSERVER
+    _ACTIVE_OBSERVER = observer
+    try:
         yield observer
+    finally:
+        _ACTIVE_OBSERVER = previous
 
 
 def _instrumented(

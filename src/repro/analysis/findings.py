@@ -1,11 +1,8 @@
 """Findings: the common currency of the static and dynamic checkers.
 
-Both halves of :mod:`repro.analysis` — the AST-based SPMD linter and
-the runtime checkers wired into :mod:`repro.simmpi` — report problems
-as :class:`Finding` records carrying a rule id, a severity, a
-``file:line`` location, and a human message.  The ``repro check`` CLI
-renders them as a human table or JSON (the CI artifact format), and
-tests assert on them directly.
+Every checker reports a :class:`Finding` (rule id, severity,
+``file:line``, message, context); ``repro check`` renders them as a
+human table, JSON (the CI artifact) or SARIF.
 """
 
 from __future__ import annotations
@@ -36,27 +33,13 @@ SEVERITIES = (ERROR, WARNING, INFO)
 class Finding:
     """One problem reported by a checker.
 
-    Attributes
-    ----------
-    rule:
-        Rule id (``SPMD001``, ``DYN203``, ...) — see
-        :mod:`repro.analysis.rules`.
-    severity:
-        One of :data:`SEVERITIES`.
-    message:
-        One-line human description of the specific violation.
-    file:
-        Path of the offending source file (repo-relative when the
-        linter was given relative paths; absolute otherwise).  Dynamic
-        findings carry the call site that performed the offending
-        operation.
-    line:
-        1-based line number, or 0 when no source position applies.
-    source:
-        ``"lint"`` for static findings, ``"dynamic"`` for runtime ones.
-    context:
-        Free-form JSON-serializable details (ranks involved, the
-        conflicting keys, the mismatched shapes, ...).
+    ``rule`` is a rule id (``SPMD001``, ``DYN203``, ... — see
+    :mod:`repro.analysis.rules`); ``severity`` one of
+    :data:`SEVERITIES`; ``file`` the offending source file as the
+    checker was given it (dynamic findings: the offending call site)
+    and ``line`` its 1-based line, 0 when none applies; ``source`` is
+    ``"lint"``, ``"dynamic"`` or ``"plan"``; ``context`` holds
+    JSON-serializable details (ranks, keys, shapes, ...).
     """
 
     rule: str

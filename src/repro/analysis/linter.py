@@ -19,7 +19,7 @@ import ast
 from repro.analysis.findings import Finding
 from repro.analysis.planver import COLLECTIVES
 from repro.analysis.rules import finding
-from repro.analysis.source import SourceIndex, package_root, scope_bodies, terminal, walk
+from repro.analysis.source import SourceIndex, scope_bodies, terminal, walk, whole_package
 
 __all__ = [
     "COLLECTIVE_METHODS",
@@ -239,6 +239,4 @@ def lint_index(index: SourceIndex) -> list[Finding]:
     return index.suppress(findings, ("SPMD",))
 
 
-def default_lint_paths() -> list[str]:
-    """The tree ``repro check lint`` covers by default: ``src/repro``."""
-    return [package_root()]
+default_lint_paths = whole_package

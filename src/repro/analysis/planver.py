@@ -3,33 +3,16 @@
 The engine trusts a plan's own enumeration: checkpoint records are
 keyed by ``Subproblem.key``, warm starts flow down each chain in list
 order, reductions index the result table by the (bootstrap, λ) grid,
-and a :class:`~repro.engine.Coordinator` built with a grid's
-``owns=`` predicate filters chains by grid ownership before any
-lookup or collective is posted.  A plan
-that violates any of those assumptions does not crash — it silently
-corrupts the estimator (clobbered checkpoints, wrong warm starts,
-dropped or double-counted subproblems) or deadlocks at scale.
-
-This module proves the assumptions *before* the run:
-
-* :func:`verify_plan` inspects a constructed plan instance —
-  ``PLAN401`` checkpoint-key uniqueness, ``PLAN402`` warm-start chain
-  ordering, ``PLAN403`` exact coverage of the (bootstrap, λ) grid,
-  and ``PLAN404`` a symbolic replay of the grid's ownership partition
-  (every cell owns a disjoint, exhaustive slice, so each rank's
-  collective sequence is congruent — the static twin of DYN201/202).
-  It returns findings; :func:`assert_valid_plan` raises
-  :class:`PlanVerificationError` instead.  The engine calls it on
-  ``run_plan(..., verify=True)`` or under a ``verify``-marked executor
-  (see :func:`repro.engine.run_plan`).
-* :func:`plan_lint_index` is the AST side for ``repro check plan``:
-  ``PLAN401`` statically (a constant checkpoint key built inside a
-  task loop is a duplicate in waiting) and ``PLAN404`` statically
-  (``run_chain`` posting world-communicator collectives, ``reduce``
-  posting collectives under a rank/ownership conditional).
-
-Verification is read-only and runs in O(#subproblems): cheap
-insurance against a 100k-core launch with a malformed plan.
+and a grid's ``owns=`` predicate filters chains before any collective
+is posted.  A plan that breaks one of those assumptions silently
+corrupts the estimator or deadlocks at scale.  :func:`verify_plan`
+checks a constructed plan before the run (``PLAN401`` key uniqueness,
+``PLAN402`` chain order, ``PLAN403`` grid coverage, ``PLAN404`` a
+symbolic replay of the ownership partition); the engine calls it on
+``run_plan(..., verify=True)`` and the service at every submit.
+:func:`assert_disjoint_leases` checks the coordinator's leases
+(``PLAN405``).  :func:`plan_lint_index` is the AST side for ``repro
+check plan`` (``PLAN401`` and ``PLAN404`` from the syntax).
 """
 
 from __future__ import annotations
@@ -55,11 +38,24 @@ __all__ = [
 
 #: Collective methods a communicator exposes (the SPMD linter adds the
 #: communicator-lifecycle calls to this set).
-COLLECTIVES = frozenset({
-    "allreduce", "bcast", "barrier", "reduce", "gather", "allgather",
-    "scatter", "alltoall", "reduce_scatter", "scan", "iallreduce",
-    "iallgather", "ibarrier", "fence",
-})
+COLLECTIVES = frozenset(
+    {
+        "allreduce",
+        "bcast",
+        "barrier",
+        "reduce",
+        "gather",
+        "allgather",
+        "scatter",
+        "alltoall",
+        "reduce_scatter",
+        "scan",
+        "iallreduce",
+        "iallgather",
+        "ibarrier",
+        "fence",
+    }
+)
 
 
 class PlanVerificationError(ValueError):

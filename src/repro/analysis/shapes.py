@@ -3,31 +3,16 @@
 The paper's central scaling hazard is silent blow-up: the Kronecker
 lifting ``vec Y = (I ⊗ X) vec B`` (eq. 9) is ≈ p³ the size of the
 data, so one stray dense materialization — or one allocation whose
-symbolic size scales like ``n · p²`` — exhausts a node 40 minutes into
-a 100k-core run.  This pass proves the absence of those blow-ups
-*before* launch by abstract interpretation over the syntax tree:
-
-* symbolic dims are seeded from the codebase's own idiom
-  (``n, p = X.shape``, ``q = len(lambdas)``) and propagated through
-  numpy constructors (``zeros``/``empty``/``eye``/``arange``/...),
-  ``kron``, ``@``, ``.T``, and ``asarray``/``astype`` dtype casts;
-* every recognized allocation is evaluated, as a product of symbolic
-  dims times the dtype's itemsize, against a configurable per-rank
-  :class:`MemoryBudget` at reference paper scale (``SHAPE102``);
-* dense materialization of ``I ⊗ X`` outside the sanctioned
-  :func:`repro.linalg.kron.identity_kron` path is flagged
-  (``SHAPE101``): ``np.kron(np.eye(p), X)``, ``identity_kron(...,
-  sparse=False)``, and ``.toarray()`` on a lifted object;
-* float32/float64 drift is flagged (``SHAPE103``): mixed-dtype
-  arithmetic, and float32 arrays crossing a solver boundary that
-  normalizes to float64.
-
-Like the SPMD linter, the pass is precision-first: every rule fires
-only on evidence the AST actually carries (a known constructor, a
-known shape binding, a known dtype on both operands), so
-``repro check shapes`` gates CI on zero findings over
-``repro.linalg`` and ``repro.distribution`` without blanket
-suppressions.  Suppress per line with ``# repro: ignore[SHAPE10x]``.
+symbolic size scales like ``n · p²`` — exhausts a node at scale.  This
+pass interprets each scope abstractly: symbolic dims are seeded from
+the codebase's own idiom (``n, p = X.shape``) and propagated through
+numpy constructors, ``kron``, ``@``, ``.T`` and dtype casts.  It flags
+dense ``I ⊗ X`` outside :func:`repro.linalg.kron.identity_kron`
+(``SHAPE101``), any allocation over the per-rank
+:class:`MemoryBudget` at paper scale (``SHAPE102``), and float32/
+float64 drift (``SHAPE103``), each only on evidence the AST carries.
+:func:`allocation` is the constructor evaluation the ALLOC pass
+reuses for its byte estimates.
 """
 
 from __future__ import annotations
@@ -257,21 +242,15 @@ def allocation(
     return fn, shape, dtype_of(_kwarg(call, "dtype"))
 
 
+@dataclass
 class _ScopeInterpreter:
     """Abstract interpretation of one scope (function or module body)."""
 
-    def __init__(
-        self,
-        filename: str,
-        findings: list[Finding],
-        budget: MemoryBudget,
-        sanctioned: bool,
-    ) -> None:
-        self.filename = filename
-        self.findings = findings
-        self.budget = budget
-        self.sanctioned = sanctioned
-        self.env: dict[str, ArrayInfo] = {}
+    filename: str
+    findings: list[Finding]
+    budget: MemoryBudget
+    sanctioned: bool
+    env: dict[str, ArrayInfo] = field(default_factory=dict)
 
     def _emit(self, rule_id: str, lineno: int, message: str, **context: object) -> None:
         self.findings.append(finding(rule_id, self.filename, lineno, message, **context))
@@ -518,11 +497,6 @@ class _ScopeInterpreter:
             self.env.pop(key, None)  # rebound to something unknown
 
 
-def _is_sanctioned(filename: str, sanctioned: tuple[str, ...]) -> bool:
-    posix = filename.replace(os.sep, "/")
-    return any(posix.endswith(suffix) for suffix in sanctioned)
-
-
 def shape_check_index(
     index: SourceIndex,
     *,
@@ -533,7 +507,7 @@ def shape_check_index(
     budget = budget if budget is not None else MemoryBudget()
     findings: list[Finding] = []
     for mod in index.modules:
-        in_sanctioned = _is_sanctioned(mod.path, sanctioned)
+        in_sanctioned = mod.path.replace(os.sep, "/").endswith(sanctioned)
         raw: list[Finding] = []
         for body in scope_bodies(mod.tree):
             interp = _ScopeInterpreter(mod.path, raw, budget, in_sanctioned)

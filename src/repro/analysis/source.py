@@ -13,25 +13,12 @@ functions of an index; ``repro check`` builds one and hands each pass
 its default scope as a module filter (:meth:`SourceIndex.select`), so
 no pass re-reads a file.
 
-Suppressions
-------------
-``# repro: ignore[RULE]``
-    Suppress findings of ``RULE`` on this line.
-``# repro: ignore[RULE1,RULE2]``
-    Comma-separated rule list.
-``# repro: ignore``
-    Suppress every rule on this line (discouraged; prefer naming the
-    rule so stale directives can be detected).
-
-Directives are found by tokenizing, so directive *text* quoted in a
-string or docstring is neither live nor stale.  Each pass owns a
-rule-id family (``SPMD``, ``SHAPE``, ``DET``, ``PLAN``, ``LOCK``,
-``ALLOC``) and ends with :meth:`SourceIndex.suppress`: a rule-scoped
-directive naming a rule of that family that matched no finding is
-reported as :data:`STALE_RULE` (``SUP001``, warning).  Directives of
-other families are left to their passes, and bare ``# repro: ignore``
-directives are never stale (the pass cannot know whether another
-family used them).
+``# repro: ignore[RULE1,RULE2]`` (or a bare ``# repro: ignore``)
+suppresses findings on its line; directives are found by tokenizing,
+so quoted directive text is neither live nor stale.  Each pass ends
+with :meth:`SourceIndex.suppress`, which also reports a rule-scoped
+directive of its own family that matched nothing as
+:data:`STALE_RULE` (``SUP001``).
 """
 
 from __future__ import annotations
@@ -56,6 +43,7 @@ __all__ = [
     "SourceIndex",
     "FunctionVisitor",
     "package_root",
+    "whole_package",
     "module_name",
     "under",
     "dotted",
@@ -78,6 +66,12 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 def package_root() -> str:
     """Directory of the ``repro`` package (the default scan root)."""
     return os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def whole_package() -> list[str]:
+    """The whole ``repro`` package: the default scope of the SPMD lint,
+    DET (exclusions applied per module), LOCK and ALLOC passes."""
+    return [package_root()]
 
 
 def module_name(path: str) -> str:
@@ -369,10 +363,6 @@ class SourceIndex:
     def own_class(self, fn: FuncInfo) -> ClassInfo | None:
         return fn.module.classes.get(fn.cls) if fn.cls else None
 
-    def self_method(self, fn: FuncInfo, name: str) -> FuncInfo | None:
-        cls = self.own_class(fn)
-        return self.resolve_method(cls, name) if cls is not None else None
-
     def local_types(
         self, fn: FuncInfo, strict: bool = True
     ) -> dict[str, ClassInfo | None]:
@@ -410,7 +400,8 @@ class SourceIndex:
                 if ctor:
                     loose[name] = self.resolve_class(ctor, mod)
                 elif isinstance(func, ast.Attribute) and is_self(func.value):
-                    meth = self.self_method(fn, func.attr)
+                    cls = self.own_class(fn)
+                    meth = self.resolve_method(cls, func.attr) if cls else None
                     ret = _capitalized(terminal(meth.node.returns)) if meth else None
                     if ret:
                         loose[name] = self.resolve_class(ret, mod)

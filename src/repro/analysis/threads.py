@@ -42,8 +42,8 @@ from repro.analysis.source import (
     SourceIndex,
     dotted,
     is_self,
-    package_root,
     terminal,
+    whole_package,
 )
 
 __all__ = [
@@ -134,62 +134,6 @@ def _lock(owner: str, attr: str, value: ast.expr | None) -> LockId | None:
     return None
 
 
-class _LockTables:
-    """LOCK's side tables over the shared index's classes and modules."""
-
-    def __init__(self, index: SourceIndex) -> None:
-        self.index = index
-        #: class -> lock attribute name -> LockId (``self.x =
-        #: threading.Lock()`` anywhere in the class, or an annotated
-        #: Condition field).
-        self.class_locks: dict[ClassInfo, dict[str, LockId]] = {}
-        #: module -> module-level lock name -> LockId.
-        self.module_locks: dict[ModuleInfo, dict[str, LockId]] = {}
-        #: lock attr name -> owning classes (for unique-name fallback).
-        self.lock_attr_owners: dict[str, list[LockId]] = {}
-        for mod in index.modules:
-            locks = self.module_locks[mod] = {}
-            for stmt in mod.statements():
-                if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                    target = stmt.targets[0]
-                    lock = _lock(mod.name.rsplit(".", 1)[-1], terminal(target) or "", stmt.value)
-                    if isinstance(target, ast.Name) and lock is not None:
-                        locks[target.id] = lock
-            for info in mod.classes.values():
-                self._index_class(info)
-                for lock in self.class_locks[info].values():
-                    self.lock_attr_owners.setdefault(lock.attr, []).append(lock)
-
-    def _index_class(self, info: ClassInfo) -> None:
-        locks = self.class_locks[info] = {}
-        for sub in info.node.body:
-            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for node in ast.walk(sub):
-                    if (
-                        isinstance(node, ast.Assign)
-                        and len(node.targets) == 1
-                        and isinstance(node.targets[0], ast.Attribute)
-                        and is_self(node.targets[0].value)
-                        and (lock := _lock(info.name, node.targets[0].attr, node.value))
-                    ):
-                        locks[lock.attr] = lock
-            elif isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
-                # Dataclass-style field: ``cond: threading.Condition = ...``.
-                name = sub.target.id
-                if terminal(sub.annotation) == "Condition":
-                    locks[name] = LockId(info.name, name, condition=True)
-                lock = _lock(info.name, name, sub.value)
-                if lock is not None:
-                    locks[name] = lock
-
-    def class_lock(self, cls: ClassInfo, attr: str) -> LockId | None:
-        """Lock attribute ``attr`` on the class or its bases."""
-        for info in self.index.lineage(cls):
-            if attr in self.class_locks[info]:
-                return self.class_locks[info][attr]
-        return None
-
-
 _T = TypeVar("_T")
 
 
@@ -208,7 +152,7 @@ class _Summary(FunctionVisitor):
     """One function's lock summary, from a single recursive walk
     carrying the syntactically-held lock stack."""
 
-    def __init__(self, tables: _LockTables, info: FuncInfo) -> None:
+    def __init__(self, tables: _Analysis, info: FuncInfo) -> None:
         super().__init__(tables.index, info)
         self.tables = tables
         self.acquisitions: list[_Event[LockId]] = []
@@ -353,17 +297,70 @@ def _self_attr_stores(target: ast.expr) -> Iterator[tuple[str, int]]:
 
 
 class _Analysis:
+    """The LOCK pass over one index: lock tables, one summary per
+    function, the four checks."""
+
     def __init__(self, index: SourceIndex) -> None:
         self.index = index
-        self.tables = _LockTables(index)
+        #: class -> lock attribute name -> LockId (``self.x =
+        #: threading.Lock()`` anywhere in the class, or an annotated
+        #: Condition field).
+        self.class_locks: dict[ClassInfo, dict[str, LockId]] = {}
+        #: module -> module-level lock name -> LockId.
+        self.module_locks: dict[ModuleInfo, dict[str, LockId]] = {}
+        #: lock attr name -> owning classes (for unique-name fallback).
+        self.lock_attr_owners: dict[str, list[LockId]] = {}
+        for mod in index.modules:
+            locks = self.module_locks[mod] = {}
+            for stmt in mod.statements():
+                if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+                    target = stmt.targets[0]
+                    lock = _lock(mod.name.rsplit(".", 1)[-1], terminal(target) or "", stmt.value)
+                    if isinstance(target, ast.Name) and lock is not None:
+                        locks[target.id] = lock
+            for info in mod.classes.values():
+                self._index_class(info)
+                for lock in self.class_locks[info].values():
+                    self.lock_attr_owners.setdefault(lock.attr, []).append(lock)
         self.findings: list[Finding] = []
         self.summaries: dict[str, _Summary] = {
-            fn.qualname: _Summary(self.tables, fn)
+            fn.qualname: _Summary(self, fn)
             for mod in index.modules
             for fn in mod.defs()
         }
+        #: summaries in qualified-name order (the order findings come in).
+        self._ordered = [self.summaries[q] for q in sorted(self.summaries)]
         self._effective = self._effective_acquisitions()
         self._coverage = self._caller_coverage()
+
+    def _index_class(self, info: ClassInfo) -> None:
+        locks = self.class_locks[info] = {}
+        for sub in info.node.body:
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(sub):
+                    if (
+                        isinstance(node, ast.Assign)
+                        and len(node.targets) == 1
+                        and isinstance(node.targets[0], ast.Attribute)
+                        and is_self(node.targets[0].value)
+                        and (lock := _lock(info.name, node.targets[0].attr, node.value))
+                    ):
+                        locks[lock.attr] = lock
+            elif isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                # Dataclass-style field: ``cond: threading.Condition = ...``.
+                name = sub.target.id
+                if terminal(sub.annotation) == "Condition":
+                    locks[name] = LockId(info.name, name, condition=True)
+                lock = _lock(info.name, name, sub.value)
+                if lock is not None:
+                    locks[name] = lock
+
+    def class_lock(self, cls: ClassInfo, attr: str) -> LockId | None:
+        """Lock attribute ``attr`` on the class or its bases."""
+        for info in self.index.lineage(cls):
+            if attr in self.class_locks[info]:
+                return self.class_locks[info][attr]
+        return None
 
     def _emit(
         self, rule_id: str, path: str, lineno: int, message: str, **context: object
@@ -396,18 +393,18 @@ class _Analysis:
         answer for its role: all-locks for init-only helpers, none for
         public entry points.
         """
-        sites: dict[str, list[tuple[str, tuple[LockId, ...]]]] = {
+        #: function -> (caller, held) of every call site outside an init.
+        non_init: dict[str, list[tuple[str, tuple[LockId, ...]]]] = {
             q: [] for q in self.summaries
         }
+        called: set[str] = set()
         for q, s in self.summaries.items():
             for call in s.calls:
                 target = call.what.qualname
-                if target in sites:
-                    sites[target].append((q, call.held))
-        non_init = {
-            q: [(c, held) for c, held in calls if not _is_init(self.summaries[c].info)]
-            for q, calls in sites.items()
-        }
+                if target in non_init:
+                    called.add(target)
+                    if not _is_init(s.info):
+                        non_init[target].append((q, call.held))
         all_locks = frozenset(
             a.what
             for s in self.summaries.values()
@@ -417,8 +414,7 @@ class _Analysis:
         # Init-only helpers are exempt (all locks); functions with no
         # known callers are entry points (none); the rest are refined.
         coverage = {
-            q: all_locks if non_init[q] or sites[q] else frozenset()
-            for q in self.summaries
+            q: all_locks if q in called else frozenset() for q in self.summaries
         }
         changed = True
         while changed:
@@ -444,8 +440,7 @@ class _Analysis:
             if a != b and a.resolved and b.resolved:
                 edges.setdefault((a, b), (path, lineno, via))
 
-        for q in sorted(self.summaries):
-            s = self.summaries[q]
+        for s in self._ordered:
             path = s.info.module.path
             for acq in s.acquisitions:
                 for held in acq.held:
@@ -495,8 +490,7 @@ class _Analysis:
             "while-true": "inside `while True`",
             "for": "inside a `for` loop",
         }
-        for q in sorted(self.summaries):
-            s = self.summaries[q]
+        for s in self._ordered:
             for lock, lineno, loop in s.waits:
                 if loop == "while-predicate":
                     continue
@@ -513,20 +507,13 @@ class _Analysis:
                 )
 
     # ---------------------------------------------------------- LOCK503
-    def check_shared_state(self) -> None:
-        for mod in sorted(self.index.modules, key=lambda m: m.name):
-            for clsname in sorted(mod.classes):
-                cls = mod.classes[clsname]
-                if self.tables.class_locks[cls]:
-                    self._check_class_state(mod, cls)
-
     def _held_at(
         self, summary: _Summary, held: tuple[LockId, ...]
     ) -> frozenset[LockId]:
         return frozenset(held) | self._coverage.get(summary.info.qualname, frozenset())
 
-    def _check_class_state(self, mod: ModuleInfo, cls: ClassInfo) -> None:
-        locks_by_attr = self.tables.class_locks[cls]
+    def check_shared_state(self, mod: ModuleInfo, cls: ClassInfo) -> None:
+        locks_by_attr = self.class_locks[cls]
         class_locks = set(locks_by_attr.values())
         methods = [
             (meth, self.summaries[meth.qualname])
@@ -560,8 +547,7 @@ class _Analysis:
 
     # ---------------------------------------------------------- LOCK504
     def check_blocking_calls(self) -> None:
-        for q in sorted(self.summaries):
-            s = self.summaries[q]
+        for s in self._ordered:
             for blocked in s.blocking:
                 locks = ", ".join(f"`{lk}`" for lk in blocked.held)
                 self._emit(
@@ -580,7 +566,10 @@ class _Analysis:
     def run(self) -> list[Finding]:
         self.check_lock_order()
         self.check_condition_waits()
-        self.check_shared_state()
+        for mod in sorted(self.index.modules, key=lambda m: m.name):
+            for clsname in sorted(mod.classes):
+                if self.class_locks[mod.classes[clsname]]:
+                    self.check_shared_state(mod, mod.classes[clsname])
         self.check_blocking_calls()
         return self.findings
 
@@ -596,12 +585,6 @@ def threads_check_index(index: SourceIndex) -> list[Finding]:
     return index.suppress(_Analysis(index).run(), ("LOCK",))
 
 
-def default_threads_paths() -> list[str]:
-    """The whole ``repro`` package.
-
-    Unlike the DET pass there is no exclusion list: the threaded
-    layers (service, elastic engine) are precisely the point, and the
-    lock-free numeric subsystems contribute nothing to index but also
-    nothing to flag.
-    """
-    return [package_root()]
+#: No exclusion list, unlike DET: the threaded layers are the point,
+#: and the lock-free numeric code has nothing to flag.
+default_threads_paths = whole_package

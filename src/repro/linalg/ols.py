@@ -86,7 +86,9 @@ def _solve_support(
     above the rows of ``X``, a failed ``dpotrf`` or a ``dpocon`` estimate
     below :data:`GRAM_RCOND_MIN` falls back to :func:`ols` per column."""
     if idx.size <= X.shape[0]:
-        G_S = G[idx[:, None], idx]
+        # Two 1-D takes: the same C-ordered bytes as G[idx[:, None], idx],
+        # without the 2-D fancy-index machinery.
+        G_S = G.take(idx, 0).take(idx, 1)
         L, info = dpotrf(G_S, lower=1)
         if info == 0 and dpocon(L, np.linalg.norm(G_S, 1), "L")[0] >= GRAM_RCOND_MIN:
             _tcount("ols.factorizations")

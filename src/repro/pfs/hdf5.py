@@ -216,35 +216,3 @@ class SimH5File:
         )
         comm.clock.charge(TimeCategory.DATA_IO, seconds)
         return out
-
-    def write_parallel(
-        self,
-        comm: SimComm,
-        name: str,
-        local_rows: np.ndarray,
-    ) -> None:
-        """Collective row-wise append-style write (output saving).
-
-        Rank-ordered row blocks are concatenated into (or replace) the
-        dataset; cost modeled like a parallel read of the same volume.
-        """
-        with _tspan(
-            "hdf5.write_parallel",
-            DATA_IO,
-            path=self.path,
-            dataset=name,
-            rank=comm.rank,
-        ):
-            blocks = comm.allgather(local_rows, category=TimeCategory.DATA_IO)
-            data = np.concatenate([np.atleast_2d(b) for b in blocks], axis=0)
-        _tcount("io.bytes_written", int(np.asarray(local_rows).nbytes))
-        seconds = lustre.parallel_read_time(
-            comm.machine,
-            int(data.nbytes),
-            comm.size,
-            stripe_count=self._stripes(comm.machine),
-        )
-        comm.clock.charge(TimeCategory.DATA_IO, seconds)
-        if comm.rank == 0:
-            self._datasets[name] = SimDataset(name, data)
-        comm.barrier(category=TimeCategory.DATA_IO)

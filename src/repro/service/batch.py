@@ -86,9 +86,6 @@ class BatchPlan(UoIPlan):
             "members": {mid: plan.meta() for mid, plan in self.members},
         }
 
-    def member(self, member_id: str) -> UoIPlan:
-        return self._by_id[member_id]
-
     @staticmethod
     def split_key(key: str) -> tuple[str, str]:
         """``"<member>|<inner key>"`` -> ``(member, inner key)``."""

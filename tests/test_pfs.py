@@ -100,20 +100,6 @@ class TestSimH5File:
         np.testing.assert_array_equal(got, data)
         assert all(v[1] > 0 for v in res.values)
 
-    def test_write_parallel_roundtrip(self):
-        f = SimH5File("/w.h5")
-        f.create_dataset("src", np.zeros((2, 2)))
-
-        def prog(comm):
-            block = np.full((2, 3), float(comm.rank))
-            f.write_parallel(comm, "out", block)
-            return True
-
-        run_spmd(3, prog, machine=LAPTOP)
-        out = f.dataset("out").data
-        assert out.shape == (6, 3)
-        np.testing.assert_array_equal(out[4], [2.0, 2.0, 2.0])
-
 
 class TestLustreCostModel:
     def test_striping_policy(self):

@@ -1,5 +1,7 @@
 """Tests for coordinate descent, OLS, Ridge, MCP/SCAD and the λ grid."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -363,6 +365,58 @@ class TestGroupedOls:
         for c in range(p):
             svd = ols_on_support(X, Y[:, c], singular)
             assert grouped[0, c * kdim:(c + 1) * kdim].tobytes() == svd.tobytes()
+
+
+def _fancy_gather_solve_support(G, C, idx, X, Y, cols):
+    """``ols._solve_support`` as it gathered ``G[S, S]`` by 2-D fancy
+    indexing: the reference for the two-take gather."""
+    ols_mod = importlib.import_module("repro.linalg.ols")
+    if idx.size <= X.shape[0]:
+        G_S = G[idx[:, None], idx]
+        L, info = ols_mod.dpotrf(G_S, lower=1)
+        rcond = ols_mod.dpocon(L, np.linalg.norm(G_S, 1), "L")[0]
+        if info == 0 and rcond >= ols_mod.GRAM_RCOND_MIN:
+            if len(cols) == 1:
+                return [ols_mod.dpotrs(L, C[idx, cols[0]], lower=1)[0]]
+            return ols_mod.dpotrs(L, C[idx[:, None], cols], lower=1)[0].T
+    return [ols_mod.ols(X[:, idx], Y[:, c]) for c in cols]
+
+
+class TestSupportGather:
+    """The principal-submatrix gather hands ``dpotrf`` the same bytes."""
+
+    def _check(self, monkeypatch, X, Y, family):
+        ols_mod = importlib.import_module("repro.linalg.ols")
+        got = ols_family_columns(X, Y, family)
+        with monkeypatch.context() as m:
+            m.setattr(ols_mod, "_solve_support", _fancy_gather_solve_support)
+            ref = ols_family_columns(X, Y, family)
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_families(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        n, kdim, p, q = 40, 9, 3, 7
+        X = rng.standard_normal((n, kdim))
+        Y = X @ rng.standard_normal((kdim, p)) + rng.standard_normal((n, p))
+        family = rng.random((q, kdim * p)) < 0.5
+        G = X.T @ X
+        idx = np.flatnonzero(rng.random(kdim) < 0.6)
+        assert G.take(idx, 0).take(idx, 1).tobytes() == G[idx[:, None], idx].tobytes()
+        self._check(monkeypatch, X, Y, family)
+
+    def test_lasso_tall_shaped_family(self, monkeypatch):
+        # 1000 x 224 with nested supports up to |S| = 206, as a
+        # lasso_tall estimation bootstrap sees them.
+        rng = np.random.default_rng(3)
+        n, p = 1000, 224
+        X = rng.standard_normal((n, p))
+        y = X[:, :12] @ rng.standard_normal(12) + rng.standard_normal(n)
+        order = rng.permutation(p)
+        family = np.zeros((10, p), dtype=bool)
+        for j, size in enumerate(np.linspace(206, 12, 10).astype(int)):
+            family[j, order[:size]] = True
+        self._check(monkeypatch, X, y[:, None], family)
 
 
 class TestRidge:
