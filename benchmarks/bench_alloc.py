@@ -4,24 +4,27 @@ The ALLOC6xx static pass (``repro check alloc``) named the ADMM
 z-update the hottest allocation site in the package: the allocating
 iteration materializes ~8 fresh ``p``-vectors per iteration —
 thousands of temporaries per (bootstrap, λ) subproblem at paper scale.
-``LassoADMM(pool=True)`` rewrites the iteration onto a
+``LassoADMM`` runs the iteration on a
 :class:`repro.perf.pool.Workspace` with ``out=`` ufunc forms, which
 may change *which memory* holds intermediates but never the float
-stream (bitwise identity is asserted in ``tests/test_linalg_pool.py``
+stream: its results are bitwise those of the allocating iteration,
+``reference_admm`` in ``tests/test_linalg_pool.py`` (asserted there,
 and re-asserted here on the benchmark problem).
 
 This benchmark measures allocated bytes directly with ``tracemalloc``:
-for each λ on a regularization path, the bytes a single ``solve``
-allocates **above its entry point** (peak-over-entry — per-iteration
-temporaries never survive the solve, so net is useless but the peak
-sees them).  Both solvers are warmed first so one-time costs (cached
-factorization, workspace acquisition, result buffers) are off the
-books and the comparison isolates steady-state iteration churn — the
-regime that matters when the UoI engine calls ``solve`` tens of
-thousands of times.
+for each λ on a regularization path, the bytes a single solve allocates
+**above its entry point** (peak-over-entry — per-iteration temporaries
+never survive the solve, so net is useless but the peak sees them).
+Both iterations run on one solver's cached factorization and are warmed
+first so one-time costs (factorization, workspace acquisition, result
+buffers) are off the books and the comparison isolates steady-state
+iteration churn — the regime that matters when the UoI engine calls
+``solve`` tens of thousands of times.
 
 Writes ``BENCH_alloc.json`` at the repo root and gates the
-optimization on a ≥30% reduction in allocated bytes.
+optimization on a ≥30% reduction in allocated bytes.  Run it from the
+repository root (``tests`` is imported as a package):
+``PYTHONPATH=src python -m pytest benchmarks/bench_alloc.py -q -s``.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import numpy as np
 import pytest
 
 from repro.linalg.admm import LassoADMM
+from tests.test_linalg_pool import reference_admm
 
 N, P = 192, 384  # n < p: the Woodbury branch the paper's scale lives in
 LAMBDAS = [2.0, 1.0, 0.5, 0.25, 0.1, 0.05]
@@ -52,16 +56,16 @@ def problem():
     return X, y
 
 
-def _measure(solver, betas_out: list[bytes]) -> int:
-    """Total bytes allocated above entry across the λ path."""
-    solver.solve(LAMBDAS[0])  # warm: factorization, workspace, caches
+def _measure(solve, betas_out: list[bytes]) -> int:
+    """Total bytes ``solve(lam)`` allocates above entry across the λ path."""
+    solve(LAMBDAS[0])  # warm: workspace, caches
     total = 0
     tracemalloc.start()
     try:
         for lam in LAMBDAS:
             tracemalloc.reset_peak()
             net0 = tracemalloc.get_traced_memory()[0]
-            result = solver.solve(lam)
+            result = solve(lam)
             peak = tracemalloc.get_traced_memory()[1]
             total += max(0, peak - net0)
             betas_out.append(result.beta.tobytes())
@@ -72,14 +76,13 @@ def _measure(solver, betas_out: list[bytes]) -> int:
 
 def test_pooled_allocation_gate(problem):
     X, y = problem
+    solver = LassoADMM(X, y, max_iter=MAX_ITER)
     unpooled_betas: list[bytes] = []
     pooled_betas: list[bytes] = []
     unpooled = _measure(
-        LassoADMM(X, y, max_iter=MAX_ITER, pool=False), unpooled_betas
+        lambda lam: reference_admm(solver, lam), unpooled_betas
     )
-    pooled = _measure(
-        LassoADMM(X, y, max_iter=MAX_ITER, pool=True), pooled_betas
-    )
+    pooled = _measure(solver.solve, pooled_betas)
     # The optimization must be free: identical bits on every λ.
     assert pooled_betas == unpooled_betas
     reduction = 1.0 - pooled / unpooled
@@ -90,6 +93,7 @@ def test_pooled_allocation_gate(problem):
             "lambdas": LAMBDAS,
             "max_iter": MAX_ITER,
             "measure": "tracemalloc peak-over-entry per solve, warmed",
+            "unpooled": "tests/test_linalg_pool.py reference_admm",
         },
         "allocated_bytes": {
             "unpooled": int(unpooled),

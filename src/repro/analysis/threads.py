@@ -43,6 +43,7 @@ from repro.analysis.source import (
     dotted,
     is_self,
     terminal,
+    walk,
     whole_package,
 )
 
@@ -172,8 +173,7 @@ class _Summary(FunctionVisitor):
             ):
                 self._local_locks[lock.attr] = lock
         self._loop_stack: list[str] = []
-        for stmt in info.node.body:
-            self._visit(stmt, ())
+        self._visit_body(info.node.body, ())
 
     def _lock_of(self, expr: ast.expr) -> LockId | None:
         """Resolve a lock-valued expression to a :class:`LockId`.
@@ -206,6 +206,34 @@ class _Summary(FunctionVisitor):
             return owners[0]  # unique-name fallback
         return LockId("?", expr.attr) if owners else None
 
+    def _visit_body(self, body: list[ast.stmt], held: tuple[LockId, ...]) -> None:
+        """Visit a statement list.  A lock taken by an explicit
+        ``lock.acquire()`` statement is held by the statements after it
+        until one of them (or its nested ``finally``) calls
+        ``lock.release()``, else to the end of the list."""
+        for stmt in body:
+            self._visit(stmt, held)
+            acquired = (
+                self._lock_called(stmt.value, "acquire")
+                if isinstance(stmt, ast.Expr)
+                else None
+            )
+            if acquired is not None:
+                held += () if acquired in held else (acquired,)
+            elif held:
+                released = {self._lock_called(n, "release") for n in walk(stmt)}
+                held = tuple(h for h in held if h not in released)
+
+    def _lock_called(self, node: ast.AST, method: str) -> LockId | None:
+        """The lock whose ``method`` the call ``node`` invokes, if any."""
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == method
+        ):
+            return self._lock_of(node.func.value)
+        return None
+
     def _visit(self, node: ast.AST, held: tuple[LockId, ...]) -> None:
         if isinstance(node, ast.With):
             acquired: list[LockId] = []
@@ -216,8 +244,7 @@ class _Summary(FunctionVisitor):
                     acquired.append(lock)
                 else:
                     self._visit(item.context_expr, held)
-            for stmt in node.body:
-                self._visit(stmt, held + tuple(acquired))
+            self._visit_body(node.body, held + tuple(acquired))
             return
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             return  # nested defs are separate scopes; skip
@@ -233,8 +260,13 @@ class _Summary(FunctionVisitor):
             for target in targets:
                 for attr, lineno in _self_attr_stores(target):
                     self.writes.append(_Event(attr, lineno, held))
-        for child in ast.iter_child_nodes(node):
-            self._visit(child, held)
+        for _field, value in ast.iter_fields(node):
+            if isinstance(value, list) and value and isinstance(value[0], ast.stmt):
+                self._visit_body(value, held)
+                continue
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    self._visit(child, held)
         if isinstance(node, (ast.While, ast.For)):
             self._loop_stack.pop()
 

@@ -43,25 +43,20 @@ class UoILassoConfig:
     rho:
         ADMM penalty parameter, or ``None`` (default) to scale it to
         each design: ``sqrt(lambda_min+ * lambda_max)`` of the
-        bootstrap's ``2 X'X``, resolved once per factorization by
+        bootstrap's ``2 X'X``, resolved once per design by
         :class:`repro.linalg.admm.LassoADMM` (and agreed across ranks
         by one allreduce in the consensus solver).  An explicit float
         is used for every solve as given; ``rho=1.0`` was the default
         before the spectral one and leaves most selection solves
-        stopping on ``max_iter``.
+        stopping on ``max_iter``.  Either way the penalty stays fixed
+        through every solve on a design, so the x-update is factored
+        once per design.
     max_iter:
         Per-solve iteration cap.
     abstol, reltol:
         ADMM stopping tolerances.
     cd_tol:
         Coordinate-descent sweep tolerance (``solver="cd"`` only).
-    adapt_rho:
-        Enable ADMM residual balancing (Boyd §3.4.1) in both the
-        serial and consensus solvers.  It repairs a badly scaled fixed
-        ``rho`` at the price of refactorizations (and of the lock-step
-        VAR column solve, which needs one shared ``rho``); with the
-        spectral default it does not reduce iterations further (see
-        ``benchmarks/bench_ablation_rho.py``).
     selection_rule:
         How estimation picks each bootstrap's winning support:
         ``"min"`` (Algorithm 1's argmin) or ``"1se"`` (one-standard-
@@ -90,7 +85,6 @@ class UoILassoConfig:
     abstol: float = 1e-5
     reltol: float = 1e-4
     cd_tol: float = 1e-7
-    adapt_rho: bool = False
     selection_rule: str = "min"
     intersection_frac: float = 1.0
     random_state: int = 0
@@ -130,7 +124,6 @@ class UoILassoConfig:
             name: getattr(self, name)
             for name in (
                 "solver", "rho", "max_iter", "abstol", "reltol", "cd_tol",
-                "adapt_rho",
             )
         }
 

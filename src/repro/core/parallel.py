@@ -432,7 +432,6 @@ class _DistLassoPlan(_DistUoIPlan):
             max_iter=cfg.max_iter,
             abstol=cfg.abstol,
             reltol=cfg.reltol,
-            adapt_rho=cfg.adapt_rho,
             beta0=beta0,
         ).beta
 
@@ -714,7 +713,6 @@ class _DistVarPlan(_DistUoIPlan):
                     max_iter=cfg.max_iter,
                     abstol=cfg.abstol,
                     reltol=cfg.reltol,
-                    adapt_rho=cfg.adapt_rho,
                     beta0=None if start is None else start[c],
                 ).beta
             beta = self._exchange(groups, solved)
@@ -746,7 +744,6 @@ class _DistVarPlan(_DistUoIPlan):
                 max_iter=cfg.max_iter,
                 abstol=cfg.abstol,
                 reltol=cfg.reltol,
-                adapt_rho=cfg.adapt_rho,
             )
             if cfg.rho is None:
                 charge_gemm(clock, machine, small, small, small)  # spectrum

@@ -90,7 +90,6 @@ def lasso_path(
             max_iter=config.max_iter,
             abstol=config.abstol,
             reltol=config.reltol,
-            adapt_rho=config.adapt_rho,
         )
         beta = None
         for j, lam in enumerate(lambdas):
@@ -178,7 +177,6 @@ def var_path_columns(
             max_iter=config.max_iter,
             abstol=config.abstol,
             reltol=config.reltol,
-            adapt_rho=config.adapt_rho,
         )
         vec = None
         for j, lam in enumerate(lambdas):

@@ -12,15 +12,18 @@ with the Alternating Direction Method of Multipliers (Boyd et al.
     z^{k+1} = S_{lam/rho}(alpha x^{k+1} + (1-alpha) z^k + u^k)
     u^{k+1} = u^k + alpha x^{k+1} + (1-alpha) z^k - z^{k+1}
 
+with the over-relaxation ``alpha`` fixed at :data:`ALPHA`.
+
 Setting ``lam = 0`` turns the soft-threshold into the identity and the
 iteration converges to ordinary least squares — exactly how the paper
 implements OLS for the model-estimation stage ("by setting
 regularization parameter λ to 0").
 
-The x-update factorization ``2 X'X + rho I`` (Cholesky; or the Woodbury
-form when n < p) is computed **once** per design matrix and reused
-across all λ values and warm starts, mirroring the cached-factorization
-optimization in the C++/MKL implementation.
+The penalty ``rho`` is fixed for the life of a solver, so the x-update
+factorization ``2 X'X + rho I`` (Cholesky; or the Woodbury form when
+n < p) is computed **once** per design matrix and reused across all λ
+values and warm starts, mirroring the cached-factorization optimization
+in the C++/MKL implementation.
 
 The penalty ``rho`` defaults to the geometric mean of the extreme
 non-zero eigenvalues of ``2 X'X`` (:func:`spectral_rho`): the
@@ -42,11 +45,15 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dpotrs
 
-from repro.linalg.soft_threshold import soft_threshold, soft_threshold_into
+from repro.linalg.soft_threshold import soft_threshold_into
 from repro.perf.pool import Workspace
 from repro.telemetry.recorder import count as _tcount, gauge as _tgauge
 
 __all__ = ["ADMMResult", "LassoADMM", "gram_extremes", "lasso_admm", "spectral_rho"]
+
+#: Over-relaxation ``alpha`` of every iteration (Boyd §3.4.3; 1.0 would
+#: disable it).
+ALPHA = 1.5
 
 
 @dataclass
@@ -130,8 +137,8 @@ def spectral_rho(lo: float, hi: float) -> float:
 def _count_solve(result: ADMMResult, rho: float) -> ADMMResult:
     """Telemetry for one finished solve (one response column).
 
-    One soft-threshold per iteration; ``rho`` is the penalty the solve
-    ended on.  No-ops unless a telemetry recorder is installed for
+    One soft-threshold per iteration; ``rho`` is the solver's penalty.
+    No-ops unless a telemetry recorder is installed for
     this run.
     """
     _tcount("admm.solves")
@@ -158,42 +165,22 @@ class LassoADMM:
         :func:`spectral_rho` of this design — ``sqrt(lambda_min+ *
         lambda_max)`` of the Gram the constructor forms anyway, one
         ``eigvalsh`` per design.  :attr:`rho` holds the resolved value.
-        An explicit float is used as given.
-    alpha:
-        Over-relaxation parameter in ``[1, 1.8]``; 1.0 disables
-        over-relaxation.
+        An explicit float is used as given.  Either way it stays fixed:
+        one factorization per design serves every solve.
     max_iter:
         Iteration cap.
     abstol, reltol:
         Absolute and relative stopping tolerances.
-    adapt_rho:
-        Enable residual balancing (Boyd §3.4.1): when the primal
-        residual outweighs the dual by ``adapt_mu`` (or vice versa),
-        ``rho`` is scaled by ``adapt_tau`` and the dual variable
-        rescaled.  Each adaptation **invalidates the cached
-        factorization** — the very optimization the paper's
-        implementation relies on — so the refactorization count is
-        tracked and exposed.  It rescues a badly chosen fixed ``rho``
-        (an order of magnitude fewer iterations than ``rho=1.0``) but
-        starting from the spectral default it no longer pays: it
-        converges no faster and refactorizes on the way
-        (``benchmarks/bench_ablation_rho.py`` prints all three legs).
-    adapt_tau, adapt_mu:
-        Residual-balancing parameters (Boyd's defaults: 2 and 10).
-    pool:
-        Use the allocation-free iteration (default).  The ALLOC6xx
-        static pass and its DYN207 runtime twin identified the
-        z-update loop as the package's hottest allocation site (eight
-        fresh ``p``-vectors per iteration); the pooled path runs the
-        same iteration on a persistent :class:`repro.perf.pool.
-        Workspace` with ``out=`` forms that perform the identical
-        float operations in the identical order, so results are
-        **bitwise equal** to ``pool=False`` (asserted in
-        ``tests/test_linalg_pool.py``, measured in
-        ``benchmarks/bench_alloc.py``).
 
     Notes
     -----
+    The iteration runs allocation-free on a persistent
+    :class:`repro.perf.pool.Workspace`: ``out=`` forms of the float
+    operations of the plain allocating iteration, in the same order, so
+    results are **bitwise equal** to it (the test-local
+    ``reference_admm`` in ``tests/test_linalg_pool.py``; the bytes it
+    saves are measured by ``benchmarks/bench_alloc.py``).
+
     The factorization strategy follows Boyd et al. §4.2: when
     ``n >= p`` we Cholesky-factor the ``p x p`` matrix
     ``2 X'X + rho I``; when ``n < p`` we factor the ``n x n`` matrix
@@ -207,14 +194,9 @@ class LassoADMM:
         y: np.ndarray,
         *,
         rho: float | None = None,
-        alpha: float = 1.5,
         max_iter: int = 500,
         abstol: float = 1e-5,
         reltol: float = 1e-4,
-        adapt_rho: bool = False,
-        adapt_tau: float = 2.0,
-        adapt_mu: float = 10.0,
-        pool: bool = True,
     ) -> None:
         X = np.ascontiguousarray(X, dtype=float)
         y = np.ascontiguousarray(y, dtype=float)
@@ -224,34 +206,20 @@ class LassoADMM:
             raise ValueError(f"y shape {y.shape} incompatible with X {X.shape}")
         if rho is not None and rho <= 0:
             raise ValueError(f"rho must be > 0, got {rho}")
-        if not (1.0 <= alpha <= 1.8):
-            raise ValueError(f"alpha must lie in [1, 1.8], got {alpha}")
-        if adapt_tau <= 1.0 or adapt_mu <= 1.0:
-            raise ValueError(
-                f"adapt_tau and adapt_mu must be > 1, got {adapt_tau}, {adapt_mu}"
-            )
         self.X = X
         self.y = y
         self.n, self.p = X.shape
-        self.alpha = float(alpha)
         self.max_iter = int(max_iter)
         self.abstol = float(abstol)
         self.reltol = float(reltol)
-        self.adapt_rho = bool(adapt_rho)
-        self.adapt_tau = float(adapt_tau)
-        self.adapt_mu = float(adapt_mu)
-        self.pool = bool(pool)
-        self._ws = Workspace() if self.pool else None
-        #: Number of factorizations performed (grows past 1 only when
-        #: residual balancing changes rho).
-        self.factorizations = 0
+        self._ws = Workspace()
 
         self._Xty2 = 2.0 * (X.T @ y)
         self._woodbury = self.n < self.p
         self._gram_base = (
             2.0 * (X @ X.T) if self._woodbury else 2.0 * (X.T @ X)
         )
-        #: The penalty solves start from: the explicit argument, or the
+        #: The penalty of every solve: the explicit argument, or the
         #: spectral default resolved from this design (``2 X X'`` on the
         #: Woodbury branch has the non-zero spectrum of ``2 X'X``).
         self.rho = (
@@ -259,10 +227,11 @@ class LassoADMM:
             if rho is None
             else float(rho)
         )
-        self._factorize(self.rho)
+        self._factorize()
 
-    def _factorize(self, rho: float) -> None:
-        """(Re)factor the x-update system for penalty ``rho``."""
+    def _factorize(self) -> None:
+        """Factor the x-update system for :attr:`rho`, once per design."""
+        rho = self.rho
         if self._woodbury:
             small = self._gram_base / rho
             # Woodbury is only taken when n < p, so this eye is the
@@ -278,8 +247,6 @@ class LassoADMM:
             self._chol = scipy.linalg.cho_factor(
                 gram, lower=True, check_finite=False
             )[0]
-        self._chol_rho = rho
-        self.factorizations += 1
         _tcount("admm.factorizations")
 
     def _potrs(self, b: np.ndarray, *, overwrite: bool) -> np.ndarray:
@@ -296,32 +263,18 @@ class LassoADMM:
             raise ValueError(f"illegal value in argument {-info} of potrs")
         return x
 
-    def _solve_normal(self, q: np.ndarray, rho: float) -> np.ndarray:
-        """Solve ``(2 X'X + rho I) x = q`` using the cached factorization."""
-        if rho != self._chol_rho:
-            self._factorize(rho)
-        if not self._woodbury:
-            return self._potrs(q, overwrite=False)
-        # Woodbury: (rho I + 2X'X)^{-1} q
-        #   = q/rho - (2/rho^2) X' (I + (2/rho) X X')^{-1} X q
-        inner = self._potrs(self.X @ q, overwrite=True)
-        return q / rho - (2.0 / rho**2) * (self.X.T @ inner)
+    def _solve_normal(self, q: np.ndarray) -> np.ndarray:
+        """Solve ``(2 X'X + rho I) x = q`` on the cached factor, in place.
 
-    def _solve_normal_pooled(self, q: np.ndarray, rho: float) -> np.ndarray:
-        """Allocation-free :meth:`_solve_normal`.
-
-        Identical arithmetic: overwriting ``potrs`` runs on the same
-        bytes, merely eliding the defensive input copy, and the
-        Woodbury chain uses ``out=`` forms of the very ops the
-        allocating version runs.  The returned array may alias ``q``
+        Cholesky branch: two triangular solves.  Woodbury branch:
+        ``q/rho - (2/rho^2) X' (I + (2/rho) X X')^{-1} X q`` in ``out=``
+        forms on the workspace.  The returned array may alias ``q``
         (the caller is done with ``q`` by then).
         """
-        if rho != self._chol_rho:
-            self._factorize(rho)
+        rho = self.rho
         if not self._woodbury:
             return self._potrs(q, overwrite=True)
         ws = self._ws
-        assert ws is not None
         Xq = ws.array("w_Xq", self.n)
         np.matmul(self.X, q, out=Xq)
         inner = self._potrs(Xq, overwrite=True)
@@ -334,21 +287,18 @@ class LassoADMM:
         return x
 
     def _solve_normal_columns(self, q: np.ndarray) -> np.ndarray:
-        """:meth:`_solve_normal_pooled` for ``k`` right-hand sides at once.
+        """:meth:`_solve_normal` for ``k`` right-hand sides at once.
 
         ``q`` is ``(k, p)`` C-ordered, one row per response column, so
         ``q.T`` is the Fortran-ordered block ``potrs`` solves in place:
         one call with ``nrhs = k``.  On the Woodbury branch the two
         GEMVs with ``X`` become two GEMMs around one ``n x n``
-        multi-RHS solve.  ``rho`` is ``self.rho``, which the cached
-        factor always matches when ``adapt_rho`` is off.  The result
-        may alias ``q``.
+        multi-RHS solve.  The result may alias ``q``.
         """
         rho = self.rho
         if not self._woodbury:
             return self._potrs(q.T, overwrite=True).T
         ws = self._ws
-        assert ws is not None
         k = q.shape[0]
         Xq = ws.array("c_Xq", (k, self.n))
         np.matmul(q, self.X.T, out=Xq)
@@ -400,120 +350,10 @@ class LassoADMM:
         """
         if lam < 0:
             raise ValueError(f"lam must be >= 0, got {lam}")
-        return self._solve(self.y, self._Xty2, lam, beta0, u0, record_history)
-
-    def _solve(
-        self,
-        y: np.ndarray,
-        Xty2: np.ndarray,
-        lam: float,
-        beta0: np.ndarray | None,
-        u0: np.ndarray | None,
-        record_history: bool = False,
-    ) -> ADMMResult:
-        """One solve for response ``y`` (``Xty2 = 2 X'y``) on the shared factor."""
-        run = self._solve_pooled if self.pool else self._solve_unpooled
-        return run(y, Xty2, lam, beta0, u0, record_history)
-
-    def _solve_unpooled(
-        self,
-        y: np.ndarray,
-        Xty2: np.ndarray,
-        lam: float,
-        beta0: np.ndarray | None,
-        u0: np.ndarray | None,
-        record_history: bool,
-    ) -> ADMMResult:
-        """The allocating reference iteration (``pool=False``).
-
-        Kept verbatim as the bitwise ground truth the pooled path is
-        checked against and as the baseline ``benchmarks/
-        bench_alloc.py`` measures; its per-iteration allocations are
-        deliberate, hence the ALLOC suppressions.
-        """
-        p = self.p
-        z = np.zeros(p) if beta0 is None else np.asarray(beta0, dtype=float).copy()
-        if z.shape != (p,):
-            raise ValueError(f"beta0 shape {z.shape} != ({p},)")
-        u = np.zeros(p) if u0 is None else np.asarray(u0, dtype=float).copy()
-        if u.shape != (p,):
-            raise ValueError(f"u0 shape {u.shape} != ({p},)")
-        history: list[tuple[float, float, float]] = []
-        rho = self.rho
-        sqrtp = np.sqrt(p)
-
-        converged = False
-        r_norm = s_norm = np.inf
-        it = 0
-        for it in range(1, self.max_iter + 1):
-            x = self._solve_normal(Xty2 + rho * (z - u), rho)
-            x_hat = self.alpha * x + (1.0 - self.alpha) * z
-            z_old = z
-            z = soft_threshold(x_hat + u, lam / rho)
-            u = u + x_hat - z  # repro: ignore[ALLOC603]
-
-            diff = x - z
-            r_norm = math.sqrt(float(diff @ diff))
-            dz = z - z_old
-            s_norm = rho * math.sqrt(float(dz @ dz))
-            if record_history:
-                history.append((r_norm, s_norm, self._objective(y, z, lam)))
-
-            eps_pri = sqrtp * self.abstol + self.reltol * max(
-                math.sqrt(float(x @ x)), math.sqrt(float(z @ z))
-            )
-            eps_dual = sqrtp * self.abstol + self.reltol * rho * math.sqrt(
-                float(u @ u)
-            )
-            if r_norm < eps_pri and s_norm < eps_dual:
-                converged = True
-                break
-
-            if self.adapt_rho and it % 10 == 0:
-                # Residual balancing (Boyd §3.4.1), throttled to every
-                # tenth iteration so refactorizations stay rare and the
-                # scheme cannot oscillate; u is the *scaled* dual, so
-                # it shrinks when rho grows.
-                if r_norm > self.adapt_mu * s_norm:
-                    rho *= self.adapt_tau
-                    u /= self.adapt_tau
-                elif s_norm > self.adapt_mu * r_norm:
-                    rho /= self.adapt_tau
-                    u *= self.adapt_tau
-
-        return _count_solve(ADMMResult(
-            beta=z,
-            iterations=it,
-            converged=converged,
-            primal_residual=r_norm,
-            dual_residual=s_norm,
-            history=history,
-            dual=u,
-            _objective=functools.partial(self._objective, y, lam=lam),
-        ), rho)
-
-    def _solve_pooled(
-        self,
-        y: np.ndarray,
-        Xty2: np.ndarray,
-        lam: float,
-        beta0: np.ndarray | None,
-        u0: np.ndarray | None,
-        record_history: bool,
-    ) -> ADMMResult:
-        """Allocation-free iteration on the instance workspace.
-
-        Every line maps 1:1 onto :meth:`_solve_unpooled` with the same
-        float operations in the same order — IEEE ``+``/``*`` are
-        commutative bitwise, so ``np.add(q, Xty2, out=q)`` equals
-        ``Xty2 + q``, and the split ``u += x_hat; u -= z`` evaluates
-        ``(u + x_hat) - z`` exactly as the allocating form does — which
-        is why the two paths are bitwise identical.  Workspace buffers
-        never leave the solver: the result carries fresh copies.
-        """
-        p = self.p
+        # Every step runs in ``out=`` form on the workspace; the result
+        # carries fresh copies, never a workspace buffer.
+        p, y = self.p, self.y
         ws = self._ws
-        assert ws is not None
         z = ws.array("z", p)
         z_old = ws.array("z_old", p)
         u = ws.array("u", p)
@@ -543,14 +383,14 @@ class LassoADMM:
         r_norm = s_norm = np.inf
         it = 0
         for it in range(1, self.max_iter + 1):
-            # x = solve(2X'X + rho I, Xty2 + rho (z - u))
+            # x = solve(2X'X + rho I, 2X'y + rho (z - u))
             np.subtract(z, u, out=q)
             np.multiply(q, rho, out=q)
-            np.add(q, Xty2, out=q)
-            x = self._solve_normal_pooled(q, rho)
+            np.add(q, self._Xty2, out=q)
+            x = self._solve_normal(q)
             # x_hat = alpha x + (1 - alpha) z
-            np.multiply(x, self.alpha, out=x_hat)
-            np.multiply(z, 1.0 - self.alpha, out=t)
+            np.multiply(x, ALPHA, out=x_hat)
+            np.multiply(z, 1.0 - ALPHA, out=t)
             np.add(x_hat, t, out=x_hat)
             # z = S_{lam/rho}(x_hat + u), rotating z/z_old pointers
             np.add(x_hat, u, out=t)
@@ -576,15 +416,6 @@ class LassoADMM:
             if r_norm < eps_pri and s_norm < eps_dual:
                 converged = True
                 break
-
-            if self.adapt_rho and it % 10 == 0:
-                # Residual balancing (Boyd §3.4.1) — see _solve_unpooled.
-                if r_norm > self.adapt_mu * s_norm:
-                    rho *= self.adapt_tau
-                    u /= self.adapt_tau
-                elif s_norm > self.adapt_mu * r_norm:
-                    rho /= self.adapt_tau
-                    u *= self.adapt_tau
 
         return _count_solve(ADMMResult(
             beta=z.copy(),
@@ -613,22 +444,19 @@ class LassoADMM:
         beta0=beta0[:, c], u0=u0[:, c])`` returns (``history`` stays
         empty).
 
-        When every column keeps the same ``rho`` (``adapt_rho=False``,
-        pooled) the columns advance in **lock step** as one matrix
-        iterate: one ``potrs`` with ``nrhs = m`` per iteration (two
-        GEMMs with ``X`` around one ``n x n`` multi-RHS solve on the
-        Woodbury branch) and elementwise z/u updates on the whole
-        matrix, instead of ``m`` interpreter round-trips.  The stopping
-        test stays per column: a column that meets its own tolerances
-        retires at that iteration with its result frozen, and the rest
-        go on, up to ``max_iter``.  On the Cholesky branch every float
-        operation a column sees is the one the single-column solve
-        performs (multi-RHS ``potrs`` and the row-wise dot products are
-        column-wise bitwise equal to their single-vector forms), so
-        results are bitwise identical; on the Woodbury branch GEMM
-        rounds differently from GEMV and coefficients agree to ~1e-10.
-        With residual balancing each column owns its ``rho`` and
-        factorization, so the columns are solved one after the other.
+        The columns advance in **lock step** as one matrix iterate: one
+        ``potrs`` with ``nrhs = m`` per iteration (two GEMMs with ``X``
+        around one ``n x n`` multi-RHS solve on the Woodbury branch) and
+        elementwise z/u updates on the whole matrix, instead of ``m``
+        interpreter round-trips.  The stopping test stays per column: a
+        column that meets its own tolerances retires at that iteration
+        with its result frozen, and the rest go on, up to ``max_iter``.
+        On the Cholesky branch every float operation a column sees is
+        the one the single-column solve performs (multi-RHS ``potrs``
+        and the row-wise dot products are column-wise bitwise equal to
+        their single-vector forms), so results are bitwise identical; on
+        the Woodbury branch GEMM rounds differently from GEMV and
+        coefficients agree to ~1e-10.
 
         Parameters
         ----------
@@ -655,15 +483,6 @@ class LassoADMM:
                         f"{name} shape {seed.shape} != ({self.p}, {m})"
                     )
             seeds.append(seed)
-        if self.adapt_rho or not self.pool:
-            results = []
-            for c in range(m):
-                y = np.ascontiguousarray(Y[:, c])
-                b0, d0 = (s if s is None else s[:, c] for s in seeds)
-                results.append(
-                    self._solve(y, 2.0 * (self.X.T @ y), lam, b0, d0)
-                )
-            return results
         return self._solve_lockstep(Y, lam, *seeds)
 
     def _solve_lockstep(
@@ -673,7 +492,7 @@ class LassoADMM:
         beta0: np.ndarray | None,
         u0: np.ndarray | None,
     ) -> list[ADMMResult]:
-        """:meth:`_solve_pooled` for all columns of ``Y`` at once.
+        """:meth:`solve`'s iteration for all columns of ``Y`` at once.
 
         Iterates are ``(m, p)`` workspace slots, one C-contiguous row
         per response column, so a row is exactly the vector the
@@ -684,7 +503,6 @@ class LassoADMM:
         """
         n, p, m = self.n, self.p, Y.shape[1]
         ws = self._ws
-        assert ws is not None
         Yt = ws.array("c_Yt", (m, n))
         np.copyto(Yt, Y.T)
         rhs = ws.array("c_rhs", (m, p))
@@ -715,7 +533,7 @@ class LassoADMM:
         Met = ws.array("c_met", (2, m), bool)
         Done = ws.array("c_done", m, bool)
 
-        rho, alpha = self.rho, self.alpha
+        rho = self.rho
         kappa = lam / rho
         eps_floor = np.sqrt(p) * self.abstol
         rel_dual = self.reltol * rho
@@ -735,8 +553,8 @@ class LassoADMM:
                 np.add(q, b, out=q)
                 x = self._solve_normal_columns(q)
                 # x_hat = alpha x + (1 - alpha) z
-                np.multiply(x, alpha, out=x_hat)
-                np.multiply(z, 1.0 - alpha, out=t)
+                np.multiply(x, ALPHA, out=x_hat)
+                np.multiply(z, 1.0 - ALPHA, out=t)
                 np.add(x_hat, t, out=x_hat)
                 # z = S_{lam/rho}(x_hat + u), rotating z/z_old pointers
                 np.add(x_hat, u, out=t)

@@ -83,9 +83,6 @@ def consensus_lasso_admm(
     abstol: float = 1e-5,
     reltol: float = 1e-4,
     beta0: np.ndarray | None = None,
-    adapt_rho: bool = False,
-    adapt_tau: float = 2.0,
-    adapt_mu: float = 10.0,
 ) -> ConsensusResult:
     """Solve the sample-split LASSO on ``comm``; every rank returns the result.
 
@@ -113,17 +110,12 @@ def consensus_lasso_admm(
         averages them, and every rank derives the identical value —
         one extra (tiny) collective per solve, and ranks stay bitwise
         equal to each other.  An explicit float is used as given.
+        Either way it stays fixed for the solve: one local
+        factorization per rank serves every iteration.
     max_iter, abstol, reltol:
         Stopping configuration (Boyd §3.3 consensus criteria).
     beta0:
         Optional warm start for the consensus variable ``z``.
-    adapt_rho, adapt_tau, adapt_mu:
-        Residual balancing (Boyd §3.4.1).  The decision is driven by
-        the globally reduced residual norms, so every rank adapts
-        identically without extra communication; each adaptation
-        triggers a local refactorization.  Worth it against a badly
-        scaled fixed ``rho``, not against the spectral default (see
-        ``benchmarks/bench_ablation_rho.py`` for all three legs).
 
     Notes
     -----
@@ -152,38 +144,26 @@ def consensus_lasso_admm(
     P = comm.size
     clock, machine = comm.clock, comm.machine
 
-    if adapt_tau <= 1.0 or adapt_mu <= 1.0:
-        raise ValueError(
-            f"adapt_tau and adapt_mu must be > 1, got {adapt_tau}, {adapt_mu}"
-        )
-
-    # Local factorization of (2 A'A + rho I): once per solve, reused
-    # every iteration — the paper's cached-factorization optimization.
-    # Residual balancing invalidates it, so the Gram base is kept and
-    # the factorization rebuilt on each rho change.
-    gram_base = 2.0 * (A.T @ A)
+    gram = 2.0 * (A.T @ A)
     Atb2 = 2.0 * (A.T @ b)
     charge_gemm(clock, machine, p, p, n_i)  # A'A
     charge_gemv(clock, machine, p, n_i)  # A'b
-
-    def make_solver(rho_val):
-        _tcount("consensus.factorizations")
-        charge_cholesky(clock, machine, p)
-        gram = gram_base.copy()
-        gram[np.diag_indices_from(gram)] += rho_val
-        chol = scipy.linalg.cho_factor(gram, lower=True)
-        return lambda q: scipy.linalg.cho_solve(chol, q)
 
     agreed = 0  # collectives spent agreeing on rho
     if rho is None:
         # Extremes of the local spectrum, averaged over the ranks so
         # all derive one rho.  The dense symmetric eigensolve is a p^3
         # kernel like the Cholesky; costed as one p x p x p gemm.
-        extremes = np.array(gram_extremes(gram_base))
+        extremes = np.array(gram_extremes(gram))
         charge_gemm(clock, machine, p, p, p)
         rho = spectral_rho(*(comm.allreduce(extremes, SUM) / P))
         agreed = 1
-    solve_normal = make_solver(rho)
+    # Local factorization of (2 A'A + rho I): once per solve, reused
+    # every iteration — the paper's cached-factorization optimization.
+    _tcount("consensus.factorizations")
+    charge_cholesky(clock, machine, p)
+    gram[np.diag_indices_from(gram)] += rho
+    chol = scipy.linalg.cho_factor(gram, lower=True)
 
     z = np.zeros(p) if beta0 is None else np.asarray(beta0, dtype=float).copy()
     if z.shape != (p,):
@@ -195,7 +175,7 @@ def consensus_lasso_admm(
     r_norm = s_norm = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        x = solve_normal(Atb2 + rho * (z - u))
+        x = scipy.linalg.cho_solve(chol, Atb2 + rho * (z - u))
         charge_trsv(clock, machine, p)
         charge_trsv(clock, machine, p)
 
@@ -231,18 +211,6 @@ def consensus_lasso_admm(
         if r_norm < eps_pri and s_norm < eps_dual:
             converged = True
             break
-
-        if adapt_rho:
-            # Globally reduced residuals -> identical decision on every
-            # rank, no extra collective needed.
-            if r_norm > adapt_mu * s_norm:
-                rho *= adapt_tau
-                u /= adapt_tau
-                solve_normal = make_solver(rho)
-            elif s_norm > adapt_mu * r_norm:
-                rho /= adapt_tau
-                u *= adapt_tau
-                solve_normal = make_solver(rho)
 
     # One soft-threshold and one fused allreduce per iteration (the
     # call the paper's communication bar is made of), plus the one

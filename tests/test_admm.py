@@ -62,13 +62,17 @@ class TestLassoADMM:
         res = solver.solve(4.0)
         assert res.objective == pytest.approx(solver.objective(res.beta, 4.0))
 
-    @pytest.mark.parametrize("pool", [True, False])
-    def test_objective_read_after_later_solves_is_bitwise(self, problem, pool):
+    @pytest.mark.parametrize("woodbury", [True, False])
+    def test_objective_read_after_later_solves_is_bitwise(self, problem, woodbury):
         """The objective is computed on first access; later solves, which
-        reuse the workspace, must not move it."""
+        reuse the workspace, must not move it (on both factor branches:
+        the Woodbury one holds more workspace slots)."""
         X, y, _ = problem
+        if woodbury:
+            X, y = X[:10], y[:10]
+            assert X.shape[0] < X.shape[1]
         Y = np.column_stack([y, -y, y + X[:, 0]])
-        solver = LassoADMM(X, y, pool=pool, max_iter=2000)
+        solver = LassoADMM(X, y, max_iter=2000)
         single = solver.solve(4.0)
         columns = solver.solve_columns(Y, 3.0)
         solver.solve(0.5)
@@ -161,8 +165,12 @@ class TestValidation:
             LassoADMM(np.ones((5, 2)), np.ones(5), rho=0.0)
 
     def test_bad_alpha(self):
-        with pytest.raises(ValueError, match="alpha"):
-            LassoADMM(np.ones((5, 2)), np.ones(5), alpha=2.5)
+        """Over-relaxation is the fixed ALPHA, not a keyword."""
+        from repro.linalg.admm import ALPHA
+
+        assert ALPHA == 1.5
+        with pytest.raises(TypeError, match="alpha"):
+            LassoADMM(np.ones((5, 2)), np.ones(5), alpha=1.0)
 
     def test_negative_lambda(self):
         with pytest.raises(ValueError, match="lam"):
@@ -174,45 +182,40 @@ class TestValidation:
             solver.solve(1.0, beta0=np.zeros(3))
 
 
+def _factorizations(run, *args):
+    """``(run(*args), admm.factorizations counted while it ran)``."""
+    from repro.telemetry.recorder import Recorder, use_recorder
+
+    rec = Recorder()
+    with use_recorder(rec):
+        out = run(*args)
+    return out, rec.counter_values().get("admm.factorizations", 0.0)
+
+
 class TestAdaptiveRho:
-    def test_fewer_iterations_same_answer(self, problem):
-        X, y, _ = problem
-        # The slow leg is a fixed rho off the Gram's scale (the spectral
-        # default already starts where balancing would end up).
-        fixed = LassoADMM(X, y, rho=1.0, max_iter=5000).solve(8.0)
-        solver = LassoADMM(X, y, rho=1.0, max_iter=5000, adapt_rho=True)
-        adaptive = solver.solve(8.0)
-        assert adaptive.iterations < fixed.iterations
-        np.testing.assert_allclose(adaptive.beta, fixed.beta, atol=1e-3)
+    """Residual balancing is gone: rho stays fixed, so one factorization
+    per design serves every solve."""
 
-    def test_refactorization_count_tracked(self, problem):
-        X, y, _ = problem
-        solver = LassoADMM(X, y, adapt_rho=True)
-        assert solver.factorizations == 1  # constructor's initial factor
-        solver.solve(8.0)
-        assert solver.factorizations > 1
+    def test_fixed_rho_never_refactors(self):
+        def run(X, y):
+            solver = LassoADMM(X, y, rho=1.0, max_iter=300)
+            solver.solve(4.0)
+            solver.solve(8.0, record_history=True)
+            solver.solve_columns(np.column_stack([y, -y]), 2.0)
+            return solver.rho
 
-    def test_fixed_rho_never_refactors(self, problem):
-        X, y, _ = problem
-        solver = LassoADMM(X, y)
-        solver.solve(4.0)
-        solver.solve(8.0)
-        assert solver.factorizations == 1
-
-    def test_adaptive_woodbury_path(self):
         rng = np.random.default_rng(9)
-        X = rng.standard_normal((20, 40))
-        y = rng.standard_normal(20)
-        adaptive = LassoADMM(X, y, adapt_rho=True, max_iter=3000).solve(2.0)
-        cd = lasso_cd(X, y, 2.0, max_iter=8000)
-        np.testing.assert_allclose(adaptive.beta, cd, atol=1e-3)
+        for shape in ((80, 12), (20, 40)):  # Cholesky and Woodbury
+            X = rng.standard_normal(shape)
+            y = rng.standard_normal(shape[0])
+            assert _factorizations(run, X, y) == (1.0, 1)
 
     def test_adapt_param_validation(self, problem):
+        """The residual-balancing keywords are refused, not ignored."""
         X, y, _ = problem
-        with pytest.raises(ValueError, match="adapt"):
-            LassoADMM(X, y, adapt_tau=1.0)
-        with pytest.raises(ValueError, match="adapt"):
-            LassoADMM(X, y, adapt_mu=0.5)
+        for knob in ("adapt_rho", "adapt_tau", "adapt_mu", "pool"):
+            with pytest.raises(TypeError, match=knob):
+                LassoADMM(X, y, **{knob: True})
 
 
 def _columns_problem(n, p, m, seed, zero_column=None):
@@ -297,14 +300,6 @@ class TestSolveColumns:
         assert got[0].converged and not got[-1].converged
         assert got[-1].iterations == 12
 
-    @pytest.mark.parametrize("shape", [(60, 9), (14, 30)])
-    def test_adaptive_rho_falls_back_to_column_solves(self, shape):
-        X, Y = _columns_problem(*shape, 3, seed=8)
-        kwargs = {"adapt_rho": True, "max_iter": 3000}
-        got = LassoADMM(X, Y[:, 0], **kwargs).solve_columns(Y, 2.0)
-        want = _per_column(X, Y, 2.0, **kwargs)
-        assert [_state(r) for r in got] == [_state(r) for r in want]
-
     def test_telemetry_counts_are_per_column_sums(self):
         from repro.telemetry.recorder import Recorder, use_recorder
 
@@ -355,7 +350,6 @@ class TestVarPathColumns:
             solver = LassoADMM(
                 X, Y[:, c], rho=config.rho, max_iter=config.max_iter,
                 abstol=config.abstol, reltol=config.reltol,
-                adapt_rho=config.adapt_rho,
             )
             beta = None
             for j, lam in enumerate(lambdas):
@@ -370,14 +364,16 @@ class TestVarPathColumns:
                 out[j, col] = beta
         return out
 
-    @pytest.mark.parametrize("adapt_rho", [False, True])
-    def test_all_seedings_match_per_column_chains(self, adapt_rho):
+    @pytest.mark.parametrize("explicit_rho", [False, True])
+    def test_all_seedings_match_per_column_chains(self, explicit_rho):
         from repro.core.config import UoILassoConfig
         from repro.engine.plans import var_path_columns
         from repro.linalg.lambda_grid import lambda_grid_from_max
 
         X, Y = _columns_problem(60, 8, 4, seed=12)
-        config = UoILassoConfig(solver="admm", adapt_rho=adapt_rho)
+        config = UoILassoConfig(
+            solver="admm", rho=1.0 if explicit_rho else None
+        )
         lambdas = lambda_grid_from_max(
             2.0 * float(np.max(np.abs(X.T @ Y))), num=5, eps=1e-2
         )
@@ -419,10 +415,11 @@ class TestSpectralRho:
     def test_default_is_geometric_mean_of_gram_extremes(self, shape):
         rng = np.random.default_rng(3)
         X = rng.standard_normal(shape)
-        solver = LassoADMM(X, rng.standard_normal(shape[0]))
+        y = rng.standard_normal(shape[0])
+        solver, factorizations = _factorizations(LassoADMM, X, y)
         lo, hi = _nonzero_extremes(X)
         assert solver.rho == pytest.approx(np.sqrt(lo * hi), rel=1e-10)
-        assert solver.factorizations == 1
+        assert factorizations == 1
 
     def test_explicit_rho_is_kept(self, problem):
         X, y, _ = problem

@@ -510,22 +510,37 @@ class TestShippedTree:
                     directives.append(
                         (rel, ".".join(n.name for n in enclosing))
                     )
-        assert sorted(directives) == [
-            # The unpooled ADMM reference path keeps the allocating
-            # u-update verbatim as the bitwise baseline bench_alloc.py
-            # measures against.
-            ("linalg/admm.py", "LassoADMM._solve_unpooled"),
-        ]
+        # None: the allocating ADMM reference iteration lives in
+        # tests/test_linalg_pool.py, outside the scanned tree.
+        assert sorted(directives) == []
 
-    def test_static_sites_include_suppressions(self):
-        sites = alloc_scan(SourceIndex.from_paths(default_alloc_paths())).sites
-        files = {os.path.basename(path) for path, _ in sites}
-        assert "admm.py" in files
+    @staticmethod
+    def _with_suppressed_module(tmp_path):
+        """The shipped tree plus one module holding one deliberate
+        suppression; returns the scan and the suppressed site."""
+        path = tmp_path / "deliberate.py"
+        path.write_text(textwrap.dedent(
+            """
+            import numpy as np
 
-    def test_scan_exposes_coverage(self):
-        scan = alloc_scan(SourceIndex.from_paths(default_alloc_paths()))
+            def f(n):
+                for i in range(n):
+                    buf = np.zeros(8)  # repro: ignore[ALLOC601]
+                    buf += i
+            """
+        ))
+        index = SourceIndex.from_paths([*default_alloc_paths(), str(path)])
+        return alloc_scan(index), (os.path.abspath(path), 6)
+
+    def test_static_sites_include_suppressions(self, tmp_path):
+        scan, site = self._with_suppressed_module(tmp_path)
+        assert site in scan.sites
+
+    def test_scan_exposes_coverage(self, tmp_path):
+        scan, site = self._with_suppressed_module(tmp_path)
         assert scan.findings == []
-        assert scan.sites  # the deliberate suppressions
+        assert scan.sites == {site}  # the shipped tree suppresses nothing
+        assert site[0] in scan.files
         assert any(p.endswith("admm.py") for p in scan.files)
         # The pass never scans itself.
         assert not any("analysis" in p.split(os.sep) for p in scan.files)

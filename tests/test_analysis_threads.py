@@ -440,6 +440,101 @@ class TestBlockingUnderLock:
         assert findings == []
 
 
+class TestExplicitAcquire:
+    """``lock.acquire()`` holds the lock for the statements after it,
+    up to the ``release()`` (a ``finally`` included) or the body's end."""
+
+    def test_blocking_after_acquire_is_reported(self):
+        findings = check(
+            """
+            import threading
+            import time
+
+            class C:
+                def __init__(self):
+                    self.lock = threading.Lock()
+
+                def nap(self):
+                    self.lock.acquire()
+                    time.sleep(1.0)
+                    self.lock.release()
+                    time.sleep(1.0)
+            """
+        )
+        assert [(f.rule, f.line) for f in findings] == [("LOCK504", 11)]
+
+    def test_try_finally_release_ends_the_hold(self):
+        findings = check(
+            """
+            import threading
+            import time
+
+            class C:
+                def __init__(self):
+                    self.lock = threading.Lock()
+
+                def nap(self, future):
+                    self.lock.acquire()
+                    try:
+                        future.result()
+                    finally:
+                        self.lock.release()
+                    time.sleep(1.0)
+            """
+        )
+        assert [(f.rule, f.line) for f in findings] == [("LOCK504", 12)]
+
+    def test_lock_taken_after_acquire_makes_an_edge(self):
+        findings = check(
+            """
+            import threading
+
+            class Box:
+                def __init__(self):
+                    self.a = threading.Lock()
+                    self.b = threading.Lock()
+
+                def one(self):
+                    self.a.acquire()
+                    with self.b:
+                        pass
+                    self.a.release()
+
+                def two(self):
+                    with self.b:
+                        with self.a:
+                            pass
+            """
+        )
+        assert [f.rule for f in findings] == ["LOCK501", "LOCK501"]
+        assert {tuple(f.context["edge"]) for f in findings} == {
+            ("Box.a", "Box.b"), ("Box.b", "Box.a"),
+        }
+
+    def test_released_lock_makes_no_edge(self):
+        assert not check(
+            """
+            import threading
+
+            class Box:
+                def __init__(self):
+                    self.a = threading.Lock()
+                    self.b = threading.Lock()
+
+                def one(self):
+                    self.a.acquire()
+                    self.a.release()
+                    with self.b:
+                        pass
+
+                def two(self):
+                    with self.b:
+                        with self.a:
+                            pass
+            """
+        )
+
+
 class TestSuppressions:
     SOURCE = """
         import threading

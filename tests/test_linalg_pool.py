@@ -2,10 +2,13 @@
 pooled ADMM path (ROADMAP item 2: reuse may change which memory holds
 intermediates, never the float stream)."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
 
-from repro.linalg.admm import LassoADMM
+from repro.linalg.admm import ALPHA, ADMMResult, LassoADMM
 from repro.linalg.soft_threshold import soft_threshold, soft_threshold_into
 from repro.perf import pool
 from repro.perf.pool import MAX_RETAINED_PER_KEY, Workspace, clear_cache, give, take
@@ -110,8 +113,77 @@ def _problem(n, p, seed):
     return X, y
 
 
-def _solve_state(solver, lam, **kwargs):
-    result = solver.solve(lam, **kwargs)
+def reference_admm(solver, lam, y=None, beta0=None, u0=None,
+                   record_history=False):
+    """The allocating ADMM iteration: the bitwise ground truth of
+    ``LassoADMM.solve`` and ``solve_columns``.
+
+    It runs on ``solver``'s design, penalty, tolerances and cached
+    factor, for response ``y`` (default ``solver.y``), with a fresh
+    array for every intermediate.  The library's iteration performs the
+    same float operations in the same order in ``out=`` forms on its
+    workspace.  IEEE ``+``/``*`` are commutative bitwise, so
+    ``np.add(q, Xty2, out=q)`` equals ``Xty2 + q``, and the split
+    ``u += x_hat; u -= z`` evaluates ``(u + x_hat) - z`` exactly as
+    below.
+    """
+    X, p, rho = solver.X, solver.p, solver.rho
+    y = solver.y if y is None else np.ascontiguousarray(y, dtype=float)
+    Xty2 = 2.0 * (X.T @ y)
+
+    def solve_normal(q):
+        if not solver._woodbury:
+            return solver._potrs(q, overwrite=False)
+        # Woodbury: (rho I + 2X'X)^{-1} q
+        #   = q/rho - (2/rho^2) X' (I + (2/rho) X X')^{-1} X q
+        inner = solver._potrs(X @ q, overwrite=True)
+        return q / rho - (2.0 / rho**2) * (X.T @ inner)
+
+    z = np.zeros(p) if beta0 is None else np.asarray(beta0, dtype=float).copy()
+    u = np.zeros(p) if u0 is None else np.asarray(u0, dtype=float).copy()
+    history = []
+    sqrtp = np.sqrt(p)
+
+    converged = False
+    r_norm = s_norm = np.inf
+    it = 0
+    for it in range(1, solver.max_iter + 1):
+        x = solve_normal(Xty2 + rho * (z - u))
+        x_hat = ALPHA * x + (1.0 - ALPHA) * z
+        z_old = z
+        z = soft_threshold(x_hat + u, lam / rho)
+        u = u + x_hat - z
+
+        diff = x - z
+        r_norm = math.sqrt(float(diff @ diff))
+        dz = z - z_old
+        s_norm = rho * math.sqrt(float(dz @ dz))
+        if record_history:
+            history.append((r_norm, s_norm, solver._objective(y, z, lam)))
+
+        eps_pri = sqrtp * solver.abstol + solver.reltol * max(
+            math.sqrt(float(x @ x)), math.sqrt(float(z @ z))
+        )
+        eps_dual = sqrtp * solver.abstol + solver.reltol * rho * math.sqrt(
+            float(u @ u)
+        )
+        if r_norm < eps_pri and s_norm < eps_dual:
+            converged = True
+            break
+
+    return ADMMResult(
+        beta=z,
+        iterations=it,
+        converged=converged,
+        primal_residual=r_norm,
+        dual_residual=s_norm,
+        history=history,
+        dual=u,
+        _objective=functools.partial(solver._objective, y, lam=lam),
+    )
+
+
+def _state(result):
     return {
         "beta": result.beta.tobytes(),
         "dual": result.dual.tobytes(),
@@ -124,48 +196,53 @@ def _solve_state(solver, lam, **kwargs):
     }
 
 
+def _solve_state(solver, lam, **kwargs):
+    return _state(solver.solve(lam, **kwargs))
+
+
+def _reference_state(solver, lam, **kwargs):
+    return _state(reference_admm(solver, lam, **kwargs))
+
+
 class TestPooledBitwiseIdentity:
     # Both factorization branches: n > p (direct Cholesky of
     # X'X + rho*I) and n < p (Woodbury).
     SHAPES = [(60, 20), (15, 40)]
     LAMBDAS = [0.0, 0.3, 2.5]
 
+    # Default config, an explicit off-spectrum rho, and a budget that
+    # runs out before the tolerances are met.
     @pytest.mark.parametrize("n,p", SHAPES)
     @pytest.mark.parametrize(
-        "kwargs", [{}, {"adapt_rho": True}, {"alpha": 1.0}]
+        "kwargs", [{}, {"rho": 1.0}, {"max_iter": 7}]
     )
     def test_single_solves_identical(self, n, p, kwargs):
         X, y = _problem(n, p, seed=11)
-        plain = LassoADMM(X, y, pool=False, **kwargs)
-        pooled = LassoADMM(X, y, pool=True, **kwargs)
+        solver = LassoADMM(X, y, **kwargs)
         for lam in self.LAMBDAS:
-            assert _solve_state(
-                plain, lam, record_history=True
-            ) == _solve_state(pooled, lam, record_history=True), (n, p, lam)
+            assert _reference_state(
+                solver, lam, record_history=True
+            ) == _solve_state(solver, lam, record_history=True), (n, p, lam)
 
     @pytest.mark.parametrize("n,p", SHAPES)
     def test_warm_started_path_identical(self, n, p):
         X, y = _problem(n, p, seed=23)
         lams = [3.0, 1.0, 0.3]
-        plain = [
-            r.beta.tobytes()
-            for r in LassoADMM(X, y, pool=False).solve_path(lams)
-        ]
-        pooled = [
-            r.beta.tobytes()
-            for r in LassoADMM(X, y, pool=True).solve_path(lams)
-        ]
+        solver = LassoADMM(X, y)
+        plain, beta = [], None
+        for lam in lams:
+            beta = reference_admm(solver, lam, beta0=beta).beta
+            plain.append(beta.tobytes())
+        pooled = [r.beta.tobytes() for r in solver.solve_path(lams)]
         assert plain == pooled
 
     def test_warm_dual_restart_identical(self):
         X, y = _problem(40, 12, seed=5)
+        solver = LassoADMM(X, y)
         states = []
-        for pool in (False, True):
-            solver = LassoADMM(X, y, pool=pool)
-            first = solver.solve(0.8)
-            second = solver.solve(
-                0.4, beta0=first.beta, u0=first.dual
-            )
+        for run in (functools.partial(reference_admm, solver), solver.solve):
+            first = run(0.8)
+            second = run(0.4, beta0=first.beta, u0=first.dual)
             states.append(
                 (first.beta.tobytes(), second.beta.tobytes(),
                  second.dual.tobytes(), second.iterations)
@@ -174,7 +251,7 @@ class TestPooledBitwiseIdentity:
 
     def test_pooled_result_does_not_alias_workspace(self):
         X, y = _problem(30, 8, seed=1)
-        solver = LassoADMM(X, y, pool=True)
+        solver = LassoADMM(X, y)
         first = solver.solve(0.5)
         snapshot = first.beta.copy()
         solver.solve(0.1)  # reuses the workspace buffers
@@ -195,23 +272,48 @@ class TestLockstepColumns:
         Y[:, m // 2] = 0.0  # retires early: the active block shrinks
         return X, Y
 
+    @staticmethod
+    def _reference_columns(solver, Y, lam, beta0=None, u0=None):
+        return [
+            reference_admm(
+                solver, lam, y=Y[:, c],
+                beta0=None if beta0 is None else beta0[:, c],
+                u0=None if u0 is None else u0[:, c],
+            )
+            for c in range(Y.shape[1])
+        ]
+
     def test_lockstep_equals_unpooled_column_solves(self):
+        """Cholesky branch: bitwise equal to the reference per column."""
         X, Y = self._columns(60, 10, 6, seed=3)
+        solver = LassoADMM(X, Y[:, 0], max_iter=2000)
         states = []
-        for pool in (False, True):
-            solver = LassoADMM(X, Y[:, 0], pool=pool, max_iter=2000)
-            first = solver.solve_columns(Y, 4.0)
-            second = solver.solve_columns(
+        for run in (
+            functools.partial(self._reference_columns, solver),
+            solver.solve_columns,
+        ):
+            first = run(Y, 4.0)
+            second = run(
                 Y, 1.0,
                 beta0=np.column_stack([r.beta for r in first]),
                 u0=np.column_stack([r.dual for r in first]),
             )
-            states.append([
-                (r.beta.tobytes(), r.dual.tobytes(), r.iterations,
-                 r.converged, r.primal_residual, r.dual_residual, r.objective)
-                for r in first + second
-            ])
+            states.append([_state(r) for r in first + second])
         assert states[0] == states[1]
+
+    def test_lockstep_woodbury_within_rounding_of_reference(self):
+        """Woodbury branch: GEMM rounds differently from the reference's
+        GEMV, so supports and iteration counts agree and coefficients
+        to rounding."""
+        X, Y = self._columns(14, 30, 4, seed=2)
+        solver = LassoADMM(X, Y[:, 0], max_iter=4000)
+        for lam in (8.0, 1.0):
+            got = solver.solve_columns(Y, lam)
+            want = self._reference_columns(solver, Y, lam)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g.beta != 0, w.beta != 0)
+                np.testing.assert_allclose(g.beta, w.beta, rtol=0, atol=1e-10)
+                assert (g.iterations, g.converged) == (w.iterations, w.converged)
 
     def test_repeat_calls_take_no_new_buffers(self, monkeypatch):
         X, Y = self._columns(60, 10, 6, seed=3)

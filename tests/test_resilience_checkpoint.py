@@ -414,6 +414,25 @@ class TestSerialResume:
             UoILasso(n_lambdas=4, n_selection_bootstraps=3,
                      n_estimation_bootstraps=2).fit(ds.X, ds.y, checkpoint=plan)
 
+    def test_store_pinned_with_adapt_rho_is_refused(self, tmp_path):
+        """A store pinned by a build whose config still carried the
+        residual-balancing switch (``"adapt_rho": false`` in its meta)
+        is another run's store: the resume is refused, naming the key."""
+        ds = make_sparse_regression(
+            40, 6, n_informative=2, snr=10.0, rng=np.random.default_rng(3)
+        )
+        kw = dict(n_lambdas=4, n_selection_bootstraps=2,
+                  n_estimation_bootstraps=2)
+        fresh = CheckpointStore(tmp_path / "fresh")
+        UoILasso(**kw).fit(ds.X, ds.y, checkpoint=CheckpointPlan(fresh))
+        assert "adapt_rho" not in fresh.meta
+        old = CheckpointStore(tmp_path / "old")
+        old.ensure_meta({**fresh.meta, "adapt_rho": False})
+        with pytest.raises(
+            ValueError, match=r"adapt_rho: stored False, given \(absent\)"
+        ):
+            UoILasso(**kw).fit(ds.X, ds.y, checkpoint=CheckpointPlan(old))
+
     def test_solver_fields_are_part_of_the_store_identity(self, tmp_path):
         """A store written at rho=1.0 (the former default) refuses a
         rerun at the spectral default — its payloads are the iterates of

@@ -18,6 +18,7 @@ from repro.service import (
 )
 from repro.service import server as server_module
 from repro.service.server import decode_array, encode_array, run_demo
+from repro.wire import encode_arrays
 from tests.test_service import LASSO_CFG
 
 
@@ -100,6 +101,35 @@ class TestSocketRoundTrip:
         ]
         with pytest.raises(TimeoutError):
             client.results(ids[-1], timeout=1e-9)
+
+    def test_config_with_dropped_field_is_a_typed_rejection(
+        self, served, lasso_problem
+    ):
+        """A lasso config still carrying ``adapt_rho`` (a field the
+        config no longer has) gets an AdmissionError reply naming it,
+        and the connection's handler thread serves the next request."""
+        _, client = served
+        config = {**dataclasses.asdict(LASSO_CFG), "adapt_rho": False}
+        request = {
+            "op": "submit",
+            "kind": "lasso",
+            "data": encode_arrays(lasso_problem),
+            "config": config,
+        }
+        with socket.create_connection((client.host, client.port)) as conn:
+            rfile = conn.makefile("r")
+            conn.sendall(json.dumps(request).encode() + b"\n")
+            response = json.loads(rfile.readline())
+            conn.sendall(b'{"op": "ping"}\n')
+            second = json.loads(rfile.readline())
+        assert response["ok"] is False
+        assert response["error"] == "AdmissionError"
+        assert "adapt_rho" in response["message"]
+        assert second == {"ok": True, "pong": True}
+        with pytest.raises(AdmissionError, match="adapt_rho"):
+            client.submit("lasso", lasso_problem, config=config)
+        job_id = client.submit("lasso", lasso_problem, config=LASSO_CFG)
+        assert client.results(job_id, timeout=120.0)["coef"].shape == (6,)
 
     def test_unknown_op_rejected(self, served):
         service, client = served

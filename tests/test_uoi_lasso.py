@@ -161,7 +161,6 @@ class TestValidationAndConfig:
         assert UoILassoConfig(rho=2.0).solver_meta()["rho"] == 2.0
         assert set(UoILassoConfig().solver_meta()) == {
             "solver", "rho", "max_iter", "abstol", "reltol", "cd_tol",
-            "adapt_rho",
         }
 
     def test_config_with_(self):
